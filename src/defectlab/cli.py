@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .exact import BudgetExceeded, DependentGenerators
+from .exact import BudgetExceeded, DependentGenerators, InvariantViolation
 from .families import (
     FamilySyntaxError,
     MalformedDefectSet,
@@ -69,10 +69,6 @@ _INPUT_ERRORS = (
     ZeroVector,
     ValueError,
 )
-
-
-class InvariantViolation(RuntimeError):
-    """A certified property that must always hold failed: this is a bug."""
 
 
 def _default_precision() -> int:
@@ -270,7 +266,7 @@ def cmd_converge(args) -> int:
     if args.semicontinuity:
         semi = semicontinuity_probe(family, sigma, args.m_max, args.n,
                                     args.terms, args.precision,
-                                    digit_budget=args.digit_budget)
+                                    digit_budget=args.digit_budget, rows=rows)
         results["semicontinuity"] = {
             "limit": interval_value(semi["limit"]),
             "violation": semi["violation"],

@@ -2,11 +2,13 @@
 
 Everything in this module is exact: scalars are `fractions.Fraction`,
 ranks come from fraction-free (Bareiss) elimination over the integers,
-and projections solve the normal equations with rational Gaussian
-elimination.  No floating point ever enters.
+and distances, projections and Gram solves all come from one
+fraction-free elimination of a bordered Gram matrix
+(`bordered_elimination`).  No floating point ever enters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -18,6 +20,10 @@ class DependentGenerators(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Raised when intermediate rationals exceed the configured digit budget."""
+
+
+class InvariantViolation(RuntimeError):
+    """A certified property that must always hold failed: this is a bug."""
 
 
 Q = Fraction
@@ -193,20 +199,9 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list:
     """Scale each row by the lcm of denominators; rank is unchanged."""
     out = []
     for row in rows:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                g = _gcd(scale, d)
-                scale = scale // g * d
+        scale = math.lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss_rank(rows: list) -> int:
@@ -261,104 +256,136 @@ def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int]
     return _bareiss_rank(_integer_rows(rows))
 
 
-class _Echelon:
-    """Incremental sparse row reduction used for independence pruning."""
+@dataclass(frozen=True)
+class Elimination:
+    """What one bordered elimination of a span answers.
 
-    def __init__(self):
-        self.pivot_rows = {}  # pivot index -> {index: value} with value 1 at pivot
+    kept: indices of the generators that took a pivot, a maximal
+    independent subset chosen greedily in generator order.
+    dist_sq: for each cut, the exact dist^2 of every probe to the span of
+    the generators before that cut.
+    coefficients: with solve=True, for every probe and then every rhs
+    column, the rational coefficients over the kept generators.
+    """
 
-    def _residual(self, vec: SparseVector) -> dict:
-        work = dict(vec.entries)
-        while work:
-            lead = min(work)
-            row = self.pivot_rows.get(lead)
-            if row is None:
-                return work
-            coef = work[lead]
-            for i, v in row.items():
-                new = work.get(i, Q(0)) - coef * v
-                if new == 0:
-                    work.pop(i, None)
-                else:
-                    work[i] = new
-        return work
+    kept: tuple
+    dist_sq: list
+    coefficients: Optional[list] = None
 
-    def add(self, vec: SparseVector) -> bool:
-        """Insert vec; True iff it was independent of the rows seen so far."""
-        res = self._residual(vec)
-        if not res:
-            return False
-        lead = min(res)
-        coef = res[lead]
-        self.pivot_rows[lead] = {i: v / coef for i, v in res.items()}
-        return True
 
-    def contains(self, vec: SparseVector) -> bool:
-        return not self._residual(vec)
+def _integer_coords(v: SparseVector) -> tuple:
+    """(s, {index: int}) with s the lcm of v's denominators: s*v is integral."""
+    s = math.lcm(*(x.denominator for _, x in v.entries))
+    return s, {i: x.numerator * (s // x.denominator) for i, x in v.entries}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+
+def _idot(a: dict, b: dict) -> int:
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(x * b[i] for i, x in a.items() if i in b)
+
+
+def bordered_elimination(
+    generators: Sequence[SparseVector],
+    probes: Sequence[SparseVector] = (),
+    rhs: Sequence[Sequence[Fraction]] = (),
+    cuts: Optional[Sequence[int]] = None,
+    solve: bool = False,
+    digit_budget: Optional[int] = None,
+) -> Elimination:
+    """Symmetric fraction-free (Bareiss) elimination of [[G, B], [B^T, C]].
+
+    G is the Gram matrix of the generators, B their inner products with
+    the probes and C the probes' squared norms.  Every vector is first
+    scaled by the lcm of its denominators, which leaves spans unchanged
+    and makes the matrix integral.  Pivots are taken on the diagonal in
+    generator order; G is positive semidefinite, so a zero pivot means the
+    generator lies in the span of those before it, and it is skipped.  By
+    Sylvester's identity, once the first k generators are eliminated a
+    probe's trailing diagonal entry divided by the last pivot taken is its
+    dist^2 to their span, so one pass reads off every ascending cut
+    (default: all generators).  rhs columns are right-hand sides of
+    G c = rhs given over the generators; with solve=True they and the
+    probe columns are back-substituted after the forward pass.
+
+    With a digit budget, every pivot and every diagonal entry is checked
+    as it is produced; by Cauchy-Schwarz they bound all symmetric entries.
+    """
+    m = len(generators)
+    cuts = [m] if cuts is None else list(cuts)
+    gen_scale, gens = zip(*map(_integer_coords, generators)) if m else ((), ())
+    probe_scale, prbs = zip(*map(_integer_coords, probes)) if probes else ((), ())
+    col_scale = list(probe_scale)
+    rhs_cols = []
+    for col in rhs:
+        scaled = [a * x for a, x in zip(gen_scale, col)]
+        s = math.lcm(*(x.denominator for x in scaled))
+        col_scale.append(s)
+        rhs_cols.append([x.numerator * (s // x.denominator) for x in scaled])
+    rows = [
+        [0] * i
+        + [_idot(gens[i], gens[j]) for j in range(i, m)]
+        + [_idot(gens[i], p) for p in prbs]
+        + [col[i] for col in rhs_cols]
+        for i in range(m)
+    ]
+    diag = [_idot(p, p) for p in prbs]
+    if digit_budget is not None:
+        _check_budget([rows[i][i] for i in range(m)] + diag, digit_budget)
+
+    prev = 1
+    kept = []
+    table = []
+    cut_at = iter(cuts + [None])
+    next_cut = next(cut_at)
+    for r in range(m + 1):
+        while next_cut == r:
+            table.append([Fraction(d, prev * s * s) for d, s in zip(diag, probe_scale)])
+            next_cut = next(cut_at)
+        if r == m:
+            break
+        pivot_row = rows[r]
+        piv = pivot_row[r]
+        if piv == 0:
+            continue
+        for i in range(r + 1, m):
+            a = pivot_row[i]
+            row = rows[i]
+            row[i:] = [(x * piv - a * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
+        diag = [(d * piv - b * b) // prev for d, b in zip(diag, pivot_row[m:])]
+        if digit_budget is not None:
+            _check_budget([piv] + [rows[i][i] for i in range(r + 1, m)] + diag, digit_budget)
+        prev = piv
+        kept.append(r)
+    if next_cut is not None:
+        raise ValueError("cuts must be ascending within 0..len(generators)")
+    for dists in table:
+        _check_budget(dists, digit_budget)
+
+    coefficients = None
+    if solve:
+        # Fraction-free back substitution: y = prev * x is integral (Cramer).
+        coefficients = []
+        for c, s in enumerate(col_scale, start=m):
+            y = {}
+            for r in reversed(kept):
+                row = rows[r]
+                acc = prev * row[c] - sum(row[j] * yj for j, yj in y.items())
+                y[r] = acc // row[r]
+            coefficients.append([Q(y[r] * gen_scale[r], prev * s) for r in kept])
+    return Elimination(tuple(kept), table, coefficients)
 
 
 def independent_subset(vectors: Sequence[SparseVector]) -> list:
     """Greedy maximal independent subset, scanning in the given order."""
-    ech = _Echelon()
-    out = []
-    for v in vectors:
-        if not v.is_zero() and ech.add(v):
-            out.append(v)
-    return out
+    return [vectors[i] for i in bordered_elimination(vectors).kept]
 
 
-def _solve(rows: list, rhs: list) -> Optional[list]:
-    """Solve a square rational system by Gaussian elimination.
-
-    Returns None when the matrix is singular.
-    """
-    n = len(rows)
-    m = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def _solve_multi(rows: list, rhs_cols: list) -> Optional[list]:
-    """Solve one square system against several right-hand sides at once."""
-    n = len(rows)
-    w = len(rhs_cols)
-    m = [list(rows[i]) + [col[i] for col in rhs_cols] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [[m[i][n + j] for i in range(n)] for j in range(w)]
+def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> SparseVector:
+    """sum(c_i v_i) as a sparse vector."""
+    return SparseVector.from_pairs(
+        (i, c * x) for c, v in zip(coeffs, vectors) if c for i, x in v.entries
+    )
 
 
 def dist_sq_many(
@@ -366,23 +393,8 @@ def dist_sq_many(
     generators: Sequence[SparseVector],
     digit_budget: Optional[int] = None,
 ) -> list:
-    """dist_sq for several probes against one generator span.
-
-    Factors the Gram system once, so it is much cheaper than repeated
-    dist_sq calls with the same generators.
-    """
-    gens = independent_subset(generators)
-    if not gens:
-        return [p.norm_sq() for p in probes]
-    g = gram(gens, digit_budget=digit_budget)
-    rhs_cols = [[gen.dot(p) for gen in gens] for p in probes]
-    sols = _solve_multi(g.row_lists(), rhs_cols)
-    out = []
-    for p, sol, rhs in zip(probes, sols, rhs_cols):
-        d = p.norm_sq() - sum(c * b for c, b in zip(sol, rhs))
-        out.append(d)
-    _check_budget(out, digit_budget)
-    return out
+    """dist_sq for several probes against one generator span, in one elimination."""
+    return bordered_elimination(generators, probes, digit_budget=digit_budget).dist_sq[0]
 
 
 def project_coefficients(
@@ -394,14 +406,21 @@ def project_coefficients(
 
     Requires independent generators; raises DependentGenerators otherwise.
     """
-    if not generators:
-        return []
-    g = gram(generators, digit_budget=digit_budget)
-    rhs = [gen.dot(v) for gen in generators]
-    sol = _solve(g.row_lists(), rhs)
-    if sol is None:
+    elim = bordered_elimination(generators, [v], solve=True, digit_budget=digit_budget)
+    if len(elim.kept) != len(generators):
         raise DependentGenerators("Gram matrix is singular; prune generators first")
-    return sol
+    return elim.coefficients[0]
+
+
+def project_many(
+    targets: Sequence[SparseVector],
+    generators: Sequence[SparseVector],
+    digit_budget: Optional[int] = None,
+) -> list:
+    """Exact orthogonal projections of every target onto span(generators)."""
+    elim = bordered_elimination(generators, targets, solve=True, digit_budget=digit_budget)
+    kept = [generators[i] for i in elim.kept]
+    return [combination(c, kept) for c in elim.coefficients]
 
 
 def project(
@@ -410,13 +429,7 @@ def project(
     digit_budget: Optional[int] = None,
 ) -> SparseVector:
     """Exact orthogonal projection of v onto span(generators)."""
-    gens = independent_subset(generators)
-    coeffs = project_coefficients(v, gens, digit_budget=digit_budget)
-    out = SparseVector.zero()
-    for c, gvec in zip(coeffs, gens):
-        if c != 0:
-            out = out + gvec.scale(c)
-    return out
+    return project_many([v], generators, digit_budget=digit_budget)[0]
 
 
 def dist_sq(
@@ -426,17 +439,9 @@ def dist_sq(
 ) -> Fraction:
     """Exact squared distance from v to span(generators).
 
-    Dependent generators are pruned to a maximal independent subset.
+    Dependent generators are skipped by the elimination.
     """
-    gens = independent_subset(generators)
-    if not gens:
-        return v.norm_sq()
-    coeffs = project_coefficients(v, gens, digit_budget=digit_budget)
-    out = v.norm_sq()
-    for c, gvec in zip(coeffs, gens):
-        out -= c * gvec.dot(v)
-    _check_budget((out,), digit_budget)
-    return out
+    return dist_sq_many([v], generators, digit_budget=digit_budget)[0]
 
 
 def _rref(rows: list) -> tuple:

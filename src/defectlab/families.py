@@ -16,10 +16,9 @@ from typing import List, Optional
 
 from .exact import (
     SparseVector,
+    bordered_elimination,
+    combination,
     complement_basis,
-    gram,
-    independent_subset,
-    project_coefficients,
 )
 from .indexsets import EventuallyPeriodicSet
 
@@ -439,27 +438,22 @@ class RandomFiniteFamily(SystemFamily):
 
     def _generate(self):
         rng = random.Random(self.seed)
+        # G c = e_k gives the coefficients of the k-th dual vector over vecs.
+        identity = [[int(i == k) for i in range(self.count)] for k in range(self.count)]
         for _ in range(self.MAX_RETRIES):
             vecs = []
             for _k in range(self.count):
                 pairs = [(i, rng.randint(-3, 3)) for i in range(1, self.dim + 1)]
                 vecs.append(SparseVector.from_pairs([(i, Q(v)) for i, v in pairs if v]))
-            if any(v.is_zero() for v in vecs):
-                continue
-            if len(independent_subset(vecs)) == self.count:
+            elim = bordered_elimination(vecs, rhs=identity, solve=True)
+            if len(elim.kept) == self.count:
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
-        g = gram(vecs)
         duals = []
         comp = complement_basis(vecs, self.dim) if self.dual_style == "perturbed" else []
-        for k in range(self.count):
-            target = SparseVector.zero()
-            rhs_vec = [Q(1) if i == k else Q(0) for i in range(self.count)]
-            coeffs = _solve_gram(g, rhs_vec)
-            for c, v in zip(coeffs, vecs):
-                if c != 0:
-                    target = target + v.scale(c)
+        for coeffs in elim.coefficients:
+            target = combination(coeffs, vecs)
             if comp:
                 for w in comp:
                     c = rng.randint(-2, 2)
@@ -485,15 +479,6 @@ class RandomFiniteFamily(SystemFamily):
         return (
             f"random(d={self.dim},n={self.count},seed={self.seed},dual={self.dual_style})"
         )
-
-
-def _solve_gram(g, rhs):
-    from .exact import _solve, DependentGenerators
-
-    sol = _solve(g.row_lists(), rhs)
-    if sol is None:
-        raise DependentGenerators("singular Gram in dual-basis construction")
-    return sol
 
 
 # -- family constructors matching the operation-level API -------------------

@@ -8,11 +8,16 @@ at a finite truncation.  Certification combines an exact witness basis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .exact import SparseVector, dist_sq, dist_sq_many, rank_of_vectors
+from .exact import (
+    InvariantViolation,
+    SparseVector,
+    bordered_elimination,
+    rank_of_vectors,
+)
 from .families import RandomFiniteFamily, SystemFamily
 from .indexsets import EventuallyPeriodicSet
 
@@ -87,22 +92,23 @@ def distance_profile(
 ):
     """Exact dist^2(probe, span(mixed at n) + extra) for each probe and n.
 
-    Returns a list of (probe_label, n, Fraction) rows; distances are
+    Returns a list of (probe_label, n, Fraction) rows.  The mixed vectors
+    at each n are a prefix of those at max(n_list), so one elimination of
+    extra + mixed(max(n_list)) gives the whole table; distances are
     nonincreasing in n because the truncated spans grow.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    by_probe = [[] for _ in probes]
-    for n in n_list:
-        gens = mixed_vectors(MixedSelection(family, sigma, n))
-        dists = dist_sq_many(probes, list(extra_generators) + gens,
-                             digit_budget=digit_budget)
-        for idx, d in enumerate(dists):
-            by_probe[idx].append((n, d))
+    extra = list(extra_generators)
+    gens = extra + mixed_vectors(MixedSelection(family, sigma, max(n_list, default=0)))
+    elim = bordered_elimination(
+        gens, probes, cuts=[len(extra) + max(n, 0) for n in n_list],
+        digit_budget=digit_budget,
+    )
     rows = []
-    for idx, cells in enumerate(by_probe):
+    for idx in range(len(probes)):
         label = f"probe[{idx + 1}]"
-        rows.extend((label, n, d) for n, d in cells)
+        rows.extend((label, n, dists[idx]) for n, dists in zip(n_list, elim.dist_sq))
     return rows
 
 
@@ -131,8 +137,6 @@ class DefectReport:
 
 
 def _probe_passes(values: List[Fraction], threshold: Fraction, min_points: int) -> bool:
-    if any(b > a for a, b in zip(values, values[1:])):
-        return False  # monotonicity violation; callers treat as a bug upstream
     last = values[-1]
     if last == 0:
         return True
@@ -156,7 +160,9 @@ def classify_defect(
     The verdict never contradicts the witness rank as a lower bound: it is
     the witness rank when every probe distance decays below the threshold,
     infinity when the witness generator keeps producing independent
-    witnesses as the window grows, and inconclusive otherwise.
+    witnesses as the window grows, and inconclusive otherwise.  A probe
+    distance that grows with n is impossible over nested spans, so it
+    raises InvariantViolation instead of being reported.
     """
     n_list = sorted(n_list)
     n_max = n_list[-1]
@@ -187,6 +193,9 @@ def classify_defect(
         per_probe = {}
         for label, n, d in decay_rows:
             per_probe.setdefault(label, []).append(d)
+        for label, vals in per_probe.items():
+            if any(b > a for a, b in zip(vals, vals[1:])):
+                raise InvariantViolation(f"dist^2 of {label} increased over nested spans")
         all_pass = ok and all(
             _probe_passes(vals, decay_threshold, min_points)
             for vals in per_probe.values()

@@ -12,13 +12,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .exact import (
-    DependentGenerators,
     SparseVector,
+    combination,
     dist_sq,
     independent_subset,
     intersect,
-    project,
     project_coefficients,
+    project_many,
     rank_of_vectors,
 )
 from .families import SystemFamily
@@ -117,23 +117,18 @@ def project_sigma(
     n: int,
     digit_budget: Optional[int] = None,
 ) -> SparseVector:
-    """Exact projection of v onto span{x_k : k in sigma ∩ [1:n]}."""
+    """Exact projection of v onto span{x_k : k in sigma ∩ [1:n]}.
+
+    Raises DependentGenerators when the truncated sigma-generators are
+    dependent.
+    """
     gens = _sigma_generators(family, sigma, n)
-    if not gens:
-        return SparseVector.zero()
-    if len(independent_subset(gens)) != len(gens):
-        raise DependentGenerators("truncated sigma-generators are dependent")
-    coeffs = project_coefficients(v, gens, digit_budget=digit_budget)
-    out = SparseVector.zero()
-    for c, g in zip(coeffs, gens):
-        if c != 0:
-            out = out + g.scale(c)
-    return out
+    return combination(project_coefficients(v, gens, digit_budget=digit_budget), gens)
 
 
 def _projection_table(family, sigma, n, targets, digit_budget=None):
     gens = _sigma_generators(family, sigma, n)
-    return [project(t, gens, digit_budget=digit_budget) for t in targets]
+    return project_many(targets, gens, digit_budget=digit_budget)
 
 
 def metric_ds(
@@ -235,8 +230,8 @@ def intersection_chain(
     intersection step and the exact equality test against truncated
     H_sigma.
     """
-    if depth > n:
-        raise ValueError("depth must not exceed the truncation")
+    if not 1 <= depth <= n:
+        raise ValueError("depth must lie between 1 and the truncation")
     ambient = family.ambient(n)
     current = None
     dims = []
@@ -312,17 +307,20 @@ def semicontinuity_probe(
     margin: Fraction = Q(0),
     sequence=None,
     digit_budget: Optional[int] = None,
+    rows=None,
 ):
     """Checks the lower-semicontinuity of sigma -> d_s(P_sigma, 0).
 
     A certified violation (every late enclosure entirely below the limit
     value's lower bound, beyond the margin) signals a bug and must never
-    occur.
+    occur.  rows may be the convergence_probe rows of the same arguments,
+    computed with any probe_count; they are computed here otherwise.
     """
-    rows = convergence_probe(
-        family, sigma, m_max, n, K, precision_bits,
-        probe_count=1, sequence=sequence, digit_budget=digit_budget,
-    )
+    if rows is None:
+        rows = convergence_probe(
+            family, sigma, m_max, n, K, precision_bits,
+            probe_count=1, sequence=sequence, digit_budget=digit_budget,
+        )
     limit = metric_ds_to_zero(family, sigma, n, K, precision_bits, digit_budget)
     tail_rows = rows[-min(3, len(rows)):]
     violation = all(

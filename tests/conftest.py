@@ -4,9 +4,11 @@ sympy is used only here, as an oracle the production code never imports.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from defectlab import EventuallyPeriodicSet, SparseVector
@@ -26,17 +28,36 @@ def oracle_rank(vectors, ambient):
     return to_sympy_matrix(vectors, ambient).rank()
 
 
-def oracle_dist_sq(v, generators, ambient):
-    """Squared distance via sympy least squares on the dense matrix."""
-    if not generators:
-        return Q(int(sympy.Rational(v.norm_sq()).p), int(sympy.Rational(v.norm_sq()).q))
-    A = to_sympy_matrix(generators, ambient).T
+def _to_fraction(r):
+    r = sympy.Rational(r)
+    return Q(int(r.p), int(r.q))
+
+
+def _oracle_projection(v, generators, ambient):
+    """(b, P b) with P the projector onto the generators' column space.
+
+    The normal equations are solved on sympy's exact column-space basis,
+    so dependent and zero generators need no pseudo-inverse.
+    """
     b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
                       for x in v.to_dense(ambient)])
-    proj = A * (A.T * A).pinv() * A.T * b
-    r = (b - proj).dot(b - proj)
-    r = sympy.nsimplify(r)
-    return Q(int(sympy.Rational(r).p), int(sympy.Rational(r).q))
+    basis = to_sympy_matrix(generators, ambient).T.columnspace() if generators else []
+    if not basis:
+        return b, sympy.zeros(ambient, 1)
+    A = sympy.Matrix.hstack(*basis)
+    return b, A * (A.T * A).inv() * A.T * b
+
+
+def oracle_project(v, generators, ambient):
+    """Orthogonal projection of v onto span(generators), as a SparseVector."""
+    _, proj = _oracle_projection(v, generators, ambient)
+    return SparseVector.from_pairs((i + 1, _to_fraction(x)) for i, x in enumerate(proj))
+
+
+def oracle_dist_sq(v, generators, ambient):
+    """Squared distance via sympy least squares on the dense matrix."""
+    b, proj = _oracle_projection(v, generators, ambient)
+    return _to_fraction((b - proj).dot(b - proj))
 
 
 def oracle_nullspace_dim(vectors, ambient):
@@ -68,3 +89,18 @@ def random_eventually_periodic(rng: random.Random) -> EventuallyPeriodicSet:
     removed = [rng.randint(1, 20) for _ in range(rng.randint(0, 3))]
     removed = [k for k in removed if k not in added]
     return EventuallyPeriodicSet.make(period, residues, added, removed)
+
+
+@pytest.fixture
+def rising_decay(monkeypatch):
+    """Makes the elimination behind distance_profile return its cuts in
+    reverse, so every decay column that should fall rises instead."""
+    import defectlab.mixed as mixed
+
+    real = mixed.bordered_elimination
+
+    def rising(*args, **kwargs):
+        elim = real(*args, **kwargs)
+        return dataclasses.replace(elim, dist_sq=elim.dist_sq[::-1])
+
+    monkeypatch.setattr(mixed, "bordered_elimination", rising)

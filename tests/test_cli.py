@@ -160,6 +160,20 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["error"]["kind"] == "invariant"
 
+    def test_chain_depth_zero_is_2(self, capsys):
+        code, out, err = run(capsys, "chain", "--family", "e1-plus-ek",
+                             "--sigma", "none", "--depth", "0", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_increasing_decay_is_4(self, capsys, rising_decay):
+        code, out, err = run(capsys, "defect", "--family", "e1-plus-ek",
+                             "--sigma", "all", "--n", "20")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "invariant"
+
     def test_argparse_error_is_2(self, capsys):
         code, _, _ = run(capsys, "defect", "--family", "e1-plus-ek")
         assert code == 2

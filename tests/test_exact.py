@@ -10,6 +10,7 @@ from conftest import (
     oracle_dist_sq,
     oracle_intersection_dim,
     oracle_nullspace_dim,
+    oracle_project,
     oracle_rank,
     random_sparse_vector,
 )
@@ -27,7 +28,12 @@ from defectlab import (
     rank,
     rank_of_vectors,
 )
-from defectlab.exact import dist_sq_many, independent_subset
+from defectlab.exact import (
+    bordered_elimination,
+    combination,
+    dist_sq_many,
+    independent_subset,
+)
 
 Q = Fraction
 
@@ -260,3 +266,67 @@ class TestBudget:
 def test_rank_property_matches_sympy(rows):
     vectors = [SparseVector.from_pairs(list(enumerate(r, start=1))) for r in rows]
     assert rank_of_vectors(vectors) == oracle_rank(vectors, 3)
+
+
+class TestBorderedElimination:
+    def test_budget_trips_partway(self):
+        # The Gram diagonal is 100 (7 bits), within a 3-digit (10-bit)
+        # budget; after the first pivot the Schur diagonal entries are the
+        # 2x2 leading minors 100^2 (14 bits), over it.
+        gens = [SparseVector.from_pairs([(i, Q(10))]) for i in range(1, 5)]
+        gram(gens, digit_budget=3)
+        bordered_elimination(gens[:1], [E1], digit_budget=3)
+        with pytest.raises(BudgetExceeded):
+            bordered_elimination(gens, [E1], digit_budget=3)
+
+    def test_rejects_bad_cuts(self):
+        gens = [vec(1, 0), vec(0, 1)]
+        for cuts in ([2, 1], [3], [-1]):
+            with pytest.raises(ValueError):
+                bordered_elimination(gens, [E1], cuts=cuts)
+
+    def test_skips_dependent_and_zero_generators(self):
+        gens = [vec(1, 1, 0), SparseVector.zero(), vec(2, 2, 0), vec(0, 1, 1)]
+        assert bordered_elimination(gens).kept == (0, 3)
+        assert independent_subset(gens) == [gens[0], gens[3]]
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def planted_spans(draw):
+    """(ambient, generators, probes, cuts) with dependent and zero generators."""
+    ambient = draw(st.integers(1, 5))
+    row = st.lists(_ENTRY, min_size=ambient, max_size=ambient)
+    gens = [SparseVector.from_pairs(enumerate(r, start=1))
+            for r in draw(st.lists(row, max_size=5))]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(gens)))
+        coeffs = draw(st.lists(_ENTRY, min_size=pos, max_size=pos))
+        gens.insert(pos, combination(coeffs, gens[:pos]))
+    probes = [SparseVector.from_pairs(enumerate(r, start=1))
+              for r in draw(st.lists(row, min_size=1, max_size=3))]
+    inner = draw(st.lists(st.integers(0, len(gens)), max_size=3))
+    cuts = sorted([0, len(gens)] + inner)
+    return ambient, gens, probes, cuts
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_spans())
+def test_kernel_matches_sympy(span):
+    ambient, gens, probes, cuts = span
+    elim = bordered_elimination(gens, probes, cuts=cuts)
+    for cut, dists in zip(cuts, elim.dist_sq):
+        assert dists == [oracle_dist_sq(p, gens[:cut], ambient) for p in probes]
+    kept = [gens[i] for i in elim.kept]
+    assert len(kept) == oracle_rank(gens, ambient)
+    for p in probes:
+        expected = oracle_project(p, gens, ambient)
+        assert project(p, gens) == expected
+        if len(kept) == len(gens):
+            assert combination(project_coefficients(p, gens), gens) == expected
+        else:
+            with pytest.raises(DependentGenerators):
+                project_coefficients(p, gens)
+            assert combination(project_coefficients(p, kept), kept) == expected

@@ -26,6 +26,8 @@ from defectlab import (
     swap_move,
     witness_check,
 )
+from conftest import oracle_dist_sq
+from defectlab.exact import InvariantViolation
 from defectlab.mixed import _probe_passes
 
 Q = Fraction
@@ -114,6 +116,27 @@ class TestDistanceProfile:
         for vals in per_probe.values():
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("family, sigma", [
+        (make_e1_plus_ek(9), "all"),
+        (make_defect_pair(3), "all"),
+        (make_defect_pair(3), "none"),
+        (make_finite_defect_set((0, 1, 3)), "res(3;2)"),
+        (make_young(2), "all"),
+    ])
+    def test_matches_sympy_on_certify_families(self, family, sigma):
+        sigma = parse_set(sigma)
+        n_list = [1, 4, 9]
+        witnesses = family.witness_space(sigma, 9, window=3)
+        probes = [SparseVector.unit(i) for i in range(1, 4)]
+        rows = distance_profile(family, sigma, probes, n_list, extra_generators=witnesses)
+        expected = []
+        for idx, p in enumerate(probes):
+            for n in n_list:
+                gens = witnesses + mixed_vectors(MixedSelection(family, sigma, n))
+                ambient = max(v.max_index() for v in gens + probes)
+                expected.append((f"probe[{idx + 1}]", n, oracle_dist_sq(p, gens, ambient)))
+        assert rows == expected
+
     def test_rejects_unsorted_n_list(self):
         fam = make_e1_plus_ek(5)
         with pytest.raises(ValueError):
@@ -135,6 +158,10 @@ class TestProbePasses:
 
 
 class TestClassifyDefect:
+    def test_increasing_decay_is_invariant_violation(self, rising_decay):
+        with pytest.raises(InvariantViolation):
+            classify_defect(make_e1_plus_ek(30), parse_set("all"), [5, 10, 20, 30])
+
     def test_e1_plus_ek_sigma_empty(self):
         rep = classify_defect(make_e1_plus_ek(30), parse_set("none"), [5, 10, 20, 30])
         assert rep.verdict == 1

@@ -218,6 +218,18 @@ class TestSemicontinuityProbe:
             out = semicontinuity_probe(fam, parse_set(sig), 5, 10, 6, 32)
             assert not out["violation"]
 
+    def test_given_rows_match_fresh_computation(self):
+        fam = make_e1_plus_ek(10)
+        for sig in ("none", "res(2;1)"):
+            sigma = parse_set(sig)
+            rows = convergence_probe(fam, sigma, 5, 10, 6, 32)
+            given_rows = semicontinuity_probe(fam, sigma, 5, 10, 6, 32, rows=rows)
+            fresh = semicontinuity_probe(fam, sigma, 5, 10, 6, 32)
+            assert given_rows["rows"] is rows
+            assert given_rows["limit"] == fresh["limit"]
+            assert given_rows["violation"] == fresh["violation"]
+            assert [r["ds_to_zero"] for r in rows] == [r["ds_to_zero"] for r in fresh["rows"]]
+
     def test_margin_parameter(self):
         fam = make_e1_plus_ek(8)
         out = semicontinuity_probe(fam, parse_set("none"), 4, 8, 6, 32, margin=Q(1, 4))
