@@ -59,7 +59,6 @@ from .mixed import (
 )
 from .topology import (
     IntervalValue,
-    NormalizedFamilyView,
     ZeroVector,
     convergence_probe,
     intersection_chain,

@@ -8,7 +8,7 @@ exhaustion, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import random
 import sys
@@ -29,7 +29,9 @@ from .mixed import (
     MixedSelection,
     TooLarge,
     WrongSide,
+    UnsupportedScan,
     classify_defect,
+    defect_sweep,
     defect_truncated,
     hereditary_scan,
     swap_move,
@@ -67,6 +69,7 @@ _INPUT_ERRORS = (
     TooLarge,
     DependentGenerators,
     ZeroVector,
+    UnsupportedScan,
     ValueError,
 )
 
@@ -77,6 +80,11 @@ def _default_precision() -> int:
 
 def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _require_positive(flag: str, values) -> None:
+    if any(v <= 0 for v in values):
+        raise ValueError(f"{flag} must be positive")
 
 
 def _write(path, text: str) -> None:
@@ -125,9 +133,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    n_list = _int_list(args.n_list) if args.n_list else None
+    _require_positive("--n", [args.n])
+    _require_positive("--n-list", n_list or [])
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
-    n_list = _int_list(args.n_list) if args.n_list else None
     if n_list is None:
         step = max(args.n // 6, 1)
         n_list = sorted(set(list(range(step, args.n + 1, step)) + [args.n]))
@@ -156,33 +166,22 @@ def cmd_defect(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(payload):
-    family_text, sigma_text, n, digit_budget = payload
-    family = parse_family(family_text)
-    sigma = parse_set(sigma_text)
-    sel = MixedSelection(family, sigma, n)
-    return defect_truncated(sel, digit_budget=digit_budget)
-
-
 def cmd_sweep(args) -> int:
     sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
     n_grid = _int_list(args.n_grid)
-    tasks = [
-        (args.family, sigma_text, n, args.digit_budget)
-        for sigma_text in sigmas
-        for n in n_grid
-    ]
-    for family_text, sigma_text, _n, _b in tasks:
-        parse_family(family_text)
-        parse_set(sigma_text)
+    _require_positive("--n-grid", n_grid)
+    task = functools.partial(defect_sweep, parse_family(args.family), n_grid=n_grid,
+                             digit_budget=args.digit_budget)
+    parsed = [parse_set(sigma_text) for sigma_text in sigmas]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            values = list(pool.map(_sweep_task, tasks))
+            values = list(pool.map(task, parsed))
     else:
-        values = [_sweep_task(t) for t in tasks]
+        values = [task(sigma) for sigma in parsed]
     rows = [
-        {"sigma": t[1], "n": t[2], "defect_truncated": v}
-        for t, v in zip(tasks, values)
+        {"sigma": sigma_text, "n": n, "defect_truncated": v}
+        for sigma_text, defects in zip(sigmas, values)
+        for n, v in zip(n_grid, defects)
     ]
     config = {
         "family": args.family,
@@ -201,6 +200,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    _require_positive("--terms", [args.terms])
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     tau = parse_set(args.tau)
@@ -247,6 +247,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _require_positive("--terms", [args.terms])
+    _require_positive("--m-max", [args.m_max])
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     rows = convergence_probe(family, sigma, args.m_max, args.n, args.terms,
@@ -334,6 +336,8 @@ def _run_hereditary_suite(instances: int, seed: int) -> dict:
 
 
 def cmd_oracle(args) -> int:
+    if args.instances < 0:
+        raise ValueError("--instances must not be negative")
     results = {}
     if args.suite in ("swap", "all"):
         results["swap"] = _run_swap_suite(args.instances, args.seed)

@@ -7,6 +7,7 @@ at a finite truncation.  Certification combines an exact witness basis
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,20 @@ def defect_truncated(sel: MixedSelection, ambient: Optional[int] = None,
     if ambient is None:
         ambient = sel.family.ambient(sel.n)
     return ambient - rank_of_vectors(mixed_vectors(sel), digit_budget=digit_budget)
+
+
+def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
+                 n_grid: Sequence[int], digit_budget: Optional[int] = None) -> list:
+    """defect_truncated at every n of n_grid, in the given order.
+
+    The mixed vectors at n are a prefix of those at max(n_grid) and the
+    elimination keeps a generator exactly when it is independent of those
+    before it, so one elimination gives the rank at every n as the number
+    of generators it keeps before n.
+    """
+    gens = mixed_vectors(MixedSelection(family, sigma, max(n_grid, default=0)))
+    kept = bordered_elimination(gens, digit_budget=digit_budget).kept
+    return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
 
 def witness_check(sel: MixedSelection, witnesses: Sequence[SparseVector]):

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 
 from .mixed import DefectReport
@@ -37,12 +36,6 @@ def interval_value(iv: IntervalValue) -> dict:
         "hi": rational_str(iv.hi),
         "width": rational_str(iv.width()),
     }
-
-
-def count_or_inf(value) -> object:
-    if value == math.inf:
-        return "inf"
-    return value
 
 
 def report_envelope(command: str, config: dict, results: dict, version: str) -> dict:

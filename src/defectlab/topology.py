@@ -6,20 +6,19 @@ IntervalValue enclosures produced by directed integer square roots.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from .exact import (
     SparseVector,
+    bordered_elimination,
     combination,
     dist_sq,
-    independent_subset,
-    intersect,
     project_coefficients,
     project_many,
-    rank_of_vectors,
 )
 from .families import SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho, sigma_m
@@ -79,25 +78,12 @@ def sqrt_enclosure(r: Fraction, precision_bits: int) -> IntervalValue:
     return IntervalValue(Q(root, scale), Q(root + 1, scale))
 
 
-class NormalizedFamilyView:
-    """Presents x̂_k = x_k / ||x_k|| without mutating the family.
-
-    All inner products of normalized vectors stay exact rationals divided
-    by certified square-root enclosures; squared quantities never leave
-    the rationals.
-    """
-
-    def __init__(self, family: SystemFamily):
-        self.family = family
-        self._norm_sq = {}
-
-    def norm_sq(self, k: int) -> Fraction:
-        if k not in self._norm_sq:
-            ns = self.family.vector(k).norm_sq()
-            if ns == 0:
-                raise ZeroVector(f"x_{k} is the zero vector")
-            self._norm_sq[k] = ns
-        return self._norm_sq[k]
+def _norms_sq(vectors) -> list:
+    """Squared norms of x_1, x_2, ...; normalizing needs each to be nonzero."""
+    norms = [v.norm_sq() for v in vectors]
+    if 0 in norms:
+        raise ZeroVector(f"x_{norms.index(0) + 1} is the zero vector")
+    return norms
 
 
 def _clamp_index(family: SystemFamily, k: int) -> int:
@@ -131,6 +117,18 @@ def _projection_table(family, sigma, n, targets, digit_budget=None):
     return project_many(targets, gens, digit_budget=digit_budget)
 
 
+def _ds_enclosure(diffs, norms, precision_bits):
+    """Enclosure of sum_{k<=K} ||diffs[k-1]|| / (||x_k|| 2^k) plus tail, K = len(diffs).
+
+    Tail interval [0, 2^{1-K}] is valid because each normalized term is
+    bounded by 2 * 2^{-k}.
+    """
+    total = IntervalValue.exact(0)
+    for k, (diff, ns) in enumerate(zip(diffs, norms), start=1):
+        total = total + sqrt_enclosure(diff.norm_sq() / ns, precision_bits).scale(Q(1, 2 ** k))
+    return total + IntervalValue(Q(0), Q(2, 2 ** len(diffs)))
+
+
 def metric_ds(
     family: SystemFamily,
     sigma: EventuallyPeriodicSet,
@@ -140,23 +138,13 @@ def metric_ds(
     precision_bits: int,
     digit_budget: Optional[int] = None,
 ) -> IntervalValue:
-    """Enclosure of sum_{k<=K} ||(P_sigma - P_tau) x̂_k|| / 2^k plus tail.
-
-    Tail interval [0, 2^{1-K}] is valid because each normalized term is
-    bounded by 2 * 2^{-k}.
-    """
+    """Enclosure of sum_{k<=K} ||(P_sigma - P_tau) x̂_k|| / 2^k plus tail."""
     K = _clamp_index(family, K)
-    view = NormalizedFamilyView(family)
-    targets = [family.vector(k) for k in range(1, K + 1)]
+    targets = family.vectors(range(1, K + 1))
     p_sig = _projection_table(family, sigma, n, targets, digit_budget)
     p_tau = _projection_table(family, tau, n, targets, digit_budget)
-    total = IntervalValue.exact(0)
-    for k in range(1, K + 1):
-        diff = p_sig[k - 1] - p_tau[k - 1]
-        r = diff.norm_sq() / view.norm_sq(k)
-        total = total + sqrt_enclosure(r, precision_bits).scale(Q(1, 2 ** k))
-    tail = IntervalValue(Q(0), Q(2, 2 ** K))
-    return total + tail
+    diffs = [a - b for a, b in zip(p_sig, p_tau)]
+    return _ds_enclosure(diffs, _norms_sq(targets), precision_bits)
 
 
 def metric_dw(
@@ -176,18 +164,18 @@ def metric_dw(
     sum 2^{-k-j} = 2^{1-K} - 4^{-K}.
     """
     K = _clamp_index(family, K)
-    view = NormalizedFamilyView(family)
-    targets = [family.vector(k) for k in range(1, K + 1)]
+    targets = family.vectors(range(1, K + 1))
     p_sig = _projection_table(family, sigma, n, targets, digit_budget)
     p_tau = _projection_table(family, tau, n, targets, digit_budget)
+    norms = _norms_sq(targets)
     total = IntervalValue.exact(0)
     for k in range(1, K + 1):
         diff = p_sig[k - 1] - p_tau[k - 1]
         for j in range(1, K + 1):
-            ip = diff.dot(family.vector(j))
+            ip = diff.dot(targets[j - 1])
             if ip == 0:
                 continue
-            r = ip * ip / (view.norm_sq(k) * view.norm_sq(j))
+            r = ip * ip / (norms[k - 1] * norms[j - 1])
             total = total + sqrt_enclosure(r, precision_bits).scale(Q(1, 2 ** (k + j)))
     tail = IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
     return total + tail
@@ -228,27 +216,26 @@ def intersection_chain(
 
     Returns (dims, equal_to_h_sigma): the dimension after each
     intersection step and the exact equality test against truncated
-    H_sigma.
+    H_sigma.  sigma_{m+1} is a subset of sigma_m, so the truncated spans
+    are nested and the intersection after step m is truncated
+    H_{sigma_m} itself, which contains H_sigma.  Ordering the generators
+    as sigma, then sigma_depth minus sigma, then sigma_{m-1} minus
+    sigma_m for m = depth..2, makes every one of these spans a prefix, so
+    one elimination gives each dimension as the number of generators it
+    keeps before that prefix's end.
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    ambient = family.ambient(n)
-    current = None
-    dims = []
-    for m in range(1, depth + 1):
-        gens = _sigma_generators(family, sigma_m(sigma, m), n)
-        if current is None:
-            current = independent_subset(gens)
-        else:
-            current = intersect(current, gens, ambient, digit_budget=digit_budget)
-        dims.append(len(current))
-    h_sigma = _sigma_generators(family, sigma, n)
-    h_rank = rank_of_vectors(h_sigma, digit_budget=digit_budget)
-    equal = (
-        len(current) == h_rank
-        and rank_of_vectors(h_sigma + current, digit_budget=digit_budget) == h_rank
-    )
-    return dims, equal
+    last = _clamp_index(family, n)
+    order = sigma.truncate(last)
+    ends = [len(order)]
+    for m in range(depth, 0, -1):
+        placed = set(order)
+        order += [k for k in sigma_m(sigma, m).truncate(last) if k not in placed]
+        ends.append(len(order))
+    kept = bordered_elimination(family.vectors(order), digit_budget=digit_budget).kept
+    ranks = [bisect.bisect_left(kept, end) for end in ends]
+    return ranks[1:][::-1], ranks[0] == ranks[1]
 
 
 def convergence_probe(
@@ -274,24 +261,26 @@ def convergence_probe(
     if probe_count is None:
         probe_count = min(K, family.default_probe_window())
     probe_count = _clamp_index(family, probe_count)
-    view = NormalizedFamilyView(family)
-    targets = [family.vector(j) for j in range(1, probe_count + 1)]
-    p_limit = _projection_table(family, sigma, n, targets, digit_budget)
+    K = _clamp_index(family, K)
+    # One elimination per sigma^m projects the targets of both d_s and the
+    # pointwise proxies; the empty span of d_s(., 0) projects to zero.
+    targets = family.vectors(range(1, max(K, probe_count) + 1))
+    p_limit = _projection_table(family, sigma, n, targets[:probe_count], digit_budget)
+    norms = _norms_sq(targets)
     rows = []
     for m in range(1, m_max + 1):
         sig_m = sequence(m)
-        ds0 = metric_ds_to_zero(family, sig_m, n, K, precision_bits, digit_budget)
         p_m = _projection_table(family, sig_m, n, targets, digit_budget)
         pointwise = []
         for j in range(1, probe_count + 1):
             diff = p_m[j - 1] - p_limit[j - 1]
-            r = diff.norm_sq() / view.norm_sq(j)
+            r = diff.norm_sq() / norms[j - 1]
             pointwise.append(sqrt_enclosure(r, precision_bits))
         rows.append({
             "m": m,
             "sigma_m": sig_m.describe(),
             "rho": rho(sig_m, sigma),
-            "ds_to_zero": ds0,
+            "ds_to_zero": _ds_enclosure(p_m[:K], norms, precision_bits),
             "pointwise": pointwise,
         })
     return rows

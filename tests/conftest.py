@@ -72,6 +72,45 @@ def oracle_intersection_dim(gen_a, gen_b, ambient):
     return ra + rb - rab
 
 
+def oracle_intersection_chain(family, sigma, depth, n):
+    """The iterated intersection itself: a basis of truncated H_{sigma_1},
+    intersected with each later truncated H_{sigma_m} through
+    exact.intersect, then compared with truncated H_sigma by two ranks."""
+    from defectlab.exact import independent_subset, intersect, rank_of_vectors
+    from defectlab.indexsets import sigma_m
+
+    last = n if family.max_index() is None else min(n, family.max_index())
+
+    def gens(s):
+        return [family.vector(k) for k in s.truncate(last)]
+
+    ambient = family.ambient(n)
+    current = independent_subset(gens(sigma_m(sigma, 1)))
+    dims = [len(current)]
+    for m in range(2, depth + 1):
+        current = intersect(current, gens(sigma_m(sigma, m)), ambient)
+        dims.append(len(current))
+    h_sigma = gens(sigma)
+    h_rank = rank_of_vectors(h_sigma)
+    equal = len(current) == h_rank and rank_of_vectors(h_sigma + current) == h_rank
+    return dims, equal
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replaces the function `name` in every module by one wrapper around
+    the first module's version; returns the list its calls append to."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_sparse_vector(rng: random.Random, ambient: int) -> SparseVector:
     pairs = []
     for i in range(1, ambient + 1):

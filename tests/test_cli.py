@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from defectlab import IntervalValue
+from defectlab import (
+    IntervalValue,
+    MixedSelection,
+    defect_truncated,
+    make_e1_plus_ek,
+    parse_family,
+    parse_set,
+)
 from defectlab.cli import main
 from defectlab.reports import parse_rational, rational_str
 
@@ -80,6 +87,21 @@ class TestSweep:
         grid = a["results"]["grid"]
         assert {(r["sigma"], r["n"]): r["defect_truncated"] for r in grid}[
             ("none", 5)] == 2
+
+    @pytest.mark.parametrize("family", ["defect-pair(m=2)", "e1-plus-ek", "young(w=2)"])
+    def test_rows_follow_grid_order(self, capsys, family):
+        sigmas, n_grid = ["none", "all", "fin(1,3)"], [9, 3, 9, 1, 6]
+        code, out, _ = run(capsys, "sweep", "--family", family, "--sigmas",
+                           ";".join(sigmas), "--n-grid", ",".join(map(str, n_grid)))
+        assert code == 0
+        fam = parse_family(family)
+        expected = [
+            [sigma, n, defect_truncated(MixedSelection(fam, parse_set(sigma), n))]
+            for sigma in sigmas
+            for n in n_grid
+        ]
+        rows = json.loads(out)["results"]["grid"]
+        assert [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows] == expected
 
 
 class TestMetric:
@@ -163,6 +185,46 @@ class TestExitCodes:
     def test_chain_depth_zero_is_2(self, capsys):
         code, out, err = run(capsys, "chain", "--family", "e1-plus-ek",
                              "--sigma", "none", "--depth", "0", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_chain_budget_is_3(self, capsys):
+        code, out, err = run(capsys, "chain", "--family", "defect-pair(m=2)",
+                             "--sigma", "res(2;1)", "--depth", "8", "--n", "24",
+                             "--digit-budget", "2")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "budget"
+
+    @pytest.mark.parametrize("argv", [
+        ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "0"],
+        ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "-3"],
+        ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
+         "--n-list", "2,0,8"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none",
+         "--n", "4", "--terms", "0"],
+        ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2",
+         "--n", "4", "--terms", "0"],
+        ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "0",
+         "--n", "4", "--semicontinuity"],
+        ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3,0"],
+        ["oracle", "--instances", "-1"],
+    ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
+            "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
+            "oracle-instances-negative"])
+    def test_nonpositive_sizes_are_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_unsupported_scan_is_2(self, capsys, monkeypatch):
+        import defectlab.cli as cli
+
+        real = cli.hereditary_scan
+        monkeypatch.setattr(cli, "hereditary_scan", lambda family: real(make_e1_plus_ek(3)))
+        code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "input"

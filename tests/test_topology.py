@@ -1,4 +1,5 @@
 """Certified projector metrics, separation, chains, convergence probes."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from defectlab import (
     metric_ds,
     metric_ds_to_zero,
     metric_dw,
+    parse_family,
     parse_set,
     project,
     project_sigma,
@@ -26,6 +28,9 @@ from defectlab import (
     sigma_m,
     sqrt_enclosure,
 )
+from conftest import count_calls, oracle_intersection_chain, random_eventually_periodic
+import defectlab.exact as exact
+import defectlab.topology as topology
 
 Q = Fraction
 
@@ -187,6 +192,45 @@ class TestIntersectionChain:
             intersection_chain(make_e1_plus_ek(4), parse_set("all"), 5, 4)
 
 
+    def test_one_elimination_no_complement(self, monkeypatch):
+        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
+        complements = count_calls(monkeypatch, "complement_basis", exact)
+        intersection_chain(make_defect_pair(2), parse_set("res(2;1)"), 8, 24)
+        assert len(elims) == 1
+        assert complements == []
+
+
+_CHAIN_FAMILIES = ["e1-plus-ek", "defect-pair(m=2)", "defect-pair(m=3)", "young(w=2)",
+                   "finite-set(0,1,3)", "infinite-set(0,1,inf)"]
+_CHAIN_SIGMAS = ["all", "none", "fin(1,4)", "res(3;1)", "all-2", "res(2;0)|fin(3)",
+                 "~fin(2)", "res(3;0,2)&~fin(6)"]
+
+
+@st.composite
+def _chain_cases(draw):
+    if draw(st.booleans()):
+        family = parse_family(draw(st.sampled_from(_CHAIN_FAMILIES)))
+        n = draw(st.integers(min_value=1, max_value=10))
+    else:
+        dim = draw(st.integers(min_value=1, max_value=6))
+        count = draw(st.integers(min_value=1, max_value=dim))
+        family = make_random_finite(dim, count, seed=draw(st.integers(0, 10 ** 6)),
+                                    dual_style=draw(st.sampled_from(["span", "perturbed"])))
+        n = draw(st.integers(min_value=1, max_value=count + 3))
+    sigma = draw(st.one_of(
+        st.sampled_from(_CHAIN_SIGMAS).map(parse_set),
+        st.integers(0, 10 ** 6).map(lambda seed: random_eventually_periodic(random.Random(seed))),
+    ))
+    depth = draw(st.integers(min_value=1, max_value=n))
+    return family, sigma, depth, n
+
+
+@given(_chain_cases())
+@settings(max_examples=150, deadline=None)
+def test_intersection_chain_matches_iterated_intersection(case):
+    assert intersection_chain(*case) == oracle_intersection_chain(*case)
+
+
 class TestConvergenceProbe:
     def test_rho_and_pointwise_shrink(self):
         fam = make_e1_plus_ek(12)
@@ -197,6 +241,12 @@ class TestConvergenceProbe:
         assert rhos == [rho(sigma_m(sigma, m), sigma) for m in range(1, 7)]
         for row in rows:
             assert all(iv.lo >= 0 for iv in row["pointwise"])
+
+    def test_one_elimination_per_span(self, monkeypatch):
+        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
+        convergence_probe(make_e1_plus_ek(12), parse_set("none"), 6, 12, 10, 32,
+                          probe_count=3)
+        assert len(elims) == 6 + 1
 
     def test_constant_sequence_is_tail_only(self):
         fam = make_e1_plus_ek(8)
