@@ -5,15 +5,11 @@ __version__ = "0.1.0"
 from .exact import (
     BudgetExceeded,
     DependentGenerators,
-    ExactMatrix,
     SparseVector,
     complement_basis,
     dist_sq,
-    gram,
-    intersect,
     project,
     project_coefficients,
-    rank,
     rank_of_vectors,
 )
 from .families import (
@@ -39,9 +35,7 @@ from .indexsets import (
     parse_set,
     prefix_agreement,
     rho,
-    set_algebra,
     sigma_m,
-    truncate,
 )
 from .mixed import (
     INCONCLUSIVE,

@@ -87,6 +87,13 @@ def _require_positive(flag: str, values) -> None:
         raise ValueError(f"{flag} must be positive")
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator") from None
+
+
 def _write(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -134,8 +141,11 @@ def cmd_construct(args) -> int:
 
 def cmd_defect(args) -> int:
     n_list = _int_list(args.n_list) if args.n_list else None
+    if n_list == []:
+        raise ValueError("--n-list names no truncation")
     _require_positive("--n", [args.n])
     _require_positive("--n-list", n_list or [])
+    threshold = _rational("--threshold", args.threshold)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     if n_list is None:
@@ -145,7 +155,7 @@ def cmd_defect(args) -> int:
         family,
         sigma,
         n_list,
-        decay_threshold=Fraction(args.threshold),
+        decay_threshold=threshold,
         min_points=args.min_points,
         probe_window=args.probe_window,
         digit_budget=args.digit_budget,

@@ -1,10 +1,10 @@
 """Exact rational linear algebra over sparsely supported vectors.
 
 Everything in this module is exact: scalars are `fractions.Fraction`,
-ranks come from fraction-free (Bareiss) elimination over the integers,
-and distances, projections and Gram solves all come from one
-fraction-free elimination of a bordered Gram matrix
-(`bordered_elimination`).  No floating point ever enters.
+and ranks, distances, projections, Gram solves and orthogonal
+complements all come from one fraction-free (Bareiss) elimination of a
+bordered integer Gram matrix, `bordered_elimination`.  No floating point
+ever enters.
 """
 from __future__ import annotations
 
@@ -143,120 +143,6 @@ class SparseVector:
 
 
 @dataclass(frozen=True)
-class ExactMatrix:
-    """Dense rational matrix in row-major order."""
-
-    rows: int
-    cols: int
-    data: tuple
-
-    def __post_init__(self):
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError("data length does not match shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction]]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(_as_fraction(x) for x in row)
-        return ExactMatrix(r, c, tuple(flat))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i * self.cols : (i + 1) * self.cols])
-
-    def row_lists(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-
-def gram(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> ExactMatrix:
-    """Gram matrix of exact pairwise inner products."""
-    n = len(vectors)
-    data = [Q(0)] * (n * n)
-    for i in range(n):
-        for j in range(i, n):
-            val = vectors[i].dot(vectors[j])
-            data[i * n + j] = val
-            data[j * n + i] = val
-    _check_budget(data, digit_budget)
-    return ExactMatrix(n, n, tuple(data))
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Scale each row by the lcm of denominators; rank is unchanged."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
-
-
-def _bareiss_rank(rows: list) -> int:
-    """Fraction-free single-step elimination; pivots on first nonzero entry."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            rowi = m[i]
-            rowr = m[r]
-            for j in range(c + 1, ncols):
-                rowi[j] = (rowi[j] * p - mic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rank(matrix: ExactMatrix, digit_budget: Optional[int] = None) -> int:
-    """Exact rank over the rationals via Bareiss elimination."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    _check_budget(matrix.data, digit_budget)
-    return _bareiss_rank(_integer_rows(matrix.row_lists()))
-
-
-def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
-    """dim span(vectors), computed on the coordinate matrix."""
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        return 0
-    ambient = max(v.max_index() for v in vectors)
-    rows = [v.to_dense(ambient) for v in vectors]
-    for row in rows:
-        _check_budget(row, digit_budget)
-    return _bareiss_rank(_integer_rows(rows))
-
-
-@dataclass(frozen=True)
 class Elimination:
     """What one bordered elimination of a span answers.
 
@@ -376,9 +262,9 @@ def bordered_elimination(
     return Elimination(tuple(kept), table, coefficients)
 
 
-def independent_subset(vectors: Sequence[SparseVector]) -> list:
-    """Greedy maximal independent subset, scanning in the given order."""
-    return [vectors[i] for i in bordered_elimination(vectors).kept]
+def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
+    """dim span(vectors): the number of generators the elimination keeps."""
+    return len(bordered_elimination(vectors, digit_budget=digit_budget).kept)
 
 
 def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> SparseVector:
@@ -386,15 +272,6 @@ def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> 
     return SparseVector.from_pairs(
         (i, c * x) for c, v in zip(coeffs, vectors) if c for i, x in v.entries
     )
-
-
-def dist_sq_many(
-    probes: Sequence[SparseVector],
-    generators: Sequence[SparseVector],
-    digit_budget: Optional[int] = None,
-) -> list:
-    """dist_sq for several probes against one generator span, in one elimination."""
-    return bordered_elimination(generators, probes, digit_budget=digit_budget).dist_sq[0]
 
 
 def project_coefficients(
@@ -441,79 +318,30 @@ def dist_sq(
 
     Dependent generators are skipped by the elimination.
     """
-    return dist_sq_many([v], generators, digit_budget=digit_budget)[0]
+    return bordered_elimination(generators, [v], digit_budget=digit_budget).dist_sq[0][0]
 
 
-def _rref(rows: list) -> tuple:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def complement_basis(generators: Sequence[SparseVector], ambient: int) -> list:
+    """Exact basis of the orthogonal complement inside coordinates 1..ambient.
 
-
-def complement_basis(
-    generators: Sequence[SparseVector],
-    ambient: int,
-    digit_budget: Optional[int] = None,
-) -> list:
-    """Exact basis of the orthogonal complement inside coordinates 1..ambient."""
-    gens = [g for g in generators if not g.is_zero()]
-    for g in gens:
-        if g.max_index() > ambient:
-            raise ValueError("generator support exceeds ambient dimension")
-    if not gens:
-        return [SparseVector.unit(i) for i in range(1, ambient + 1)]
-    rows = [g.to_dense(ambient) for g in gens]
-    for row in rows:
-        _check_budget(row, digit_budget)
-    m, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ambient):
-        if free in pivot_set:
-            continue
-        pairs = [(free + 1, Q(1))]
-        for r, pc in enumerate(pivots):
-            coef = m[r][free]
-            if coef != 0:
-                pairs.append((pc + 1, -coef))
-        basis.append(SparseVector.from_pairs(pairs))
-    return basis
-
-
-def intersect(
-    gen_a: Sequence[SparseVector],
-    gen_b: Sequence[SparseVector],
-    ambient: int,
-    digit_budget: Optional[int] = None,
-) -> list:
-    """Exact basis of span(gen_a) ∩ span(gen_b) inside 1..ambient.
-
-    Uses the identity (A ∩ B) = (A⊥ + B⊥)⊥.
+    The complement is the null space of the matrix whose rows are the
+    generators.  Its columns are eliminated in order; every column f that
+    is not kept equals a combination of the kept columns, and e_f minus
+    that combination is a null vector.  These are the vectors of the
+    reduced-row-echelon null-space basis, in the same order.
     """
-    comp_a = complement_basis(gen_a, ambient, digit_budget=digit_budget)
-    comp_b = complement_basis(gen_b, ambient, digit_budget=digit_budget)
-    return complement_basis(comp_a + comp_b, ambient, digit_budget=digit_budget)
+    if any(g.max_index() > ambient for g in generators):
+        raise ValueError("generator support exceeds ambient dimension")
+    columns = [[] for _ in range(ambient)]
+    for r, g in enumerate(generators, start=1):
+        for i, x in g.entries:
+            columns[i - 1].append((r, x))
+    columns = [SparseVector(tuple(col)) for col in columns]
+    elim = bordered_elimination(columns, columns, solve=True)
+    return [
+        SparseVector.from_pairs(
+            [(f + 1, Q(1))] + [(p + 1, -c) for p, c in zip(elim.kept, coeffs)]
+        )
+        for f, coeffs in enumerate(elim.coefficients)
+        if f not in elim.kept
+    ]

@@ -430,6 +430,8 @@ class RandomFiniteFamily(SystemFamily):
     MAX_RETRIES = 50
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("count must not be negative")
         if self.count > self.dim:
             raise ValueError("count must not exceed ambient dimension")
         if self.dual_style not in ("span", "perturbed"):
@@ -489,19 +491,19 @@ def make_e1_plus_ek(n: int) -> E1PlusEkFamily:
     return E1PlusEkFamily()
 
 
-def make_young(width: int, n: int = 0) -> YoungFamily:
+def make_young(width: int) -> YoungFamily:
     return YoungFamily(width=width)
 
 
-def make_defect_pair(m: int, n: int = 0) -> DefectPairFamily:
+def make_defect_pair(m: int) -> DefectPairFamily:
     return DefectPairFamily(m=m)
 
 
-def make_finite_defect_set(defect_set, n: int = 0) -> FiniteDefectSetFamily:
+def make_finite_defect_set(defect_set) -> FiniteDefectSetFamily:
     return FiniteDefectSetFamily(defect_set=tuple(defect_set))
 
 
-def make_infinite_defect_set(defect_set, n: int = 0) -> InfiniteDefectSetFamily:
+def make_infinite_defect_set(defect_set) -> InfiniteDefectSetFamily:
     finite_part = [x for x in defect_set if x != INFINITE and x != "inf"]
     if len(finite_part) == len(tuple(defect_set)):
         raise MalformedDefectSet("defect set must contain infinity")

@@ -189,20 +189,6 @@ class EventuallyPeriodicSet:
         return out
 
 
-def set_algebra(op: str, a: EventuallyPeriodicSet,
-                b: EventuallyPeriodicSet = None) -> EventuallyPeriodicSet:
-    """Dispatch wrapper over complement / union / intersection."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    if op == "union":
-        return a.union(b)
-    if op == "intersection":
-        return a.intersection(b)
-    raise ValueError(f"unknown set operation {op!r}")
-
-
 def sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet:
     """sigma together with the whole tail [m+1, infinity)."""
     if m < 0:
@@ -226,15 +212,6 @@ def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:
     return total
 
 
-def rho_partial(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet, terms: int) -> Fraction:
-    """Truncated partial sum of the rho series (test oracle companion)."""
-    total = Q(0)
-    for k in range(1, terms + 1):
-        if a.contains(k) != b.contains(k):
-            total += Q(1, 2 ** k)
-    return total
-
-
 def prefix_agreement(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet):
     """Largest m with a ∩ [1:m] = b ∩ [1:m]; math.inf when a = b."""
     diff = a.symmetric_difference(b)
@@ -242,10 +219,6 @@ def prefix_agreement(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet):
     if first is None:
         return math.inf
     return first - 1
-
-
-def truncate(sigma: EventuallyPeriodicSet, n: int) -> list:
-    return sigma.truncate(n)
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,11 @@ class MixedSelection:
 
 
 def mixed_vectors(sel: MixedSelection) -> List[SparseVector]:
-    """The truncated mixed family, in ascending index order."""
+    """The truncated mixed family, in ascending index order; a finite
+    family contributes at most its max_index vectors."""
+    last = sel.family.max_index()
     out = []
-    for k in range(1, sel.n + 1):
+    for k in range(1, (sel.n if last is None else min(sel.n, last)) + 1):
         if sel.sigma.contains(k):
             out.append(sel.family.vector(k))
         else:
@@ -183,6 +185,8 @@ def classify_defect(
     n_max = n_list[-1]
     if probe_window is None:
         probe_window = family.default_probe_window()
+    if probe_window < 1:
+        raise ValueError("probe_window must be positive")
 
     witnesses = family.witness_space(sigma, n_max, window=probe_window)
     witness_dim = rank_of_vectors(witnesses, digit_budget=digit_budget)

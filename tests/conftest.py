@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from defectlab import EventuallyPeriodicSet, SparseVector
+from defectlab import EventuallyPeriodicSet, SparseVector, complement_basis
+from defectlab.exact import bordered_elimination
 
 Q = Fraction
 
@@ -64,6 +65,38 @@ def oracle_nullspace_dim(vectors, ambient):
     return ambient - oracle_rank(vectors, ambient)
 
 
+def _from_sympy(column):
+    return SparseVector.from_pairs((i + 1, _to_fraction(x)) for i, x in enumerate(column))
+
+
+def oracle_nullspace(vectors, ambient):
+    """sympy's canonical null-space basis of the matrix whose rows are the
+    vectors: one vector per free column, from the reduced row echelon form."""
+    matrix = to_sympy_matrix(vectors, ambient) if vectors else sympy.zeros(0, ambient)
+    return [_from_sympy(column) for column in matrix.nullspace()]
+
+
+def oracle_perturbed_duals(dim, count, seed):
+    """random(d=dim,n=count,seed=seed,dual=perturbed), replayed on sympy.
+
+    Replays the family's seeded draws, assuming the first draw of vectors
+    is independent: each dual is the dual basis inside the span plus a
+    random integer combination of sympy's null-space basis.  Returns
+    (vectors, duals) as SparseVectors.
+    """
+    rng = random.Random(seed)
+    x = sympy.Matrix([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(count)])
+    span_duals = (x * x.T).inv() * x
+    null = x.nullspace()
+    duals = []
+    for k in range(count):
+        target = span_duals.row(k).T
+        for w in null:
+            target += rng.randint(-2, 2) * w
+        duals.append(_from_sympy(target))
+    return [_from_sympy(x.row(k)) for k in range(count)], duals
+
+
 def oracle_intersection_dim(gen_a, gen_b, ambient):
     """dim(span A ∩ span B) = rank A + rank B - rank [A; B]."""
     ra = oracle_rank(gen_a, ambient)
@@ -72,11 +105,29 @@ def oracle_intersection_dim(gen_a, gen_b, ambient):
     return ra + rb - rab
 
 
+def independent_subset(vectors):
+    """Greedy maximal independent subset, scanning in the given order."""
+    return [vectors[i] for i in bordered_elimination(vectors).kept]
+
+
+def intersect(gen_a, gen_b, ambient):
+    """Exact basis of span(gen_a) ∩ span(gen_b) inside 1..ambient,
+    from the identity A ∩ B = (A⊥ + B⊥)⊥."""
+    comp = complement_basis(gen_a, ambient) + complement_basis(gen_b, ambient)
+    return complement_basis(comp, ambient)
+
+
+def rho_partial(a, b, terms):
+    """Partial sum of the rho series over k = 1..terms."""
+    return sum((Q(1, 2 ** k) for k in range(1, terms + 1)
+                if a.contains(k) != b.contains(k)), Q(0))
+
+
 def oracle_intersection_chain(family, sigma, depth, n):
     """The iterated intersection itself: a basis of truncated H_{sigma_1},
     intersected with each later truncated H_{sigma_m} through
-    exact.intersect, then compared with truncated H_sigma by two ranks."""
-    from defectlab.exact import independent_subset, intersect, rank_of_vectors
+    `intersect`, then compared with truncated H_sigma by two ranks."""
+    from defectlab.exact import rank_of_vectors
     from defectlab.indexsets import sigma_m
 
     last = n if family.max_index() is None else min(n, family.max_index())

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import rho_partial
 from defectlab import (
     INCONCLUSIVE,
     EventuallyPeriodicSet,
@@ -38,7 +39,6 @@ from defectlab import (
     swap_move,
     witness_check,
 )
-from defectlab.indexsets import rho_partial
 
 Q = Fraction
 

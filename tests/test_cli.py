@@ -1,12 +1,18 @@
 """CLI behavior: subcommands, exit codes, deterministic reports."""
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_perturbed_duals
 from defectlab import (
     IntervalValue,
     MixedSelection,
+    SparseVector,
     defect_truncated,
     make_e1_plus_ek,
     parse_family,
@@ -35,6 +41,19 @@ class TestConstruct:
         assert payload["results"]["ambient"] == 5
         x1 = payload["results"]["vectors"][0]
         assert x1["x"] == [[1, "1"], [2, "1"], [3, "1"]]
+
+    def test_perturbed_random_duals_match_sympy(self, capsys):
+        code, out, _ = run(capsys, "construct", "--family",
+                           "random(d=6,n=3,seed=5,dual=perturbed)", "--n", "3")
+        assert code == 0
+        vectors, duals = oracle_perturbed_duals(6, 3, 5)
+
+        def sparse(pairs):
+            return SparseVector.from_pairs((i, parse_rational(x)) for i, x in pairs)
+
+        reported = json.loads(out)["results"]["vectors"]
+        assert [sparse(v["x"]) for v in reported] == vectors
+        assert [sparse(v["x_star"]) for v in reported] == duals
 
     def test_deterministic_bytes(self, capsys):
         args = ("construct", "--family", "young(w=2)", "--n", "4")
@@ -102,6 +121,18 @@ class TestSweep:
         ]
         rows = json.loads(out)["results"]["grid"]
         assert [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows] == expected
+
+    def test_finite_family_past_its_last_index(self, capsys):
+        # a random family has count vectors; a larger n adds none
+        code, out, _ = run(capsys, "sweep", "--family", "random(d=4,n=2,seed=1)",
+                           "--sigmas", "all;none", "--n-grid", "1,2,5")
+        assert code == 0
+        fam = parse_family("random(d=4,n=2,seed=1)")
+        rows = json.loads(out)["results"]["grid"]
+        for sigma in ("all", "none"):
+            at_count = defect_truncated(MixedSelection(fam, parse_set(sigma), 2))
+            got = {r["n"]: r["defect_truncated"] for r in rows if r["sigma"] == sigma}
+            assert got[5] == got[2] == at_count
 
 
 class TestMetric:
@@ -210,9 +241,20 @@ class TestExitCodes:
          "--n", "4", "--semicontinuity"],
         ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3,0"],
         ["oracle", "--instances", "-1"],
+        ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+         "--probe-window", "0"],
+        ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+         "--probe-window", "-2"],
+        ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+         "--threshold", "1/0"],
+        ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+         "--n-list", ","],
+        ["construct", "--family", "random(d=3,n=-1)", "--n", "2"],
     ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
             "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
-            "oracle-instances-negative"])
+            "oracle-instances-negative", "defect-probe-window-0",
+            "defect-probe-window-negative", "defect-threshold-zero-denominator",
+            "defect-n-list-empty", "random-count-negative"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -236,6 +278,17 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "invariant"
 
+    def test_witness_rank_budget_counts_gram_pivots(self, capsys):
+        argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
+                "fin(5,20,30)", "--n", "40", "--digit-budget"]
+        code, out, err = run(capsys, *argv, "12")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "budget"
+        code, out, _ = run(capsys, *argv, "127")
+        assert code == 0
+        assert json.loads(out)["results"]["verdict"] == "inf"
+
     def test_argparse_error_is_2(self, capsys):
         code, _, _ = run(capsys, "defect", "--family", "e1-plus-ek")
         assert code == 2
@@ -245,3 +298,86 @@ class TestRationalSerialization:
     def test_round_trip(self):
         for x in [Q(0), Q(3), Q(-7, 2), Q(1, 3)]:
             assert parse_rational(rational_str(x)) == x
+
+
+_SIZE = st.integers(-2, 12).map(str)
+_FAMILY = st.sampled_from([
+    "e1-plus-ek", "young(w=0)", "young(w=2)", "young(w=-1)", "defect-pair(m=1)",
+    "defect-pair(m=3)", "defect-pair(m=0)", "finite-set(0,1,3)", "finite-set(1,3)",
+    "finite-set()", "infinite-set(0,1,inf)", "infinite-set(0)", "random(d=4,n=3,seed=1)",
+    "random(d=3,n=3,seed=2,dual=perturbed)", "random(d=2,n=3)", "random(d=0,n=0)",
+    "random(d=3,n=-1)", "bogus(q=1)", "", "e1-plus-ek(",
+])
+_SIGMA = st.sampled_from([
+    "all", "none", "res(2;1)", "res(3;0,2)", "fin(1,4)", "fin()", "all-1", "~res(2;0)",
+    "res(2;1)|fin(3)", "res(0;1)", "fin(0)", "", "(",
+])
+_RATIONAL = st.sampled_from(["1/100", "0", "-1", "1/3", "2", "1/0", "0/0", "x", ""])
+_INT_LIST = st.one_of(
+    st.lists(st.integers(-1, 12), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from([",", " , ", "a", "3,,1"]),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv with small, degenerate or invalid values.  Every value is
+    given as --flag=value, so argparse accepts values such as "-1,0" and
+    each one reaches the program."""
+    def flag(name, values):
+        return [f"{name}={draw(values)}"]
+
+    def optional(name, values):
+        return flag(name, values) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["construct", "defect", "sweep", "metric", "chain", "converge", "oracle"]))
+    if command == "oracle":
+        argv = [command] + flag("--suite", st.sampled_from(["swap", "hereditary", "all"]))
+        argv += flag("--instances", _SIZE) + flag("--seed", _SIZE)
+    else:
+        argv = [command] + flag("--family", _FAMILY)
+    if command == "construct":
+        argv += flag("--n", _SIZE)
+    elif command == "defect":
+        argv += flag("--sigma", _SIGMA) + flag("--n", _SIZE)
+        argv += optional("--n-list", _INT_LIST) + optional("--threshold", _RATIONAL)
+        argv += optional("--min-points", _SIZE) + optional("--probe-window", _SIZE)
+    elif command == "sweep":
+        argv += flag("--sigmas", st.sampled_from(["all", "none;fin(1)", ";", "fin(2)"]))
+        argv += flag("--n-grid", _INT_LIST)
+    elif command == "metric":
+        argv += flag("--sigma", _SIGMA) + flag("--tau", _SIGMA) + flag("--n", _SIZE)
+        argv += optional("--terms", _SIZE) + optional("--precision", _SIZE)
+    elif command == "chain":
+        argv += flag("--sigma", _SIGMA) + flag("--depth", _SIZE) + flag("--n", _SIZE)
+    elif command == "converge":
+        argv += flag("--sigma", _SIGMA) + flag("--m-max", _SIZE) + flag("--n", _SIZE)
+        argv += optional("--terms", _SIZE) + optional("--precision", _SIZE)
+        argv += ["--semicontinuity"] if draw(st.booleans()) else []
+    return argv + optional("--digit-budget", _SIZE)
+
+
+_DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+@example(_DEFECT + ["--probe-window", "0"])
+@example(_DEFECT + ["--threshold", "1/0"])
+@example(_DEFECT + ["--n-list", ","])
+@example(["sweep", "--family", "random(d=0,n=0)", "--sigmas", "fin(1)", "--n-grid", "1"])
+@example(["construct", "--family", "random(d=3,n=-1)", "--n", "1"])
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert set(json.loads(err.getvalue())) == {"error"}
+        return
+    report = json.loads(out.getvalue())
+    if report["command"] == "defect" and report["results"]["verdict"] not in (
+            "inf", "inconclusive"):
+        # a finite verdict is certified by decay evidence
+        assert report["results"]["decay_table"]

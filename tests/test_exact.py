@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    independent_subset,
+    intersect,
     oracle_dist_sq,
     oracle_intersection_dim,
+    oracle_nullspace,
     oracle_nullspace_dim,
     oracle_project,
     oracle_rank,
@@ -17,23 +20,14 @@ from conftest import (
 from defectlab import (
     BudgetExceeded,
     DependentGenerators,
-    ExactMatrix,
     SparseVector,
     complement_basis,
     dist_sq,
-    gram,
-    intersect,
     project,
     project_coefficients,
-    rank,
     rank_of_vectors,
 )
-from defectlab.exact import (
-    bordered_elimination,
-    combination,
-    dist_sq_many,
-    independent_subset,
-)
+from defectlab.exact import bordered_elimination, combination
 
 Q = Fraction
 
@@ -76,13 +70,6 @@ class TestSparseVector:
 
 
 class TestRank:
-    def test_gram_worked_example(self):
-        x1 = vec(1, 1, 0)
-        x2 = vec(1, 0, 1)
-        g = gram([x1, x2])
-        assert g.row_lists() == [[Q(2), Q(1)], [Q(1), Q(2)]]
-        assert g.is_symmetric()
-
     def test_rank_matches_sympy_on_random_matrices(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -90,16 +77,8 @@ class TestRank:
             vectors = [random_sparse_vector(rng, ambient) for _ in range(rng.randint(1, 7))]
             assert rank_of_vectors(vectors) == oracle_rank(vectors, ambient)
 
-    def test_rank_of_gram_equals_rank_of_vectors(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            ambient = rng.randint(1, 6)
-            vectors = [random_sparse_vector(rng, ambient) for _ in range(rng.randint(1, 6))]
-            assert rank(gram(vectors)) == rank_of_vectors(vectors)
-
     def test_empty_rank(self):
         assert rank_of_vectors([]) == 0
-        assert rank(ExactMatrix(0, 0, ())) == 0
 
     def test_duplicated_rows(self):
         v = vec(1, 2, 3)
@@ -156,13 +135,6 @@ class TestProjection:
             d_small = dist_sq(v, gens[:2])
             d_large = dist_sq(v, gens)
             assert d_large <= d_small
-
-    def test_dist_sq_many_agrees_with_dist_sq(self):
-        rng = random.Random(19)
-        ambient = 6
-        gens = [random_sparse_vector(rng, ambient) for _ in range(4)]
-        probes = [random_sparse_vector(rng, ambient) for _ in range(5)]
-        assert dist_sq_many(probes, gens) == [dist_sq(p, gens) for p in probes]
 
     def test_dependent_generators_rejected_by_coefficients(self):
         v = vec(1, 2)
@@ -248,10 +220,10 @@ class TestBudget:
     def test_budget_trips_on_huge_entries(self):
         big = SparseVector.from_pairs([(1, Q(10 ** 50))])
         with pytest.raises(BudgetExceeded):
-            gram([big], digit_budget=10)
+            bordered_elimination([big], digit_budget=10)
 
     def test_budget_allows_small_entries(self):
-        gram([vec(1, 2, 3)], digit_budget=10)
+        bordered_elimination([vec(1, 2, 3)], digit_budget=10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,7 +246,8 @@ class TestBorderedElimination:
         # budget; after the first pivot the Schur diagonal entries are the
         # 2x2 leading minors 100^2 (14 bits), over it.
         gens = [SparseVector.from_pairs([(i, Q(10))]) for i in range(1, 5)]
-        gram(gens, digit_budget=3)
+        for g in gens:
+            bordered_elimination([g], digit_budget=3)
         bordered_elimination(gens[:1], [E1], digit_budget=3)
         with pytest.raises(BudgetExceeded):
             bordered_elimination(gens, [E1], digit_budget=3)
@@ -330,3 +303,14 @@ def test_kernel_matches_sympy(span):
             with pytest.raises(DependentGenerators):
                 project_coefficients(p, gens)
             assert combination(project_coefficients(p, kept), kept) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_spans(), st.booleans())
+@example((3, [], [E1], [0, 0]), False)
+@example((3, [vec(1, 2, 0), vec(0, 1, 1)], [E1], [0, 2]), True)
+def test_complement_matches_sympy_nullspace(span, full_rank):
+    ambient, gens, _, _ = span
+    if full_rank:
+        gens = gens + [SparseVector.unit(i) for i in range(1, ambient + 1)]
+    assert complement_basis(gens, ambient) == oracle_nullspace(gens, ambient)

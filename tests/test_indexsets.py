@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_eventually_periodic
+from conftest import random_eventually_periodic, rho_partial
 from defectlab import (
     EventuallyPeriodicSet,
     parse_set,
     prefix_agreement,
     rho,
-    set_algebra,
     sigma_m,
-    truncate,
 )
-from defectlab.indexsets import SetSyntaxError, rho_partial
+from defectlab.indexsets import SetSyntaxError
 
 Q = Fraction
 
@@ -76,16 +74,6 @@ class TestAlgebra:
         assert members(a.symmetric_difference(b)) == members(a) ^ members(b)
         assert members(a.difference(b)) == members(a) - members(b)
 
-    def test_set_algebra_dispatch(self):
-        a, b = parse_set("res(2;0)"), parse_set("res(2;1)")
-        assert set_algebra("union", a, b) == parse_set("all")
-        assert set_algebra("intersection", a, b) == parse_set("none")
-        assert set_algebra("complement", a) == b
-        with pytest.raises(ValueError):
-            set_algebra("union", a)
-        with pytest.raises(ValueError):
-            set_algebra("xor", a, b)
-
     def test_sigma_m(self):
         s = sigma_m(parse_set("fin(2)"), 4)
         assert members(s, 10) == {2, 5, 6, 7, 8, 9, 10}
@@ -93,7 +81,7 @@ class TestAlgebra:
             sigma_m(parse_set("none"), -1)
 
     def test_truncate(self):
-        assert truncate(parse_set("res(3;1)"), 10) == [1, 4, 7, 10]
+        assert parse_set("res(3;1)").truncate(10) == [1, 4, 7, 10]
 
     def test_min_element(self):
         assert parse_set("none").min_element() is None
