@@ -12,24 +12,14 @@ import functools
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .exact import BudgetExceeded, DependentGenerators, InvariantViolation
-from .families import (
-    FamilySyntaxError,
-    MalformedDefectSet,
-    RandomFiniteFamily,
-    UnsupportedFamily,
-    parse_family,
-)
-from .indexsets import SetSyntaxError, parse_set, rho
+from .exact import BudgetExceeded, InvariantViolation
+from .families import RandomFiniteFamily, parse_family
+from .indexsets import parse_set, rho
 from .mixed import (
     MixedSelection,
-    TooLarge,
-    WrongSide,
-    UnsupportedScan,
     classify_defect,
     defect_sweep,
     defect_truncated,
@@ -47,7 +37,6 @@ from .reports import (
     table_csv,
 )
 from .topology import (
-    ZeroVector,
     convergence_probe,
     intersection_chain,
     metric_ds,
@@ -59,19 +48,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
-
-_INPUT_ERRORS = (
-    SetSyntaxError,
-    FamilySyntaxError,
-    MalformedDefectSet,
-    UnsupportedFamily,
-    WrongSide,
-    TooLarge,
-    DependentGenerators,
-    ZeroVector,
-    UnsupportedScan,
-    ValueError,
-)
 
 
 def _default_precision() -> int:
@@ -184,6 +160,8 @@ def cmd_sweep(args) -> int:
                              digit_budget=args.digit_budget)
     parsed = [parse_set(sigma_text) for sigma_text in sigmas]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             values = list(pool.map(task, parsed))
     else:
@@ -362,8 +340,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error instead of exiting with
+    usage text; the subcommand parsers are built with this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defectlab",
         description="Exact-arithmetic experiments on mixed vector systems.",
     )
@@ -446,21 +432,19 @@ def _error_json(kind: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad flags, matching our input-error code
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # --help and --version print their text and exit 0
+        return int(exc.code or 0)
     except BudgetExceeded as exc:
         sys.stderr.write(_error_json("budget", str(exc)))
         return EXIT_BUDGET
     except InvariantViolation as exc:
         sys.stderr.write(_error_json("invariant", str(exc)))
         return EXIT_INVARIANT
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:
         sys.stderr.write(_error_json("input", str(exc)))
         return EXIT_INPUT
 

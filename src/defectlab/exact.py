@@ -9,9 +9,8 @@ ever enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class DependentGenerators(ValueError):
@@ -49,7 +48,6 @@ def _check_budget(values: Iterable[Fraction], digit_budget: Optional[int]) -> No
             )
 
 
-@dataclass(frozen=True)
 class SparseVector:
     """Finitely supported vector over the ambient orthonormal basis.
 
@@ -57,16 +55,28 @@ class SparseVector:
     indices and nonzero values; the zero vector has no entries.
     """
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple):
         prev = 0
-        for idx, val in self.entries:
+        for idx, val in entries:
             if idx <= prev:
                 raise ValueError("indices must be strictly increasing and positive")
             if val == 0:
                 raise ValueError("stored values must be nonzero")
             prev = idx
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not SparseVector:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"SparseVector(entries={self.entries!r})"
 
     @staticmethod
     def from_pairs(pairs) -> "SparseVector":
@@ -142,8 +152,7 @@ class SparseVector:
         return dense
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     """What one bordered elimination of a span answers.
 
     kept: indices of the generators that took a pivot, a maximal

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
@@ -42,8 +41,8 @@ class FamilySyntaxError(ValueError):
 class SystemFamily:
     """Base class: a rule-based (x_k, x_k*) generator with metadata."""
 
-    kind: str = ""
-    index_offset: int = 0
+    kind = ""
+    index_offset = 0
 
     def vector(self, k: int) -> SparseVector:
         raise NotImplementedError
@@ -84,12 +83,11 @@ class SystemFamily:
         return [self.vector(k) for k in indices]
 
 
-@dataclass
 class E1PlusEkFamily(SystemFamily):
     """x_i = e_1 + e_{i+1}; internal index 1 maps to the original start at 2."""
 
-    kind: str = "e1-plus-ek"
-    index_offset: int = 1
+    kind = "e1-plus-ek"
+    index_offset = 1
 
     def vector(self, k):
         return SparseVector.from_pairs([(1, Q(1)), (k + 1, Q(1))])
@@ -117,16 +115,15 @@ class E1PlusEkFamily(SystemFamily):
         return frozenset()
 
 
-@dataclass
 class YoungFamily(SystemFamily):
     """x_k = 2^k sum_{j<=min(k,W)} k^{1-j} f_j + e_k with the f-block first."""
 
-    width: int
-    kind: str = "young"
+    kind = "young"
 
-    def __post_init__(self):
-        if self.width < 0:
+    def __init__(self, width: int):
+        if width < 0:
             raise ValueError("width must be nonnegative")
+        self.width = width
 
     def f_coord(self, j):
         return j
@@ -167,16 +164,15 @@ class YoungFamily(SystemFamily):
         return frozenset()
 
 
-@dataclass
 class DefectPairFamily(SystemFamily):
     """x_k = e_1 + k e_2 + ... + k^{m-1} e_m + e_{m+k}; defects are {0, m}."""
 
-    m: int
-    kind: str = "defect-pair"
+    kind = "defect-pair"
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int):
+        if m < 1:
             raise ValueError("m must be positive")
+        self.m = m
 
     def vector(self, k):
         pairs = [(j, Q(k ** (j - 1))) for j in range(1, self.m + 1)]
@@ -218,18 +214,16 @@ def _check_defect_set(finite_part) -> list:
     return S
 
 
-@dataclass
 class FiniteDefectSetFamily(SystemFamily):
     """Interleaved family realizing a finite defect set S = {0=k_0,...,k_s}.
 
     x_k uses the variant with superscript j = (k-1) mod (s+1).
     """
 
-    defect_set: tuple
-    kind: str = "finite-set"
+    kind = "finite-set"
 
-    def __post_init__(self):
-        object.__setattr__(self, "defect_set", tuple(_check_defect_set(self.defect_set)))
+    def __init__(self, defect_set: tuple):
+        self.defect_set = tuple(_check_defect_set(defect_set))
 
     @property
     def s(self):
@@ -286,7 +280,6 @@ class FiniteDefectSetFamily(SystemFamily):
         )
 
 
-@dataclass
 class InfiniteDefectSetFamily(SystemFamily):
     """Triangular-block family realizing S = {0=k_0,...,k_s, infinity}.
 
@@ -295,11 +288,10 @@ class InfiniteDefectSetFamily(SystemFamily):
     Layout interleaves the two blocks: f_j at coordinate 2j-1, e_n at 2n.
     """
 
-    finite_part: tuple
-    kind: str = "infinite-set"
+    kind = "infinite-set"
 
-    def __post_init__(self):
-        object.__setattr__(self, "finite_part", tuple(_check_defect_set(self.finite_part)))
+    def __init__(self, finite_part: tuple):
+        self.finite_part = tuple(_check_defect_set(finite_part))
 
     @property
     def s(self):
@@ -410,7 +402,6 @@ class InfiniteDefectSetFamily(SystemFamily):
         )
 
 
-@dataclass
 class RandomFiniteFamily(SystemFamily):
     """Seeded random independent system in a finite ambient space.
 
@@ -419,23 +410,20 @@ class RandomFiniteFamily(SystemFamily):
     preserves biorthogonality but exercises its non-uniqueness).
     """
 
-    dim: int
-    count: int
-    seed: int
-    dual_style: str = "span"
-    kind: str = "random"
-    _vectors: list = field(default=None, repr=False, compare=False)
-    _duals: list = field(default=None, repr=False, compare=False)
-
+    kind = "random"
     MAX_RETRIES = 50
 
-    def __post_init__(self):
-        if self.count < 0:
+    def __init__(self, dim: int, count: int, seed: int, dual_style: str = "span"):
+        if count < 0:
             raise ValueError("count must not be negative")
-        if self.count > self.dim:
+        if count > dim:
             raise ValueError("count must not exceed ambient dimension")
-        if self.dual_style not in ("span", "perturbed"):
+        if dual_style not in ("span", "perturbed"):
             raise ValueError("dual_style must be 'span' or 'perturbed'")
+        self.dim = dim
+        self.count = count
+        self.seed = seed
+        self.dual_style = dual_style
         self._generate()
 
     def _generate(self):

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, NamedTuple
 
 Q = Fraction
 
@@ -31,8 +30,7 @@ def _min_period(period: int, residues: FrozenSet[int]) -> tuple:
     return period, residues  # unreachable
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSet:
+class EventuallyPeriodicSet(NamedTuple):
     """Canonical representation: minimal period, exceptions split so that
     `added` misses the residue pattern and `removed` matches it."""
 

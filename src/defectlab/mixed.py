@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .exact import (
     InvariantViolation,
@@ -38,8 +37,7 @@ class TooLarge(ValueError):
 HEREDITARY_SCAN_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class MixedSelection:
+class MixedSelection(NamedTuple):
     family: SystemFamily
     sigma: EventuallyPeriodicSet
     n: int
@@ -58,12 +56,26 @@ def mixed_vectors(sel: MixedSelection) -> List[SparseVector]:
     return out
 
 
+def _check_mixed_rank(gens: Sequence[SparseVector], rank: int) -> int:
+    """The rank of a truncated mixed family, which must be its size.
+
+    The duals are biorthogonal, so <x_i, x_j*> = 0 for i in sigma and j
+    not in sigma: the Gram matrix is block-diagonal with full-rank blocks.
+    """
+    if rank < len(gens):
+        raise InvariantViolation(
+            f"a truncated mixed family of {len(gens)} vectors has rank {rank}")
+    return rank
+
+
 def defect_truncated(sel: MixedSelection, ambient: Optional[int] = None,
                      digit_budget: Optional[int] = None) -> int:
-    """ambient - rank of the truncated mixed family."""
+    """ambient - rank of the truncated mixed family; a rank below the
+    family's size raises InvariantViolation."""
     if ambient is None:
         ambient = sel.family.ambient(sel.n)
-    return ambient - rank_of_vectors(mixed_vectors(sel), digit_budget=digit_budget)
+    gens = mixed_vectors(sel)
+    return ambient - _check_mixed_rank(gens, rank_of_vectors(gens, digit_budget=digit_budget))
 
 
 def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
@@ -77,6 +89,7 @@ def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
     """
     gens = mixed_vectors(MixedSelection(family, sigma, max(n_grid, default=0)))
     kept = bordered_elimination(gens, digit_budget=digit_budget).kept
+    _check_mixed_rank(gens, len(kept))
     return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
 
@@ -129,8 +142,7 @@ def distance_profile(
     return rows
 
 
-@dataclass
-class DefectReport:
+class DefectReport(NamedTuple):
     """Certified defect verdict with its evidence."""
 
     family: str
@@ -265,5 +277,5 @@ def hereditary_scan(family: RandomFiniteFamily) -> int:
     return worst
 
 
-class UnsupportedScan(TypeError):
+class UnsupportedScan(ValueError):
     """Raised when hereditary_scan gets a non-finite family."""

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,16 +29,27 @@ class ZeroVector(ValueError):
     """Raised when a family vector cannot be normalized."""
 
 
-@dataclass(frozen=True)
 class IntervalValue:
     """Closed rational interval certified to contain the true value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval bounds out of order")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not IntervalValue:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"IntervalValue(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def exact(x) -> "IntervalValue":

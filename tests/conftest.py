@@ -4,7 +4,6 @@ sympy is used only here, as an oracle the production code never imports.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -191,6 +190,24 @@ def rising_decay(monkeypatch):
 
     def rising(*args, **kwargs):
         elim = real(*args, **kwargs)
-        return dataclasses.replace(elim, dist_sq=elim.dist_sq[::-1])
+        return elim._replace(dist_sq=elim.dist_sq[::-1])
 
     monkeypatch.setattr(mixed, "bordered_elimination", rising)
+
+
+@pytest.fixture
+def dropped_generator(monkeypatch):
+    """Makes the elimination, as `exact` and `mixed` call it, drop its
+    last kept generator, so a truncated mixed family loses rank as if one
+    of its vectors lay in the span of those before it."""
+    import defectlab.exact as exact
+    import defectlab.mixed as mixed
+
+    real = exact.bordered_elimination
+
+    def dropping(*args, **kwargs):
+        elim = real(*args, **kwargs)
+        return elim._replace(kept=elim.kept[:-1])
+
+    for module in (exact, mixed):
+        monkeypatch.setattr(module, "bordered_elimination", dropping)

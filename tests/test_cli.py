@@ -2,12 +2,16 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import defectlab
 from conftest import oracle_perturbed_duals
 from defectlab import (
     IntervalValue,
@@ -290,8 +294,36 @@ class TestExitCodes:
         assert json.loads(out)["results"]["verdict"] == "inf"
 
     def test_argparse_error_is_2(self, capsys):
-        code, _, _ = run(capsys, "defect", "--family", "e1-plus-ek")
-        assert code == 2
+        for argv in (
+            ["defect", "--family", "e1-plus-ek"],  # missing required flags
+            ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "-1,0"],
+            ["construct", "--family", "e1-plus-ek", "--n", "3", "--bogus"],
+            ["construct", "--family", "e1-plus-ek", "--n", "x"],
+            ["oracle", "--suite", "every"],
+            [],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert json.loads(err)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
+    def test_help_and_version_are_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "defect-pair(m=2)", "--sigmas", "none;all",
+         "--n-grid", "3,5"],
+        ["oracle", "--suite", "swap", "--instances", "3"],
+        ["oracle", "--suite", "hereditary", "--instances", "3"],
+    ], ids=["sweep", "oracle-swap", "oracle-hereditary"])
+    def test_mixed_rank_deficit_is_4(self, capsys, dropped_generator, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "invariant"
 
 
 class TestRationalSerialization:
@@ -321,11 +353,13 @@ _INT_LIST = st.one_of(
 
 @st.composite
 def cli_argv(draw):
-    """An argv with small, degenerate or invalid values.  Every value is
-    given as --flag=value, so argparse accepts values such as "-1,0" and
-    each one reaches the program."""
+    """An argv with small, degenerate or invalid values.  Each value is
+    given either as --flag=value, so that values such as "-1,0" reach the
+    program, or as two arguments, where argparse takes "-1,0" for a flag
+    and the usage error must be an input error too."""
     def flag(name, values):
-        return [f"{name}={draw(values)}"]
+        value = draw(values)
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
 
     def optional(name, values):
         return flag(name, values) if draw(st.booleans()) else []
@@ -368,6 +402,8 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(_DEFECT + ["--n-list", ","])
 @example(["sweep", "--family", "random(d=0,n=0)", "--sigmas", "fin(1)", "--n-grid", "1"])
 @example(["construct", "--family", "random(d=3,n=-1)", "--n", "1"])
+@example(["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "-1,0"])
+@example(["construct", "--family", "e1-plus-ek", "--n", "3", "--bogus", "1"])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -381,3 +417,16 @@ def test_exit_code_contract(argv):
             "inf", "inconclusive"):
         # a finite verdict is certified by decay evidence
         assert report["results"]["decay_table"]
+
+
+def test_cli_import_loads_no_pool_or_dataclasses():
+    """A report's process imports only what it runs: the process pool is
+    imported for `sweep --workers > 1` alone.  -S keeps site packages,
+    and whatever they import, out of the check."""
+    src = str(Path(defectlab.__file__).resolve().parents[1])
+    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
+            "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, src, *heavy],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

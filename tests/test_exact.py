@@ -1,4 +1,5 @@
 """Exact linear algebra: worked values, sympy oracles, algebraic laws."""
+import pickle
 import random
 from fractions import Fraction
 
@@ -67,6 +68,13 @@ class TestSparseVector:
     def test_to_dense_bounds(self):
         with pytest.raises(ValueError):
             vec(0, 0, 1).to_dense(2)
+
+    def test_value_semantics_and_pickle(self):
+        v = vec(Q(1, 2), 0, 3)
+        assert v == vec(Q(1, 2), 0, 3) and hash(v) == hash(vec(Q(1, 2), 0, 3))
+        assert v != vec(Q(1, 2), 0, 2) and v != v.entries
+        assert repr(v) == "SparseVector(entries=((1, Fraction(1, 2)), (3, Fraction(3, 1))))"
+        assert pickle.loads(pickle.dumps(v)) == v
 
 
 class TestRank:

@@ -1,11 +1,13 @@
 """Family generators: exact construction values, biorthogonality, predictions."""
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from defectlab import (
     MalformedDefectSet,
+    RandomFiniteFamily,
     SparseVector,
     dist_sq,
     make_defect_pair,
@@ -217,6 +219,14 @@ class TestRandomFinite:
         fam = make_random_finite(4, 4, seed=0)
         with pytest.raises(UnsupportedFamily):
             fam.predicted_defect(parse_set("none"))
+
+    def test_keywords_and_pickle(self):
+        fam = RandomFiniteFamily(dim=5, count=3, seed=4, dual_style="perturbed")
+        assert (fam.kind, fam.index_offset, fam.max_index()) == ("random", 0, 3)
+        copy = pickle.loads(pickle.dumps(fam))
+        assert copy.descriptor() == fam.descriptor()
+        for k in range(1, 4):
+            assert (copy.vector(k), copy.dual(k)) == (fam.vector(k), fam.dual(k))
 
 
 class TestDescriptorGrammar:

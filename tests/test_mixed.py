@@ -28,7 +28,7 @@ from defectlab import (
 )
 from conftest import oracle_dist_sq
 from defectlab.exact import InvariantViolation
-from defectlab.mixed import _probe_passes
+from defectlab.mixed import _probe_passes, defect_sweep
 
 Q = Fraction
 
@@ -61,6 +61,28 @@ class TestDefectTruncated:
     def test_defect_pair_worked_example(self):
         fam = make_defect_pair(2)
         assert defect_truncated(MixedSelection(fam, parse_set("none"), 5)) == 2
+
+
+class TestMixedRankInvariant:
+    """The duals are biorthogonal, so a truncated mixed family's Gram
+    matrix is block-diagonal with full-rank blocks."""
+
+    def test_defect_is_ambient_minus_mixed_count(self):
+        families = [make_e1_plus_ek(1), make_young(2), make_defect_pair(3),
+                    make_random_finite(6, 4, seed=3, dual_style="perturbed")]
+        for fam in families:
+            for text in ("all", "none", "res(2;1)", "fin(1,3)"):
+                sel = MixedSelection(fam, parse_set(text), 5)
+                assert defect_truncated(sel) == fam.ambient(5) - len(mixed_vectors(sel))
+
+    def test_dropped_generator_is_invariant_violation(self, dropped_generator):
+        fam, sigma = make_defect_pair(2), parse_set("res(2;1)")
+        with pytest.raises(InvariantViolation):
+            defect_truncated(MixedSelection(fam, sigma, 6))
+        with pytest.raises(InvariantViolation):
+            defect_sweep(fam, sigma, [3, 6])
+        with pytest.raises(InvariantViolation):
+            hereditary_scan(make_random_finite(3, 3, seed=1))
 
 
 class TestWitnessCheck:

@@ -1,4 +1,5 @@
 """Certified projector metrics, separation, chains, convergence probes."""
+import pickle
 import random
 from fractions import Fraction
 
@@ -39,6 +40,13 @@ class TestIntervalValue:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             IntervalValue(Q(1), Q(0))
+
+    def test_value_semantics_and_pickle(self):
+        a = IntervalValue(Q(1, 3), Q(1, 2))
+        assert a == IntervalValue(Q(1, 3), Q(1, 2)) and a != IntervalValue(Q(1, 3), Q(1))
+        assert hash(a) == hash(IntervalValue(Q(1, 3), Q(1, 2)))
+        assert repr(a) == "IntervalValue(lo=Fraction(1, 3), hi=Fraction(1, 2))"
+        assert pickle.loads(pickle.dumps(a)) == a
 
     def test_arithmetic(self):
         a = IntervalValue(Q(1), Q(2))
