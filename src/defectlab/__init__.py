@@ -4,12 +4,9 @@ __version__ = "0.1.0"
 
 from .exact import (
     BudgetExceeded,
-    DependentGenerators,
     SparseVector,
     complement_basis,
     dist_sq,
-    project,
-    project_coefficients,
     rank_of_vectors,
 )
 from .families import (
@@ -33,7 +30,6 @@ from .families import (
 from .indexsets import (
     EventuallyPeriodicSet,
     parse_set,
-    prefix_agreement,
     rho,
     sigma_m,
 )
@@ -56,11 +52,7 @@ from .topology import (
     ZeroVector,
     convergence_probe,
     intersection_chain,
-    metric_ds,
-    metric_ds_to_zero,
-    metric_dw,
-    project_sigma,
-    semicontinuity_probe,
-    separation_bound,
+    projector_metrics,
+    semicontinuity_violation,
     sqrt_enclosure,
 )

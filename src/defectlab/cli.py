@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .exact import BudgetExceeded, InvariantViolation
 from .families import RandomFiniteFamily, parse_family
-from .indexsets import parse_set, rho
+from .indexsets import EventuallyPeriodicSet, parse_set, rho
 from .mixed import (
     MixedSelection,
     classify_defect,
@@ -39,19 +38,14 @@ from .reports import (
 from .topology import (
     convergence_probe,
     intersection_chain,
-    metric_ds,
-    metric_dw,
-    semicontinuity_probe,
+    projector_metrics,
+    semicontinuity_violation,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
-
-
-def _default_precision() -> int:
-    return int(os.environ.get("DEFECTLAB_PRECISION", "64"))
 
 
 def _int_list(text: str) -> list:
@@ -61,6 +55,11 @@ def _int_list(text: str) -> list:
 def _require_positive(flag: str, values) -> None:
     if any(v <= 0 for v in values):
         raise ValueError(f"{flag} must be positive")
+
+
+def _require_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must not be negative")
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -84,6 +83,7 @@ def _emit(args, command: str, config: dict, results: dict) -> None:
 
 
 def cmd_construct(args) -> int:
+    _require_positive("--n", [args.n])
     family = parse_family(args.family)
     n = args.n
     if family.max_index() is not None:
@@ -188,14 +188,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    _require_positive("--n", [args.n])
     _require_positive("--terms", [args.terms])
+    _require_nonnegative("--precision", args.precision)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     tau = parse_set(args.tau)
-    ds = metric_ds(family, sigma, tau, args.n, args.terms, args.precision,
-                   digit_budget=args.digit_budget)
-    dw = metric_dw(family, sigma, tau, args.n, args.terms, args.precision,
-                   digit_budget=args.digit_budget)
+    ds, dw = projector_metrics(family, sigma, tau, args.n, args.terms, args.precision,
+                               digit_budget=args.digit_budget)
     results = {
         "rho": exact_value(rho(sigma, tau)),
         "d_s": interval_value(ds),
@@ -235,12 +235,14 @@ def cmd_chain(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _require_positive("--n", [args.n])
     _require_positive("--terms", [args.terms])
     _require_positive("--m-max", [args.m_max])
+    _require_nonnegative("--precision", args.precision)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
-    rows = convergence_probe(family, sigma, args.m_max, args.n, args.terms,
-                             args.precision, digit_budget=args.digit_budget)
+    rows, limit = convergence_probe(family, sigma, args.m_max, args.n, args.terms,
+                                    args.precision, digit_budget=args.digit_budget)
     out_rows = [
         {
             "m": row["m"],
@@ -254,14 +256,11 @@ def cmd_converge(args) -> int:
     results = {"rows": out_rows}
     violation = False
     if args.semicontinuity:
-        semi = semicontinuity_probe(family, sigma, args.m_max, args.n,
-                                    args.terms, args.precision,
-                                    digit_budget=args.digit_budget, rows=rows)
+        violation = semicontinuity_violation(rows, limit)
         results["semicontinuity"] = {
-            "limit": interval_value(semi["limit"]),
-            "violation": semi["violation"],
+            "limit": interval_value(limit),
+            "violation": violation,
         }
-        violation = semi["violation"]
     config = {
         "family": args.family,
         "sigma": args.sigma,
@@ -288,8 +287,6 @@ def _run_swap_suite(instances: int, seed: int) -> dict:
         dual = rng.choice(["span", "perturbed"])
         family = RandomFiniteFamily(dim=dim, count=count,
                                     seed=rng.randrange(1 << 30), dual_style=dual)
-        from .indexsets import EventuallyPeriodicSet
-
         members = [k for k in range(1, count + 1) if rng.random() < 0.5]
         sigma = EventuallyPeriodicSet.finite(members)
         base = defect_truncated(MixedSelection(family, sigma, count))
@@ -324,8 +321,7 @@ def _run_hereditary_suite(instances: int, seed: int) -> dict:
 
 
 def cmd_oracle(args) -> int:
-    if args.instances < 0:
-        raise ValueError("--instances must not be negative")
+    _require_nonnegative("--instances", args.instances)
     results = {}
     if args.suite in ("swap", "all"):
         results["swap"] = _run_swap_suite(args.instances, args.seed)
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--terms", type=int, default=10, help="series cut K")
-    p.add_argument("--precision", type=int, default=_default_precision())
+    p.add_argument("--precision", type=int, default=64)
     common(p)
     p.set_defaults(func=cmd_metric)
 
@@ -412,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--terms", type=int, default=10)
-    p.add_argument("--precision", type=int, default=_default_precision())
+    p.add_argument("--precision", type=int, default=64)
     p.add_argument("--semicontinuity", action="store_true")
     common(p)
     p.set_defaults(func=cmd_converge)

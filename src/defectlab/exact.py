@@ -13,10 +13,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
-class DependentGenerators(ValueError):
-    """Raised when an operation requires linearly independent generators."""
-
-
 class BudgetExceeded(RuntimeError):
     """Raised when intermediate rationals exceed the configured digit budget."""
 
@@ -283,21 +279,6 @@ def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> 
     )
 
 
-def project_coefficients(
-    v: SparseVector,
-    generators: Sequence[SparseVector],
-    digit_budget: Optional[int] = None,
-) -> list:
-    """Coefficients c with sum(c_i g_i) = orthogonal projection of v.
-
-    Requires independent generators; raises DependentGenerators otherwise.
-    """
-    elim = bordered_elimination(generators, [v], solve=True, digit_budget=digit_budget)
-    if len(elim.kept) != len(generators):
-        raise DependentGenerators("Gram matrix is singular; prune generators first")
-    return elim.coefficients[0]
-
-
 def project_many(
     targets: Sequence[SparseVector],
     generators: Sequence[SparseVector],
@@ -307,15 +288,6 @@ def project_many(
     elim = bordered_elimination(generators, targets, solve=True, digit_budget=digit_budget)
     kept = [generators[i] for i in elim.kept]
     return [combination(c, kept) for c in elim.coefficients]
-
-
-def project(
-    v: SparseVector,
-    generators: Sequence[SparseVector],
-    digit_budget: Optional[int] = None,
-) -> SparseVector:
-    """Exact orthogonal projection of v onto span(generators)."""
-    return project_many([v], generators, digit_budget=digit_budget)[0]
 
 
 def dist_sq(

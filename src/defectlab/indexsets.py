@@ -210,15 +210,6 @@ def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:
     return total
 
 
-def prefix_agreement(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet):
-    """Largest m with a ∩ [1:m] = b ∩ [1:m]; math.inf when a = b."""
-    diff = a.symmetric_difference(b)
-    first = diff.min_element()
-    if first is None:
-        return math.inf
-    return first - 1
-
-
 # ---------------------------------------------------------------------------
 # Expression grammar (shared with the CLI); see docs/sigma_grammar.ebnf.
 #

@@ -11,14 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import (
-    SparseVector,
-    bordered_elimination,
-    combination,
-    dist_sq,
-    project_coefficients,
-    project_many,
-)
+from .exact import bordered_elimination, project_many
 from .families import SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho, sigma_m
 
@@ -106,40 +99,20 @@ def _sigma_generators(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int
     return [family.vector(k) for k in sigma.truncate(_clamp_index(family, n))]
 
 
-def project_sigma(
-    family: SystemFamily,
-    sigma: EventuallyPeriodicSet,
-    v: SparseVector,
-    n: int,
-    digit_budget: Optional[int] = None,
-) -> SparseVector:
-    """Exact projection of v onto span{x_k : k in sigma ∩ [1:n]}.
-
-    Raises DependentGenerators when the truncated sigma-generators are
-    dependent.
-    """
-    gens = _sigma_generators(family, sigma, n)
-    return combination(project_coefficients(v, gens, digit_budget=digit_budget), gens)
-
-
-def _projection_table(family, sigma, n, targets, digit_budget=None):
-    gens = _sigma_generators(family, sigma, n)
-    return project_many(targets, gens, digit_budget=digit_budget)
-
-
-def _ds_enclosure(diffs, norms, precision_bits):
-    """Enclosure of sum_{k<=K} ||diffs[k-1]|| / (||x_k|| 2^k) plus tail, K = len(diffs).
+def _ds_enclosure(diff_sqs, norms, precision_bits):
+    """Enclosure of sum_{k<=K} ||d_k|| / (||x_k|| 2^k) plus tail, K = len(diff_sqs),
+    from the exact squared norms ||d_k||^2.
 
     Tail interval [0, 2^{1-K}] is valid because each normalized term is
     bounded by 2 * 2^{-k}.
     """
     total = IntervalValue.exact(0)
-    for k, (diff, ns) in enumerate(zip(diffs, norms), start=1):
-        total = total + sqrt_enclosure(diff.norm_sq() / ns, precision_bits).scale(Q(1, 2 ** k))
-    return total + IntervalValue(Q(0), Q(2, 2 ** len(diffs)))
+    for k, (dsq, ns) in enumerate(zip(diff_sqs, norms), start=1):
+        total = total + sqrt_enclosure(dsq / ns, precision_bits).scale(Q(1, 2 ** k))
+    return total + IntervalValue(Q(0), Q(2, 2 ** len(diff_sqs)))
 
 
-def metric_ds(
+def projector_metrics(
     family: SystemFamily,
     sigma: EventuallyPeriodicSet,
     tau: EventuallyPeriodicSet,
@@ -147,72 +120,52 @@ def metric_ds(
     K: int,
     precision_bits: int,
     digit_budget: Optional[int] = None,
-) -> IntervalValue:
-    """Enclosure of sum_{k<=K} ||(P_sigma - P_tau) x̂_k|| / 2^k plus tail."""
-    K = _clamp_index(family, K)
-    targets = family.vectors(range(1, K + 1))
-    p_sig = _projection_table(family, sigma, n, targets, digit_budget)
-    p_tau = _projection_table(family, tau, n, targets, digit_budget)
-    diffs = [a - b for a, b in zip(p_sig, p_tau)]
-    return _ds_enclosure(diffs, _norms_sq(targets), precision_bits)
+):
+    """Enclosures (d_s, d_w) of the strong and weak distances of P_sigma and P_tau.
 
-
-def metric_dw(
-    family: SystemFamily,
-    sigma: EventuallyPeriodicSet,
-    tau: EventuallyPeriodicSet,
-    n: int,
-    K: int,
-    precision_bits: int,
-    digit_budget: Optional[int] = None,
-) -> IntervalValue:
-    """Enclosure of the weak-topology double sum over k, j <= K.
-
-    Each term |<(P_sigma - P_tau) x̂_k, x̂_j>| is at most 1 because the
+    d_s encloses sum_{k<=K} ||(P_sigma - P_tau) x̂_k|| / 2^k plus tail.
+    d_w encloses the weak-topology double sum over k, j <= K.  Each of its
+    terms |<(P_sigma - P_tau) x̂_k, x̂_j>| is at most 1 because the
     difference of two orthogonal projections has operator norm <= 1, so
     the tail over pairs with max(k, j) > K is at most
-    sum 2^{-k-j} = 2^{1-K} - 4^{-K}.
+    sum 2^{-k-j} = 2^{1-K} - 4^{-K}.  Both read the projections of the
+    targets from one elimination per span.
     """
     K = _clamp_index(family, K)
     targets = family.vectors(range(1, K + 1))
-    p_sig = _projection_table(family, sigma, n, targets, digit_budget)
-    p_tau = _projection_table(family, tau, n, targets, digit_budget)
+    p_sig = project_many(targets, _sigma_generators(family, sigma, n), digit_budget)
+    p_tau = project_many(targets, _sigma_generators(family, tau, n), digit_budget)
     norms = _norms_sq(targets)
+    diffs = [a - b for a, b in zip(p_sig, p_tau)]
+    d_s = _ds_enclosure([diff.norm_sq() for diff in diffs], norms, precision_bits)
     total = IntervalValue.exact(0)
-    for k in range(1, K + 1):
-        diff = p_sig[k - 1] - p_tau[k - 1]
-        for j in range(1, K + 1):
-            ip = diff.dot(targets[j - 1])
+    for k, (diff, nk) in enumerate(zip(diffs, norms), start=1):
+        for j, (target, nj) in enumerate(zip(targets, norms), start=1):
+            ip = diff.dot(target)
             if ip == 0:
                 continue
-            r = ip * ip / (norms[k - 1] * norms[j - 1])
+            r = ip * ip / (nk * nj)
             total = total + sqrt_enclosure(r, precision_bits).scale(Q(1, 2 ** (k + j)))
-    tail = IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
-    return total + tail
+    d_w = total + IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
+    return d_s, d_w
 
 
-def metric_ds_to_zero(family, sigma, n, K, precision_bits, digit_budget=None):
-    """d_s(P_sigma, 0): distance of the projector to the zero operator."""
-    return metric_ds(family, sigma, EventuallyPeriodicSet.empty(), n, K,
-                     precision_bits, digit_budget=digit_budget)
+def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int, n: int):
+    """Indices ordered sigma, then sigma_depth minus sigma, then sigma_{m-1}
+    minus sigma_m for m = depth..2, together with each block's end.
 
-
-def separation_bound(family: SystemFamily, p: int, n: int,
-                     digit_budget: Optional[int] = None) -> Fraction:
-    """Exact positive lower bound dist^2(x̂_p, span{x̂_k : k != p}) / 2^{2p}.
-
-    This is the quantity that separates projector images of index sets
-    differing at p in the weak metric.
+    sigma_{m+1} is a subset of sigma_m, so the truncated span of sigma and
+    of every sigma_m is the span of a prefix of this order: ends[0] closes
+    sigma and ends[i] closes sigma_{depth+1-i}.
     """
-    if p > n:
-        raise ValueError("p must not exceed the truncation")
-    others = [family.vector(k) for k in range(1, n + 1) if k != p]
-    xp = family.vector(p)
-    ns = xp.norm_sq()
-    if ns == 0:
-        raise ZeroVector(f"x_{p} is the zero vector")
-    d = dist_sq(xp, others, digit_budget=digit_budget) / ns
-    return d / Q(4 ** p)
+    last = _clamp_index(family, n)
+    order = sigma.truncate(last)
+    ends = [len(order)]
+    for m in range(depth, 0, -1):
+        placed = set(order)
+        order += [k for k in sigma_m(sigma, m).truncate(last) if k not in placed]
+        ends.append(len(order))
+    return order, ends
 
 
 def intersection_chain(
@@ -228,21 +181,14 @@ def intersection_chain(
     intersection step and the exact equality test against truncated
     H_sigma.  sigma_{m+1} is a subset of sigma_m, so the truncated spans
     are nested and the intersection after step m is truncated
-    H_{sigma_m} itself, which contains H_sigma.  Ordering the generators
-    as sigma, then sigma_depth minus sigma, then sigma_{m-1} minus
-    sigma_m for m = depth..2, makes every one of these spans a prefix, so
-    one elimination gives each dimension as the number of generators it
-    keeps before that prefix's end.
+    H_{sigma_m} itself, which contains H_sigma.  In the nested order every
+    one of these spans is a prefix, so one elimination gives each
+    dimension as the number of generators it keeps before that prefix's
+    end.
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    last = _clamp_index(family, n)
-    order = sigma.truncate(last)
-    ends = [len(order)]
-    for m in range(depth, 0, -1):
-        placed = set(order)
-        order += [k for k in sigma_m(sigma, m).truncate(last) if k not in placed]
-        ends.append(len(order))
+    order, ends = _nested_order(family, sigma, depth, n)
     kept = bordered_elimination(family.vectors(order), digit_budget=digit_budget).kept
     ranks = [bisect.bisect_left(kept, end) for end in ends]
     return ranks[1:][::-1], ranks[0] == ranks[1]
@@ -255,78 +201,54 @@ def convergence_probe(
     n: int,
     K: int,
     precision_bits: int,
-    probe_count: Optional[int] = None,
-    sequence=None,
     digit_budget: Optional[int] = None,
 ):
     """Finite-stage evidence for the projector-convergence criterion.
 
-    For each m, tabulates the exact set distance rho(sigma^m, sigma), the
-    enclosure of d_s(P_{sigma^m}, 0), and pointwise proxies
-    ||(P_{sigma^m} - P_sigma) x̂_j|| for j in the probe window.  The default
-    sequence is sigma^m = sigma ∪ [m+1, ∞).
+    Returns (rows, limit).  For each m, a row tabulates the exact set
+    distance rho(sigma_m, sigma), the enclosure of d_s(P_{sigma_m}, 0),
+    and pointwise proxies ||(P_{sigma_m} - P_sigma) x̂_j|| for j in the
+    probe window, where sigma_m = sigma ∪ [m+1, ∞); limit encloses
+    d_s(P_sigma, 0).  The truncated spans are nested, H_sigma inside
+    H_{sigma_m}, so P_{sigma_m} P_sigma = P_sigma and every norm is a
+    difference of squared distances: ||P_S x||^2 = ||x||^2 - dist^2(x, S)
+    and ||(P_{sigma_m} - P_sigma) x||^2
+    = dist^2(x, H_sigma) - dist^2(x, H_{sigma_m}).  One elimination in the
+    nested order, with the targets as probes and a cut at each block end,
+    gives all of them.
     """
-    if sequence is None:
-        sequence = lambda m: sigma_m(sigma, m)
-    if probe_count is None:
-        probe_count = min(K, family.default_probe_window())
-    probe_count = _clamp_index(family, probe_count)
     K = _clamp_index(family, K)
-    # One elimination per sigma^m projects the targets of both d_s and the
-    # pointwise proxies; the empty span of d_s(., 0) projects to zero.
-    targets = family.vectors(range(1, max(K, probe_count) + 1))
-    p_limit = _projection_table(family, sigma, n, targets[:probe_count], digit_budget)
+    window = min(K, family.default_probe_window())
+    targets = family.vectors(range(1, K + 1))
+    order, ends = _nested_order(family, sigma, m_max, n)
+    table = bordered_elimination(family.vectors(order), targets, cuts=ends,
+                                 digit_budget=digit_budget).dist_sq
     norms = _norms_sq(targets)
+
+    def ds_to_zero(dists):
+        return _ds_enclosure([ns - d for ns, d in zip(norms, dists)], norms, precision_bits)
+
+    at_sigma = table[0]
     rows = []
-    for m in range(1, m_max + 1):
-        sig_m = sequence(m)
-        p_m = _projection_table(family, sig_m, n, targets, digit_budget)
-        pointwise = []
-        for j in range(1, probe_count + 1):
-            diff = p_m[j - 1] - p_limit[j - 1]
-            r = diff.norm_sq() / norms[j - 1]
-            pointwise.append(sqrt_enclosure(r, precision_bits))
+    for m, dists in enumerate(reversed(table[1:]), start=1):
+        sig_m = sigma_m(sigma, m)
         rows.append({
             "m": m,
             "sigma_m": sig_m.describe(),
             "rho": rho(sig_m, sigma),
-            "ds_to_zero": _ds_enclosure(p_m[:K], norms, precision_bits),
-            "pointwise": pointwise,
+            "ds_to_zero": ds_to_zero(dists),
+            "pointwise": [
+                sqrt_enclosure((a - b) / ns, precision_bits)
+                for a, b, ns in zip(at_sigma[:window], dists, norms)
+            ],
         })
-    return rows
+    return rows, ds_to_zero(at_sigma)
 
 
-def semicontinuity_probe(
-    family: SystemFamily,
-    sigma: EventuallyPeriodicSet,
-    m_max: int,
-    n: int,
-    K: int,
-    precision_bits: int,
-    margin: Fraction = Q(0),
-    sequence=None,
-    digit_budget: Optional[int] = None,
-    rows=None,
-):
-    """Checks the lower-semicontinuity of sigma -> d_s(P_sigma, 0).
-
-    A certified violation (every late enclosure entirely below the limit
-    value's lower bound, beyond the margin) signals a bug and must never
-    occur.  rows may be the convergence_probe rows of the same arguments,
-    computed with any probe_count; they are computed here otherwise.
+def semicontinuity_violation(rows, limit: IntervalValue) -> bool:
+    """Lower-semicontinuity check of sigma -> d_s(P_sigma, 0) on the
+    convergence_probe rows and limit: a certified violation (each of the
+    last three enclosures entirely below the limit's lower bound) signals
+    a bug and must never occur.
     """
-    if rows is None:
-        rows = convergence_probe(
-            family, sigma, m_max, n, K, precision_bits,
-            probe_count=1, sequence=sequence, digit_budget=digit_budget,
-        )
-    limit = metric_ds_to_zero(family, sigma, n, K, precision_bits, digit_budget)
-    tail_rows = rows[-min(3, len(rows)):]
-    violation = all(
-        row["ds_to_zero"].hi < limit.lo - margin for row in tail_rows
-    )
-    return {
-        "rows": rows,
-        "limit": limit,
-        "violation": violation,
-    }
+    return all(row["ds_to_zero"].hi < limit.lo for row in rows[-3:])

@@ -4,6 +4,7 @@ sympy is used only here, as an oracle the production code never imports.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,25 +34,30 @@ def _to_fraction(r):
     return Q(int(r.p), int(r.q))
 
 
-def _oracle_projection(v, generators, ambient):
-    """(b, P b) with P the projector onto the generators' column space.
+def _oracle_projector(generators, ambient):
+    """The matrix of the orthogonal projector onto the generators' span.
 
     The normal equations are solved on sympy's exact column-space basis,
     so dependent and zero generators need no pseudo-inverse.
     """
-    b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
-                      for x in v.to_dense(ambient)])
     basis = to_sympy_matrix(generators, ambient).T.columnspace() if generators else []
     if not basis:
-        return b, sympy.zeros(ambient, 1)
+        return sympy.zeros(ambient, ambient)
     A = sympy.Matrix.hstack(*basis)
-    return b, A * (A.T * A).inv() * A.T * b
+    return A * (A.T * A).inv() * A.T
+
+
+def _oracle_projection(v, generators, ambient):
+    """(b, P b) with P the projector onto the generators' span."""
+    b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                      for x in v.to_dense(ambient)])
+    return b, _oracle_projector(generators, ambient) * b
 
 
 def oracle_project(v, generators, ambient):
     """Orthogonal projection of v onto span(generators), as a SparseVector."""
     _, proj = _oracle_projection(v, generators, ambient)
-    return SparseVector.from_pairs((i + 1, _to_fraction(x)) for i, x in enumerate(proj))
+    return _from_sympy(proj)
 
 
 def oracle_dist_sq(v, generators, ambient):
@@ -116,6 +122,12 @@ def intersect(gen_a, gen_b, ambient):
     return complement_basis(comp, ambient)
 
 
+def prefix_agreement(a, b):
+    """Largest m with a ∩ [1:m] = b ∩ [1:m]; math.inf when a = b."""
+    first = a.symmetric_difference(b).min_element()
+    return math.inf if first is None else first - 1
+
+
 def rho_partial(a, b, terms):
     """Partial sum of the rho series over k = 1..terms."""
     return sum((Q(1, 2 ** k) for k in range(1, terms + 1)
@@ -144,6 +156,79 @@ def oracle_intersection_chain(family, sigma, depth, n):
     h_rank = rank_of_vectors(h_sigma)
     equal = len(current) == h_rank and rank_of_vectors(h_sigma + current) == h_rank
     return dims, equal
+
+
+def _oracle_span_projections(family, sigma, n, targets):
+    """Each target's projection onto truncated H_sigma, one sympy projector
+    per span."""
+    last = n if family.max_index() is None else min(n, family.max_index())
+    gens = [family.vector(k) for k in sigma.truncate(last)]
+    ambient = max([v.max_index() for v in targets + gens], default=0) or 1
+    projector = _oracle_projector(gens, ambient)
+    return [_from_sympy(projector * to_sympy_matrix([t], ambient).T) for t in targets]
+
+
+def _oracle_targets(family, K):
+    K = K if family.max_index() is None else min(K, family.max_index())
+    return [family.vector(k) for k in range(1, K + 1)]
+
+
+def _oracle_ds(diffs, targets, precision_bits):
+    """sum_k ||diffs[k]|| / (||x_k|| 2^k), enclosed term by term, plus the
+    tail [0, 2^{1-K}]."""
+    from defectlab.topology import IntervalValue, sqrt_enclosure
+
+    total = IntervalValue.exact(0)
+    for k, (diff, t) in enumerate(zip(diffs, targets), start=1):
+        term = sqrt_enclosure(diff.norm_sq() / t.norm_sq(), precision_bits)
+        total = total + term.scale(Q(1, 2 ** k))
+    return total + IntervalValue(Q(0), Q(2, 2 ** len(targets)))
+
+
+def oracle_projector_metrics(family, sigma, tau, n, K, precision_bits):
+    """(d_s, d_w) summed from the coordinate projections of x_1..x_K onto
+    truncated H_sigma and H_tau."""
+    from defectlab.topology import IntervalValue, sqrt_enclosure
+
+    targets = _oracle_targets(family, K)
+    p_sig = _oracle_span_projections(family, sigma, n, targets)
+    p_tau = _oracle_span_projections(family, tau, n, targets)
+    diffs = [a - b for a, b in zip(p_sig, p_tau)]
+    d_w = IntervalValue.exact(0)
+    for k, (diff, xk) in enumerate(zip(diffs, targets), start=1):
+        for j, xj in enumerate(targets, start=1):
+            ip = diff.dot(xj)
+            if ip:
+                term = sqrt_enclosure(ip * ip / (xk.norm_sq() * xj.norm_sq()), precision_bits)
+                d_w = d_w + term.scale(Q(1, 2 ** (k + j)))
+    K = len(targets)
+    d_w = d_w + IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
+    return _oracle_ds(diffs, targets, precision_bits), d_w
+
+
+def oracle_convergence(family, sigma, m_max, n, K, precision_bits):
+    """The convergence rows and the semicontinuity limit, rebuilt from the
+    coordinate projections onto every truncated span H_{sigma_m} and
+    H_sigma, each computed on its own."""
+    from defectlab.indexsets import rho, sigma_m
+    from defectlab.topology import sqrt_enclosure
+
+    targets = _oracle_targets(family, K)
+    window = targets[:family.default_probe_window()]
+    p_limit = _oracle_span_projections(family, sigma, n, targets)
+    rows = []
+    for m in range(1, m_max + 1):
+        s = sigma_m(sigma, m)
+        p_m = _oracle_span_projections(family, s, n, targets)
+        rows.append({
+            "m": m,
+            "sigma_m": s.describe(),
+            "rho": rho(s, sigma),
+            "ds_to_zero": _oracle_ds(p_m, targets, precision_bits),
+            "pointwise": [sqrt_enclosure((a - b).norm_sq() / t.norm_sq(), precision_bits)
+                          for a, b, t in zip(p_m, p_limit, window)],
+        })
+    return rows, _oracle_ds(p_limit, targets, precision_bits)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -19,6 +19,7 @@ from defectlab import (
     MixedSelection,
     SparseVector,
     classify_defect,
+    convergence_probe,
     defect_truncated,
     dist_sq,
     hereditary_scan,
@@ -29,12 +30,11 @@ from defectlab import (
     make_infinite_defect_set,
     make_random_finite,
     make_young,
-    metric_ds,
-    metric_dw,
     parse_set,
+    projector_metrics,
     rank_of_vectors,
     rho,
-    semicontinuity_probe,
+    semicontinuity_violation,
     sigma_m,
     swap_move,
     witness_check,
@@ -237,13 +237,13 @@ def test_criterion_08_certified_metric_enclosures():
     bound = Q(2, 2 ** K) + Q(K, 2 ** prec)
     for _ in range(50):
         sigma, tau = random_eps(rng), random_eps(rng)
-        ds = metric_ds(family, sigma, tau, n, K, prec)
-        dw = metric_dw(family, sigma, tau, n, K, prec)
+        ds, dw = projector_metrics(family, sigma, tau, n, K, prec)
         assert ds.width() <= bound
         assert dw.width() <= bound
         assert dw.lo <= ds.hi
-        assert ds.contains(metric_ds(family, sigma, tau, n, K, 2 * prec))
-        assert dw.contains(metric_dw(family, sigma, tau, n, K, 2 * prec))
+        fine_ds, fine_dw = projector_metrics(family, sigma, tau, n, K, 2 * prec)
+        assert ds.contains(fine_ds)
+        assert dw.contains(fine_dw)
     report(8, "d_s/d_w widths within bound, nested under precision doubling")
 
 
@@ -293,6 +293,6 @@ def test_criterion_10_semicontinuity_probe():
         (make_random_finite(5, 5, seed=11), "fin(2,4)", 5),
     ]
     for family, sigma_text, n in configurations:
-        out = semicontinuity_probe(family, parse_set(sigma_text), 4, n, 6, 32)
-        assert not out["violation"], (family.descriptor(), sigma_text)
+        rows, limit = convergence_probe(family, parse_set(sigma_text), 4, n, 6, 32)
+        assert not semicontinuity_violation(rows, limit), (family.descriptor(), sigma_text)
     report(10, "no certified lower-semicontinuity violation anywhere")

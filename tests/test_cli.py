@@ -152,9 +152,13 @@ class TestMetric:
         assert payload["results"]["rho"] == {"type": "exact", "value": "1"}
 
     def test_precision_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEFECTLAB_PRECISION", "16")
-        from defectlab.cli import _default_precision
-        assert _default_precision() == 16
+        monkeypatch.setenv("DEFECTLAB_PRECISION", "abc")
+        code, _, _ = run(capsys, "construct", "--family", "e1-plus-ek", "--n", "2")
+        assert code == 0
+        code, out, _ = run(capsys, "metric", "--family", "e1-plus-ek", "--sigma", "all",
+                           "--tau", "none", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["config"]["precision"] == 64
 
 
 class TestChainAndConverge:
@@ -210,8 +214,8 @@ class TestExitCodes:
     def test_invariant_error_is_4(self, capsys, monkeypatch):
         import defectlab.cli as cli
 
-        monkeypatch.setattr(cli, "metric_ds", lambda *a, **k: IntervalValue(Q(0), Q(0)))
-        monkeypatch.setattr(cli, "metric_dw", lambda *a, **k: IntervalValue(Q(1), Q(1)))
+        monkeypatch.setattr(cli, "projector_metrics", lambda *a, **k: (
+            IntervalValue(Q(0), Q(0)), IntervalValue(Q(1), Q(1))))
         code, _, err = run(capsys, "metric", "--family", "e1-plus-ek",
                            "--sigma", "all", "--tau", "none", "--n", "4")
         assert code == 4
@@ -254,11 +258,23 @@ class TestExitCodes:
         ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
          "--n-list", ","],
         ["construct", "--family", "random(d=3,n=-1)", "--n", "2"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "-3"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "0"],
+        ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2",
+         "--n", "0"],
+        ["construct", "--family", "e1-plus-ek", "--n", "-2"],
+        ["construct", "--family", "e1-plus-ek", "--n", "0"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+         "--precision", "-5"],
+        ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2", "--n", "4",
+         "--precision", "-1"],
     ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
             "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
             "oracle-instances-negative", "defect-probe-window-0",
             "defect-probe-window-negative", "defect-threshold-zero-denominator",
-            "defect-n-list-empty", "random-count-negative"])
+            "defect-n-list-empty", "random-count-negative", "metric-n-negative",
+            "metric-n-0", "converge-n-0", "construct-n-negative", "construct-n-0",
+            "metric-precision-negative", "converge-precision-negative"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -20,15 +20,12 @@ from conftest import (
 )
 from defectlab import (
     BudgetExceeded,
-    DependentGenerators,
     SparseVector,
     complement_basis,
     dist_sq,
-    project,
-    project_coefficients,
     rank_of_vectors,
 )
-from defectlab.exact import bordered_elimination, combination
+from defectlab.exact import bordered_elimination, combination, project_many
 
 Q = Fraction
 
@@ -107,14 +104,14 @@ class TestProjection:
                 [random_sparse_vector(rng, ambient) for _ in range(rng.randint(1, 5))]
             )
             v = random_sparse_vector(rng, ambient)
-            p = project(v, gens)
+            [p] = project_many([v], gens)
             for g in gens:
                 assert (v - p).dot(g) == 0
 
     def test_project_idempotent(self):
         gens = [vec(1, 1, 0), vec(1, 0, 1)]
-        p = project(vec(2, -1, 5), gens)
-        assert project(p, gens) == p
+        [p] = project_many([vec(2, -1, 5)], gens)
+        assert project_many([p], gens) == [p]
 
     def test_pythagoras(self):
         rng = random.Random(5)
@@ -122,7 +119,7 @@ class TestProjection:
             ambient = rng.randint(1, 6)
             gens = [random_sparse_vector(rng, ambient) for _ in range(rng.randint(1, 5))]
             v = random_sparse_vector(rng, ambient)
-            p = project(v, gens)
+            [p] = project_many([v], gens)
             assert v.norm_sq() == p.norm_sq() + (v - p).norm_sq()
             assert dist_sq(v, gens) == (v - p).norm_sq()
 
@@ -143,11 +140,6 @@ class TestProjection:
             d_small = dist_sq(v, gens[:2])
             d_large = dist_sq(v, gens)
             assert d_large <= d_small
-
-    def test_dependent_generators_rejected_by_coefficients(self):
-        v = vec(1, 2)
-        with pytest.raises(DependentGenerators):
-            project_coefficients(v, [vec(1, 0), vec(2, 0)])
 
     def test_dist_zero_iff_in_span(self):
         gens = [vec(1, 1, 0), vec(0, 1, 1)]
@@ -297,20 +289,14 @@ def planted_spans(draw):
 @given(planted_spans())
 def test_kernel_matches_sympy(span):
     ambient, gens, probes, cuts = span
-    elim = bordered_elimination(gens, probes, cuts=cuts)
+    elim = bordered_elimination(gens, probes, cuts=cuts, solve=True)
     for cut, dists in zip(cuts, elim.dist_sq):
         assert dists == [oracle_dist_sq(p, gens[:cut], ambient) for p in probes]
     kept = [gens[i] for i in elim.kept]
     assert len(kept) == oracle_rank(gens, ambient)
-    for p in probes:
-        expected = oracle_project(p, gens, ambient)
-        assert project(p, gens) == expected
-        if len(kept) == len(gens):
-            assert combination(project_coefficients(p, gens), gens) == expected
-        else:
-            with pytest.raises(DependentGenerators):
-                project_coefficients(p, gens)
-            assert combination(project_coefficients(p, kept), kept) == expected
+    expected = [oracle_project(p, gens, ambient) for p in probes]
+    assert project_many(probes, gens) == expected
+    assert [combination(c, kept) for c in elim.coefficients] == expected
 
 
 @settings(max_examples=60, deadline=None)

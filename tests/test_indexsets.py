@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_eventually_periodic, rho_partial
+from conftest import prefix_agreement, random_eventually_periodic, rho_partial
 from defectlab import (
     EventuallyPeriodicSet,
     parse_set,
-    prefix_agreement,
     rho,
     sigma_m,
 )

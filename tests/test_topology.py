@@ -1,4 +1,4 @@
-"""Certified projector metrics, separation, chains, convergence probes."""
+"""Certified projector metrics, chains, convergence probes."""
 import pickle
 import random
 from fractions import Fraction
@@ -8,28 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectlab import (
-    DependentGenerators,
     IntervalValue,
-    SparseVector,
     convergence_probe,
     intersection_chain,
     make_defect_pair,
     make_e1_plus_ek,
     make_random_finite,
-    metric_ds,
-    metric_ds_to_zero,
-    metric_dw,
     parse_family,
     parse_set,
-    project,
-    project_sigma,
+    projector_metrics,
     rho,
-    semicontinuity_probe,
-    separation_bound,
+    semicontinuity_violation,
     sigma_m,
     sqrt_enclosure,
 )
-from conftest import count_calls, oracle_intersection_chain, random_eventually_periodic
+from defectlab.cli import main
+from defectlab.exact import project_many
+from conftest import (
+    count_calls,
+    oracle_convergence,
+    oracle_intersection_chain,
+    oracle_projector_metrics,
+    random_eventually_periodic,
+)
 import defectlab.exact as exact
 import defectlab.topology as topology
 
@@ -87,43 +88,16 @@ class TestSqrtEnclosure:
             sqrt_enclosure(Q(-1), 10)
 
 
-class TestProjectSigma:
-    def test_worked_example(self):
-        fam = make_e1_plus_ek(2)
-        p = project_sigma(fam, parse_set("all"), SparseVector.unit(1), 2)
-        assert p.to_dense(3) == [Q(2, 3), Q(1, 3), Q(1, 3)]
-
-    def test_empty_sigma_gives_zero(self):
-        fam = make_e1_plus_ek(3)
-        assert project_sigma(fam, parse_set("none"), SparseVector.unit(1), 3).is_zero()
-
-    def test_dependent_generators_rejected(self):
-        fam = make_random_finite(2, 2, seed=4)
-
-        class Doubling:
-            def vector(self, k):
-                return fam.vector(1)
-
-            def ambient(self, n):
-                return 2
-
-            def max_index(self):
-                return None
-
-        with pytest.raises(DependentGenerators):
-            project_sigma(Doubling(), parse_set("all"), SparseVector.unit(1), 2)
-
-
 class TestMetrics:
     def test_identical_projectors_only_tail(self):
         fam = make_e1_plus_ek(8)
         sig = parse_set("res(2;1)")
-        ds = metric_ds(fam, sig, sig, 8, 6, 32)
+        ds, _ = projector_metrics(fam, sig, sig, 8, 6, 32)
         assert ds.lo == 0 and ds.hi == Q(2, 2 ** 6)
 
     def test_ds_all_vs_empty_near_one(self):
         fam = make_e1_plus_ek(10)
-        ds = metric_ds(fam, parse_set("all"), parse_set("none"), 10, 8, 32)
+        ds, _ = projector_metrics(fam, parse_set("all"), parse_set("none"), 10, 8, 32)
         # each normalized term is exactly 2^-k, so the sum approaches 1
         assert ds.lo <= 1 <= ds.hi
         assert ds.lo > Q(9, 10)
@@ -131,23 +105,23 @@ class TestMetrics:
     def test_widths_within_certified_bound(self):
         fam = make_e1_plus_ek(10)
         for K, prec in [(6, 16), (10, 32)]:
-            ds = metric_ds(fam, parse_set("res(2;0)"), parse_set("fin(1)"), 10, K, prec)
-            dw = metric_dw(fam, parse_set("res(2;0)"), parse_set("fin(1)"), 10, K, prec)
+            ds, dw = projector_metrics(fam, parse_set("res(2;0)"), parse_set("fin(1)"),
+                                       10, K, prec)
             bound = Q(2, 2 ** K) + Q(K, 2 ** prec)
             assert ds.width() <= bound
             assert dw.width() <= bound
 
     def test_dw_below_ds_upper(self):
         fam = make_e1_plus_ek(10)
-        ds = metric_ds(fam, parse_set("all"), parse_set("none"), 10, 8, 48)
-        dw = metric_dw(fam, parse_set("all"), parse_set("none"), 10, 8, 48)
+        ds, dw = projector_metrics(fam, parse_set("all"), parse_set("none"), 10, 8, 48)
         assert dw.lo <= ds.hi
 
     def test_nesting_under_precision_doubling(self):
         fam = make_e1_plus_ek(8)
-        coarse = metric_ds(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 16)
-        fine = metric_ds(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 32)
-        assert coarse.contains(fine)
+        coarse = projector_metrics(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 16)
+        fine = projector_metrics(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 32)
+        assert coarse[0].contains(fine[0])
+        assert coarse[1].contains(fine[1])
 
     def test_dw_term_identity_when_p_fixed(self):
         # <(P - Q) x_p, x_p> = ||x_p - Q x_p||^2 whenever P x_p = x_p
@@ -156,25 +130,19 @@ class TestMetrics:
         xp = fam.vector(p)
         sig_gens = [fam.vector(k) for k in sigma.truncate(n)]
         tau_gens = [fam.vector(k) for k in tau.truncate(n)]
-        p_sig = project(xp, sig_gens)
-        p_tau = project(xp, tau_gens)
+        [p_sig] = project_many([xp], sig_gens)
+        [p_tau] = project_many([xp], tau_gens)
         assert p_sig == xp
         assert (p_sig - p_tau).dot(xp) == (xp - p_tau).norm_sq()
 
-
-class TestSeparationBound:
-    def test_worked_example(self):
-        fam = make_e1_plus_ek(3)
-        assert separation_bound(fam, 1, 3) == Q(1, 6)
-
-    def test_positive_for_independent_families(self):
-        fam = make_defect_pair(2)
-        for p in (1, 2, 3):
-            assert separation_bound(fam, p, 4) > 0
-
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            separation_bound(make_e1_plus_ek(3), 4, 3)
+    def test_one_elimination_per_span(self, monkeypatch, capsys):
+        # d_s and d_w share the projections of each span
+        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
+        code = main(["metric", "--family", "e1-plus-ek", "--sigma", "res(2;1)",
+                     "--tau", "all", "--n", "16", "--terms", "10"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(elims) == 2
 
 
 class TestIntersectionChain:
@@ -239,31 +207,61 @@ def test_intersection_chain_matches_iterated_intersection(case):
     assert intersection_chain(*case) == oracle_intersection_chain(*case)
 
 
+@st.composite
+def _convergence_cases(draw):
+    family, sigma, _, n = draw(_chain_cases())
+    n = min(n, 8)
+    m_max = draw(st.integers(min_value=1, max_value=n + 3))
+    K = draw(st.integers(min_value=1, max_value=10))
+    return family, sigma, m_max, n, K, draw(st.integers(min_value=1, max_value=40))
+
+
+@given(_convergence_cases())
+@settings(max_examples=40, deadline=None)
+def test_convergence_probe_matches_span_projections(case):
+    assert convergence_probe(*case) == oracle_convergence(*case)
+
+
+@given(_convergence_cases(), st.one_of(
+    st.sampled_from(_CHAIN_SIGMAS).map(parse_set),
+    st.integers(0, 10 ** 6).map(lambda seed: random_eventually_periodic(random.Random(seed))),
+))
+@settings(max_examples=40, deadline=None)
+def test_projector_metrics_match_span_projections(case, tau):
+    family, sigma, _, n, K, precision = case
+    assert (projector_metrics(family, sigma, tau, n, K, precision)
+            == oracle_projector_metrics(family, sigma, tau, n, K, precision))
+
+
 class TestConvergenceProbe:
     def test_rho_and_pointwise_shrink(self):
         fam = make_e1_plus_ek(12)
         sigma = parse_set("none")
-        rows = convergence_probe(fam, sigma, 6, 12, 8, 32, probe_count=2)
+        rows, _ = convergence_probe(fam, sigma, 6, 12, 8, 32)
         rhos = [row["rho"] for row in rows]
         assert all(b < a for a, b in zip(rhos, rhos[1:]))
         assert rhos == [rho(sigma_m(sigma, m), sigma) for m in range(1, 7)]
         for row in rows:
+            assert len(row["pointwise"]) == 5
             assert all(iv.lo >= 0 for iv in row["pointwise"])
 
-    def test_one_elimination_per_span(self, monkeypatch):
+    def test_one_elimination_per_span(self, monkeypatch, capsys):
+        # every sigma_m span and the limit's sigma span are prefixes of one order
         elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
-        convergence_probe(make_e1_plus_ek(12), parse_set("none"), 6, 12, 10, 32,
-                          probe_count=3)
-        assert len(elims) == 6 + 1
+        code = main(["converge", "--family", "e1-plus-ek", "--sigma", "none",
+                     "--m-max", "6", "--n", "12", "--semicontinuity"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(elims) == 1
 
     def test_constant_sequence_is_tail_only(self):
+        # sigma_m(all, m) = all, so every row equals the limit
         fam = make_e1_plus_ek(8)
-        sigma = parse_set("res(2;1)")
-        rows = convergence_probe(fam, sigma, 3, 8, 6, 32,
-                                 probe_count=1, sequence=lambda m: sigma)
+        rows, limit = convergence_probe(fam, parse_set("all"), 3, 8, 6, 32)
         for row in rows:
             assert row["rho"] == 0
-            assert all(iv.lo == 0 for iv in row["pointwise"])
+            assert row["ds_to_zero"] == limit
+            assert all(iv == IntervalValue.exact(0) for iv in row["pointwise"])
 
 
 class TestSemicontinuityProbe:
@@ -273,22 +271,25 @@ class TestSemicontinuityProbe:
             (make_e1_plus_ek(10), "all"),
             (make_defect_pair(2), "fin(1)"),
         ]:
-            out = semicontinuity_probe(fam, parse_set(sig), 5, 10, 6, 32)
-            assert not out["violation"]
+            assert not semicontinuity_violation(
+                *convergence_probe(fam, parse_set(sig), 5, 10, 6, 32))
 
     def test_given_rows_match_fresh_computation(self):
+        # d_s(P_{sigma_m}, 0) and d_s(P_sigma, 0) from projections onto each span
         fam = make_e1_plus_ek(10)
+        none = parse_set("none")
         for sig in ("none", "res(2;1)"):
             sigma = parse_set(sig)
-            rows = convergence_probe(fam, sigma, 5, 10, 6, 32)
-            given_rows = semicontinuity_probe(fam, sigma, 5, 10, 6, 32, rows=rows)
-            fresh = semicontinuity_probe(fam, sigma, 5, 10, 6, 32)
-            assert given_rows["rows"] is rows
-            assert given_rows["limit"] == fresh["limit"]
-            assert given_rows["violation"] == fresh["violation"]
-            assert [r["ds_to_zero"] for r in rows] == [r["ds_to_zero"] for r in fresh["rows"]]
+            rows, limit = convergence_probe(fam, sigma, 5, 10, 6, 32)
+            assert limit == projector_metrics(fam, sigma, none, 10, 6, 32)[0]
+            for row in rows:
+                fresh = projector_metrics(fam, sigma_m(sigma, row["m"]), none, 10, 6, 32)
+                assert row["ds_to_zero"] == fresh[0]
 
-    def test_margin_parameter(self):
-        fam = make_e1_plus_ek(8)
-        out = semicontinuity_probe(fam, parse_set("none"), 4, 8, 6, 32, margin=Q(1, 4))
-        assert not out["violation"]
+    def test_violation_needs_the_last_three_rows_below_the_limit(self):
+        limit = IntervalValue(Q(1, 2), Q(3, 4))
+        below, touching = IntervalValue(Q(0), Q(1, 4)), IntervalValue(Q(0), Q(1, 2))
+        rows = [{"ds_to_zero": iv} for iv in (touching, below, below, below)]
+        assert semicontinuity_violation(rows, limit)
+        assert semicontinuity_violation(rows[2:], limit)
+        assert not semicontinuity_violation(rows[:3], limit)
