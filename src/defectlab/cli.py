@@ -430,6 +430,8 @@ def _error_json(kind: str, message: str) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.digit_budget is not None:
+            _require_positive("--digit-budget", [args.digit_budget])
         return args.func(args)
     except SystemExit as exc:
         # --help and --version print their text and exit 0

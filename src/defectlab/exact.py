@@ -1,10 +1,11 @@
 """Exact rational linear algebra over sparsely supported vectors.
 
 Everything in this module is exact: scalars are `fractions.Fraction`,
-and ranks, distances, projections, Gram solves and orthogonal
-complements all come from one fraction-free (Bareiss) elimination of a
-bordered integer Gram matrix, `bordered_elimination`.  No floating point
-ever enters.
+and all elimination is fraction-free on integers.  Distances,
+projections and Gram solves come from one Bareiss elimination of a
+bordered integer Gram matrix, `bordered_elimination`; ranks and
+orthogonal complements come from one sparse echelon pass on the
+vectors' integer coordinates, `echelon`.  No floating point ever enters.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def _as_fraction(x) -> Fraction:
 _BITS_PER_DIGIT = Fraction(10, 3)
 
 
-def _check_budget(values: Iterable[Fraction], digit_budget: Optional[int]) -> None:
+def _check_budget(values: Iterable, digit_budget: Optional[int]) -> None:
     if digit_budget is None:
         return
     limit = int(digit_budget * _BITS_PER_DIGIT)
@@ -51,7 +52,7 @@ class SparseVector:
     indices and nonzero values; the zero vector has no entries.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_ints")
 
     def __init__(self, entries: tuple):
         prev = 0
@@ -62,6 +63,10 @@ class SparseVector:
                 raise ValueError("stored values must be nonzero")
             prev = idx
         self.entries = entries
+        self._ints = None
+
+    def __reduce__(self):
+        return SparseVector, (self.entries,)
 
     def __eq__(self, other):
         if other.__class__ is not SparseVector:
@@ -165,9 +170,12 @@ class Elimination(NamedTuple):
 
 
 def _integer_coords(v: SparseVector) -> tuple:
-    """(s, {index: int}) with s the lcm of v's denominators: s*v is integral."""
-    s = math.lcm(*(x.denominator for _, x in v.entries))
-    return s, {i: x.numerator * (s // x.denominator) for i, x in v.entries}
+    """(s, {index: int}) with s the lcm of v's denominators: s*v is integral.
+    Cached on v, so callers must not mutate the dict."""
+    if v._ints is None:
+        s = math.lcm(*(x.denominator for _, x in v.entries))
+        v._ints = s, {i: x.numerator * (s // x.denominator) for i, x in v.entries}
+    return v._ints
 
 
 def _idot(a: dict, b: dict) -> int:
@@ -267,16 +275,62 @@ def bordered_elimination(
     return Elimination(tuple(kept), table, coefficients)
 
 
+def _reduce(row: dict, prow: dict, p: int) -> dict:
+    """a*row - b*prow with coordinate p cancelled, divided by its content."""
+    a, b = prow[p], row[p]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {i: a * x for i, x in row.items()}
+    for i, y in prow.items():
+        x = out.get(i, 0) - b * y
+        if x:
+            out[i] = x
+        else:
+            out.pop(i, None)
+    g = math.gcd(*out.values())
+    return {i: x // g for i, x in out.items()} if g > 1 else out
+
+
+def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> tuple:
+    """Fraction-free sparse row echelon pass: (kept, pivots).
+
+    Each vector's integer coordinates are reduced against the pivot rows
+    in insertion order.  A row that stays nonzero is independent of the
+    vectors before it: its index goes into kept (the greedy maximal
+    independent subset), and pivots maps its least coordinate to it.  The
+    pivots are the reduced-row-echelon pivot columns.  A digit budget is
+    checked on the input coordinates and on every reduced row.
+    """
+    kept, pivots = [], {}
+    for r, v in enumerate(vectors):
+        row = _integer_coords(v)[1]
+        _check_budget(row.values(), digit_budget)
+        for p, prow in pivots.items():
+            if p in row:
+                row = _reduce(row, prow, p)
+                _check_budget(row.values(), digit_budget)
+        if row:
+            pivots[min(row)] = row
+            kept.append(r)
+    return tuple(kept), pivots
+
+
 def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
-    """dim span(vectors): the number of generators the elimination keeps."""
-    return len(bordered_elimination(vectors, digit_budget=digit_budget).kept)
+    """dim span(vectors): the number of vectors the echelon pass keeps."""
+    return len(echelon(vectors, digit_budget)[0])
 
 
 def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> SparseVector:
-    """sum(c_i v_i) as a sparse vector."""
-    return SparseVector.from_pairs(
-        (i, c * x) for c, v in zip(coeffs, vectors) if c for i, x in v.entries
-    )
+    """sum(c_i v_i) as a sparse vector, summed in integers over the common
+    denominator lcm(den(c_i) * scale(v_i))."""
+    terms = [(c, _integer_coords(v)) for c, v in zip(coeffs, vectors) if c]
+    den = math.lcm(*(c.denominator * s for c, (s, _) in terms))
+    acc = {}
+    for c, (s, ints) in terms:
+        m = c.numerator * (den // (c.denominator * s))
+        for i, x in ints.items():
+            acc[i] = acc.get(i, 0) + m * x
+    return SparseVector(tuple((i, Fraction(acc[i], den)) for i in sorted(acc) if acc[i]))
 
 
 def project_many(
@@ -306,23 +360,25 @@ def complement_basis(generators: Sequence[SparseVector], ambient: int) -> list:
     """Exact basis of the orthogonal complement inside coordinates 1..ambient.
 
     The complement is the null space of the matrix whose rows are the
-    generators.  Its columns are eliminated in order; every column f that
-    is not kept equals a combination of the kept columns, and e_f minus
-    that combination is a null vector.  These are the vectors of the
-    reduced-row-echelon null-space basis, in the same order.
+    generators.  The echelon pass's pivot rows are back-reduced, each
+    against the rows of the larger pivots, until every row R_p is zero
+    at every other pivot; then for each free coordinate f,
+    e_f - sum_p (R_p[f] / R_p[p]) e_p is a null vector.  These are the
+    vectors of the reduced-row-echelon null-space basis, in the same
+    order.
     """
     if any(g.max_index() > ambient for g in generators):
         raise ValueError("generator support exceeds ambient dimension")
-    columns = [[] for _ in range(ambient)]
-    for r, g in enumerate(generators, start=1):
-        for i, x in g.entries:
-            columns[i - 1].append((r, x))
-    columns = [SparseVector(tuple(col)) for col in columns]
-    elim = bordered_elimination(columns, columns, solve=True)
+    rows = {}
+    for p, row in sorted(echelon(generators)[1].items(), reverse=True):
+        for q, qrow in rows.items():
+            if q in row:
+                row = _reduce(row, qrow, q)
+        rows[p] = row
     return [
         SparseVector.from_pairs(
-            [(f + 1, Q(1))] + [(p + 1, -c) for p, c in zip(elim.kept, coeffs)]
+            [(f, Q(1))] + [(p, Q(-row[f], row[p])) for p, row in rows.items() if f in row]
         )
-        for f, coeffs in enumerate(elim.coefficients)
-        if f not in elim.kept
+        for f in range(1, ambient + 1)
+        if f not in rows
     ]

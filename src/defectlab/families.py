@@ -440,18 +440,12 @@ class RandomFiniteFamily(SystemFamily):
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
-        duals = []
         comp = complement_basis(vecs, self.dim) if self.dual_style == "perturbed" else []
-        for coeffs in elim.coefficients:
-            target = combination(coeffs, vecs)
-            if comp:
-                for w in comp:
-                    c = rng.randint(-2, 2)
-                    if c:
-                        target = target + w.scale(Q(c))
-            duals.append(target)
         self._vectors = vecs
-        self._duals = duals
+        self._duals = [
+            combination(coeffs + [rng.randint(-2, 2) for _ in comp], vecs + comp)
+            for coeffs in elim.coefficients
+        ]
 
     def vector(self, k):
         return self._vectors[k - 1]

@@ -16,6 +16,7 @@ from .exact import (
     InvariantViolation,
     SparseVector,
     bordered_elimination,
+    echelon,
     rank_of_vectors,
 )
 from .families import RandomFiniteFamily, SystemFamily
@@ -83,12 +84,12 @@ def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
     """defect_truncated at every n of n_grid, in the given order.
 
     The mixed vectors at n are a prefix of those at max(n_grid) and the
-    elimination keeps a generator exactly when it is independent of those
-    before it, so one elimination gives the rank at every n as the number
-    of generators it keeps before n.
+    echelon pass keeps a vector exactly when it is independent of those
+    before it, so one pass gives the rank at every n as the number of
+    vectors it keeps before n.
     """
     gens = mixed_vectors(MixedSelection(family, sigma, max(n_grid, default=0)))
-    kept = bordered_elimination(gens, digit_budget=digit_budget).kept
+    kept = echelon(gens, digit_budget)[0]
     _check_mixed_rank(gens, len(kept))
     return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
@@ -250,16 +251,17 @@ def classify_defect(
 
 def swap_move(sigma: EventuallyPeriodicSet, k0: int, direction: str) -> EventuallyPeriodicSet:
     """Move index k0 across the partition; direction is 'in' or 'out'."""
-    single = EventuallyPeriodicSet.finite([k0])
     if direction == "in":
         if sigma.contains(k0):
             raise WrongSide(f"{k0} is already in sigma")
-        return sigma.union(single)
-    if direction == "out":
+        added, removed = sigma.added | {k0}, sigma.removed - {k0}
+    elif direction == "out":
         if not sigma.contains(k0):
             raise WrongSide(f"{k0} is not in sigma")
-        return sigma.difference(single)
-    raise ValueError("direction must be 'in' or 'out'")
+        added, removed = sigma.added - {k0}, sigma.removed | {k0}
+    else:
+        raise ValueError("direction must be 'in' or 'out'")
+    return EventuallyPeriodicSet.make(sigma.period, sigma.residues, added, removed)
 
 
 def hereditary_scan(family: RandomFiniteFamily) -> int:

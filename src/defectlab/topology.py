@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import bordered_elimination, project_many
+from .exact import bordered_elimination, echelon, project_many
 from .families import SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho, sigma_m
 
@@ -182,14 +182,13 @@ def intersection_chain(
     H_sigma.  sigma_{m+1} is a subset of sigma_m, so the truncated spans
     are nested and the intersection after step m is truncated
     H_{sigma_m} itself, which contains H_sigma.  In the nested order every
-    one of these spans is a prefix, so one elimination gives each
-    dimension as the number of generators it keeps before that prefix's
-    end.
+    one of these spans is a prefix, so one echelon pass gives each
+    dimension as the number of vectors it keeps before that prefix's end.
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
     order, ends = _nested_order(family, sigma, depth, n)
-    kept = bordered_elimination(family.vectors(order), digit_budget=digit_budget).kept
+    kept = echelon(family.vectors(order), digit_budget)[0]
     ranks = [bisect.bisect_left(kept, end) for end in ends]
     return ranks[1:][::-1], ranks[0] == ranks[1]
 

@@ -81,6 +81,20 @@ def oracle_nullspace(vectors, ambient):
     return [_from_sympy(column) for column in matrix.nullspace()]
 
 
+def oracle_greedy_kept(vectors, ambient):
+    """Indices of the vectors independent of those before them: the pivot
+    columns of the matrix whose columns are the vectors."""
+    matrix = to_sympy_matrix(vectors, ambient) if vectors else sympy.zeros(0, ambient)
+    return tuple(matrix.T.rref()[1])
+
+
+def oracle_pivot_columns(vectors, ambient):
+    """The reduced-row-echelon pivot columns, numbered from 1, of the
+    matrix whose rows are the vectors."""
+    matrix = to_sympy_matrix(vectors, ambient) if vectors else sympy.zeros(0, ambient)
+    return [c + 1 for c in matrix.rref()[1]]
+
+
 def oracle_perturbed_duals(dim, count, seed):
     """random(d=dim,n=count,seed=seed,dual=perturbed), replayed on sympy.
 
@@ -282,17 +296,18 @@ def rising_decay(monkeypatch):
 
 @pytest.fixture
 def dropped_generator(monkeypatch):
-    """Makes the elimination, as `exact` and `mixed` call it, drop its
-    last kept generator, so a truncated mixed family loses rank as if one
-    of its vectors lay in the span of those before it."""
+    """Makes the echelon pass, as `exact`, `mixed` and `topology` call it,
+    drop its last kept index, so a truncated mixed family loses rank as if
+    one of its vectors lay in the span of those before it."""
     import defectlab.exact as exact
     import defectlab.mixed as mixed
+    import defectlab.topology as topology
 
-    real = exact.bordered_elimination
+    real = exact.echelon
 
     def dropping(*args, **kwargs):
-        elim = real(*args, **kwargs)
-        return elim._replace(kept=elim.kept[:-1])
+        kept, pivots = real(*args, **kwargs)
+        return kept[:-1], pivots
 
-    for module in (exact, mixed):
-        monkeypatch.setattr(module, "bordered_elimination", dropping)
+    for module in (exact, mixed, topology):
+        monkeypatch.setattr(module, "echelon", dropping)

@@ -229,12 +229,28 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "input"
 
     def test_chain_budget_is_3(self, capsys):
-        code, out, err = run(capsys, "chain", "--family", "defect-pair(m=2)",
-                             "--sigma", "res(2;1)", "--depth", "8", "--n", "24",
-                             "--digit-budget", "2")
+        # the echelon pass needs 2 digits here
+        argv = ["chain", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
+                "--depth", "8", "--n", "24", "--digit-budget"]
+        code, out, err = run(capsys, *argv, "1")
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "budget"
+        code, out, _ = run(capsys, *argv, "2")
+        assert code == 0
+        assert json.loads(out)["results"]["dims"]
+
+    def test_sweep_budget_is_3(self, capsys):
+        # the echelon pass needs 4 digits here: a reduced row, not an input, sets it
+        argv = ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
+                "--n-grid", "10,20,40,80", "--digit-budget"]
+        code, out, err = run(capsys, *argv, "3")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "budget"
+        code, out, _ = run(capsys, *argv, "4")
+        assert code == 0
+        assert len(json.loads(out)["results"]["grid"]) == 12
 
     @pytest.mark.parametrize("argv", [
         ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "0"],
@@ -268,13 +284,18 @@ class TestExitCodes:
          "--precision", "-5"],
         ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2", "--n", "4",
          "--precision", "-1"],
+        ["chain", "--family", "e1-plus-ek", "--sigma", "all", "--depth", "2", "--n", "4",
+         "--digit-budget", "-1"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+         "--digit-budget", "0"],
     ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
             "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
             "oracle-instances-negative", "defect-probe-window-0",
             "defect-probe-window-negative", "defect-threshold-zero-denominator",
             "defect-n-list-empty", "random-count-negative", "metric-n-negative",
             "metric-n-0", "converge-n-0", "construct-n-negative", "construct-n-0",
-            "metric-precision-negative", "converge-precision-negative"])
+            "metric-precision-negative", "converge-precision-negative",
+            "chain-digit-budget-negative", "metric-digit-budget-0"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -298,14 +319,14 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "invariant"
 
-    def test_witness_rank_budget_counts_gram_pivots(self, capsys):
+    def test_witness_rank_budget_counts_echelon_rows(self, capsys):
         argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
                 "fin(5,20,30)", "--n", "40", "--digit-budget"]
-        code, out, err = run(capsys, *argv, "12")
+        code, out, err = run(capsys, *argv, "10")
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "budget"
-        code, out, _ = run(capsys, *argv, "127")
+        code, out, _ = run(capsys, *argv, "11")
         assert code == 0
         assert json.loads(out)["results"]["verdict"] == "inf"
 
@@ -408,6 +429,16 @@ def cli_argv(draw):
     return argv + optional("--digit-budget", _SIZE)
 
 
+def _flag_value(argv, name):
+    """The value given to flag `name` in argv, in either spelling, or None."""
+    for arg, following in zip(argv, argv[1:] + [None]):
+        if arg == name:
+            return following
+        if arg.startswith(name + "="):
+            return arg[len(name) + 1:]
+    return None
+
+
 _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12"]
 
 
@@ -425,6 +456,9 @@ def test_exit_code_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3)
+    budget = _flag_value(argv, "--digit-budget")
+    if budget is not None and int(budget) < 1:
+        assert code == 2
     if code:
         assert set(json.loads(err.getvalue())) == {"error"}
         return

@@ -11,9 +11,11 @@ from conftest import (
     independent_subset,
     intersect,
     oracle_dist_sq,
+    oracle_greedy_kept,
     oracle_intersection_dim,
     oracle_nullspace,
     oracle_nullspace_dim,
+    oracle_pivot_columns,
     oracle_project,
     oracle_rank,
     random_sparse_vector,
@@ -25,7 +27,8 @@ from defectlab import (
     dist_sq,
     rank_of_vectors,
 )
-from defectlab.exact import bordered_elimination, combination, project_many
+from defectlab.exact import bordered_elimination, combination, echelon, project_many
+from defectlab.families import parse_family
 
 Q = Fraction
 
@@ -68,6 +71,8 @@ class TestSparseVector:
 
     def test_value_semantics_and_pickle(self):
         v = vec(Q(1, 2), 0, 3)
+        rank_of_vectors([v])  # fills the integer-coordinate cache
+        assert pickle.dumps(v) == pickle.dumps(vec(Q(1, 2), 0, 3))
         assert v == vec(Q(1, 2), 0, 3) and hash(v) == hash(vec(Q(1, 2), 0, 3))
         assert v != vec(Q(1, 2), 0, 2) and v != v.entries
         assert repr(v) == "SparseVector(entries=((1, Fraction(1, 2)), (3, Fraction(3, 1))))"
@@ -240,6 +245,25 @@ def test_rank_property_matches_sympy(rows):
     assert rank_of_vectors(vectors) == oracle_rank(vectors, 3)
 
 
+class TestEchelon:
+    def test_budget_trips_inside_a_reduction(self):
+        # Every input coordinate fits in 1 digit (3 bits); reducing the
+        # second row gives 5(7,5,2) - 7(5,7,1) = (0,-24,3) = 3(0,-8,1),
+        # and -8 needs 4 bits.
+        rows = [vec(5, 7, 1), vec(7, 5, 2)]
+        for row in rows:
+            echelon([row], digit_budget=1)
+        with pytest.raises(BudgetExceeded):
+            echelon(rows, digit_budget=1)
+        assert echelon(rows, digit_budget=2)[0] == (0, 1)
+
+    def test_pivots_are_least_coordinates_of_reduced_rows(self):
+        # (3,1,0) reduced against (0,2,4) is 2(3,1,0) - (0,2,4) = 2(3,0,-2)
+        kept, pivots = echelon([vec(0, 2, 4), vec(0, 1, 2), vec(3, 1, 0)])
+        assert kept == (0, 2)
+        assert list(pivots.items()) == [(2, {2: 2, 3: 4}), (1, {1: 3, 3: -2})]
+
+
 class TestBorderedElimination:
     def test_budget_trips_partway(self):
         # The Gram diagonal is 100 (7 bits), within a 3-digit (10-bit)
@@ -299,12 +323,58 @@ def test_kernel_matches_sympy(span):
     assert [combination(c, kept) for c in elim.coefficients] == expected
 
 
+_FAMILIES = [parse_family(text) for text in (
+    "young(w=2)", "infinite-set(0,1,inf)", "infinite-set(0,2,inf)", "defect-pair(m=3)",
+    "finite-set(0,1,3)", "e1-plus-ek")]
+
+
+@st.composite
+def family_spans(draw, max_n=16):
+    """(ambient, vectors): vectors and duals of a built-in family at
+    n <= max_n in a drawn order, with planted zero and dependent vectors."""
+    family = draw(st.sampled_from(_FAMILIES))
+    n = draw(st.integers(1, max_n))
+    picks = draw(st.lists(st.tuples(st.integers(1, n), st.booleans()), max_size=n))
+    vectors = [family.vector(k) if primal else family.dual(k) for k, primal in picks]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(vectors)))
+        coeffs = draw(st.lists(_ENTRY, min_size=pos, max_size=pos))
+        vectors.insert(pos, combination(coeffs, vectors[:pos]))
+    return family.ambient(n), vectors
+
+
+_SPANS = st.one_of(planted_spans().map(lambda span: span[:2]), family_spans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SPANS)
+def test_echelon_keeps_the_greedy_independent_subset(span):
+    ambient, vectors = span
+    kept, pivots = echelon(vectors)
+    assert kept == bordered_elimination(vectors).kept == oracle_greedy_kept(vectors, ambient)
+    assert sorted(pivots) == oracle_pivot_columns(vectors, ambient)
+
+
 @settings(max_examples=60, deadline=None)
-@given(planted_spans(), st.booleans())
-@example((3, [], [E1], [0, 0]), False)
-@example((3, [vec(1, 2, 0), vec(0, 1, 1)], [E1], [0, 2]), True)
-def test_complement_matches_sympy_nullspace(span, full_rank):
+@given(planted_spans(), st.data())
+def test_combination_matches_fraction_sum(span, data):
     ambient, gens, _, _ = span
+    coeffs = data.draw(st.lists(st.one_of(_ENTRY, st.integers(-3, 3)),
+                                min_size=len(gens), max_size=len(gens)))
+    total = combination(coeffs, gens)
+    assert total.to_dense(ambient) == [
+        sum((c * g.get(i) for c, g in zip(coeffs, gens)), Q(0))
+        for i in range(1, ambient + 1)
+    ]
+    assert all(type(x) is Fraction for _, x in total.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPANS, st.booleans())
+@example((3, []), False)
+@example((3, [vec(1, 2, 0), vec(0, 1, 1)]), True)
+def test_complement_matches_sympy_nullspace(span, full_rank):
+    ambient, gens = span
     if full_rank:
         gens = gens + [SparseVector.unit(i) for i in range(1, ambient + 1)]
     assert complement_basis(gens, ambient) == oracle_nullspace(gens, ambient)

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectlab import (
     INCONCLUSIVE,
+    EventuallyPeriodicSet,
     MixedSelection,
     SparseVector,
     TooLarge,
@@ -26,7 +29,7 @@ from defectlab import (
     swap_move,
     witness_check,
 )
-from conftest import oracle_dist_sq
+from conftest import oracle_dist_sq, random_eventually_periodic
 from defectlab.exact import InvariantViolation
 from defectlab.mixed import _probe_passes, defect_sweep
 
@@ -227,6 +230,19 @@ class TestSwapMove:
             swap_move(parse_set("none"), 2, "out")
         with pytest.raises(ValueError):
             swap_move(parse_set("none"), 2, "sideways")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 30))
+    def test_matches_set_algebra(self, rng, k0):
+        sigma = random_eventually_periodic(rng)
+        single = EventuallyPeriodicSet.finite([k0])
+        inside = sigma.contains(k0)
+        if inside:
+            assert swap_move(sigma, k0, "out") == sigma.difference(single)
+        else:
+            assert swap_move(sigma, k0, "in") == sigma.union(single)
+        with pytest.raises(WrongSide):
+            swap_move(sigma, k0, "in" if inside else "out")
 
     def test_swap_invariance_random_instances(self):
         rng = random.Random(99)
