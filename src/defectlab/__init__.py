@@ -19,12 +19,6 @@ from .families import (
     SystemFamily,
     UnsupportedFamily,
     YoungFamily,
-    make_defect_pair,
-    make_e1_plus_ek,
-    make_finite_defect_set,
-    make_infinite_defect_set,
-    make_random_finite,
-    make_young,
     parse_family,
 )
 from .indexsets import (

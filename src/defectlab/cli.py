@@ -85,24 +85,18 @@ def _emit(args, command: str, config: dict, results: dict) -> None:
 def cmd_construct(args) -> int:
     _require_positive("--n", [args.n])
     family = parse_family(args.family)
-    n = args.n
-    if family.max_index() is not None:
-        n = min(n, family.max_index())
-    vectors = []
-    ok = True
-    for k in range(1, n + 1):
-        xk = family.vector(k)
-        dk = family.dual(k)
-        vectors.append({
+    n = family.truncation(args.n)
+    xs = family.vectors(range(1, n + 1))
+    duals = [family.dual(k) for k in range(1, n + 1)]
+    ok = all(x.dot(d) == int(j == k) for j, x in enumerate(xs) for k, d in enumerate(duals))
+    vectors = [
+        {
             "k": k,
-            "x": [[i, rational_str(v)] for i, v in xk.entries],
-            "x_star": [[i, rational_str(v)] for i, v in dk.entries],
-        })
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            expect = Fraction(1 if j == k else 0)
-            if family.vector(j).dot(family.dual(k)) != expect:
-                ok = False
+            "x": [[i, rational_str(v)] for i, v in x.entries],
+            "x_star": [[i, rational_str(v)] for i, v in d.entries],
+        }
+        for k, (x, d) in enumerate(zip(xs, duals), start=1)
+    ]
     results = {
         "ambient": family.ambient(n),
         "index_offset": family.index_offset,
@@ -121,6 +115,7 @@ def cmd_defect(args) -> int:
         raise ValueError("--n-list names no truncation")
     _require_positive("--n", [args.n])
     _require_positive("--n-list", n_list or [])
+    _require_positive("--min-points", [args.min_points])
     threshold = _rational("--threshold", args.threshold)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
@@ -156,6 +151,7 @@ def cmd_sweep(args) -> int:
     sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
     n_grid = _int_list(args.n_grid)
     _require_positive("--n-grid", n_grid)
+    _require_positive("--workers", [args.workers])
     task = functools.partial(defect_sweep, parse_family(args.family), n_grid=n_grid,
                              digit_budget=args.digit_budget)
     parsed = [parse_set(sigma_text) for sigma_text in sigmas]

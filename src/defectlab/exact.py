@@ -108,9 +108,6 @@ class SparseVector:
                 return v
         return Q(0)
 
-    def support(self):
-        return tuple(i for i, _ in self.entries)
-
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else 0
 
@@ -140,9 +137,6 @@ class SparseVector:
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "SparseVector":
-        return self.scale(-1)
 
     def to_dense(self, ambient: int) -> list:
         dense = [Q(0)] * ambient

@@ -60,9 +60,9 @@ class SystemFamily:
     def default_probe_window(self) -> int:
         return 5
 
-    def max_index(self) -> Optional[int]:
-        """Largest defined index, or None for genuinely infinite families."""
-        return None
+    def truncation(self, n: int) -> int:
+        """The last index of x_1..x_n that the family defines."""
+        return n
 
     # -- defect prediction --------------------------------------------
     def predicted_defect(self, sigma: EventuallyPeriodicSet):
@@ -83,39 +83,47 @@ class SystemFamily:
         return [self.vector(k) for k in indices]
 
 
-class E1PlusEkFamily(SystemFamily):
-    """x_i = e_1 + e_{i+1}; internal index 1 maps to the original start at 2."""
+class HeadFamily(SystemFamily):
+    """x_k = sum of head_pairs(k) + e_{head+k} and x_k* = e_{head+k}.
 
-    kind = "e1-plus-ek"
-    index_offset = 1
+    The head coordinates 1..head are shared by all vectors; each vector
+    has one private coordinate after them.  The default prediction: a
+    mixed system misses exactly the head directions when sigma is finite
+    and none otherwise, so the defects are {0, head}.  The witnesses are
+    the first predicted_defect(sigma) head unit vectors.
+    """
+
+    head = 0
+
+    def head_pairs(self, k: int) -> list:
+        """The (coordinate, value) pairs of x_k on the head coordinates."""
+        raise NotImplementedError
 
     def vector(self, k):
-        return SparseVector.from_pairs([(1, Q(1)), (k + 1, Q(1))])
+        return SparseVector.from_pairs(self.head_pairs(k) + [(self.head + k, Q(1))])
 
     def dual(self, k):
-        return SparseVector.unit(k + 1)
+        return SparseVector.unit(self.head + k)
 
     def ambient(self, n):
-        return n + 1
+        return self.head + n
 
-    def descriptor(self):
-        return "e1-plus-ek"
+    def default_probe_window(self):
+        return max(self.head, 5)
 
     def predicted_defect(self, sigma):
-        return 0 if not sigma.is_finite() else 1
+        return 0 if not sigma.is_finite() else self.head
 
     def witness_space(self, sigma, n, window=None):
-        if sigma.is_finite():
-            return [SparseVector.unit(1)]
-        return []
+        return [SparseVector.unit(j) for j in range(1, self.predicted_defect(sigma) + 1)]
 
     def predicted_exceptional(self, sigma, n):
-        if sigma.is_finite():
+        if sigma.is_finite() and self.head > 0:
             return frozenset(sigma.truncate(n))
         return frozenset()
 
 
-class YoungFamily(SystemFamily):
+class YoungFamily(HeadFamily):
     """x_k = 2^k sum_{j<=min(k,W)} k^{1-j} f_j + e_k with the f-block first."""
 
     kind = "young"
@@ -123,48 +131,16 @@ class YoungFamily(SystemFamily):
     def __init__(self, width: int):
         if width < 0:
             raise ValueError("width must be nonnegative")
-        self.width = width
+        self.head = width
 
-    def f_coord(self, j):
-        return j
-
-    def e_coord(self, k):
-        return self.width + k
-
-    def vector(self, k):
-        pairs = []
-        for j in range(1, min(k, self.width) + 1):
-            pairs.append((self.f_coord(j), Q(2 ** k) / Q(k ** (j - 1))))
-        pairs.append((self.e_coord(k), Q(1)))
-        return SparseVector.from_pairs(pairs)
-
-    def dual(self, k):
-        return SparseVector.unit(self.e_coord(k))
-
-    def ambient(self, n):
-        return self.width + n
+    def head_pairs(self, k):
+        return [(j, Q(2 ** k) / Q(k ** (j - 1))) for j in range(1, min(k, self.head) + 1)]
 
     def descriptor(self):
-        return f"young(w={self.width})"
-
-    def default_probe_window(self):
-        return max(self.width, 5)
-
-    def predicted_defect(self, sigma):
-        return 0 if not sigma.is_finite() else self.width
-
-    def witness_space(self, sigma, n, window=None):
-        if sigma.is_finite():
-            return [SparseVector.unit(self.f_coord(j)) for j in range(1, self.width + 1)]
-        return []
-
-    def predicted_exceptional(self, sigma, n):
-        if sigma.is_finite() and self.width > 0:
-            return frozenset(sigma.truncate(n))
-        return frozenset()
+        return f"young(w={self.head})"
 
 
-class DefectPairFamily(SystemFamily):
+class DefectPairFamily(HeadFamily):
     """x_k = e_1 + k e_2 + ... + k^{m-1} e_m + e_{m+k}; defects are {0, m}."""
 
     kind = "defect-pair"
@@ -172,37 +148,27 @@ class DefectPairFamily(SystemFamily):
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be positive")
-        self.m = m
+        self.head = m
 
-    def vector(self, k):
-        pairs = [(j, Q(k ** (j - 1))) for j in range(1, self.m + 1)]
-        pairs.append((self.m + k, Q(1)))
-        return SparseVector.from_pairs(pairs)
-
-    def dual(self, k):
-        return SparseVector.unit(self.m + k)
-
-    def ambient(self, n):
-        return self.m + n
+    def head_pairs(self, k):
+        return [(j, Q(k ** (j - 1))) for j in range(1, self.head + 1)]
 
     def descriptor(self):
-        return f"defect-pair(m={self.m})"
+        return f"defect-pair(m={self.head})"
 
-    def default_probe_window(self):
-        return max(self.m, 5)
 
-    def predicted_defect(self, sigma):
-        return 0 if not sigma.is_finite() else self.m
+class E1PlusEkFamily(DefectPairFamily):
+    """x_i = e_1 + e_{i+1}, that is defect-pair(m=1); internal index 1 maps
+    to the original start at 2."""
 
-    def witness_space(self, sigma, n, window=None):
-        if sigma.is_finite():
-            return [SparseVector.unit(j) for j in range(1, self.m + 1)]
-        return []
+    kind = "e1-plus-ek"
+    index_offset = 1
 
-    def predicted_exceptional(self, sigma, n):
-        if sigma.is_finite():
-            return frozenset(sigma.truncate(n))
-        return frozenset()
+    def __init__(self):
+        super().__init__(1)
+
+    def descriptor(self):
+        return "e1-plus-ek"
 
 
 def _check_defect_set(finite_part) -> list:
@@ -214,24 +180,22 @@ def _check_defect_set(finite_part) -> list:
     return S
 
 
-class FiniteDefectSetFamily(SystemFamily):
+class FiniteDefectSetFamily(HeadFamily):
     """Interleaved family realizing a finite defect set S = {0=k_0,...,k_s}.
 
-    x_k uses the variant with superscript j = (k-1) mod (s+1).
+    x_k uses the variant with superscript j = (k-1) mod (s+1), whose head
+    coordinates are k_j+1..k_s; the head is k_s wide.
     """
 
     kind = "finite-set"
 
     def __init__(self, defect_set: tuple):
         self.defect_set = tuple(_check_defect_set(defect_set))
+        self.head = self.defect_set[-1]
 
     @property
     def s(self):
         return len(self.defect_set) - 1
-
-    @property
-    def k_s(self):
-        return self.defect_set[-1]
 
     def class_of(self, k: int) -> int:
         return (k - 1) % (self.s + 1)
@@ -240,24 +204,12 @@ class FiniteDefectSetFamily(SystemFamily):
         period = self.s + 1
         return EventuallyPeriodicSet.residue_class(period, [(j + 1) % period])
 
-    def vector(self, k):
-        j = self.class_of(k)
-        kj = self.defect_set[j]
-        pairs = [(l, Q(k ** (l - 1))) for l in range(kj + 1, self.k_s + 1)]
-        pairs.append((k + self.k_s, Q(1)))
-        return SparseVector.from_pairs(pairs)
-
-    def dual(self, k):
-        return SparseVector.unit(k + self.k_s)
-
-    def ambient(self, n):
-        return self.k_s + n
+    def head_pairs(self, k):
+        kj = self.defect_set[self.class_of(k)]
+        return [(l, Q(k ** (l - 1))) for l in range(kj + 1, self.head + 1)]
 
     def descriptor(self):
         return "finite-set(%s)" % ",".join(str(x) for x in self.defect_set)
-
-    def default_probe_window(self):
-        return max(self.k_s, 5)
 
     def _leading_class(self, sigma: EventuallyPeriodicSet) -> int:
         """Smallest class index meeting sigma infinitely often; s if none."""
@@ -269,12 +221,8 @@ class FiniteDefectSetFamily(SystemFamily):
     def predicted_defect(self, sigma):
         return self.defect_set[self._leading_class(sigma)]
 
-    def witness_space(self, sigma, n, window=None):
-        kj = self.defect_set[self._leading_class(sigma)]
-        return [SparseVector.unit(i) for i in range(1, kj + 1)]
-
     def predicted_exceptional(self, sigma, n):
-        kj1 = self.defect_set[self._leading_class(sigma)]
+        kj1 = self.predicted_defect(sigma)
         return frozenset(
             k for k in sigma.truncate(n) if self.defect_set[self.class_of(k)] < kj1
         )
@@ -456,45 +404,13 @@ class RandomFiniteFamily(SystemFamily):
     def ambient(self, n):
         return self.dim
 
-    def max_index(self):
-        return self.count
+    def truncation(self, n):
+        return min(n, self.count)
 
     def descriptor(self):
         return (
             f"random(d={self.dim},n={self.count},seed={self.seed},dual={self.dual_style})"
         )
-
-
-# -- family constructors matching the operation-level API -------------------
-
-def make_e1_plus_ek(n: int) -> E1PlusEkFamily:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return E1PlusEkFamily()
-
-
-def make_young(width: int) -> YoungFamily:
-    return YoungFamily(width=width)
-
-
-def make_defect_pair(m: int) -> DefectPairFamily:
-    return DefectPairFamily(m=m)
-
-
-def make_finite_defect_set(defect_set) -> FiniteDefectSetFamily:
-    return FiniteDefectSetFamily(defect_set=tuple(defect_set))
-
-
-def make_infinite_defect_set(defect_set) -> InfiniteDefectSetFamily:
-    finite_part = [x for x in defect_set if x != INFINITE and x != "inf"]
-    if len(finite_part) == len(tuple(defect_set)):
-        raise MalformedDefectSet("defect set must contain infinity")
-    return InfiniteDefectSetFamily(finite_part=tuple(finite_part))
-
-
-def make_random_finite(dim: int, count: int, seed: int,
-                       dual_style: str = "span") -> RandomFiniteFamily:
-    return RandomFiniteFamily(dim=dim, count=count, seed=seed, dual_style=dual_style)
 
 
 # -- descriptor grammar ------------------------------------------------------

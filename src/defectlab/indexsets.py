@@ -107,9 +107,6 @@ class EventuallyPeriodicSet(NamedTuple):
     def is_finite(self) -> bool:
         return not self.residues
 
-    def is_empty(self) -> bool:
-        return not self.residues and not self.added
-
     def truncate(self, n: int) -> list:
         """Sorted list of the members in [1:n]."""
         return [k for k in range(1, n + 1) if self.contains(k)]
@@ -160,15 +157,6 @@ class EventuallyPeriodicSet(NamedTuple):
 
     def symmetric_difference(self, other: "EventuallyPeriodicSet") -> "EventuallyPeriodicSet":
         return self._combine(other, lambda a, b: a != b)
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __invert__(self):
-        return self.complement()
 
     def describe(self) -> str:
         parts = []

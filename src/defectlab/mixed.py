@@ -45,16 +45,11 @@ class MixedSelection(NamedTuple):
 
 
 def mixed_vectors(sel: MixedSelection) -> List[SparseVector]:
-    """The truncated mixed family, in ascending index order; a finite
-    family contributes at most its max_index vectors."""
-    last = sel.family.max_index()
-    out = []
-    for k in range(1, (sel.n if last is None else min(sel.n, last)) + 1):
-        if sel.sigma.contains(k):
-            out.append(sel.family.vector(k))
-        else:
-            out.append(sel.family.dual(k))
-    return out
+    """The truncated mixed family, in ascending index order, up to the
+    family's truncation of sel.n."""
+    family, sigma = sel.family, sel.sigma
+    return [family.vector(k) if sigma.contains(k) else family.dual(k)
+            for k in range(1, family.truncation(sel.n) + 1)]
 
 
 def _check_mixed_rank(gens: Sequence[SparseVector], rank: int) -> int:
@@ -103,8 +98,7 @@ def witness_check(sel: MixedSelection, witnesses: Sequence[SparseVector]):
     set).
     """
     exceptional = set()
-    for k in range(1, sel.n + 1):
-        vec = sel.family.vector(k) if sel.sigma.contains(k) else sel.family.dual(k)
+    for k, vec in enumerate(mixed_vectors(sel), start=1):
         for w in witnesses:
             if vec.dot(w) != 0:
                 exceptional.add(k)

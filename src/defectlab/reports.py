@@ -21,10 +21,6 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def exact_value(x: Fraction) -> dict:
     return {"type": "exact", "value": rational_str(x)}
 

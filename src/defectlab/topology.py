@@ -89,14 +89,8 @@ def _norms_sq(vectors) -> list:
     return norms
 
 
-def _clamp_index(family: SystemFamily, k: int) -> int:
-    """Cap a test-vector count at the last defined index of a finite family."""
-    last = family.max_index()
-    return k if last is None else min(k, last)
-
-
 def _sigma_generators(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int):
-    return [family.vector(k) for k in sigma.truncate(_clamp_index(family, n))]
+    return [family.vector(k) for k in sigma.truncate(family.truncation(n))]
 
 
 def _ds_enclosure(diff_sqs, norms, precision_bits):
@@ -131,7 +125,7 @@ def projector_metrics(
     sum 2^{-k-j} = 2^{1-K} - 4^{-K}.  Both read the projections of the
     targets from one elimination per span.
     """
-    K = _clamp_index(family, K)
+    K = family.truncation(K)
     targets = family.vectors(range(1, K + 1))
     p_sig = project_many(targets, _sigma_generators(family, sigma, n), digit_budget)
     p_tau = project_many(targets, _sigma_generators(family, tau, n), digit_budget)
@@ -158,7 +152,7 @@ def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int
     of every sigma_m is the span of a prefix of this order: ends[0] closes
     sigma and ends[i] closes sigma_{depth+1-i}.
     """
-    last = _clamp_index(family, n)
+    last = family.truncation(n)
     order = sigma.truncate(last)
     ends = [len(order)]
     for m in range(depth, 0, -1):
@@ -216,7 +210,7 @@ def convergence_probe(
     nested order, with the targets as probes and a cut at each block end,
     gives all of them.
     """
-    K = _clamp_index(family, K)
+    K = family.truncation(K)
     window = min(K, family.default_probe_window())
     targets = family.vectors(range(1, K + 1))
     order, ends = _nested_order(family, sigma, m_max, n)

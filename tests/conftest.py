@@ -155,7 +155,7 @@ def oracle_intersection_chain(family, sigma, depth, n):
     from defectlab.exact import rank_of_vectors
     from defectlab.indexsets import sigma_m
 
-    last = n if family.max_index() is None else min(n, family.max_index())
+    last = family.truncation(n)
 
     def gens(s):
         return [family.vector(k) for k in s.truncate(last)]
@@ -175,7 +175,7 @@ def oracle_intersection_chain(family, sigma, depth, n):
 def _oracle_span_projections(family, sigma, n, targets):
     """Each target's projection onto truncated H_sigma, one sympy projector
     per span."""
-    last = n if family.max_index() is None else min(n, family.max_index())
+    last = family.truncation(n)
     gens = [family.vector(k) for k in sigma.truncate(last)]
     ambient = max([v.max_index() for v in targets + gens], default=0) or 1
     projector = _oracle_projector(gens, ambient)
@@ -183,7 +183,7 @@ def _oracle_span_projections(family, sigma, n, targets):
 
 
 def _oracle_targets(family, K):
-    K = K if family.max_index() is None else min(K, family.max_index())
+    K = family.truncation(K)
     return [family.vector(k) for k in range(1, K + 1)]
 
 

@@ -15,21 +15,21 @@ from fractions import Fraction
 from conftest import rho_partial
 from defectlab import (
     INCONCLUSIVE,
+    DefectPairFamily,
+    E1PlusEkFamily,
     EventuallyPeriodicSet,
+    FiniteDefectSetFamily,
+    InfiniteDefectSetFamily,
     MixedSelection,
+    RandomFiniteFamily,
     SparseVector,
+    YoungFamily,
     classify_defect,
     convergence_probe,
     defect_truncated,
     dist_sq,
     hereditary_scan,
     intersection_chain,
-    make_defect_pair,
-    make_e1_plus_ek,
-    make_finite_defect_set,
-    make_infinite_defect_set,
-    make_random_finite,
-    make_young,
     parse_set,
     projector_metrics,
     rank_of_vectors,
@@ -55,15 +55,15 @@ def random_eps(rng):
 
 
 ALL_FAMILIES = [
-    ("e1-plus-ek", make_e1_plus_ek(50), 50),
-    ("young(w=0)", make_young(0), 50),
-    ("young(w=2)", make_young(2), 50),
-    ("young(w=5)", make_young(5), 50),
-    ("defect-pair(m=1)", make_defect_pair(1), 50),
-    ("defect-pair(m=2)", make_defect_pair(2), 50),
-    ("defect-pair(m=3)", make_defect_pair(3), 50),
-    ("finite-set(0,1,3)", make_finite_defect_set((0, 1, 3)), 60),
-    ("infinite-set(0,2,inf)", make_infinite_defect_set((0, 2, "inf")), 30),
+    ("e1-plus-ek", E1PlusEkFamily(), 50),
+    ("young(w=0)", YoungFamily(0), 50),
+    ("young(w=2)", YoungFamily(2), 50),
+    ("young(w=5)", YoungFamily(5), 50),
+    ("defect-pair(m=1)", DefectPairFamily(1), 50),
+    ("defect-pair(m=2)", DefectPairFamily(2), 50),
+    ("defect-pair(m=3)", DefectPairFamily(3), 50),
+    ("finite-set(0,1,3)", FiniteDefectSetFamily((0, 1, 3)), 60),
+    ("infinite-set(0,2,inf)", InfiniteDefectSetFamily((0, 2)), 30),
 ]
 
 
@@ -84,7 +84,7 @@ def test_criterion_02_swap_invariance():
     for _ in range(instances):
         dim = rng.randint(2, 8)
         count = rng.randint(1, dim)
-        family = make_random_finite(dim, count, seed=rng.randrange(1 << 30),
+        family = RandomFiniteFamily(dim, count, seed=rng.randrange(1 << 30),
                                     dual_style=rng.choice(["span", "perturbed"]))
         base_members = frozenset(
             k for k in range(1, count + 1) if rng.random() < 0.5)
@@ -119,7 +119,7 @@ def test_criterion_03_finite_dimensional_hereditary_completeness():
     rng = random.Random(7)
     for _ in range(100):
         dim = rng.randint(1, 6)
-        family = make_random_finite(dim, dim, seed=rng.randrange(1 << 30),
+        family = RandomFiniteFamily(dim, dim, seed=rng.randrange(1 << 30),
                                     dual_style=rng.choice(["span", "perturbed"]))
         assert hereditary_scan(family) == 0
     report(3, "100 random bases: all 2^D mixed selections have defect 0")
@@ -127,7 +127,7 @@ def test_criterion_03_finite_dimensional_hereditary_completeness():
 
 def test_criterion_04_defect_pair_verdicts():
     for m in (1, 2, 3):
-        family = make_defect_pair(m)
+        family = DefectPairFamily(m)
         for sigma_text in ("none", "fin(1,4,9)"):
             rep = classify_defect(family, parse_set(sigma_text), [10, 20, 30, 40])
             assert rep.verdict == m, (m, sigma_text, rep.verdict)
@@ -135,7 +135,7 @@ def test_criterion_04_defect_pair_verdicts():
             assert rep.exceptional_indices <= frozenset({1, 4, 9})
 
     # sigma = all, m = 1: the exact 1/(n+1) law
-    rep = classify_defect(make_defect_pair(1), parse_set("all"), [2, 9, 49, 99],
+    rep = classify_defect(DefectPairFamily(1), parse_set("all"), [2, 9, 49, 99],
                           decay_threshold=Q(1, 50))
     assert rep.verdict == 0
     table = {(label, n): d for label, n, d in rep.decay_table}
@@ -146,7 +146,7 @@ def test_criterion_04_defect_pair_verdicts():
     # sigma = all, m in {2, 3}: strict monotone decay, verdict 0 or
     # inconclusive while trending to 0 (witness rank stays 0)
     for m in (2, 3):
-        rep = classify_defect(make_defect_pair(m), parse_set("all"),
+        rep = classify_defect(DefectPairFamily(m), parse_set("all"),
                               [15, 30, 45, 60])
         assert rep.verdict in (0, INCONCLUSIVE)
         assert rep.witness_dim == 0
@@ -159,7 +159,7 @@ def test_criterion_04_defect_pair_verdicts():
 
 
 def test_criterion_05_finite_defect_set():
-    family = make_finite_defect_set((0, 1, 3))
+    family = FiniteDefectSetFamily((0, 1, 3))
     # residue class of indices k with k-1 ≡ j (mod 3) carries defect k_j;
     # the 0-defect class decays polynomially, so its certification uses a
     # documented looser threshold (still an exact comparison)
@@ -185,8 +185,8 @@ def test_criterion_05_finite_defect_set():
 
 
 def test_criterion_06_infinite_defect_set():
-    for defect_set in [(0, "inf"), (0, 2, "inf")]:
-        family = make_infinite_defect_set(defect_set)
+    for finite_part in [(0,), (0, 2)]:
+        family = InfiniteDefectSetFamily(finite_part)
         sigma = parse_set("fin(1,2,3)")
 
         # witnesses f_j + x' pass exact orthogonality for j <= 5 at n = 30
@@ -231,7 +231,7 @@ def test_criterion_07_rho_closed_form_and_axioms():
 
 
 def test_criterion_08_certified_metric_enclosures():
-    family = make_e1_plus_ek(10)
+    family = E1PlusEkFamily()
     rng = random.Random(8)
     n, K, prec = 10, 8, 32
     bound = Q(2, 2 ** K) + Q(K, 2 ** prec)
@@ -248,7 +248,7 @@ def test_criterion_08_certified_metric_enclosures():
 
 
 def test_criterion_09_discontinuity_at_incomplete_mixed_system():
-    family = make_e1_plus_ek(60)
+    family = E1PlusEkFamily()
     empty = parse_set("none")
 
     # rho(sigma_m, empty) = 2^-m -> 0, exactly
@@ -276,21 +276,21 @@ def test_criterion_09_discontinuity_at_incomplete_mixed_system():
 
 def test_criterion_10_semicontinuity_probe():
     configurations = [
-        (make_e1_plus_ek(10), "none", 10),
-        (make_e1_plus_ek(10), "all", 10),
-        (make_e1_plus_ek(10), "fin(1,4,9)", 10),
-        (make_young(2), "none", 10),
-        (make_young(2), "all", 10),
-        (make_young(5), "res(2;0)", 10),
-        (make_defect_pair(1), "all", 10),
-        (make_defect_pair(2), "none", 10),
-        (make_defect_pair(3), "fin(1,4,9)", 10),
-        (make_finite_defect_set((0, 1, 3)), "res(3;0)", 10),
-        (make_finite_defect_set((0, 1, 3)), "res(3;1)", 10),
-        (make_finite_defect_set((0, 1, 3)), "res(3;2)", 10),
-        (make_infinite_defect_set((0, 2, "inf")), "fin(1,2,3)", 10),
-        (make_infinite_defect_set((0, "inf")), "all", 10),
-        (make_random_finite(5, 5, seed=11), "fin(2,4)", 5),
+        (E1PlusEkFamily(), "none", 10),
+        (E1PlusEkFamily(), "all", 10),
+        (E1PlusEkFamily(), "fin(1,4,9)", 10),
+        (YoungFamily(2), "none", 10),
+        (YoungFamily(2), "all", 10),
+        (YoungFamily(5), "res(2;0)", 10),
+        (DefectPairFamily(1), "all", 10),
+        (DefectPairFamily(2), "none", 10),
+        (DefectPairFamily(3), "fin(1,4,9)", 10),
+        (FiniteDefectSetFamily((0, 1, 3)), "res(3;0)", 10),
+        (FiniteDefectSetFamily((0, 1, 3)), "res(3;1)", 10),
+        (FiniteDefectSetFamily((0, 1, 3)), "res(3;2)", 10),
+        (InfiniteDefectSetFamily((0, 2)), "fin(1,2,3)", 10),
+        (InfiniteDefectSetFamily((0,)), "all", 10),
+        (RandomFiniteFamily(5, 5, seed=11), "fin(2,4)", 5),
     ]
     for family, sigma_text, n in configurations:
         rows, limit = convergence_probe(family, parse_set(sigma_text), 4, n, 6, 32)

@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 import defectlab
 from conftest import oracle_perturbed_duals
 from defectlab import (
+    E1PlusEkFamily,
     IntervalValue,
     MixedSelection,
     SparseVector,
     defect_truncated,
-    make_e1_plus_ek,
     parse_family,
     parse_set,
 )
 from defectlab.cli import main
-from defectlab.reports import parse_rational, rational_str
+from defectlab.reports import rational_str
 
 Q = Fraction
 
@@ -53,7 +53,7 @@ class TestConstruct:
         vectors, duals = oracle_perturbed_duals(6, 3, 5)
 
         def sparse(pairs):
-            return SparseVector.from_pairs((i, parse_rational(x)) for i, x in pairs)
+            return SparseVector.from_pairs((i, Fraction(x)) for i, x in pairs)
 
         reported = json.loads(out)["results"]["vectors"]
         assert [sparse(v["x"]) for v in reported] == vectors
@@ -86,7 +86,7 @@ class TestDefect:
         assert len(lines) > 1
         # exact column is a rational string, approx column a float
         first = lines[1].split(",")
-        parse_rational(first[2])
+        Fraction(first[2])
         float(first[3])
 
     def test_threshold_flag(self, capsys):
@@ -148,7 +148,7 @@ class TestMetric:
         payload = json.loads(out)
         ds = payload["results"]["d_s"]
         assert ds["type"] == "interval"
-        assert parse_rational(ds["lo"]) <= parse_rational(ds["hi"])
+        assert Fraction(ds["lo"]) <= Fraction(ds["hi"])
         assert payload["results"]["rho"] == {"type": "exact", "value": "1"}
 
     def test_precision_env_default(self, capsys, monkeypatch):
@@ -288,6 +288,10 @@ class TestExitCodes:
          "--digit-budget", "-1"],
         ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
          "--digit-budget", "0"],
+        ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+         "--min-points", "0"],
+        ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3",
+         "--workers", "0"],
     ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
             "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
             "oracle-instances-negative", "defect-probe-window-0",
@@ -295,7 +299,8 @@ class TestExitCodes:
             "defect-n-list-empty", "random-count-negative", "metric-n-negative",
             "metric-n-0", "converge-n-0", "construct-n-negative", "construct-n-0",
             "metric-precision-negative", "converge-precision-negative",
-            "chain-digit-budget-negative", "metric-digit-budget-0"])
+            "chain-digit-budget-negative", "metric-digit-budget-0",
+            "defect-min-points-0", "sweep-workers-0"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -306,7 +311,7 @@ class TestExitCodes:
         import defectlab.cli as cli
 
         real = cli.hereditary_scan
-        monkeypatch.setattr(cli, "hereditary_scan", lambda family: real(make_e1_plus_ek(3)))
+        monkeypatch.setattr(cli, "hereditary_scan", lambda family: real(E1PlusEkFamily()))
         code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
         assert code == 2
         assert out == ""
@@ -366,7 +371,7 @@ class TestExitCodes:
 class TestRationalSerialization:
     def test_round_trip(self):
         for x in [Q(0), Q(3), Q(-7, 2), Q(1, 3)]:
-            assert parse_rational(rational_str(x)) == x
+            assert Fraction(rational_str(x)) == x
 
 
 _SIZE = st.integers(-2, 12).map(str)
@@ -447,6 +452,7 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(_DEFECT + ["--probe-window", "0"])
 @example(_DEFECT + ["--threshold", "1/0"])
 @example(_DEFECT + ["--n-list", ","])
+@example(_DEFECT + ["--min-points", "0"])
 @example(["sweep", "--family", "random(d=0,n=0)", "--sigmas", "fin(1)", "--n-grid", "1"])
 @example(["construct", "--family", "random(d=3,n=-1)", "--n", "1"])
 @example(["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "-1,0"])
@@ -456,9 +462,10 @@ def test_exit_code_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3)
-    budget = _flag_value(argv, "--digit-budget")
-    if budget is not None and int(budget) < 1:
-        assert code == 2
+    for name in ("--digit-budget", "--min-points"):
+        value = _flag_value(argv, name)
+        if value is not None and int(value) < 1:
+            assert code == 2, name
     if code:
         assert set(json.loads(err.getvalue())) == {"error"}
         return

@@ -6,16 +6,15 @@ from fractions import Fraction
 import pytest
 
 from defectlab import (
+    DefectPairFamily,
+    E1PlusEkFamily,
+    FiniteDefectSetFamily,
+    InfiniteDefectSetFamily,
     MalformedDefectSet,
     RandomFiniteFamily,
     SparseVector,
+    YoungFamily,
     dist_sq,
-    make_defect_pair,
-    make_e1_plus_ek,
-    make_finite_defect_set,
-    make_infinite_defect_set,
-    make_random_finite,
-    make_young,
     parse_family,
     parse_set,
     rank_of_vectors,
@@ -38,7 +37,7 @@ def assert_biorthogonal(family, n):
 
 class TestE1PlusEk:
     def test_worked_vectors(self):
-        fam = make_e1_plus_ek(2)
+        fam = E1PlusEkFamily()
         assert dense(fam.vector(1), 3) == [Q(1), Q(1), Q(0)]
         assert dense(fam.vector(2), 3) == [Q(1), Q(0), Q(1)]
         assert fam.dual(1) == SparseVector.unit(2)
@@ -46,15 +45,15 @@ class TestE1PlusEk:
         assert fam.index_offset == 1
 
     def test_biorthogonal_identity(self):
-        assert_biorthogonal(make_e1_plus_ek(3), 3)
+        assert_biorthogonal(E1PlusEkFamily(), 3)
 
     def test_dist_worked_example(self):
-        fam = make_e1_plus_ek(2)
+        fam = E1PlusEkFamily()
         gens = [fam.vector(1), fam.vector(2)]
         assert dist_sq(SparseVector.unit(1), gens) == Q(1, 3)
 
     def test_predicted_defect(self):
-        fam = make_e1_plus_ek(5)
+        fam = E1PlusEkFamily()
         assert fam.predicted_defect(parse_set("fin(1,2)")) == 1
         assert fam.predicted_defect(parse_set("all")) == 0
         assert fam.witness_space(parse_set("fin(2)"), 5) == [SparseVector.unit(1)]
@@ -63,25 +62,25 @@ class TestE1PlusEk:
 
 class TestYoung:
     def test_worked_vectors_width_2(self):
-        fam = make_young(2)
+        fam = YoungFamily(2)
         # f-block occupies coordinates 1..2, e_k at 2+k
         assert dense(fam.vector(1), 5) == [Q(2), Q(0), Q(1), Q(0), Q(0)]
         assert dense(fam.vector(2), 5) == [Q(4), Q(2), Q(0), Q(1), Q(0)]
         assert dense(fam.vector(3), 5) == [Q(8), Q(8, 3), Q(0), Q(0), Q(1)]
 
     def test_biorthogonal_pairings(self):
-        fam = make_young(2)
+        fam = YoungFamily(2)
         assert fam.vector(2).dot(fam.dual(3)) == 0
         assert fam.vector(3).dot(fam.dual(3)) == 1
         assert_biorthogonal(fam, 6)
 
     def test_width_zero_is_orthonormal(self):
-        fam = make_young(0)
+        fam = YoungFamily(0)
         for k in range(1, 5):
             assert fam.vector(k) == SparseVector.unit(k)
 
     def test_predictions(self):
-        fam = make_young(2)
+        fam = YoungFamily(2)
         assert fam.predicted_defect(parse_set("fin(3)")) == 2
         assert fam.predicted_defect(parse_set("res(2;0)")) == 0
         assert len(fam.witness_space(parse_set("none"), 10)) == 2
@@ -89,52 +88,52 @@ class TestYoung:
 
 class TestDefectPair:
     def test_worked_vectors(self):
-        fam = make_defect_pair(2)
+        fam = DefectPairFamily(2)
         assert dense(fam.vector(1), 3) == [Q(1), Q(1), Q(1)]
         assert dense(fam.vector(3), 5) == [Q(1), Q(3), Q(0), Q(0), Q(1)]
 
     def test_m1_matches_e1_plus_ek(self):
-        pair = make_defect_pair(1)
-        base = make_e1_plus_ek(5)
+        pair = DefectPairFamily(1)
+        base = E1PlusEkFamily()
         for k in range(1, 6):
             assert pair.vector(k) == base.vector(k)
             assert pair.dual(k) == base.dual(k)
 
     def test_biorthogonal(self):
         for m in (1, 2, 3):
-            assert_biorthogonal(make_defect_pair(m), 6)
+            assert_biorthogonal(DefectPairFamily(m), 6)
 
     def test_predictions_and_witnesses(self):
-        fam = make_defect_pair(3)
+        fam = DefectPairFamily(3)
         assert fam.predicted_defect(parse_set("fin(7)")) == 3
         assert fam.predicted_defect(parse_set("res(5;2)")) == 0
-        fam2 = make_defect_pair(2)
+        fam2 = DefectPairFamily(2)
         assert fam2.witness_space(parse_set("none"), 8) == [
             SparseVector.unit(1), SparseVector.unit(2),
         ]
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            make_defect_pair(0)
+            DefectPairFamily(0)
 
 
 class TestFiniteDefectSet:
     def test_worked_vectors(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         assert dense(fam.vector(1), 4) == [Q(1), Q(1), Q(1), Q(1)]
         assert dense(fam.vector(2), 5) == [Q(0), Q(2), Q(4), Q(0), Q(1)]
         assert fam.vector(3) == SparseVector.unit(6)
         assert dense(fam.vector(4), 7) == [Q(1), Q(4), Q(16), Q(0), Q(0), Q(0), Q(1)]
 
     def test_biorthogonal(self):
-        assert_biorthogonal(make_finite_defect_set((0, 1, 3)), 6)
+        assert_biorthogonal(FiniteDefectSetFamily((0, 1, 3)), 6)
 
     def test_class_assignment(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         assert [fam.class_of(k) for k in range(1, 7)] == [0, 1, 2, 0, 1, 2]
 
     def test_predicted_defects_per_class(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         # class j collects indices k ≡ j+1 (mod 3); its defect is k_j
         assert fam.predicted_defect(parse_set("res(3;1)")) == 0
         assert fam.predicted_defect(parse_set("res(3;2)")) == 1
@@ -143,7 +142,7 @@ class TestFiniteDefectSet:
         assert fam.predicted_defect(parse_set("all")) == 0
 
     def test_witness_bases(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         assert fam.witness_space(parse_set("res(3;1)"), 30) == []
         assert fam.witness_space(parse_set("res(3;2)"), 30) == [SparseVector.unit(1)]
         assert fam.witness_space(parse_set("res(3;0)"), 30) == [
@@ -152,38 +151,100 @@ class TestFiniteDefectSet:
 
     def test_rejects_malformed_sets(self):
         with pytest.raises(MalformedDefectSet):
-            make_finite_defect_set((1, 3))
+            FiniteDefectSetFamily((1, 3))
         with pytest.raises(MalformedDefectSet):
-            make_finite_defect_set((0, 3, 3))
+            FiniteDefectSetFamily((0, 3, 3))
         with pytest.raises(MalformedDefectSet):
-            make_finite_defect_set(())
+            FiniteDefectSetFamily(())
+
+
+def _often(sigma, keep=lambda k: True):
+    """Does sigma meet {k : keep(k)} infinitely often?  The exceptions of
+    the sets tested below end by 5 and every period involved divides 6,
+    so one window of 12 indices past 60 decides it."""
+    return any(sigma.contains(k) and keep(k) for k in range(61, 73))
+
+
+def _young(w):
+    def head(k):
+        return {j: Q(2 ** k, k ** (j - 1)) for j in range(1, min(k, w) + 1)}
+    return w, head, lambda sigma: 0 if _often(sigma) else w
+
+
+def _defect_pair(m):
+    def head(k):
+        return {j: Q(k ** (j - 1)) for j in range(1, m + 1)}
+    return m, head, lambda sigma: 0 if _often(sigma) else m
+
+
+def _finite_set(S):
+    classes = len(S)
+
+    def head(k):
+        return {l: Q(k ** (l - 1)) for l in range(S[(k - 1) % classes] + 1, S[-1] + 1)}
+
+    def defect(sigma):
+        # x_k is in class j when k = j + 1 (mod s + 1); the defect is k_j
+        # of the first class sigma meets infinitely often, else k_s
+        return next((S[j] for j in range(classes)
+                     if _often(sigma, lambda k: (k - 1) % classes == j)), S[-1])
+    return S[-1], head, defect
+
+
+# descriptor -> (head width, head coefficients of x_k, defect of sigma),
+# written out from the paper's constructions
+HEAD_CLOSED_FORMS = {
+    "e1-plus-ek": (1, lambda k: {1: Q(1)}, lambda sigma: 0 if _often(sigma) else 1),
+    **{f"young(w={w})": _young(w) for w in range(4)},
+    **{f"defect-pair(m={m})": _defect_pair(m) for m in range(1, 4)},
+    **{"finite-set(%s)" % ",".join(map(str, S)): _finite_set(S)
+       for S in [(0,), (0, 1, 3), (0, 2, 5)]},
+}
+
+
+@pytest.mark.parametrize("descriptor", list(HEAD_CLOSED_FORMS))
+def test_head_layout_matches_closed_forms(descriptor):
+    """x_k = head coefficients + e_{head+k}, x_k* = e_{head+k}, ambient
+    head + n, and the witnesses are the first defect(sigma) head units."""
+    head, head_coeffs, defect = HEAD_CLOSED_FORMS[descriptor]
+    fam = parse_family(descriptor)
+    for k in range(1, 26):
+        pairs = list(head_coeffs(k).items()) + [(head + k, Q(1))]
+        assert fam.vector(k) == SparseVector.from_pairs(pairs), k
+        assert fam.dual(k) == SparseVector.unit(head + k), k
+        assert fam.ambient(k) == head + k
+    for text in ("none", "all", "fin(2,5)", "res(3;2)"):
+        sigma = parse_set(text)
+        expect = [SparseVector.unit(j) for j in range(1, defect(sigma) + 1)]
+        for n in range(1, 26):
+            assert fam.witness_space(sigma, n) == expect, (text, n)
 
 
 class TestInfiniteDefectSet:
     def test_superscript_pattern(self):
-        fam = make_infinite_defect_set((0, "inf"))
+        fam = InfiniteDefectSetFamily((0,))
         assert [fam.superscript(n) for n in range(1, 7)] == [0, 0, 1, 0, 1, 2]
         assert [fam.superscript(n) for n in range(7, 11)] == [0, 1, 2, 3]
 
     def test_worked_vectors(self):
-        fam = make_infinite_defect_set((0, "inf"))
+        fam = InfiniteDefectSetFamily((0,))
         # interleaved layout: f_1 at coordinate 1, e_1 at coordinate 2
         assert fam.vector(1) == SparseVector.from_pairs([(1, Q(2)), (2, Q(1))])
-        fam2 = make_infinite_defect_set((0, 2, "inf"))
+        fam2 = InfiniteDefectSetFamily((0, 2))
         # x_3 has superscript 1, so k_1 = 2 and only f_3 survives
         assert fam2.vector(3) == SparseVector.from_pairs([(5, Q(8, 9)), (6, Q(1))])
 
     def test_biorthogonal(self):
-        assert_biorthogonal(make_infinite_defect_set((0, 2, "inf")), 8)
+        assert_biorthogonal(InfiniteDefectSetFamily((0, 2)), 8)
 
     def test_witness_for_sigma_fin1(self):
-        fam = make_infinite_defect_set((0, "inf"))
+        fam = InfiniteDefectSetFamily((0,))
         witnesses = fam.witness_space(parse_set("fin(1)"), 10, window=1)
         # f_1 - 2 e_1 kills the only sigma-member x_1 = 2 f_1 + e_1
         assert witnesses == [SparseVector.from_pairs([(1, Q(1)), (2, Q(-2))])]
 
     def test_predicted_defects(self):
-        fam = make_infinite_defect_set((0, 2, "inf"))
+        fam = InfiniteDefectSetFamily((0, 2))
         assert fam.predicted_defect(parse_set("fin(1,2,3)")) == math.inf
         assert fam.predicted_defect(parse_set("all")) == 0
         assert fam.witnesses_unbounded(parse_set("fin(2)"))
@@ -191,38 +252,39 @@ class TestInfiniteDefectSet:
 
     def test_requires_infinity_marker(self):
         with pytest.raises(MalformedDefectSet):
-            make_infinite_defect_set((0, 2))
+            parse_family("infinite-set(0,2)")
 
 
 class TestRandomFinite:
     def test_deterministic_per_seed(self):
-        a = make_random_finite(5, 3, seed=42)
-        b = make_random_finite(5, 3, seed=42)
+        a = RandomFiniteFamily(5, 3, seed=42)
+        b = RandomFiniteFamily(5, 3, seed=42)
         for k in range(1, 4):
             assert a.vector(k) == b.vector(k)
             assert a.dual(k) == b.dual(k)
 
     def test_biorthogonal_both_styles(self):
         for style in ("span", "perturbed"):
-            fam = make_random_finite(6, 4, seed=7, dual_style=style)
+            fam = RandomFiniteFamily(6, 4, seed=7, dual_style=style)
             assert_biorthogonal(fam, 4)
 
     def test_independent(self):
-        fam = make_random_finite(6, 5, seed=1)
+        fam = RandomFiniteFamily(6, 5, seed=1)
         assert rank_of_vectors([fam.vector(k) for k in range(1, 6)]) == 5
 
     def test_count_exceeds_dim_rejected(self):
         with pytest.raises(ValueError):
-            make_random_finite(3, 4, seed=0)
+            RandomFiniteFamily(3, 4, seed=0)
 
     def test_no_defect_prediction(self):
-        fam = make_random_finite(4, 4, seed=0)
+        fam = RandomFiniteFamily(4, 4, seed=0)
         with pytest.raises(UnsupportedFamily):
             fam.predicted_defect(parse_set("none"))
 
     def test_keywords_and_pickle(self):
         fam = RandomFiniteFamily(dim=5, count=3, seed=4, dual_style="perturbed")
-        assert (fam.kind, fam.index_offset, fam.max_index()) == ("random", 0, 3)
+        assert (fam.kind, fam.index_offset) == ("random", 0)
+        assert (fam.truncation(2), fam.truncation(5)) == (2, 3)
         copy = pickle.loads(pickle.dumps(fam))
         assert copy.descriptor() == fam.descriptor()
         for k in range(1, 4):

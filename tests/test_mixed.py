@@ -9,21 +9,21 @@ from hypothesis import strategies as st
 
 from defectlab import (
     INCONCLUSIVE,
+    DefectPairFamily,
+    E1PlusEkFamily,
     EventuallyPeriodicSet,
+    FiniteDefectSetFamily,
+    InfiniteDefectSetFamily,
     MixedSelection,
+    RandomFiniteFamily,
     SparseVector,
     TooLarge,
     WrongSide,
+    YoungFamily,
     classify_defect,
     defect_truncated,
     distance_profile,
     hereditary_scan,
-    make_defect_pair,
-    make_e1_plus_ek,
-    make_finite_defect_set,
-    make_infinite_defect_set,
-    make_random_finite,
-    make_young,
     mixed_vectors,
     parse_set,
     swap_move,
@@ -38,7 +38,7 @@ Q = Fraction
 
 class TestMixedVectors:
     def test_worked_examples(self):
-        fam = make_e1_plus_ek(2)
+        fam = E1PlusEkFamily()
         assert mixed_vectors(MixedSelection(fam, parse_set("all"), 2)) == [
             fam.vector(1), fam.vector(2),
         ]
@@ -52,17 +52,17 @@ class TestMixedVectors:
 
 class TestDefectTruncated:
     def test_basis_family_always_complete(self):
-        fam = make_random_finite(4, 4, seed=3)
+        fam = RandomFiniteFamily(4, 4, seed=3)
         for text in ("none", "all", "fin(2,4)"):
             assert defect_truncated(MixedSelection(fam, parse_set(text), 4)) == 0
 
     def test_e1_plus_ek_sigma_all(self):
-        fam = make_e1_plus_ek(6)
+        fam = E1PlusEkFamily()
         for n in (2, 4, 6):
             assert defect_truncated(MixedSelection(fam, parse_set("all"), n)) == 1
 
     def test_defect_pair_worked_example(self):
-        fam = make_defect_pair(2)
+        fam = DefectPairFamily(2)
         assert defect_truncated(MixedSelection(fam, parse_set("none"), 5)) == 2
 
 
@@ -71,33 +71,33 @@ class TestMixedRankInvariant:
     matrix is block-diagonal with full-rank blocks."""
 
     def test_defect_is_ambient_minus_mixed_count(self):
-        families = [make_e1_plus_ek(1), make_young(2), make_defect_pair(3),
-                    make_random_finite(6, 4, seed=3, dual_style="perturbed")]
+        families = [E1PlusEkFamily(), YoungFamily(2), DefectPairFamily(3),
+                    RandomFiniteFamily(6, 4, seed=3, dual_style="perturbed")]
         for fam in families:
             for text in ("all", "none", "res(2;1)", "fin(1,3)"):
                 sel = MixedSelection(fam, parse_set(text), 5)
                 assert defect_truncated(sel) == fam.ambient(5) - len(mixed_vectors(sel))
 
     def test_dropped_generator_is_invariant_violation(self, dropped_generator):
-        fam, sigma = make_defect_pair(2), parse_set("res(2;1)")
+        fam, sigma = DefectPairFamily(2), parse_set("res(2;1)")
         with pytest.raises(InvariantViolation):
             defect_truncated(MixedSelection(fam, sigma, 6))
         with pytest.raises(InvariantViolation):
             defect_sweep(fam, sigma, [3, 6])
         with pytest.raises(InvariantViolation):
-            hereditary_scan(make_random_finite(3, 3, seed=1))
+            hereditary_scan(RandomFiniteFamily(3, 3, seed=1))
 
 
 class TestWitnessCheck:
     def test_defect_pair_clean(self):
-        fam = make_defect_pair(2)
+        fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
         ok, exceptional = witness_check(
             MixedSelection(fam, parse_set("none"), 8), witnesses)
         assert ok and exceptional == frozenset()
 
     def test_defect_pair_exceptional(self):
-        fam = make_defect_pair(2)
+        fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
         ok, exceptional = witness_check(
             MixedSelection(fam, parse_set("fin(3)"), 8), witnesses)
@@ -105,7 +105,7 @@ class TestWitnessCheck:
         assert ok  # the finite sigma itself is the predicted exceptional set
 
     def test_finite_set_residue_class(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         ok, exceptional = witness_check(
             MixedSelection(fam, parse_set("res(3;2)"), 30), [SparseVector.unit(1)])
         assert ok and exceptional == frozenset()
@@ -113,25 +113,25 @@ class TestWitnessCheck:
 
 class TestDistanceProfile:
     def test_e1_plus_ek_decay_law(self):
-        fam = make_e1_plus_ek(99)
+        fam = E1PlusEkFamily()
         rows = distance_profile(fam, parse_set("all"), [SparseVector.unit(1)],
                                 [2, 9, 99])
         assert [d for _, _, d in rows] == [Q(1, 3), Q(1, 10), Q(1, 100)]
 
     def test_defect_pair_probe_stuck_at_one(self):
-        fam = make_defect_pair(2)
+        fam = DefectPairFamily(2)
         rows = distance_profile(fam, parse_set("none"), [SparseVector.unit(1)],
                                 [3, 6, 9])
         assert all(d == 1 for _, _, d in rows)
 
     def test_young_probe_stuck_at_one(self):
-        fam = make_young(2)
+        fam = YoungFamily(2)
         rows = distance_profile(fam, parse_set("none"), [SparseVector.unit(1)],
                                 [4, 8])
         assert all(d == 1 for _, _, d in rows)
 
     def test_monotone_nonincreasing(self):
-        fam = make_finite_defect_set((0, 1, 3))
+        fam = FiniteDefectSetFamily((0, 1, 3))
         rows = distance_profile(fam, parse_set("res(3;1)"),
                                 [SparseVector.unit(i) for i in range(1, 4)],
                                 [10, 20, 30])
@@ -142,11 +142,11 @@ class TestDistanceProfile:
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("family, sigma", [
-        (make_e1_plus_ek(9), "all"),
-        (make_defect_pair(3), "all"),
-        (make_defect_pair(3), "none"),
-        (make_finite_defect_set((0, 1, 3)), "res(3;2)"),
-        (make_young(2), "all"),
+        (E1PlusEkFamily(), "all"),
+        (DefectPairFamily(3), "all"),
+        (DefectPairFamily(3), "none"),
+        (FiniteDefectSetFamily((0, 1, 3)), "res(3;2)"),
+        (YoungFamily(2), "all"),
     ])
     def test_matches_sympy_on_certify_families(self, family, sigma):
         sigma = parse_set(sigma)
@@ -163,7 +163,7 @@ class TestDistanceProfile:
         assert rows == expected
 
     def test_rejects_unsorted_n_list(self):
-        fam = make_e1_plus_ek(5)
+        fam = E1PlusEkFamily()
         with pytest.raises(ValueError):
             distance_profile(fam, parse_set("all"), [SparseVector.unit(1)], [5, 2])
 
@@ -185,30 +185,30 @@ class TestProbePasses:
 class TestClassifyDefect:
     def test_increasing_decay_is_invariant_violation(self, rising_decay):
         with pytest.raises(InvariantViolation):
-            classify_defect(make_e1_plus_ek(30), parse_set("all"), [5, 10, 20, 30])
+            classify_defect(E1PlusEkFamily(), parse_set("all"), [5, 10, 20, 30])
 
     def test_e1_plus_ek_sigma_empty(self):
-        rep = classify_defect(make_e1_plus_ek(30), parse_set("none"), [5, 10, 20, 30])
+        rep = classify_defect(E1PlusEkFamily(), parse_set("none"), [5, 10, 20, 30])
         assert rep.verdict == 1
         assert rep.witness_dim == 1
         assert rep.witness_ok
 
     def test_e1_plus_ek_sigma_all(self):
-        rep = classify_defect(make_e1_plus_ek(99), parse_set("all"), [2, 9, 49, 99],
+        rep = classify_defect(E1PlusEkFamily(), parse_set("all"), [2, 9, 49, 99],
                               decay_threshold=Q(1, 50))
         assert rep.verdict == 0
 
     def test_defect_pair_3(self):
-        rep = classify_defect(make_defect_pair(3), parse_set("none"), [10, 20, 30, 40])
+        rep = classify_defect(DefectPairFamily(3), parse_set("none"), [10, 20, 30, 40])
         assert rep.verdict == 3
 
     def test_verdict_never_contradicts_witness_dim(self):
-        rep = classify_defect(make_e1_plus_ek(20), parse_set("none"), [5, 20],
+        rep = classify_defect(E1PlusEkFamily(), parse_set("none"), [5, 20],
                               min_points=6)
         assert rep.verdict in (rep.witness_dim, INCONCLUSIVE, math.inf)
 
     def test_infinite_verdict(self):
-        fam = make_infinite_defect_set((0, "inf"))
+        fam = InfiniteDefectSetFamily((0,))
         rep = classify_defect(fam, parse_set("fin(1,2,3)"), [10, 20, 30])
         assert rep.verdict == math.inf
         assert rep.verdict_str() == "inf"
@@ -249,7 +249,7 @@ class TestSwapMove:
         for _ in range(30):
             dim = rng.randint(2, 8)
             count = rng.randint(1, dim)
-            fam = make_random_finite(dim, count, seed=rng.randrange(1 << 30),
+            fam = RandomFiniteFamily(dim, count, seed=rng.randrange(1 << 30),
                                      dual_style=rng.choice(["span", "perturbed"]))
             sigma = parse_set("none")
             base = defect_truncated(MixedSelection(fam, sigma, count))
@@ -261,14 +261,14 @@ class TestSwapMove:
 class TestHereditaryScan:
     def test_basis_families_scan_to_zero(self):
         for seed in range(10):
-            fam = make_random_finite(3, 3, seed=seed)
+            fam = RandomFiniteFamily(3, 3, seed=seed)
             assert hereditary_scan(fam) == 0
 
     def test_incomplete_system_detected(self):
-        fam = make_random_finite(4, 2, seed=5)
+        fam = RandomFiniteFamily(4, 2, seed=5)
         assert hereditary_scan(fam) == 2
 
     def test_too_large(self):
-        fam = make_random_finite(25, 21, seed=0)
+        fam = RandomFiniteFamily(25, 21, seed=0)
         with pytest.raises(TooLarge):
             hereditary_scan(fam)

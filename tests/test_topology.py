@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectlab import (
+    DefectPairFamily,
+    E1PlusEkFamily,
     IntervalValue,
+    RandomFiniteFamily,
     convergence_probe,
     intersection_chain,
-    make_defect_pair,
-    make_e1_plus_ek,
-    make_random_finite,
     parse_family,
     parse_set,
     projector_metrics,
@@ -90,20 +90,20 @@ class TestSqrtEnclosure:
 
 class TestMetrics:
     def test_identical_projectors_only_tail(self):
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         sig = parse_set("res(2;1)")
         ds, _ = projector_metrics(fam, sig, sig, 8, 6, 32)
         assert ds.lo == 0 and ds.hi == Q(2, 2 ** 6)
 
     def test_ds_all_vs_empty_near_one(self):
-        fam = make_e1_plus_ek(10)
+        fam = E1PlusEkFamily()
         ds, _ = projector_metrics(fam, parse_set("all"), parse_set("none"), 10, 8, 32)
         # each normalized term is exactly 2^-k, so the sum approaches 1
         assert ds.lo <= 1 <= ds.hi
         assert ds.lo > Q(9, 10)
 
     def test_widths_within_certified_bound(self):
-        fam = make_e1_plus_ek(10)
+        fam = E1PlusEkFamily()
         for K, prec in [(6, 16), (10, 32)]:
             ds, dw = projector_metrics(fam, parse_set("res(2;0)"), parse_set("fin(1)"),
                                        10, K, prec)
@@ -112,12 +112,12 @@ class TestMetrics:
             assert dw.width() <= bound
 
     def test_dw_below_ds_upper(self):
-        fam = make_e1_plus_ek(10)
+        fam = E1PlusEkFamily()
         ds, dw = projector_metrics(fam, parse_set("all"), parse_set("none"), 10, 8, 48)
         assert dw.lo <= ds.hi
 
     def test_nesting_under_precision_doubling(self):
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         coarse = projector_metrics(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 16)
         fine = projector_metrics(fam, parse_set("all"), parse_set("fin(2)"), 8, 6, 32)
         assert coarse[0].contains(fine[0])
@@ -125,7 +125,7 @@ class TestMetrics:
 
     def test_dw_term_identity_when_p_fixed(self):
         # <(P - Q) x_p, x_p> = ||x_p - Q x_p||^2 whenever P x_p = x_p
-        fam = make_e1_plus_ek(6)
+        fam = E1PlusEkFamily()
         sigma, tau, p, n = parse_set("all"), parse_set("none"), 2, 6
         xp = fam.vector(p)
         sig_gens = [fam.vector(k) for k in sigma.truncate(n)]
@@ -147,32 +147,32 @@ class TestMetrics:
 
 class TestIntersectionChain:
     def test_dims_nonincreasing(self):
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         dims, _ = intersection_chain(fam, parse_set("fin(2)"), 5, 8)
         assert all(b <= a for a, b in zip(dims, dims[1:]))
 
     def test_sigma_all_chain_collapses_to_h_sigma(self):
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         dims, equal = intersection_chain(fam, parse_set("all"), 4, 8)
         assert equal
 
     def test_sigma_empty_chain_strictly_larger(self):
         # the truncated chain limit contains e_1 while H_empty is zero
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         dims, equal = intersection_chain(fam, parse_set("none"), 4, 8)
         assert not equal
         assert dims[-1] > 0
 
     def test_depth_bound(self):
         with pytest.raises(ValueError):
-            intersection_chain(make_e1_plus_ek(4), parse_set("all"), 5, 4)
+            intersection_chain(E1PlusEkFamily(), parse_set("all"), 5, 4)
 
 
     def test_one_elimination_no_complement(self, monkeypatch):
         passes = count_calls(monkeypatch, "echelon", exact, topology)
         elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
         complements = count_calls(monkeypatch, "complement_basis", exact)
-        intersection_chain(make_defect_pair(2), parse_set("res(2;1)"), 8, 24)
+        intersection_chain(DefectPairFamily(2), parse_set("res(2;1)"), 8, 24)
         assert len(passes) == 1
         assert elims == []
         assert complements == []
@@ -192,7 +192,7 @@ def _chain_cases(draw):
     else:
         dim = draw(st.integers(min_value=1, max_value=6))
         count = draw(st.integers(min_value=1, max_value=dim))
-        family = make_random_finite(dim, count, seed=draw(st.integers(0, 10 ** 6)),
+        family = RandomFiniteFamily(dim, count, seed=draw(st.integers(0, 10 ** 6)),
                                     dual_style=draw(st.sampled_from(["span", "perturbed"])))
         n = draw(st.integers(min_value=1, max_value=count + 3))
     sigma = draw(st.one_of(
@@ -237,7 +237,7 @@ def test_projector_metrics_match_span_projections(case, tau):
 
 class TestConvergenceProbe:
     def test_rho_and_pointwise_shrink(self):
-        fam = make_e1_plus_ek(12)
+        fam = E1PlusEkFamily()
         sigma = parse_set("none")
         rows, _ = convergence_probe(fam, sigma, 6, 12, 8, 32)
         rhos = [row["rho"] for row in rows]
@@ -258,7 +258,7 @@ class TestConvergenceProbe:
 
     def test_constant_sequence_is_tail_only(self):
         # sigma_m(all, m) = all, so every row equals the limit
-        fam = make_e1_plus_ek(8)
+        fam = E1PlusEkFamily()
         rows, limit = convergence_probe(fam, parse_set("all"), 3, 8, 6, 32)
         for row in rows:
             assert row["rho"] == 0
@@ -269,16 +269,16 @@ class TestConvergenceProbe:
 class TestSemicontinuityProbe:
     def test_no_violation_on_builtin_families(self):
         for fam, sig in [
-            (make_e1_plus_ek(10), "none"),
-            (make_e1_plus_ek(10), "all"),
-            (make_defect_pair(2), "fin(1)"),
+            (E1PlusEkFamily(), "none"),
+            (E1PlusEkFamily(), "all"),
+            (DefectPairFamily(2), "fin(1)"),
         ]:
             assert not semicontinuity_violation(
                 *convergence_probe(fam, parse_set(sig), 5, 10, 6, 32))
 
     def test_given_rows_match_fresh_computation(self):
         # d_s(P_{sigma_m}, 0) and d_s(P_sigma, 0) from projections onto each span
-        fam = make_e1_plus_ek(10)
+        fam = E1PlusEkFamily()
         none = parse_set("none")
         for sig in ("none", "res(2;1)"):
             sigma = parse_set(sig)
