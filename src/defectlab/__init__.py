@@ -35,6 +35,7 @@ from .mixed import (
     WrongSide,
     classify_defect,
     defect_truncated,
+    defect_truncated_many,
     distance_profile,
     hereditary_scan,
     mixed_vectors,

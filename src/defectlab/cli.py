@@ -18,10 +18,9 @@ from .exact import BudgetExceeded, InvariantViolation
 from .families import RandomFiniteFamily, parse_family
 from .indexsets import EventuallyPeriodicSet, parse_set, rho
 from .mixed import (
-    MixedSelection,
     classify_defect,
     defect_sweep,
-    defect_truncated,
+    defect_truncated_many,
     hereditary_scan,
     swap_move,
 )
@@ -285,22 +284,21 @@ def _run_swap_suite(instances: int, seed: int) -> dict:
                                     seed=rng.randrange(1 << 30), dual_style=dual)
         members = [k for k in range(1, count + 1) if rng.random() < 0.5]
         sigma = EventuallyPeriodicSet.finite(members)
-        base = defect_truncated(MixedSelection(family, sigma, count))
+        # the base selection, its single flips, then four chains of flips
+        sigmas = [sigma]
         for k0 in range(1, count + 1):
             direction = "out" if sigma.contains(k0) else "in"
-            moved = swap_move(sigma, k0, direction)
-            checks += 1
-            if defect_truncated(MixedSelection(family, moved, count)) != base:
-                violations += 1
+            sigmas.append(swap_move(sigma, k0, direction))
         for _chain in range(4):
             cur = sigma
             for _step in range(rng.randint(1, 3)):
                 k0 = rng.randint(1, count)
                 direction = "out" if cur.contains(k0) else "in"
                 cur = swap_move(cur, k0, direction)
-            checks += 1
-            if defect_truncated(MixedSelection(family, cur, count)) != base:
-                violations += 1
+            sigmas.append(cur)
+        base, *moved = defect_truncated_many(family, sigmas, count)
+        checks += len(moved)
+        violations += sum(d != base for d in moved)
     return {"instances": instances, "checks": checks, "violations": violations}
 
 

@@ -285,26 +285,37 @@ def _reduce(row: dict, prow: dict, p: int) -> dict:
     return {i: x // g for i, x in out.items()} if g > 1 else out
 
 
+def echelon_step(pivots: dict, v: SparseVector, digit_budget: Optional[int] = None) -> bool:
+    """One step of the echelon pass: is v independent of the pivot rows?
+
+    v's integer coordinates are reduced against the pivot rows in
+    insertion order; a row that stays nonzero is added to pivots under
+    its least coordinate.  A digit budget is checked on the input
+    coordinates and on every reduced row.  Rows are never mutated, so a
+    shallow copy of pivots is a separate echelon state.
+    """
+    row = _integer_coords(v)[1]
+    _check_budget(row.values(), digit_budget)
+    for p, prow in pivots.items():
+        if p in row:
+            row = _reduce(row, prow, p)
+            _check_budget(row.values(), digit_budget)
+    if row:
+        pivots[min(row)] = row
+    return bool(row)
+
+
 def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> tuple:
     """Fraction-free sparse row echelon pass: (kept, pivots).
 
-    Each vector's integer coordinates are reduced against the pivot rows
-    in insertion order.  A row that stays nonzero is independent of the
-    vectors before it: its index goes into kept (the greedy maximal
-    independent subset), and pivots maps its least coordinate to it.  The
-    pivots are the reduced-row-echelon pivot columns.  A digit budget is
-    checked on the input coordinates and on every reduced row.
+    Each vector takes one `echelon_step`.  The indices of the vectors
+    independent of those before them go into kept (the greedy maximal
+    independent subset); pivots maps each pivot row's least coordinate
+    to the row, so its keys are the reduced-row-echelon pivot columns.
     """
     kept, pivots = [], {}
     for r, v in enumerate(vectors):
-        row = _integer_coords(v)[1]
-        _check_budget(row.values(), digit_budget)
-        for p, prow in pivots.items():
-            if p in row:
-                row = _reduce(row, prow, p)
-                _check_budget(row.values(), digit_budget)
-        if row:
-            pivots[min(row)] = row
+        if echelon_step(pivots, v, digit_budget):
             kept.append(r)
     return tuple(kept), pivots
 

@@ -382,7 +382,7 @@ class RandomFiniteFamily(SystemFamily):
             vecs = []
             for _k in range(self.count):
                 pairs = [(i, rng.randint(-3, 3)) for i in range(1, self.dim + 1)]
-                vecs.append(SparseVector.from_pairs([(i, Q(v)) for i, v in pairs if v]))
+                vecs.append(SparseVector(tuple((i, Q(v)) for i, v in pairs if v)))
             elim = bordered_elimination(vecs, rhs=identity, solve=True)
             if len(elim.kept) == self.count:
                 break
@@ -426,22 +426,28 @@ def parse_family(text: str) -> SystemFamily:
     name, argtext = m.group(1), m.group(2) or ""
     args = [a.strip() for a in argtext.split(",") if a.strip()]
 
-    def kwargs():
+    def kwargs(*keys):
+        """The key=value arguments; a key outside keys, or given twice, is an error."""
         out = {}
         for a in args:
-            if "=" not in a:
+            key, eq, val = (part.strip() for part in a.partition("="))
+            if key not in keys:
+                raise FamilySyntaxError(f"{name} takes no argument {a!r}")
+            if not eq:
                 raise FamilySyntaxError(f"expected key=value in {text!r}")
-            key, val = a.split("=", 1)
-            out[key.strip()] = val.strip()
+            if key in out:
+                raise FamilySyntaxError(f"argument {key!r} is given twice")
+            out[key] = val
         return out
 
     try:
         if name == "e1-plus-ek":
+            kwargs()
             return E1PlusEkFamily()
         if name == "young":
-            return YoungFamily(width=int(kwargs()["w"]))
+            return YoungFamily(width=int(kwargs("w")["w"]))
         if name == "defect-pair":
-            return DefectPairFamily(m=int(kwargs()["m"]))
+            return DefectPairFamily(m=int(kwargs("m")["m"]))
         if name == "finite-set":
             return FiniteDefectSetFamily(defect_set=tuple(int(a) for a in args))
         if name == "infinite-set":
@@ -451,7 +457,7 @@ def parse_family(text: str) -> SystemFamily:
                 finite_part=tuple(int(a) for a in args[:-1])
             )
         if name == "random":
-            kw = kwargs()
+            kw = kwargs("d", "n", "seed", "dual")
             return RandomFiniteFamily(
                 dim=int(kw["d"]),
                 count=int(kw["n"]),

@@ -17,6 +17,7 @@ from .exact import (
     SparseVector,
     bordered_elimination,
     echelon,
+    echelon_step,
     rank_of_vectors,
 )
 from .families import RandomFiniteFamily, SystemFamily
@@ -52,26 +53,71 @@ def mixed_vectors(sel: MixedSelection) -> List[SparseVector]:
             for k in range(1, family.truncation(sel.n) + 1)]
 
 
-def _check_mixed_rank(gens: Sequence[SparseVector], rank: int) -> int:
+def _check_mixed_rank(size: int, rank: int) -> int:
     """The rank of a truncated mixed family, which must be its size.
 
     The duals are biorthogonal, so <x_i, x_j*> = 0 for i in sigma and j
     not in sigma: the Gram matrix is block-diagonal with full-rank blocks.
     """
-    if rank < len(gens):
+    if rank < size:
         raise InvariantViolation(
-            f"a truncated mixed family of {len(gens)} vectors has rank {rank}")
+            f"a truncated mixed family of {size} vectors has rank {rank}")
     return rank
 
 
-def defect_truncated(sel: MixedSelection, ambient: Optional[int] = None,
-                     digit_budget: Optional[int] = None) -> int:
+def _selection_key(sigma: EventuallyPeriodicSet, last: int) -> int:
+    """The bits of sigma ∩ {1..last}, the bit of k = 1 most significant."""
+    key = 0
+    for k in range(1, last + 1):
+        key = key << 1 | sigma.contains(k)
+    return key
+
+
+def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[int]):
+    """The rank of the mixed family x_1..x_last selected by each key.
+
+    Bit last - k of a key takes x_k when set and x_k* when clear, so two
+    keys share their first d vectors when they share their top d bits.
+    One echelon state is kept per depth: each key is extended, one
+    `echelon_step` per vector, from its common prefix with the key before,
+    and the state at depth d is the sequential echelon state of the first
+    d vectors.  A repeated key costs nothing, and ascending keys extend
+    every shared prefix once.
+    """
+    states = [{}] * (last + 1)
+    ranks = [0] * (last + 1)
+    prev = None
+    for key in keys:
+        depth = 0 if prev is None else last - (key ^ prev).bit_length()
+        for k in range(depth + 1, last + 1):
+            v = family.vector(k) if key >> (last - k) & 1 else family.dual(k)
+            pivots = dict(states[k - 1])
+            ranks[k] = ranks[k - 1] + echelon_step(pivots, v, digit_budget)
+            states[k] = pivots
+        prev = key
+        yield ranks[last]
+
+
+def defect_truncated_many(family: SystemFamily, sigmas: Sequence[EventuallyPeriodicSet],
+                          n: int, digit_budget: Optional[int] = None) -> list:
+    """defect_truncated of every sigma at truncation n, in input order.
+
+    The distinct selections are ranked in ascending key order over shared
+    echelon prefixes.  A rank below the family's size raises
+    InvariantViolation, for the first such selection in input order.
+    """
+    last = family.truncation(n)
+    keys = [_selection_key(sigma, last) for sigma in sigmas]
+    distinct = sorted(set(keys))
+    rank_of = dict(zip(distinct, _mixed_ranks(family, last, distinct, digit_budget)))
+    ambient = family.ambient(n)
+    return [ambient - _check_mixed_rank(last, rank_of[key]) for key in keys]
+
+
+def defect_truncated(sel: MixedSelection, digit_budget: Optional[int] = None) -> int:
     """ambient - rank of the truncated mixed family; a rank below the
     family's size raises InvariantViolation."""
-    if ambient is None:
-        ambient = sel.family.ambient(sel.n)
-    gens = mixed_vectors(sel)
-    return ambient - _check_mixed_rank(gens, rank_of_vectors(gens, digit_budget=digit_budget))
+    return defect_truncated_many(sel.family, [sel.sigma], sel.n, digit_budget)[0]
 
 
 def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
@@ -85,7 +131,7 @@ def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
     """
     gens = mixed_vectors(MixedSelection(family, sigma, max(n_grid, default=0)))
     kept = echelon(gens, digit_budget)[0]
-    _check_mixed_rank(gens, len(kept))
+    _check_mixed_rank(len(gens), len(kept))
     return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
 
@@ -259,17 +305,20 @@ def swap_move(sigma: EventuallyPeriodicSet, k0: int, direction: str) -> Eventual
 
 
 def hereditary_scan(family: RandomFiniteFamily) -> int:
-    """Max truncated defect over all 2^n subsets of a finite random system."""
+    """Max truncated defect over all 2^n subsets of a finite random system.
+
+    The selections are the keys 0..2^n - 1 in ascending order, so the
+    scan makes 2^(n+1) - 2 echelon steps, one per nonempty prefix.
+    """
     if not isinstance(family, RandomFiniteFamily):
         raise UnsupportedScan("hereditary_scan requires a RandomFinite family")
     n = family.count
     if n > HEREDITARY_SCAN_LIMIT:
         raise TooLarge(f"enumeration bound is n <= {HEREDITARY_SCAN_LIMIT}")
+    ambient = family.ambient(n)
     worst = 0
-    for mask in range(1 << n):
-        members = [k for k in range(1, n + 1) if mask >> (k - 1) & 1]
-        sigma = EventuallyPeriodicSet.finite(members)
-        worst = max(worst, defect_truncated(MixedSelection(family, sigma, n)))
+    for rank in _mixed_ranks(family, n, range(1 << n), None):
+        worst = max(worst, ambient - _check_mixed_rank(n, rank))
     return worst
 
 

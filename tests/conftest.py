@@ -296,18 +296,17 @@ def rising_decay(monkeypatch):
 
 @pytest.fixture
 def dropped_generator(monkeypatch):
-    """Makes the echelon pass, as `exact`, `mixed` and `topology` call it,
-    drop its last kept index, so a truncated mixed family loses rank as if
-    one of its vectors lay in the span of those before it."""
+    """Makes the shared echelon step, as `exact.echelon` and the mixed
+    batch call it, report the first row offered to an empty state as
+    dependent and leave the state empty, so a truncated mixed family loses
+    rank as if its first vector lay in the span of those before it."""
     import defectlab.exact as exact
     import defectlab.mixed as mixed
-    import defectlab.topology as topology
 
-    real = exact.echelon
+    real = exact.echelon_step
 
-    def dropping(*args, **kwargs):
-        kept, pivots = real(*args, **kwargs)
-        return kept[:-1], pivots
+    def dropping(pivots, v, digit_budget=None):
+        return bool(pivots) and real(pivots, v, digit_budget)
 
-    for module in (exact, mixed, topology):
-        monkeypatch.setattr(module, "echelon", dropping)
+    for module in (exact, mixed):
+        monkeypatch.setattr(module, "echelon_step", dropping)

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, deterministic reports."""
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -191,6 +192,15 @@ class TestOracle:
         assert payload["results"]["swap"]["violations"] == 0
         assert payload["results"]["hereditary"]["violations"] == 0
 
+    def test_report_bytes_are_pinned(self, capsys):
+        """The digest of this report before the suites shared echelon
+        prefixes: batching the ranks must not change a byte."""
+        code, out, _ = run(capsys, "oracle", "--suite", "all", "--instances", "60",
+                           "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "59fb9721f1221038312571207a264fdb552b0aec2cbf5ef4881aac9b0ecb2e4b")
+
 
 class TestExitCodes:
     def test_input_error_is_2(self, capsys):
@@ -292,6 +302,9 @@ class TestExitCodes:
          "--min-points", "0"],
         ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3",
          "--workers", "0"],
+        ["construct", "--family", "random(d=3,n=2,sede=4)", "--n", "1"],
+        ["construct", "--family", "young(w=1,bogus=3)", "--n", "1"],
+        ["construct", "--family", "e1-plus-ek(m=7)", "--n", "1"],
     ], ids=["defect-n-0", "defect-n-negative", "defect-n-list-0", "metric-terms-0",
             "converge-terms-0", "converge-m-max-0", "sweep-n-grid-0",
             "oracle-instances-negative", "defect-probe-window-0",
@@ -300,7 +313,8 @@ class TestExitCodes:
             "metric-n-0", "converge-n-0", "construct-n-negative", "construct-n-0",
             "metric-precision-negative", "converge-precision-negative",
             "chain-digit-budget-negative", "metric-digit-budget-0",
-            "defect-min-points-0", "sweep-workers-0"])
+            "defect-min-points-0", "sweep-workers-0", "random-unknown-key",
+            "young-unknown-key", "e1-plus-ek-takes-no-argument"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -315,3 +315,15 @@ class TestDescriptorGrammar:
             parse_family("finite-set(1,2)")
         with pytest.raises(MalformedDefectSet):
             parse_family("infinite-set(0,2)")
+
+    @pytest.mark.parametrize("text, named", [
+        ("random(d=3,n=2,sede=4)", "'sede=4'"),
+        ("young(w=1,bogus=3)", "'bogus=3'"),
+        ("e1-plus-ek(m=7)", "'m=7'"),
+        ("e1-plus-ek(5)", "'5'"),
+        ("defect-pair(m=2,w=1)", "'w=1'"),
+        ("young(w=1,w=2)", "'w'"),
+    ])
+    def test_rejects_arguments_a_family_does_not_take(self, text, named):
+        with pytest.raises(FamilySyntaxError, match=named):
+            parse_family(text)

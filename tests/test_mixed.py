@@ -17,11 +17,13 @@ from defectlab import (
     MixedSelection,
     RandomFiniteFamily,
     SparseVector,
+    SystemFamily,
     TooLarge,
     WrongSide,
     YoungFamily,
     classify_defect,
     defect_truncated,
+    defect_truncated_many,
     distance_profile,
     hereditary_scan,
     mixed_vectors,
@@ -29,9 +31,16 @@ from defectlab import (
     swap_move,
     witness_check,
 )
-from conftest import oracle_dist_sq, random_eventually_periodic
-from defectlab.exact import InvariantViolation
-from defectlab.mixed import _probe_passes, defect_sweep
+from conftest import (
+    count_calls,
+    oracle_dist_sq,
+    oracle_nullspace_dim,
+    oracle_rank,
+    random_eventually_periodic,
+    random_sparse_vector,
+)
+from defectlab.exact import BudgetExceeded, InvariantViolation, echelon
+from defectlab.mixed import _mixed_ranks, _probe_passes, defect_sweep
 
 Q = Fraction
 
@@ -86,6 +95,99 @@ class TestMixedRankInvariant:
             defect_sweep(fam, sigma, [3, 6])
         with pytest.raises(InvariantViolation):
             hereditary_scan(RandomFiniteFamily(3, 3, seed=1))
+
+
+@st.composite
+def random_batches(draw):
+    """A random family, a truncation and an unsorted list of finite and
+    periodic selections with repeats, with or without a digit budget."""
+    dim = draw(st.integers(1, 6))
+    fam = RandomFiniteFamily(dim, draw(st.integers(0, dim)), seed=draw(st.integers(0, 999)),
+                             dual_style=draw(st.sampled_from(["span", "perturbed"])))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [random_eventually_periodic(rng) for _ in range(draw(st.integers(1, 4)))]
+    pool += [EventuallyPeriodicSet.finite(draw(st.lists(st.integers(1, 7), max_size=4)))]
+    sigmas = draw(st.lists(st.sampled_from(pool), max_size=12))
+    budget = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return fam, sigmas, draw(st.integers(0, dim + 1)), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_batches())
+def test_batch_defects_match_sequential_echelon_and_sympy(case):
+    """Each batch defect is the ambient dimension minus the rank that a
+    fresh echelon pass and sympy give its selection; with a digit budget
+    the batch trips exactly when one of those passes trips."""
+    fam, sigmas, n, budget = case
+    gens = [mixed_vectors(MixedSelection(fam, sigma, n)) for sigma in sigmas]
+    ambient = fam.ambient(n)
+    try:
+        ranks = [len(echelon(g, budget)[0]) for g in gens]
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            defect_truncated_many(fam, sigmas, n, budget)
+        return
+    assert ranks == [oracle_rank(g, ambient) for g in gens]
+    assert defect_truncated_many(fam, sigmas, n, budget) == [ambient - r for r in ranks]
+    if sigmas:
+        assert defect_truncated(MixedSelection(fam, sigmas[-1], n), budget) == (
+            ambient - ranks[-1])
+
+
+class ListFamily(SystemFamily):
+    """Given x_k and x_k*, not biorthogonal, so the mixed ranks vary."""
+
+    def __init__(self, xs, duals, dim):
+        self.xs, self.duals, self.dim = xs, duals, dim
+
+    def vector(self, k):
+        return self.xs[k - 1]
+
+    def dual(self, k):
+        return self.duals[k - 1]
+
+    def ambient(self, n):
+        return self.dim
+
+
+def _keyed_vectors(fam, last, key):
+    return [fam.vector(k) if key >> (last - k) & 1 else fam.dual(k)
+            for k in range(1, last + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 5), st.integers(1, 5),
+       st.data())
+def test_shared_prefix_ranks_match_fresh_passes(rng, last, dim, data):
+    """Over vectors with planted zeros and repeats, and keys unsorted and
+    repeated, each rank is the rank of a fresh echelon pass and of sympy;
+    with a digit budget the pass trips exactly when a fresh pass trips."""
+    pool = [random_sparse_vector(rng, dim) for _ in range(3)] + [SparseVector.zero()]
+    fam = ListFamily([rng.choice(pool) for _ in range(last)],
+                     [rng.choice(pool) for _ in range(last)], dim)
+    keys = data.draw(st.lists(st.integers(0, (1 << last) - 1), max_size=10))
+    budget = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    try:
+        expected = [len(echelon(_keyed_vectors(fam, last, key), budget)[0]) for key in keys]
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            list(_mixed_ranks(fam, last, keys, budget))
+        return
+    assert list(_mixed_ranks(fam, last, keys, budget)) == expected
+    assert expected == [oracle_rank(_keyed_vectors(fam, last, key), dim) for key in keys]
+
+
+def test_first_deficit_in_input_order_raises():
+    # x_1 = x_2 = 0: sigma = {1, 2} has rank 0, sigma = {2} has rank 1 and
+    # is ranked first, as its key 0b01 is the smaller
+    e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
+    fam = ListFamily([SparseVector.zero()] * 2, [e1, e2], 2)
+    sigmas = [EventuallyPeriodicSet.finite([1, 2]), EventuallyPeriodicSet.finite([2])]
+    with pytest.raises(InvariantViolation, match="of 2 vectors has rank 0"):
+        defect_truncated_many(fam, sigmas, 2)
+    with pytest.raises(InvariantViolation, match="of 2 vectors has rank 1"):
+        defect_truncated_many(fam, sigmas[::-1], 2)
+    assert defect_truncated_many(fam, [EventuallyPeriodicSet.finite([])] * 2, 2) == [0, 0]
 
 
 class TestWitnessCheck:
@@ -267,6 +369,26 @@ class TestHereditaryScan:
     def test_incomplete_system_detected(self):
         fam = RandomFiniteFamily(4, 2, seed=5)
         assert hereditary_scan(fam) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 999),
+           st.sampled_from(["span", "perturbed"]))
+    def test_matches_brute_force_sympy(self, dim, count, seed, dual):
+        count = min(count, dim)
+        fam = RandomFiniteFamily(dim, count, seed=seed, dual_style=dual)
+        worst = max(
+            oracle_nullspace_dim([fam.vector(k) if mask >> (k - 1) & 1 else fam.dual(k)
+                                  for k in range(1, count + 1)], dim)
+            for mask in range(1 << count))
+        assert hereditary_scan(fam) == worst
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_one_step_per_nonempty_prefix(self, monkeypatch, n):
+        import defectlab.mixed as mixed
+
+        steps = count_calls(monkeypatch, "echelon_step", mixed)
+        hereditary_scan(RandomFiniteFamily(n + 1, n, seed=n))
+        assert len(steps) == 2 ** (n + 1) - 2
 
     def test_too_large(self):
         fam = RandomFiniteFamily(25, 21, seed=0)
