@@ -39,6 +39,7 @@ from .mixed import (
     distance_profile,
     hereditary_scan,
     mixed_vectors,
+    selection_key,
     swap_move,
     witness_check,
 )

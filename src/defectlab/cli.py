@@ -16,13 +16,12 @@ from fractions import Fraction
 from . import __version__
 from .exact import BudgetExceeded, InvariantViolation
 from .families import RandomFiniteFamily, parse_family
-from .indexsets import EventuallyPeriodicSet, parse_set, rho
+from .indexsets import parse_set, rho
 from .mixed import (
     classify_defect,
     defect_sweep,
     defect_truncated_many,
     hereditary_scan,
-    swap_move,
 )
 from .reports import (
     decay_csv,
@@ -283,22 +282,18 @@ def _run_swap_suite(instances: int, seed: int) -> dict:
         family = RandomFiniteFamily(dim=dim, count=count,
                                     seed=rng.randrange(1 << 30), dual_style=dual)
         members = [k for k in range(1, count + 1) if rng.random() < 0.5]
-        sigma = EventuallyPeriodicSet.finite(members)
-        # the base selection, its single flips, then four chains of flips
-        sigmas = [sigma]
-        for k0 in range(1, count + 1):
-            direction = "out" if sigma.contains(k0) else "in"
-            sigmas.append(swap_move(sigma, k0, direction))
+        # the base selection, its single flips, then four chains of flips;
+        # bit count - k of a key selects x_k, so a flip of k is one xor
+        base = sum(1 << (count - k) for k in members)
+        keys = [base] + [base ^ 1 << (count - k0) for k0 in range(1, count + 1)]
         for _chain in range(4):
-            cur = sigma
+            key = base
             for _step in range(rng.randint(1, 3)):
-                k0 = rng.randint(1, count)
-                direction = "out" if cur.contains(k0) else "in"
-                cur = swap_move(cur, k0, direction)
-            sigmas.append(cur)
-        base, *moved = defect_truncated_many(family, sigmas, count)
+                key ^= 1 << (count - rng.randint(1, count))
+            keys.append(key)
+        defect, *moved = defect_truncated_many(family, keys, count)
         checks += len(moved)
-        violations += sum(d != base for d in moved)
+        violations += sum(d != defect for d in moved)
     return {"instances": instances, "checks": checks, "violations": violations}
 
 

@@ -65,8 +65,9 @@ def _check_mixed_rank(size: int, rank: int) -> int:
     return rank
 
 
-def _selection_key(sigma: EventuallyPeriodicSet, last: int) -> int:
-    """The bits of sigma ∩ {1..last}, the bit of k = 1 most significant."""
+def selection_key(sigma: EventuallyPeriodicSet, last: int) -> int:
+    """The key of sigma's mixed selection of x_1..x_last: bit last - k is
+    set when k is in sigma, so the bit of k = 1 is the most significant."""
     key = 0
     for k in range(1, last + 1):
         key = key << 1 | sigma.contains(k)
@@ -98,17 +99,22 @@ def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[i
         yield ranks[last]
 
 
-def defect_truncated_many(family: SystemFamily, sigmas: Sequence[EventuallyPeriodicSet],
-                          n: int, digit_budget: Optional[int] = None) -> list:
-    """defect_truncated of every sigma at truncation n, in input order.
+def defect_truncated_many(family: SystemFamily, keys: Sequence[int], n: int,
+                          digit_budget: Optional[int] = None) -> list:
+    """defect_truncated of the selection with each key at truncation n,
+    in input order.
 
-    The distinct selections are ranked in ascending key order over shared
-    echelon prefixes.  A rank below the family's size raises
-    InvariantViolation, for the first such selection in input order.
+    A key selects among x_1..x_last, last = family.truncation(n), as
+    `selection_key` builds it.  The distinct keys are ranked in ascending
+    order over shared echelon prefixes, so a digit-budget trip anywhere
+    in the batch is raised before any rank is checked.  A rank below the
+    family's size raises InvariantViolation, for the first such key in
+    input order.
     """
     last = family.truncation(n)
-    keys = [_selection_key(sigma, last) for sigma in sigmas]
     distinct = sorted(set(keys))
+    if distinct and (distinct[0] < 0 or distinct[-1] >> last):
+        raise ValueError(f"a key of {last} indices lies in 0..2^{last} - 1")
     rank_of = dict(zip(distinct, _mixed_ranks(family, last, distinct, digit_budget)))
     ambient = family.ambient(n)
     return [ambient - _check_mixed_rank(last, rank_of[key]) for key in keys]
@@ -117,7 +123,8 @@ def defect_truncated_many(family: SystemFamily, sigmas: Sequence[EventuallyPerio
 def defect_truncated(sel: MixedSelection, digit_budget: Optional[int] = None) -> int:
     """ambient - rank of the truncated mixed family; a rank below the
     family's size raises InvariantViolation."""
-    return defect_truncated_many(sel.family, [sel.sigma], sel.n, digit_budget)[0]
+    key = selection_key(sel.sigma, sel.family.truncation(sel.n))
+    return defect_truncated_many(sel.family, [key], sel.n, digit_budget)[0]
 
 
 def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,

@@ -297,16 +297,16 @@ def rising_decay(monkeypatch):
 @pytest.fixture
 def dropped_generator(monkeypatch):
     """Makes the shared echelon step, as `exact.echelon` and the mixed
-    batch call it, report the first row offered to an empty state as
-    dependent and leave the state empty, so a truncated mixed family loses
-    rank as if its first vector lay in the span of those before it."""
+    batch call it, report the first pivot row of each pass as dependent
+    while keeping it in the state, so every pass loses exactly one rank
+    and a truncated mixed family of full rank reads as rank size - 1."""
     import defectlab.exact as exact
     import defectlab.mixed as mixed
 
     real = exact.echelon_step
 
     def dropping(pivots, v, digit_budget=None):
-        return bool(pivots) and real(pivots, v, digit_budget)
+        return real(pivots, v, digit_budget) and len(pivots) > 1
 
     for module in (exact, mixed):
         monkeypatch.setattr(module, "echelon_step", dropping)

@@ -16,12 +16,15 @@ import defectlab
 from conftest import oracle_perturbed_duals
 from defectlab import (
     E1PlusEkFamily,
+    EventuallyPeriodicSet,
     IntervalValue,
     MixedSelection,
     SparseVector,
     defect_truncated,
     parse_family,
     parse_set,
+    selection_key,
+    swap_move,
 )
 from defectlab.cli import main
 from defectlab.reports import rational_str
@@ -191,6 +194,41 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["results"]["swap"]["violations"] == 0
         assert payload["results"]["hereditary"]["violations"] == 0
+
+    def test_swap_suite_ranks_the_flipped_selections(self, monkeypatch):
+        """Each instance ranks the keys of its base selection, the single
+        swap moves of it and four chains of swap moves, drawn in this order."""
+        import random
+
+        import defectlab.cli as cli
+
+        batches = []
+        real = cli.defect_truncated_many
+
+        def recording(family, keys, n, digit_budget=None):
+            batches.append((family.seed, list(keys), n))
+            return real(family, keys, n, digit_budget)
+
+        monkeypatch.setattr(cli, "defect_truncated_many", recording)
+        assert cli._run_swap_suite(40, 5)["violations"] == 0
+        rng, expected = random.Random(5), []
+        for _ in range(40):
+            dim = rng.randint(2, 8)
+            count = rng.randint(1, dim)
+            rng.choice(["span", "perturbed"])
+            seed = rng.randrange(1 << 30)
+            sigma = EventuallyPeriodicSet.finite(
+                [k for k in range(1, count + 1) if rng.random() < 0.5])
+            sigmas = [sigma] + [swap_move(sigma, k0, "out" if sigma.contains(k0) else "in")
+                                for k0 in range(1, count + 1)]
+            for _chain in range(4):
+                cur = sigma
+                for _step in range(rng.randint(1, 3)):
+                    k0 = rng.randint(1, count)
+                    cur = swap_move(cur, k0, "out" if cur.contains(k0) else "in")
+                sigmas.append(cur)
+            expected.append((seed, [selection_key(s, count) for s in sigmas], count))
+        assert batches == expected
 
     def test_report_bytes_are_pinned(self, capsys):
         """The digest of this report before the suites shared echelon

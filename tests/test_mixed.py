@@ -28,6 +28,7 @@ from defectlab import (
     hereditary_scan,
     mixed_vectors,
     parse_set,
+    selection_key,
     swap_move,
     witness_check,
 )
@@ -120,18 +121,18 @@ def test_batch_defects_match_sequential_echelon_and_sympy(case):
     the batch trips exactly when one of those passes trips."""
     fam, sigmas, n, budget = case
     gens = [mixed_vectors(MixedSelection(fam, sigma, n)) for sigma in sigmas]
+    keys = [selection_key(sigma, fam.truncation(n)) for sigma in sigmas]
     ambient = fam.ambient(n)
     try:
         ranks = [len(echelon(g, budget)[0]) for g in gens]
     except BudgetExceeded:
         with pytest.raises(BudgetExceeded):
-            defect_truncated_many(fam, sigmas, n, budget)
+            defect_truncated_many(fam, keys, n, budget)
         return
     assert ranks == [oracle_rank(g, ambient) for g in gens]
-    assert defect_truncated_many(fam, sigmas, n, budget) == [ambient - r for r in ranks]
-    if sigmas:
-        assert defect_truncated(MixedSelection(fam, sigmas[-1], n), budget) == (
-            ambient - ranks[-1])
+    assert defect_truncated_many(fam, keys, n, budget) == [ambient - r for r in ranks]
+    assert [defect_truncated(MixedSelection(fam, sigma, n), budget) for sigma in sigmas] == [
+        ambient - r for r in ranks]
 
 
 class ListFamily(SystemFamily):
@@ -182,12 +183,19 @@ def test_first_deficit_in_input_order_raises():
     # is ranked first, as its key 0b01 is the smaller
     e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
     fam = ListFamily([SparseVector.zero()] * 2, [e1, e2], 2)
-    sigmas = [EventuallyPeriodicSet.finite([1, 2]), EventuallyPeriodicSet.finite([2])]
+    keys = [selection_key(EventuallyPeriodicSet.finite(m), 2) for m in ([1, 2], [2])]
+    assert keys == [0b11, 0b01]
     with pytest.raises(InvariantViolation, match="of 2 vectors has rank 0"):
-        defect_truncated_many(fam, sigmas, 2)
+        defect_truncated_many(fam, keys, 2)
     with pytest.raises(InvariantViolation, match="of 2 vectors has rank 1"):
-        defect_truncated_many(fam, sigmas[::-1], 2)
-    assert defect_truncated_many(fam, [EventuallyPeriodicSet.finite([])] * 2, 2) == [0, 0]
+        defect_truncated_many(fam, keys[::-1], 2)
+    assert defect_truncated_many(fam, [0b00] * 2, 2) == [0, 0]
+
+
+@pytest.mark.parametrize("key", [-1, 0b100])
+def test_key_outside_truncation_is_rejected(key):
+    with pytest.raises(ValueError, match=r"lies in 0..2\^2 - 1"):
+        defect_truncated_many(E1PlusEkFamily(), [0b01, key], 2)
 
 
 class TestWitnessCheck:
