@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .exact import (
     BudgetExceeded,
     SparseVector,
-    complement_basis,
-    dist_sq,
     rank_of_vectors,
 )
 from .families import (
@@ -32,15 +30,12 @@ from .mixed import (
     DefectReport,
     MixedSelection,
     TooLarge,
-    WrongSide,
     classify_defect,
-    defect_truncated,
     defect_truncated_many,
     distance_profile,
     hereditary_scan,
     mixed_vectors,
     selection_key,
-    swap_move,
     witness_check,
 )
 from .topology import (

@@ -271,7 +271,7 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _run_swap_suite(instances: int, seed: int) -> dict:
+def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
     rng = random.Random(seed)
     violations = 0
     checks = 0
@@ -291,20 +291,20 @@ def _run_swap_suite(instances: int, seed: int) -> dict:
             for _step in range(rng.randint(1, 3)):
                 key ^= 1 << (count - rng.randint(1, count))
             keys.append(key)
-        defect, *moved = defect_truncated_many(family, keys, count)
+        defect, *moved = defect_truncated_many(family, keys, count, digit_budget)
         checks += len(moved)
         violations += sum(d != defect for d in moved)
     return {"instances": instances, "checks": checks, "violations": violations}
 
 
-def _run_hereditary_suite(instances: int, seed: int) -> dict:
+def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     rng = random.Random(seed)
     violations = 0
     for i in range(instances):
         dim = rng.randint(1, 6)
         family = RandomFiniteFamily(dim=dim, count=dim,
                                     seed=rng.randrange(1 << 30), dual_style="span")
-        if hereditary_scan(family) != 0:
+        if hereditary_scan(family, digit_budget) != 0:
             violations += 1
     return {"instances": instances, "violations": violations}
 
@@ -313,10 +313,10 @@ def cmd_oracle(args) -> int:
     _require_nonnegative("--instances", args.instances)
     results = {}
     if args.suite in ("swap", "all"):
-        results["swap"] = _run_swap_suite(args.instances, args.seed)
+        results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)
     if args.suite in ("hereditary", "all"):
         results["hereditary"] = _run_hereditary_suite(
-            min(args.instances, 100), args.seed
+            min(args.instances, 100), args.seed, args.digit_budget
         )
     config = {"suite": args.suite, "instances": args.instances, "seed": args.seed}
     _emit(args, "oracle", config, results)
@@ -412,6 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Runs the subcommand with CPython's limit on int-to-str conversion
+    (Python 3.10.7 and later) lifted, so that exact values of any size
+    serialize; --digit-budget is the size guard."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _error_json(kind: str, message: str) -> str:
     return dump_json({"error": {"kind": kind, "message": message}})
 
@@ -421,7 +435,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.digit_budget is not None:
             _require_positive("--digit-budget", [args.digit_budget])
-        return args.func(args)
+        return _run(args)
     except SystemExit as exc:
         # --help and --version print their text and exit 0
         return int(exc.code or 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -43,6 +44,10 @@ def _check_budget(values: Iterable, digit_budget: Optional[int]) -> None:
             raise BudgetExceeded(
                 f"rational entry exceeds digit budget of {digit_budget} digits"
             )
+
+
+# Fractions of small integers, shared between vectors: a Fraction is immutable.
+_SMALL = {x: Q(x) for x in range(-8, 9)}
 
 
 class SparseVector:
@@ -92,21 +97,21 @@ class SparseVector:
         return SparseVector(entries)
 
     @staticmethod
+    def from_ints(ints: dict) -> "SparseVector":
+        """The vector with these integer coordinates, keyed in increasing
+        index order and all nonzero; its integer coordinates are cached
+        from the start, at scale 1."""
+        v = SparseVector(tuple((i, _SMALL.get(x) or Q(x)) for i, x in ints.items()))
+        v._ints = 1, ints
+        return v
+
+    @staticmethod
     def unit(index: int) -> "SparseVector":
         return SparseVector(((index, Q(1)),))
 
     @staticmethod
     def zero() -> "SparseVector":
         return SparseVector(())
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def get(self, index: int) -> Fraction:
-        for i, v in self.entries:
-            if i == index:
-                return v
-        return Q(0)
 
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else 0
@@ -137,14 +142,6 @@ class SparseVector:
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + other.scale(-1)
-
-    def to_dense(self, ambient: int) -> list:
-        dense = [Q(0)] * ambient
-        for i, v in self.entries:
-            if i > ambient:
-                raise ValueError(f"support index {i} exceeds ambient {ambient}")
-            dense[i - 1] = v
-        return dense
 
 
 class Elimination(NamedTuple):
@@ -257,15 +254,21 @@ def bordered_elimination(
 
     coefficients = None
     if solve:
-        # Fraction-free back substitution: y = prev * x is integral (Cramer).
-        coefficients = []
-        for c, s in enumerate(col_scale, start=m):
-            y = {}
-            for r in reversed(kept):
-                row = rows[r]
-                acc = prev * row[c] - sum(row[j] * yj for j, yj in y.items())
-                y[r] = acc // row[r]
-            coefficients.append([Q(y[r] * gen_scale[r], prev * s) for r in kept])
+        # Fraction-free back substitution of every column at once:
+        # y = prev * x is integral (Cramer).  ys[c] holds column c's y over
+        # the kept rows solved so far, the last kept row first.
+        ys = [[] for _ in col_scale]
+        solved = []
+        for r in reversed(kept):
+            row = rows[r]
+            a = [row[j] for j in solved]
+            for y, b in zip(ys, row[m:]):
+                y.append((prev * b - sum(map(mul, a, y))) // row[r])
+            solved.append(r)
+        coefficients = [
+            [Q(yr * gen_scale[r], prev * s) for r, yr in zip(solved, y)][::-1]
+            for y, s in zip(ys, col_scale)
+        ]
     return Elimination(tuple(kept), table, coefficients)
 
 
@@ -295,11 +298,13 @@ def echelon_step(pivots: dict, v: SparseVector, digit_budget: Optional[int] = No
     shallow copy of pivots is a separate echelon state.
     """
     row = _integer_coords(v)[1]
-    _check_budget(row.values(), digit_budget)
+    if digit_budget is not None:
+        _check_budget(row.values(), digit_budget)
     for p, prow in pivots.items():
         if p in row:
             row = _reduce(row, prow, p)
-            _check_budget(row.values(), digit_budget)
+            if digit_budget is not None:
+                _check_budget(row.values(), digit_budget)
     if row:
         pivots[min(row)] = row
     return bool(row)
@@ -349,41 +354,20 @@ def project_many(
     return [combination(c, kept) for c in elim.coefficients]
 
 
-def dist_sq(
-    v: SparseVector,
-    generators: Sequence[SparseVector],
-    digit_budget: Optional[int] = None,
-) -> Fraction:
-    """Exact squared distance from v to span(generators).
+def reduced_echelon(vectors: Sequence[SparseVector]) -> dict:
+    """The echelon pass's pivot rows, back-reduced to reduced row echelon
+    form: {pivot: row}, largest pivot first.
 
-    Dependent generators are skipped by the elimination.
+    Each pivot row is reduced against the rows of the larger pivots, so
+    the row R_p is zero at every other pivot.  The null space of the
+    matrix whose rows are the vectors then has the basis
+    e_f - sum_p (R_p[f] / R_p[p]) e_p, one vector per free coordinate f:
+    the reduced-row-echelon null-space basis.
     """
-    return bordered_elimination(generators, [v], digit_budget=digit_budget).dist_sq[0][0]
-
-
-def complement_basis(generators: Sequence[SparseVector], ambient: int) -> list:
-    """Exact basis of the orthogonal complement inside coordinates 1..ambient.
-
-    The complement is the null space of the matrix whose rows are the
-    generators.  The echelon pass's pivot rows are back-reduced, each
-    against the rows of the larger pivots, until every row R_p is zero
-    at every other pivot; then for each free coordinate f,
-    e_f - sum_p (R_p[f] / R_p[p]) e_p is a null vector.  These are the
-    vectors of the reduced-row-echelon null-space basis, in the same
-    order.
-    """
-    if any(g.max_index() > ambient for g in generators):
-        raise ValueError("generator support exceeds ambient dimension")
     rows = {}
-    for p, row in sorted(echelon(generators)[1].items(), reverse=True):
+    for p, row in sorted(echelon(vectors)[1].items(), reverse=True):
         for q, qrow in rows.items():
             if q in row:
                 row = _reduce(row, qrow, q)
         rows[p] = row
-    return [
-        SparseVector.from_pairs(
-            [(f, Q(1))] + [(p, Q(-row[f], row[p])) for p, row in rows.items() if f in row]
-        )
-        for f in range(1, ambient + 1)
-        if f not in rows
-    ]
+    return rows

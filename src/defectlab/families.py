@@ -11,14 +11,10 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional
 
-from .exact import (
-    SparseVector,
-    bordered_elimination,
-    combination,
-    complement_basis,
-)
+from .exact import SparseVector, bordered_elimination, reduced_echelon
 from .indexsets import EventuallyPeriodicSet
 
 Q = Fraction
@@ -350,12 +346,25 @@ class InfiniteDefectSetFamily(SystemFamily):
         )
 
 
+def _add_ratio(x: Fraction, num: int, den: int) -> Fraction:
+    """x + num/den, normalized once."""
+    return Q(x.numerator * den + num * x.denominator, x.denominator * den)
+
+
 class RandomFiniteFamily(SystemFamily):
     """Seeded random independent system in a finite ambient space.
 
     The biorthogonal family is the dual basis inside the span, optionally
     perturbed by exact components from the orthogonal complement (which
     preserves biorthogonality but exercises its non-uniqueness).
+
+    The vectors are integer rows V.  The span duals are the rows of
+    G^-1 V, G = V V^T, so one Gram solve with V's coordinate columns as
+    right-hand sides gives coordinate c of every dual in column c.  A
+    perturbed dual adds sum_f r_f n_f over the reduced-row-echelon
+    null-space basis n_f of V, with integer r_f in -2..2: r_f at each
+    free coordinate f and -sum_f r_f R_p[f] / R_p[p] at each pivot p of
+    the reduced rows R_p.
     """
 
     kind = "random"
@@ -376,24 +385,35 @@ class RandomFiniteFamily(SystemFamily):
 
     def _generate(self):
         rng = random.Random(self.seed)
-        # G c = e_k gives the coefficients of the k-th dual vector over vecs.
-        identity = [[int(i == k) for i in range(self.count)] for k in range(self.count)]
+        coords = range(1, self.dim + 1)
         for _ in range(self.MAX_RETRIES):
-            vecs = []
-            for _k in range(self.count):
-                pairs = [(i, rng.randint(-3, 3)) for i in range(1, self.dim + 1)]
-                vecs.append(SparseVector(tuple((i, Q(v)) for i, v in pairs if v)))
-            elim = bordered_elimination(vecs, rhs=identity, solve=True)
+            rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
+            vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x})
+                    for row in rows]
+            elim = bordered_elimination(vecs, rhs=list(zip(*rows)), solve=True)
             if len(elim.kept) == self.count:
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
-        comp = complement_basis(vecs, self.dim) if self.dual_style == "perturbed" else []
+        # the k-th dual's coordinates, one column of the solve each
+        duals = [list(col) for col in zip(*elim.coefficients)]
+        if self.dual_style == "perturbed":
+            reduced = reduced_echelon(vecs)
+            free = [f for f in coords if f not in reduced]
+            # each pivot p with R_p[p] and R_p at the free coordinates
+            pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
+            for dual in duals:
+                shifts = [rng.randint(-2, 2) for _f in free]
+                for f, r in zip(free, shifts):
+                    if r:
+                        dual[f - 1] = _add_ratio(dual[f - 1], r, 1)
+                for p, rp, at_free in pivots:
+                    t = sum(map(mul, shifts, at_free))
+                    if t:
+                        dual[p - 1] = _add_ratio(dual[p - 1], -t, rp)
         self._vectors = vecs
-        self._duals = [
-            combination(coeffs + [rng.randint(-2, 2) for _ in comp], vecs + comp)
-            for coeffs in elim.coefficients
-        ]
+        self._duals = [SparseVector(tuple((c, x) for c, x in zip(coords, dual) if x))
+                       for dual in duals]
 
     def vector(self, k):
         return self._vectors[k - 1]

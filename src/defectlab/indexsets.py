@@ -115,14 +115,6 @@ class EventuallyPeriodicSet(NamedTuple):
         exc = self.added | self.removed
         return max(exc) if exc else 0
 
-    def min_element(self):
-        """Smallest member, or None for the empty set."""
-        bound = self._exception_bound() + self.period + 1
-        for k in range(1, bound + 1):
-            if self.contains(k):
-                return k
-        return None
-
     # -- algebra ---------------------------------------------------------
     def complement(self) -> "EventuallyPeriodicSet":
         comp = frozenset(range(self.period)) - self.residues

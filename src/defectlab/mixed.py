@@ -28,10 +28,6 @@ Q = Fraction
 INCONCLUSIVE = "inconclusive"
 
 
-class WrongSide(ValueError):
-    """Raised when a swap moves an index that is not on the stated side."""
-
-
 class TooLarge(ValueError):
     """Raised when an exhaustive scan would exceed the enumeration bound."""
 
@@ -101,8 +97,8 @@ def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[i
 
 def defect_truncated_many(family: SystemFamily, keys: Sequence[int], n: int,
                           digit_budget: Optional[int] = None) -> list:
-    """defect_truncated of the selection with each key at truncation n,
-    in input order.
+    """The truncated defect, ambient - rank, of the mixed family that each
+    key selects at truncation n, in input order.
 
     A key selects among x_1..x_last, last = family.truncation(n), as
     `selection_key` builds it.  The distinct keys are ranked in ascending
@@ -120,16 +116,10 @@ def defect_truncated_many(family: SystemFamily, keys: Sequence[int], n: int,
     return [ambient - _check_mixed_rank(last, rank_of[key]) for key in keys]
 
 
-def defect_truncated(sel: MixedSelection, digit_budget: Optional[int] = None) -> int:
-    """ambient - rank of the truncated mixed family; a rank below the
-    family's size raises InvariantViolation."""
-    key = selection_key(sel.sigma, sel.family.truncation(sel.n))
-    return defect_truncated_many(sel.family, [key], sel.n, digit_budget)[0]
-
-
 def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
                  n_grid: Sequence[int], digit_budget: Optional[int] = None) -> list:
-    """defect_truncated at every n of n_grid, in the given order.
+    """The truncated defect of sigma's mixed family at every n of n_grid,
+    in the given order.
 
     The mixed vectors at n are a prefix of those at max(n_grid) and the
     echelon pass keeps a vector exactly when it is independent of those
@@ -296,22 +286,7 @@ def classify_defect(
     )
 
 
-def swap_move(sigma: EventuallyPeriodicSet, k0: int, direction: str) -> EventuallyPeriodicSet:
-    """Move index k0 across the partition; direction is 'in' or 'out'."""
-    if direction == "in":
-        if sigma.contains(k0):
-            raise WrongSide(f"{k0} is already in sigma")
-        added, removed = sigma.added | {k0}, sigma.removed - {k0}
-    elif direction == "out":
-        if not sigma.contains(k0):
-            raise WrongSide(f"{k0} is not in sigma")
-        added, removed = sigma.added - {k0}, sigma.removed | {k0}
-    else:
-        raise ValueError("direction must be 'in' or 'out'")
-    return EventuallyPeriodicSet.make(sigma.period, sigma.residues, added, removed)
-
-
-def hereditary_scan(family: RandomFiniteFamily) -> int:
+def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = None) -> int:
     """Max truncated defect over all 2^n subsets of a finite random system.
 
     The selections are the keys 0..2^n - 1 in ascending order, so the
@@ -324,7 +299,7 @@ def hereditary_scan(family: RandomFiniteFamily) -> int:
         raise TooLarge(f"enumeration bound is n <= {HEREDITARY_SCAN_LIMIT}")
     ambient = family.ambient(n)
     worst = 0
-    for rank in _mixed_ranks(family, n, range(1 << n), None):
+    for rank in _mixed_ranks(family, n, range(1 << n), digit_budget):
         worst = max(worst, ambient - _check_mixed_rank(n, rank))
     return worst
 

@@ -61,12 +61,6 @@ class IntervalValue:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, other: "IntervalValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def sqrt_enclosure(r: Fraction, precision_bits: int) -> IntervalValue:
     """Certified enclosure of sqrt(r) with width <= 2^-precision_bits."""

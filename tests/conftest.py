@@ -11,15 +11,26 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from defectlab import EventuallyPeriodicSet, SparseVector, complement_basis
-from defectlab.exact import bordered_elimination
+from defectlab import EventuallyPeriodicSet, SparseVector
+from defectlab.exact import bordered_elimination, reduced_echelon
+from defectlab.mixed import defect_truncated_many, selection_key
 
 Q = Fraction
 
 
+def to_dense(v, ambient):
+    """v's coordinates 1..ambient as a list of Fractions."""
+    dense = [Q(0)] * ambient
+    for i, x in v.entries:
+        if i > ambient:
+            raise ValueError(f"support index {i} exceeds ambient {ambient}")
+        dense[i - 1] = x
+    return dense
+
+
 def to_sympy_matrix(vectors, ambient):
     rows = [
-        [sympy.Rational(x.numerator, x.denominator) for x in v.to_dense(ambient)]
+        [sympy.Rational(x.numerator, x.denominator) for x in to_dense(v, ambient)]
         for v in vectors
     ]
     return sympy.Matrix(rows)
@@ -50,7 +61,7 @@ def _oracle_projector(generators, ambient):
 def _oracle_projection(v, generators, ambient):
     """(b, P b) with P the projector onto the generators' span."""
     b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
-                      for x in v.to_dense(ambient)])
+                      for x in to_dense(v, ambient)])
     return b, _oracle_projector(generators, ambient) * b
 
 
@@ -95,18 +106,25 @@ def oracle_pivot_columns(vectors, ambient):
     return [c + 1 for c in matrix.rref()[1]]
 
 
-def oracle_perturbed_duals(dim, count, seed):
-    """random(d=dim,n=count,seed=seed,dual=perturbed), replayed on sympy.
+def oracle_random_family(dim, count, seed, dual_style="span"):
+    """random(d=dim,n=count,seed=seed,dual=dual_style), replayed on sympy.
 
-    Replays the family's seeded draws, assuming the first draw of vectors
-    is independent: each dual is the dual basis inside the span plus a
-    random integer combination of sympy's null-space basis.  Returns
-    (vectors, duals) as SparseVectors.
+    Replays the family's seeded draws, a draw of dependent rows and its
+    retry included: the span duals are the rows of (x x^T)^-1 x, and a
+    perturbed dual adds a random integer combination of sympy's
+    null-space basis.  Returns (vectors, duals) as SparseVectors.
     """
+    from defectlab import RandomFiniteFamily
+
     rng = random.Random(seed)
-    x = sympy.Matrix([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(count)])
-    span_duals = (x * x.T).inv() * x
-    null = x.nullspace()
+    for _ in range(RandomFiniteFamily.MAX_RETRIES):
+        x = sympy.Matrix(count, dim, [rng.randint(-3, 3) for _ in range(count * dim)])
+        if x.rank() == count:
+            break
+    else:
+        raise RuntimeError("failed to draw an independent system")
+    span_duals = (x * x.T).inv() * x if count else x
+    null = x.nullspace() if dual_style == "perturbed" else []
     duals = []
     for k in range(count):
         target = span_duals.row(k).T
@@ -116,12 +134,97 @@ def oracle_perturbed_duals(dim, count, seed):
     return [_from_sympy(x.row(k)) for k in range(count)], duals
 
 
+def replay_random_family(dim, count, seed, dual_style="span"):
+    """random(d=dim,n=count,seed=seed,dual=dual_style) built as it was
+    before the integer build: a Gram solve against the identity for the
+    span duals' coefficients, one `combination` per dual, and the shifts
+    of a perturbed dual as coefficients of the null-space basis
+    `complement_basis`.  Returns (vectors, duals)."""
+    from defectlab import RandomFiniteFamily
+    from defectlab.exact import combination
+
+    rng = random.Random(seed)
+    identity = [[int(i == k) for i in range(count)] for k in range(count)]
+    for _ in range(RandomFiniteFamily.MAX_RETRIES):
+        vecs = []
+        for _k in range(count):
+            pairs = [(i, rng.randint(-3, 3)) for i in range(1, dim + 1)]
+            vecs.append(SparseVector(tuple((i, Q(v)) for i, v in pairs if v)))
+        elim = bordered_elimination(vecs, rhs=identity, solve=True)
+        if len(elim.kept) == count:
+            break
+    else:
+        raise RuntimeError("failed to draw an independent system")
+    comp = complement_basis(vecs, dim) if dual_style == "perturbed" else []
+    duals = [combination(coeffs + [rng.randint(-2, 2) for _ in comp], vecs + comp)
+             for coeffs in elim.coefficients]
+    return vecs, duals
+
+
 def oracle_intersection_dim(gen_a, gen_b, ambient):
     """dim(span A ∩ span B) = rank A + rank B - rank [A; B]."""
     ra = oracle_rank(gen_a, ambient)
     rb = oracle_rank(gen_b, ambient)
     rab = oracle_rank(list(gen_a) + list(gen_b), ambient)
     return ra + rb - rab
+
+
+def dist_sq(v, generators, digit_budget=None):
+    """Exact squared distance from v to span(generators)."""
+    return bordered_elimination(generators, [v], digit_budget=digit_budget).dist_sq[0][0]
+
+
+def complement_basis(generators, ambient):
+    """Exact basis of the orthogonal complement inside coordinates
+    1..ambient: for each free coordinate f of the reduced pivot rows R_p,
+    e_f - sum_p (R_p[f] / R_p[p]) e_p, the reduced-row-echelon null-space
+    basis in order."""
+    if any(g.max_index() > ambient for g in generators):
+        raise ValueError("generator support exceeds ambient dimension")
+    rows = reduced_echelon(generators)
+    return [
+        SparseVector.from_pairs(
+            [(f, Q(1))] + [(p, Q(-row[f], row[p])) for p, row in rows.items() if f in row]
+        )
+        for f in range(1, ambient + 1)
+        if f not in rows
+    ]
+
+
+def defect_truncated(sel, digit_budget=None):
+    """ambient - rank of one truncated mixed family, through the batch call."""
+    key = selection_key(sel.sigma, sel.family.truncation(sel.n))
+    return defect_truncated_many(sel.family, [key], sel.n, digit_budget)[0]
+
+
+class WrongSide(ValueError):
+    """Raised when a swap moves an index that is not on the stated side."""
+
+
+def swap_move(sigma, k0, direction):
+    """Move index k0 across the partition; direction is 'in' or 'out'."""
+    if direction == "in":
+        if sigma.contains(k0):
+            raise WrongSide(f"{k0} is already in sigma")
+        added, removed = sigma.added | {k0}, sigma.removed - {k0}
+    elif direction == "out":
+        if not sigma.contains(k0):
+            raise WrongSide(f"{k0} is not in sigma")
+        added, removed = sigma.added - {k0}, sigma.removed | {k0}
+    else:
+        raise ValueError("direction must be 'in' or 'out'")
+    return EventuallyPeriodicSet.make(sigma.period, sigma.residues, added, removed)
+
+
+def min_element(s):
+    """Smallest member of an eventually periodic set, or None if it is empty."""
+    bound = max(s.added | s.removed, default=0) + s.period + 1
+    return next((k for k in range(1, bound + 1) if s.contains(k)), None)
+
+
+def interval_contains(outer, inner):
+    """Does the interval outer contain the interval inner?"""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def independent_subset(vectors):
@@ -138,7 +241,7 @@ def intersect(gen_a, gen_b, ambient):
 
 def prefix_agreement(a, b):
     """Largest m with a ∩ [1:m] = b ∩ [1:m]; math.inf when a = b."""
-    first = a.symmetric_difference(b).min_element()
+    first = min_element(a.symmetric_difference(b))
     return math.inf if first is None else first - 1
 
 

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import rho_partial
+from conftest import defect_truncated, dist_sq, interval_contains, rho_partial, swap_move
 from defectlab import (
     INCONCLUSIVE,
     DefectPairFamily,
@@ -26,8 +26,6 @@ from defectlab import (
     YoungFamily,
     classify_defect,
     convergence_probe,
-    defect_truncated,
-    dist_sq,
     hereditary_scan,
     intersection_chain,
     parse_set,
@@ -36,7 +34,6 @@ from defectlab import (
     rho,
     semicontinuity_violation,
     sigma_m,
-    swap_move,
     witness_check,
 )
 
@@ -242,8 +239,8 @@ def test_criterion_08_certified_metric_enclosures():
         assert dw.width() <= bound
         assert dw.lo <= ds.hi
         fine_ds, fine_dw = projector_metrics(family, sigma, tau, n, K, 2 * prec)
-        assert ds.contains(fine_ds)
-        assert dw.contains(fine_dw)
+        assert interval_contains(ds, fine_ds)
+        assert interval_contains(dw, fine_dw)
     report(8, "d_s/d_w widths within bound, nested under precision doubling")
 
 

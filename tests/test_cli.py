@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,18 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defectlab
-from conftest import oracle_perturbed_duals
+from conftest import defect_truncated, oracle_random_family, swap_move
 from defectlab import (
     E1PlusEkFamily,
     EventuallyPeriodicSet,
     IntervalValue,
     MixedSelection,
     SparseVector,
-    defect_truncated,
     parse_family,
     parse_set,
     selection_key,
-    swap_move,
 )
 from defectlab.cli import main
 from defectlab.reports import rational_str
@@ -54,7 +53,7 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--family",
                            "random(d=6,n=3,seed=5,dual=perturbed)", "--n", "3")
         assert code == 0
-        vectors, duals = oracle_perturbed_duals(6, 3, 5)
+        vectors, duals = oracle_random_family(6, 3, 5, "perturbed")
 
         def sparse(pairs):
             return SparseVector.from_pairs((i, Fraction(x)) for i, x in pairs)
@@ -62,6 +61,28 @@ class TestConstruct:
         reported = json.loads(out)["results"]["vectors"]
         assert [sparse(v["x"]) for v in reported] == vectors
         assert [sparse(v["x_star"]) for v in reported] == duals
+
+    @pytest.mark.parametrize("family, digest", [
+        ("random(d=6,n=3,seed=5,dual=perturbed)",
+         "529954e301b30cdab6ea99f876451eaf0075d815ec6f8bf685365a5497c0ebb7"),
+        ("random(d=9,n=9,seed=1)",
+         "223577bdc79b151c6ed071427cc4a66e266e5dc6eb4fe2d8fe30c7a2e9967c6b"),
+        ("random(d=9,n=4,seed=123,dual=perturbed)",
+         "b9aedf356c3eb94094d43e0ef6d66891151778d3b0909c79e39ea74d52e1ce3e"),
+        ("random(d=8,n=8,seed=77,dual=perturbed)",
+         "0788fcbc839d893d95fe23ff30d9bdad99e527a6a8c78e301c888526fdf52bd3"),
+        ("random(d=7,n=2,seed=999,dual=perturbed)",
+         "fcf6834fd91ea63fb1e272d4b1bc6dea4d5ae19b87a582b89cd787d98bb84693"),
+        # the first draw of this one is dependent and is drawn again
+        ("random(d=3,n=3,seed=20,dual=perturbed)",
+         "fb88ce1d45fd96cac38bb71c4f47150a5b0c10201032a8e40c9e9b8f0e460fe3"),
+    ])
+    def test_random_report_bytes_are_pinned(self, capsys, family, digest):
+        """Digests of these reports as the families were built through
+        Fractions: the integer build must not change a byte."""
+        code, out, _ = run(capsys, "construct", "--family", family, "--n", "12")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_deterministic_bytes(self, capsys):
         args = ("construct", "--family", "young(w=2)", "--n", "4")
@@ -230,6 +251,17 @@ class TestOracle:
             expected.append((seed, [selection_key(s, count) for s in sigmas], count))
         assert batches == expected
 
+    @pytest.mark.parametrize("suite, needed", [("swap", 14), ("hereditary", 4)])
+    def test_digit_budget_reaches_the_suites(self, capsys, suite, needed):
+        """Both suites rank under --digit-budget: one digit below what the
+        ranks need exits 3, and at it the report is the one without a
+        budget (the config records no budget)."""
+        argv = ["oracle", "--suite", suite, "--instances", "5", "--seed", "0"]
+        code, out, err = run(capsys, *argv, "--digit-budget", str(needed - 1))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "budget"
+        assert run(capsys, *argv, "--digit-budget", str(needed)) == run(capsys, *argv)
+
     def test_report_bytes_are_pinned(self, capsys):
         """The digest of this report before the suites shared echelon
         prefixes: batching the ranks must not change a byte."""
@@ -363,7 +395,8 @@ class TestExitCodes:
         import defectlab.cli as cli
 
         real = cli.hereditary_scan
-        monkeypatch.setattr(cli, "hereditary_scan", lambda family: real(E1PlusEkFamily()))
+        monkeypatch.setattr(cli, "hereditary_scan",
+                            lambda family, digit_budget: real(E1PlusEkFamily()))
         code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
         assert code == 2
         assert out == ""
@@ -420,10 +453,30 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "invariant"
 
 
+# exact values of about 9,600 digits, above CPython's default limit of
+# 4,300 digits for int-to-str conversion
+_LARGE_VALUES = [
+    ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+     "--terms", "2", "--precision", "16000"],
+    ["converge", "--family", "e1-plus-ek", "--sigma", "all", "--m-max", "2", "--n", "4",
+     "--terms", "2", "--precision", "16000"],
+]
+
+
 class TestRationalSerialization:
     def test_round_trip(self):
         for x in [Q(0), Q(3), Q(-7, 2), Q(1, 3)]:
             assert Fraction(rational_str(x)) == x
+
+    @pytest.mark.parametrize("argv", _LARGE_VALUES, ids=["metric", "converge"])
+    def test_values_above_the_int_str_limit_serialize(self, capsys, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
+        assert max(map(len, re.findall(r'"-?[0-9]+(?:/[0-9]+)?"', out))) > 4300
+        # the limit is lifted for the report only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 _SIZE = st.integers(-2, 12).map(str)
@@ -509,6 +562,8 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(["construct", "--family", "random(d=3,n=-1)", "--n", "1"])
 @example(["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "-1,0"])
 @example(["construct", "--family", "e1-plus-ek", "--n", "3", "--bogus", "1"])
+@example(_LARGE_VALUES[0])
+@example(_LARGE_VALUES[1])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -520,6 +575,8 @@ def test_exit_code_contract(argv):
             assert code == 2, name
     if code:
         assert set(json.loads(err.getvalue())) == {"error"}
+        # an exact value of any size serializes
+        assert "integer string conversion" not in err.getvalue()
         return
     report = json.loads(out.getvalue())
     if report["command"] == "defect" and report["results"]["verdict"] not in (

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complement_basis,
+    dist_sq,
     independent_subset,
     intersect,
     oracle_dist_sq,
@@ -19,12 +21,11 @@ from conftest import (
     oracle_project,
     oracle_rank,
     random_sparse_vector,
+    to_dense,
 )
 from defectlab import (
     BudgetExceeded,
     SparseVector,
-    complement_basis,
-    dist_sq,
     rank_of_vectors,
 )
 from defectlab.exact import bordered_elimination, combination, echelon, project_many
@@ -62,12 +63,12 @@ class TestSparseVector:
         v = vec(1, 2)
         w = vec(3, -2)
         assert (v + w).entries == ((1, Q(4)),)
-        assert (v - v).is_zero()
-        assert v.scale(Q(1, 2)).get(2) == Q(1)
+        assert not (v - v).entries
+        assert dict(v.scale(Q(1, 2)).entries)[2] == Q(1)
 
     def test_to_dense_bounds(self):
         with pytest.raises(ValueError):
-            vec(0, 0, 1).to_dense(2)
+            to_dense(vec(0, 0, 1), 2)
 
     def test_value_semantics_and_pickle(self):
         v = vec(Q(1, 2), 0, 3)
@@ -162,7 +163,7 @@ class TestComplementAndIntersection:
         w = basis[0]
         for g in gens:
             assert w.dot(g) == 0
-        dense = w.to_dense(3)
+        dense = to_dense(w, 3)
         scaled = [x / dense[0] for x in dense]
         assert scaled == [Q(1), Q(-1), Q(1)]
 
@@ -170,7 +171,7 @@ class TestComplementAndIntersection:
         assert complement_basis([E1, SparseVector.unit(2)], 3) == [SparseVector.unit(3)]
         basis = complement_basis([vec(1, 1, 0), vec(1, 0, 1)], 3)
         assert len(basis) == 1
-        dense = basis[0].to_dense(3)
+        dense = to_dense(basis[0], 3)
         scaled = [x / dense[0] for x in dense]
         assert scaled == [Q(1), Q(-1), Q(-1)]
         assert complement_basis([vec(1, 0), vec(1, 1)], 2) == []
@@ -182,7 +183,7 @@ class TestComplementAndIntersection:
         assert intersect([e(1)], [e(2)], 3) == []
         basis = intersect([vec(1, 1, 0), vec(0, 0, 1)], [vec(1, 1, 1)], 3)
         assert len(basis) == 1
-        dense = basis[0].to_dense(3)
+        dense = to_dense(basis[0], 3)
         scaled = [x / dense[0] for x in dense]
         assert scaled == [Q(1), Q(1), Q(1)]
 
@@ -203,7 +204,7 @@ class TestComplementAndIntersection:
         b = [vec(1, 0, 1), vec(0, 1, 0)]
         basis = intersect(a, b, 3)
         assert len(basis) == 1
-        dense = basis[0].to_dense(3)
+        dense = to_dense(basis[0], 3)
         scaled = [x / dense[0] for x in dense]
         assert scaled == [Q(1), Q(2), Q(1)]
 
@@ -362,8 +363,8 @@ def test_combination_matches_fraction_sum(span, data):
     coeffs = data.draw(st.lists(st.one_of(_ENTRY, st.integers(-3, 3)),
                                 min_size=len(gens), max_size=len(gens)))
     total = combination(coeffs, gens)
-    assert total.to_dense(ambient) == [
-        sum((c * g.get(i) for c, g in zip(coeffs, gens)), Q(0))
+    assert to_dense(total, ambient) == [
+        sum((c * dict(g.entries).get(i, Q(0)) for c, g in zip(coeffs, gens)), Q(0))
         for i in range(1, ambient + 1)
     ]
     assert all(type(x) is Fraction for _, x in total.entries)

@@ -14,18 +14,26 @@ from defectlab import (
     RandomFiniteFamily,
     SparseVector,
     YoungFamily,
-    dist_sq,
     parse_family,
     parse_set,
     rank_of_vectors,
 )
+from conftest import (
+    count_calls,
+    dist_sq,
+    oracle_random_family,
+    replay_random_family,
+    to_dense,
+)
+from defectlab import families
+from defectlab.exact import _integer_coords
 from defectlab.families import FamilySyntaxError, UnsupportedFamily
 
 Q = Fraction
 
 
 def dense(v, ambient):
-    return v.to_dense(ambient)
+    return to_dense(v, ambient)
 
 
 def assert_biorthogonal(family, n):
@@ -289,6 +297,43 @@ class TestRandomFinite:
         assert copy.descriptor() == fam.descriptor()
         for k in range(1, 4):
             assert (copy.vector(k), copy.dual(k)) == (fam.vector(k), fam.dual(k))
+
+
+# (dim, count, seed): every dim 0..9 and count 0..dim on five seeds, and
+# four seeds whose first draw of vectors is dependent, so the family draws
+# again: random(d=1,n=1,seed=9), (2,2,0), (3,3,20) and (6,6,154).
+_RANDOM_DRAWS = [(dim, count, seed) for dim in range(10) for count in range(dim + 1)
+                 for seed in range(5)] + [(1, 1, 9), (2, 2, 0), (3, 3, 20), (6, 6, 154)]
+
+
+@pytest.mark.parametrize("style", ["span", "perturbed"])
+def test_integer_build_matches_the_fraction_build(monkeypatch, style):
+    """Every draw equals the build through Fractions (an identity-rhs Gram
+    solve, one combination per dual, the null-space basis), every entry is
+    a Fraction and every cached integer coordinate pair is the one that
+    the entries give."""
+    for dim, count, seed in _RANDOM_DRAWS:
+        fam = RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
+        vectors, duals = replay_random_family(dim, count, seed, style)
+        assert (fam._vectors, fam._duals) == (vectors, duals), (dim, count, seed)
+        for v in fam._vectors + fam._duals:
+            assert all(type(x) is Fraction for _, x in v.entries)
+            assert v._ints in (None, _integer_coords(SparseVector(v.entries)))
+        assert None not in [v._ints for v in fam._vectors]
+    solves = count_calls(monkeypatch, "bordered_elimination", families)
+    for dim, count, seed in _RANDOM_DRAWS[-4:]:
+        solves.clear()
+        RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
+        assert len(solves) == 2  # one Gram solve per draw
+
+
+@pytest.mark.parametrize("style", ["span", "perturbed"])
+def test_random_build_matches_sympy(style):
+    """The span duals are the rows of (x x^T)^-1 x and a perturbed dual adds
+    an integer combination of the null-space basis, retries included."""
+    for dim, count, seed in _RANDOM_DRAWS + _RANDOM_DRAWS[-4:]:
+        fam = RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
+        assert (fam._vectors, fam._duals) == oracle_random_family(dim, count, seed, style)
 
 
 class TestDescriptorGrammar:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prefix_agreement, random_eventually_periodic, rho_partial
+from conftest import min_element, prefix_agreement, random_eventually_periodic, rho_partial
 from defectlab import (
     EventuallyPeriodicSet,
     parse_set,
@@ -83,9 +83,9 @@ class TestAlgebra:
         assert parse_set("res(3;1)").truncate(10) == [1, 4, 7, 10]
 
     def test_min_element(self):
-        assert parse_set("none").min_element() is None
-        assert parse_set("all-1-2").min_element() == 3
-        assert parse_set("fin(9,4)").min_element() == 4
+        assert min_element(parse_set("none")) is None
+        assert min_element(parse_set("all-1-2")) == 3
+        assert min_element(parse_set("fin(9,4)")) == 4
 
 
 class TestRho:

@@ -19,26 +19,26 @@ from defectlab import (
     SparseVector,
     SystemFamily,
     TooLarge,
-    WrongSide,
     YoungFamily,
     classify_defect,
-    defect_truncated,
     defect_truncated_many,
     distance_profile,
     hereditary_scan,
     mixed_vectors,
     parse_set,
     selection_key,
-    swap_move,
     witness_check,
 )
 from conftest import (
+    WrongSide,
     count_calls,
+    defect_truncated,
     oracle_dist_sq,
     oracle_nullspace_dim,
     oracle_rank,
     random_eventually_periodic,
     random_sparse_vector,
+    swap_move,
 )
 from defectlab.exact import BudgetExceeded, InvariantViolation, echelon
 from defectlab.mixed import _mixed_ranks, _probe_passes, defect_sweep
