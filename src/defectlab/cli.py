@@ -46,8 +46,15 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 
-def _int_list(text: str) -> list:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _int_list(flag: str, text: str) -> list:
+    """The comma-separated integers of a flag, at least one."""
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} names no truncation")
+    return values
 
 
 def _require_positive(flag: str, values) -> None:
@@ -65,6 +72,8 @@ def _rational(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag} takes a rational, not {text!r}") from None
 
 
 def _write(path, text: str) -> None:
@@ -108,12 +117,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    n_list = _int_list(args.n_list) if args.n_list else None
-    if n_list == []:
-        raise ValueError("--n-list names no truncation")
+    n_list = _int_list("--n-list", args.n_list) if args.n_list else None
     _require_positive("--n", [args.n])
     _require_positive("--n-list", n_list or [])
     _require_positive("--min-points", [args.min_points])
+    if args.probe_window is not None:
+        _require_positive("--probe-window", [args.probe_window])
     threshold = _rational("--threshold", args.threshold)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
@@ -147,7 +156,9 @@ def cmd_defect(args) -> int:
 
 def cmd_sweep(args) -> int:
     sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
-    n_grid = _int_list(args.n_grid)
+    if not sigmas:
+        raise ValueError("--sigmas names no sigma expression")
+    n_grid = _int_list("--n-grid", args.n_grid)
     _require_positive("--n-grid", n_grid)
     _require_positive("--workers", [args.workers])
     task = functools.partial(defect_sweep, parse_family(args.family), n_grid=n_grid,
@@ -211,6 +222,9 @@ def cmd_metric(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    _require_positive("--n", [args.n])
+    if not 1 <= args.depth <= args.n:
+        raise ValueError("--depth must lie between 1 and --n")
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     dims, equal = intersection_chain(family, sigma, args.depth, args.n,

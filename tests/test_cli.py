@@ -391,6 +391,32 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--family", "e1-plus-ek", "--sigmas", ";", "--n-grid", "3"], "--sigmas"),
+        (["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", ""], "--n-grid"),
+        (["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "a"], "--n-grid"),
+        (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
+          "--n-list", ","], "--n-list"),
+        (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
+          "--n-list", "x"], "--n-list"),
+        (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
+          "--threshold", "x"], "--threshold"),
+        (["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
+          "--probe-window", "0"], "--probe-window"),
+        (["chain", "--family", "e1-plus-ek", "--sigma", "none", "--depth", "0",
+          "--n", "8"], "--depth"),
+        (["chain", "--family", "e1-plus-ek", "--sigma", "none", "--depth", "9",
+          "--n", "8"], "--depth"),
+    ], ids=["sweep-sigmas-empty", "sweep-n-grid-empty", "sweep-n-grid-not-int",
+            "defect-n-list-empty", "defect-n-list-not-int", "defect-threshold-not-rational",
+            "defect-probe-window-0", "chain-depth-0", "chain-depth-above-n"])
+    def test_input_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input"
+        assert error["message"].startswith(flag + " ")
+
     def test_unsupported_scan_is_2(self, capsys, monkeypatch):
         import defectlab.cli as cli
 
