@@ -47,13 +47,14 @@ EXIT_INVARIANT = 4
 
 
 def _int_list(flag: str, text: str) -> list:
-    """The comma-separated integers of a flag, at least one."""
+    """The comma-separated positive integers of a flag, at least one."""
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
     if not values:
         raise ValueError(f"{flag} names no truncation")
+    _require_positive(flag, values)
     return values
 
 
@@ -119,7 +120,6 @@ def cmd_construct(args) -> int:
 def cmd_defect(args) -> int:
     n_list = _int_list("--n-list", args.n_list) if args.n_list else None
     _require_positive("--n", [args.n])
-    _require_positive("--n-list", n_list or [])
     _require_positive("--min-points", [args.min_points])
     if args.probe_window is not None:
         _require_positive("--probe-window", [args.probe_window])
@@ -159,7 +159,6 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise ValueError("--sigmas names no sigma expression")
     n_grid = _int_list("--n-grid", args.n_grid)
-    _require_positive("--n-grid", n_grid)
     _require_positive("--workers", [args.workers])
     task = functools.partial(defect_sweep, parse_family(args.family), n_grid=n_grid,
                              digit_budget=args.digit_budget)

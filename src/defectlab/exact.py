@@ -1,11 +1,14 @@
 """Exact rational linear algebra over sparsely supported vectors.
 
-Everything in this module is exact: scalars are `fractions.Fraction`,
-and all elimination is fraction-free on integers.  Distances,
-projections and Gram solves come from one Bareiss elimination of a
-bordered integer Gram matrix, `bordered_elimination`; ranks and
-orthogonal complements come from one sparse echelon pass on the
-vectors' integer coordinates, `echelon`.  No floating point ever enters.
+Everything in this module is exact.  A vector is stored as integer
+coordinates over one positive denominator, and all elimination is
+fraction-free on those integers; `fractions.Fraction` values are made
+only where a value leaves the kernels (distances, inner products and
+`SparseVector.entries`).  Distances, projections and Gram solves come
+from one Bareiss elimination of a bordered integer Gram matrix,
+`bordered_elimination`; ranks and orthogonal complements come from one
+sparse echelon pass on the vectors' integer coordinates, `echelon`.  No
+floating point ever enters.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ class BudgetExceeded(RuntimeError):
 class InvariantViolation(RuntimeError):
     """A certified property that must always hold failed: this is a bug."""
 
-
-Q = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -46,18 +47,18 @@ def _check_budget(values: Iterable, digit_budget: Optional[int]) -> None:
             )
 
 
-# Fractions of small integers, shared between vectors: a Fraction is immutable.
-_SMALL = {x: Q(x) for x in range(-8, 9)}
-
-
 class SparseVector:
     """Finitely supported vector over the ambient orthonormal basis.
 
-    Entries are (index, value) pairs with strictly increasing positive
-    indices and nonzero values; the zero vector has no entries.
+    Stored exactly as integer coordinates over one denominator: coords
+    maps strictly increasing positive indices to nonzero ints, den > 0
+    and gcd(den, coords) = 1, so equal vectors have equal fields.  The
+    kernels compute on these integers; `entries`, the (index, Fraction)
+    pairs, is made on demand.  A vector is immutable: nothing may change
+    den or coords after construction.
     """
 
-    __slots__ = ("entries", "_ints")
+    __slots__ = ("den", "coords")
 
     def __init__(self, entries: tuple):
         prev = 0
@@ -67,16 +68,24 @@ class SparseVector:
             if val == 0:
                 raise ValueError("stored values must be nonzero")
             prev = idx
-        self.entries = entries
-        self._ints = None
+        values = [_as_fraction(val) for _, val in entries]
+        # the lcm of reduced denominators is coprime to the coordinates
+        self.den = den = math.lcm(*(x.denominator for x in values))
+        self.coords = {idx: x.numerator * (den // x.denominator)
+                       for (idx, _), x in zip(entries, values)}
+
+    @property
+    def entries(self) -> tuple:
+        den = self.den
+        return tuple((i, Fraction(x, den)) for i, x in self.coords.items())
 
     def __reduce__(self):
-        return SparseVector, (self.entries,)
+        return SparseVector.from_ints, (self.coords, self.den)
 
     def __eq__(self, other):
         if other.__class__ is not SparseVector:
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.coords == other.coords
 
     def __hash__(self):
         return hash(self.entries)
@@ -89,59 +98,69 @@ class SparseVector:
         acc = {}
         for idx, val in pairs:
             idx = int(idx)
-            val = _as_fraction(val)
-            acc[idx] = acc.get(idx, Q(0)) + val
-        entries = tuple(
-            (i, acc[i]) for i in sorted(acc) if acc[i] != 0
-        )
-        return SparseVector(entries)
+            acc[idx] = acc.get(idx, 0) + _as_fraction(val)
+        return SparseVector(tuple((i, acc[i]) for i in sorted(acc) if acc[i] != 0))
 
     @staticmethod
-    def from_ints(ints: dict) -> "SparseVector":
-        """The vector with these integer coordinates, keyed in increasing
-        index order and all nonzero; its integer coordinates are cached
-        from the start, at scale 1."""
-        v = SparseVector(tuple((i, _SMALL.get(x) or Q(x)) for i, x in ints.items()))
-        v._ints = 1, ints
+    def from_ints(coords: dict, den: int = 1) -> "SparseVector":
+        """The vector coords / den, for nonzero int coords keyed in
+        increasing index order and a nonzero int den: divided by
+        gcd(den, coords), with the sign of den, into the stored form."""
+        g = math.gcd(den, *coords.values()) * (-1 if den < 0 else 1)
+        if g != 1:
+            coords = {i: x // g for i, x in coords.items()}
+            den //= g
+        v = object.__new__(SparseVector)
+        v.den, v.coords = den, coords
         return v
 
     @staticmethod
     def unit(index: int) -> "SparseVector":
-        return SparseVector(((index, Q(1)),))
+        return SparseVector.from_ints({index: 1})
 
     @staticmethod
     def zero() -> "SparseVector":
-        return SparseVector(())
-
-    def max_index(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
+        return SparseVector.from_ints({})
 
     def dot(self, other: "SparseVector") -> Fraction:
-        a, b = self.entries, other.entries
-        if len(a) > len(b):
-            a, b = b, a
-        lookup = dict(b)
-        total = Q(0)
-        for i, v in a:
-            w = lookup.get(i)
-            if w is not None:
-                total += v * w
-        return total
+        return Fraction(_idot(self.coords, other.coords), self.den * other.den)
 
     def norm_sq(self) -> Fraction:
-        return sum((v * v for _, v in self.entries), Q(0))
+        return Fraction(sum(x * x for x in self.coords.values()), self.den * self.den)
 
     def scale(self, c) -> "SparseVector":
         c = _as_fraction(c)
         if c == 0:
             return SparseVector.zero()
-        return SparseVector(tuple((i, v * c) for i, v in self.entries))
+        m = c.numerator
+        return SparseVector.from_ints({i: m * x for i, x in self.coords.items()},
+                                      self.den * c.denominator)
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
-        return SparseVector.from_pairs(list(self.entries) + list(other.entries))
+        den = math.lcm(self.den, other.den)
+        return _combine(den, [(den // self.den, self.coords), (den // other.den, other.coords)])
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + other.scale(-1)
+
+
+def _idot(a: dict, b: dict) -> int:
+    if len(a) > len(b):
+        a, b = b, a
+    total = 0
+    for i, x in a.items():
+        if i in b:
+            total += x * b[i]
+    return total
+
+
+def _combine(den: int, terms) -> SparseVector:
+    """sum(m * coords for m, coords in terms) / den, for int multipliers m."""
+    acc = {}
+    for m, coords in terms:
+        for i, x in coords.items():
+            acc[i] = acc.get(i, 0) + m * x
+    return SparseVector.from_ints({i: acc[i] for i in sorted(acc) if acc[i]}, den)
 
 
 class Elimination(NamedTuple):
@@ -151,8 +170,10 @@ class Elimination(NamedTuple):
     independent subset chosen greedily in generator order.
     dist_sq: for each cut, the exact dist^2 of every probe to the span of
     the generators before that cut.
-    coefficients: with solve=True, for every probe and then every rhs
-    column, the rational coefficients over the kept generators.
+    coefficients: with solve=True, one (den, y) per probe: integers y over
+    the kept generators and one denominator, such that the projection of
+    the probe onto the span is sum_r y_r g_r / den, where g_r is the
+    integer coordinate dict `coords` of the r-th kept generator.
     """
 
     kept: tuple
@@ -160,25 +181,9 @@ class Elimination(NamedTuple):
     coefficients: Optional[list] = None
 
 
-def _integer_coords(v: SparseVector) -> tuple:
-    """(s, {index: int}) with s the lcm of v's denominators: s*v is integral.
-    Cached on v, so callers must not mutate the dict."""
-    if v._ints is None:
-        s = math.lcm(*(x.denominator for _, x in v.entries))
-        v._ints = s, {i: x.numerator * (s // x.denominator) for i, x in v.entries}
-    return v._ints
-
-
-def _idot(a: dict, b: dict) -> int:
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(x * b[i] for i, x in a.items() if i in b)
-
-
 def bordered_elimination(
     generators: Sequence[SparseVector],
     probes: Sequence[SparseVector] = (),
-    rhs: Sequence[Sequence[Fraction]] = (),
     cuts: Optional[Sequence[int]] = None,
     solve: bool = False,
     digit_budget: Optional[int] = None,
@@ -186,40 +191,36 @@ def bordered_elimination(
     """Symmetric fraction-free (Bareiss) elimination of [[G, B], [B^T, C]].
 
     G is the Gram matrix of the generators, B their inner products with
-    the probes and C the probes' squared norms.  Every vector is first
-    scaled by the lcm of its denominators, which leaves spans unchanged
-    and makes the matrix integral.  Pivots are taken on the diagonal in
-    generator order; G is positive semidefinite, so a zero pivot means the
-    generator lies in the span of those before it, and it is skipped.  By
-    Sylvester's identity, once the first k generators are eliminated a
-    probe's trailing diagonal entry divided by the last pivot taken is its
-    dist^2 to their span, so one pass reads off every ascending cut
-    (default: all generators).  rhs columns are right-hand sides of
-    G c = rhs given over the generators; with solve=True they and the
-    probe columns are back-substituted after the forward pass.
+    the probes and C the probes' squared norms.  Every vector enters as
+    its integer coordinates, that is scaled by its denominator, which
+    leaves spans unchanged and makes the matrix integral.  Pivots are
+    taken on the diagonal in generator order; G is positive
+    semidefinite, so a zero pivot means the generator lies in the span of
+    those before it, and it is skipped.  By Sylvester's identity, once
+    the first k generators are eliminated a probe's trailing diagonal
+    entry divided by the last pivot taken is its dist^2 to their span, so
+    one pass reads off every ascending cut (default: all generators).
+    With solve=True the probe columns are back-substituted after the
+    forward pass: by Cramer's rule the solution times the last pivot is
+    integral, so each projection is one integer combination of the kept
+    generators over one denominator.
 
     With a digit budget, every pivot and every diagonal entry is checked
     as it is produced; by Cauchy-Schwarz they bound all symmetric entries.
     """
     m = len(generators)
     cuts = [m] if cuts is None else list(cuts)
-    gen_scale, gens = zip(*map(_integer_coords, generators)) if m else ((), ())
-    probe_scale, prbs = zip(*map(_integer_coords, probes)) if probes else ((), ())
-    col_scale = list(probe_scale)
-    rhs_cols = []
-    for col in rhs:
-        scaled = [a * x for a, x in zip(gen_scale, col)]
-        s = math.lcm(*(x.denominator for x in scaled))
-        col_scale.append(s)
-        rhs_cols.append([x.numerator * (s // x.denominator) for x in scaled])
+    gens = [g.coords for g in generators]
+    prbs = [p.coords for p in probes]
+    probe_scale = [p.den for p in probes]
     rows = [
         [0] * i
         + [_idot(gens[i], gens[j]) for j in range(i, m)]
         + [_idot(gens[i], p) for p in prbs]
-        + [col[i] for col in rhs_cols]
         for i in range(m)
     ]
-    diag = [_idot(p, p) for p in prbs]
+    # C serves only the distance table and the digit budget
+    diag = [_idot(p, p) for p in prbs] if cuts or digit_budget is not None else []
     if digit_budget is not None:
         _check_budget([rows[i][i] for i in range(m)] + diag, digit_budget)
 
@@ -257,7 +258,7 @@ def bordered_elimination(
         # Fraction-free back substitution of every column at once:
         # y = prev * x is integral (Cramer).  ys[c] holds column c's y over
         # the kept rows solved so far, the last kept row first.
-        ys = [[] for _ in col_scale]
+        ys = [[] for _ in prbs]
         solved = []
         for r in reversed(kept):
             row = rows[r]
@@ -265,10 +266,7 @@ def bordered_elimination(
             for y, b in zip(ys, row[m:]):
                 y.append((prev * b - sum(map(mul, a, y))) // row[r])
             solved.append(r)
-        coefficients = [
-            [Q(yr * gen_scale[r], prev * s) for r, yr in zip(solved, y)][::-1]
-            for y, s in zip(ys, col_scale)
-        ]
+        coefficients = [(prev * s, y[::-1]) for y, s in zip(ys, probe_scale)]
     return Elimination(tuple(kept), table, coefficients)
 
 
@@ -297,7 +295,7 @@ def echelon_step(pivots: dict, v: SparseVector, digit_budget: Optional[int] = No
     coordinates and on every reduced row.  Rows are never mutated, so a
     shallow copy of pivots is a separate echelon state.
     """
-    row = _integer_coords(v)[1]
+    row = v.coords
     if digit_budget is not None:
         _check_budget(row.values(), digit_budget)
     for p, prow in pivots.items():
@@ -330,19 +328,6 @@ def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int]
     return len(echelon(vectors, digit_budget)[0])
 
 
-def combination(coeffs: Sequence[Fraction], vectors: Sequence[SparseVector]) -> SparseVector:
-    """sum(c_i v_i) as a sparse vector, summed in integers over the common
-    denominator lcm(den(c_i) * scale(v_i))."""
-    terms = [(c, _integer_coords(v)) for c, v in zip(coeffs, vectors) if c]
-    den = math.lcm(*(c.denominator * s for c, (s, _) in terms))
-    acc = {}
-    for c, (s, ints) in terms:
-        m = c.numerator * (den // (c.denominator * s))
-        for i, x in ints.items():
-            acc[i] = acc.get(i, 0) + m * x
-    return SparseVector(tuple((i, Fraction(acc[i], den)) for i in sorted(acc) if acc[i]))
-
-
 def project_many(
     targets: Sequence[SparseVector],
     generators: Sequence[SparseVector],
@@ -350,8 +335,8 @@ def project_many(
 ) -> list:
     """Exact orthogonal projections of every target onto span(generators)."""
     elim = bordered_elimination(generators, targets, solve=True, digit_budget=digit_budget)
-    kept = [generators[i] for i in elim.kept]
-    return [combination(c, kept) for c in elim.coefficients]
+    kept = [generators[i].coords for i in elim.kept]
+    return [_combine(den, zip(y, kept)) for den, y in elim.coefficients]
 
 
 def reduced_echelon(vectors: Sequence[SparseVector]) -> dict:

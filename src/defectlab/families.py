@@ -346,11 +346,6 @@ class InfiniteDefectSetFamily(SystemFamily):
         )
 
 
-def _add_ratio(x: Fraction, num: int, den: int) -> Fraction:
-    """x + num/den, normalized once."""
-    return Q(x.numerator * den + num * x.denominator, x.denominator * den)
-
-
 class RandomFiniteFamily(SystemFamily):
     """Seeded random independent system in a finite ambient space.
 
@@ -359,12 +354,14 @@ class RandomFiniteFamily(SystemFamily):
     preserves biorthogonality but exercises its non-uniqueness).
 
     The vectors are integer rows V.  The span duals are the rows of
-    G^-1 V, G = V V^T, so one Gram solve with V's coordinate columns as
-    right-hand sides gives coordinate c of every dual in column c.  A
-    perturbed dual adds sum_f r_f n_f over the reduced-row-echelon
-    null-space basis n_f of V, with integer r_f in -2..2: r_f at each
-    free coordinate f and -sum_f r_f R_p[f] / R_p[p] at each pivot p of
-    the reduced rows R_p.
+    G^-1 V, G = V V^T: the coefficient of x_k in the projection of the
+    unit probe e_c is (G^-1 V)_kc, so one Gram solve with probes
+    e_1..e_dim gives every dual as one integer row over the solve's
+    denominator.  A perturbed dual adds sum_f r_f n_f over the
+    reduced-row-echelon null-space basis n_f of V, with integer r_f in
+    -2..2: r_f at each free coordinate f and -sum_f r_f R_p[f] / R_p[p]
+    at each pivot p of the reduced rows R_p, all as integers over the lcm
+    of the denominators.
     """
 
     kind = "random"
@@ -386,34 +383,38 @@ class RandomFiniteFamily(SystemFamily):
     def _generate(self):
         rng = random.Random(self.seed)
         coords = range(1, self.dim + 1)
+        units = [SparseVector.unit(c) for c in coords]
         for _ in range(self.MAX_RETRIES):
             rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
             vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x})
                     for row in rows]
-            elim = bordered_elimination(vecs, rhs=list(zip(*rows)), solve=True)
+            elim = bordered_elimination(vecs, units, cuts=(), solve=True)
             if len(elim.kept) == self.count:
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
-        # the k-th dual's coordinates, one column of the solve each
-        duals = [list(col) for col in zip(*elim.coefficients)]
+        # coordinate c of the k-th dual is y_kc over one denominator
+        den = elim.coefficients[0][0] if coords else 1
+        duals = [(den, row) for row in zip(*(y for _, y in elim.coefficients))]
         if self.dual_style == "perturbed":
             reduced = reduced_echelon(vecs)
             free = [f for f in coords if f not in reduced]
             # each pivot p with R_p[p] and R_p at the free coordinates
             pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
-            for dual in duals:
+            for k, (_, row) in enumerate(duals):
                 shifts = [rng.randint(-2, 2) for _f in free]
+                moves = [(p - 1, -t, rp) for p, rp, at_free in pivots
+                         if (t := sum(map(mul, shifts, at_free)))]
+                lcm = math.lcm(den, *(rp for _, _, rp in moves))
+                dual = [y * (lcm // den) for y in row]
                 for f, r in zip(free, shifts):
-                    if r:
-                        dual[f - 1] = _add_ratio(dual[f - 1], r, 1)
-                for p, rp, at_free in pivots:
-                    t = sum(map(mul, shifts, at_free))
-                    if t:
-                        dual[p - 1] = _add_ratio(dual[p - 1], -t, rp)
+                    dual[f - 1] += r * lcm
+                for c, t, rp in moves:
+                    dual[c] += t * (lcm // rp)
+                duals[k] = lcm, dual
         self._vectors = vecs
-        self._duals = [SparseVector(tuple((c, x) for c, x in zip(coords, dual) if x))
-                       for dual in duals]
+        self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, d)
+                       for d, dual in duals]
 
     def vector(self, k):
         return self._vectors[k - 1]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -134,31 +135,88 @@ def oracle_random_family(dim, count, seed, dual_style="span"):
     return [_from_sympy(x.row(k)) for k in range(count)], duals
 
 
+def _rref(matrix):
+    """(rows, pivot columns): the reduced row echelon form of a list of
+    Fraction rows, by plain Gauss-Jordan elimination."""
+    rows = [list(row) for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
 def replay_random_family(dim, count, seed, dual_style="span"):
-    """random(d=dim,n=count,seed=seed,dual=dual_style) built as it was
-    before the integer build: a Gram solve against the identity for the
-    span duals' coefficients, one `combination` per dual, and the shifts
-    of a perturbed dual as coefficients of the null-space basis
-    `complement_basis`.  Returns (vectors, duals)."""
+    """random(d=dim,n=count,seed=seed,dual=dual_style) rebuilt in plain
+    Fraction arithmetic, without the package's kernels: Gauss-Jordan on
+    [G | I], G = V V^T, gives G^-1; span dual k is the Fraction sum
+    sum_j (G^-1)_kj x_j; a perturbed dual adds its shifts times the
+    reduced-row-echelon null-space basis of V, e_f - sum_p R_p[f] e_p,
+    read off a Gauss-Jordan pass on V.  Replays the seeded draws, a draw
+    of dependent rows and its retry included.  Returns (vectors, duals)."""
     from defectlab import RandomFiniteFamily
-    from defectlab.exact import combination
 
     rng = random.Random(seed)
-    identity = [[int(i == k) for i in range(count)] for k in range(count)]
     for _ in range(RandomFiniteFamily.MAX_RETRIES):
-        vecs = []
-        for _k in range(count):
-            pairs = [(i, rng.randint(-3, 3)) for i in range(1, dim + 1)]
-            vecs.append(SparseVector(tuple((i, Q(v)) for i, v in pairs if v)))
-        elim = bordered_elimination(vecs, rhs=identity, solve=True)
-        if len(elim.kept) == count:
+        rows = [[Q(rng.randint(-3, 3)) for _i in range(dim)] for _k in range(count)]
+        gram = [[sum(map(mul, a, b), Q(0)) for b in rows] for a in rows]
+        reduced, pivots = _rref([g + [Q(int(i == k)) for i in range(count)]
+                                 for k, g in enumerate(gram)])
+        if pivots[:count] == list(range(count)):
             break
     else:
         raise RuntimeError("failed to draw an independent system")
-    comp = complement_basis(vecs, dim) if dual_style == "perturbed" else []
-    duals = [combination(coeffs + [rng.randint(-2, 2) for _ in comp], vecs + comp)
-             for coeffs in elim.coefficients]
-    return vecs, duals
+    inverse = [row[count:] for row in reduced]
+    null = []
+    if dual_style == "perturbed":
+        echelon_rows, pivot_cols = _rref(rows)
+        for f in range(dim):
+            if f not in pivot_cols:
+                w = [Q(int(c == f)) for c in range(dim)]
+                for row, p in zip(echelon_rows, pivot_cols):
+                    w[p] -= row[f]
+                null.append(w)
+    duals = []
+    for k in range(count):
+        dual = [sum((inverse[k][j] * rows[j][c] for j in range(count)), Q(0))
+                for c in range(dim)]
+        for w in null:
+            r = rng.randint(-2, 2)
+            dual = [x + r * y for x, y in zip(dual, w)]
+        duals.append(dual)
+
+    def sparse(dense):
+        return SparseVector.from_pairs(enumerate(dense, start=1))
+
+    return [sparse(row) for row in rows], [sparse(dual) for dual in duals]
+
+
+def combination(coeffs, vectors):
+    """sum(c_i v_i), through the vectors' own `scale` and `+`."""
+    total = SparseVector.zero()
+    for c, v in zip(coeffs, vectors):
+        total = total + v.scale(c)
+    return total
+
+
+def assert_stored_form(v):
+    """The one stored form of a SparseVector: an int den > 0, nonzero int
+    coordinates at strictly increasing positive indices, and
+    gcd(den, coordinates) = 1."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(x) is int and x != 0 for x in v.coords.values())
+    indices = list(v.coords)
+    assert all(type(i) is int for i in indices)
+    assert all(a < b for a, b in zip([0] + indices, indices))
+    assert math.gcd(v.den, *v.coords.values()) == 1
 
 
 def oracle_intersection_dim(gen_a, gen_b, ambient):
@@ -179,7 +237,7 @@ def complement_basis(generators, ambient):
     1..ambient: for each free coordinate f of the reduced pivot rows R_p,
     e_f - sum_p (R_p[f] / R_p[p]) e_p, the reduced-row-echelon null-space
     basis in order."""
-    if any(g.max_index() > ambient for g in generators):
+    if any(max(g.coords, default=0) > ambient for g in generators):
         raise ValueError("generator support exceeds ambient dimension")
     rows = reduced_echelon(generators)
     return [
@@ -280,7 +338,7 @@ def _oracle_span_projections(family, sigma, n, targets):
     per span."""
     last = family.truncation(n)
     gens = [family.vector(k) for k in sigma.truncate(last)]
-    ambient = max([v.max_index() for v in targets + gens], default=0) or 1
+    ambient = max([i for v in targets + gens for i in v.coords], default=0) or 1
     projector = _oracle_projector(gens, ambient)
     return [_from_sympy(projector * to_sympy_matrix([t], ambient).T) for t in targets]
 

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_stored_form,
+    combination,
     complement_basis,
     dist_sq,
     independent_subset,
@@ -28,7 +30,7 @@ from defectlab import (
     SparseVector,
     rank_of_vectors,
 )
-from defectlab.exact import bordered_elimination, combination, echelon, project_many
+from defectlab.exact import bordered_elimination, echelon, project_many
 from defectlab.families import parse_family
 
 Q = Fraction
@@ -72,7 +74,6 @@ class TestSparseVector:
 
     def test_value_semantics_and_pickle(self):
         v = vec(Q(1, 2), 0, 3)
-        rank_of_vectors([v])  # fills the integer-coordinate cache
         assert pickle.dumps(v) == pickle.dumps(vec(Q(1, 2), 0, 3))
         assert v == vec(Q(1, 2), 0, 3) and hash(v) == hash(vec(Q(1, 2), 0, 3))
         assert v != vec(Q(1, 2), 0, 2) and v != v.entries
@@ -321,7 +322,11 @@ def test_kernel_matches_sympy(span):
     assert len(kept) == oracle_rank(gens, ambient)
     expected = [oracle_project(p, gens, ambient) for p in probes]
     assert project_many(probes, gens) == expected
-    assert [combination(c, kept) for c in elim.coefficients] == expected
+    assert [
+        SparseVector.from_pairs((i, Q(yr * x, den))
+                                for yr, g in zip(y, kept) for i, x in g.coords.items())
+        for den, y in elim.coefficients
+    ] == expected
 
 
 _FAMILIES = [parse_family(text) for text in (
@@ -379,3 +384,67 @@ def test_complement_matches_sympy_nullspace(span, full_rank):
     if full_rank:
         gens = gens + [SparseVector.unit(i) for i in range(1, ambient + 1)]
     assert complement_basis(gens, ambient) == oracle_nullspace(gens, ambient)
+
+
+# -- the stored form against a dict-of-Fraction model --------------------------
+
+_HUGE = 10 ** 40
+_NUMERATOR = st.one_of(st.integers(-6, 6), st.integers(-_HUGE, _HUGE))
+_DENOMINATOR = st.one_of(st.integers(-12, 12), st.integers(-_HUGE, _HUGE)).filter(bool)
+_VALUE = st.builds(Fraction, _NUMERATOR, _DENOMINATOR)
+_SCALAR = st.one_of(st.just(0), st.integers(-3, 3), _VALUE)
+
+
+@st.composite
+def _pairs(draw):
+    """(index, Fraction) pairs with repeated indices; some pairs come back
+    negated, so that their sums cancel to zero."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 8), _VALUE), max_size=8))
+    undone = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return pairs + [(i, -x) for i, x in undone]
+
+
+def _model(pairs) -> dict:
+    acc = {}
+    for i, x in pairs:
+        acc[i] = acc.get(i, 0) + x
+    return {i: acc[i] for i in sorted(acc) if acc[i] != 0}
+
+
+def _model_dot(a: dict, b: dict) -> Fraction:
+    return sum((x * b[i] for i, x in a.items() if i in b), Q(0))
+
+
+def _assert_matches(v, model):
+    assert_stored_form(v)
+    entries = tuple(model.items())
+    assert v.entries == entries
+    assert all(type(x) is Fraction for _, x in v.entries)
+    assert v == SparseVector(entries) and hash(v) == hash(entries)
+    assert repr(v) == f"SparseVector(entries={entries!r})"
+    copy = pickle.loads(pickle.dumps(v))
+    assert (copy.den, copy.coords) == (v.den, v.coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(), _pairs(), _SCALAR, _DENOMINATOR)
+def test_stored_form_matches_a_fraction_model(a, b, c, den):
+    ma, mb = _model(a), _model(b)
+    v, w = SparseVector.from_pairs(a), SparseVector.from_pairs(b)
+    _assert_matches(v, ma)
+    _assert_matches(v + w, _model(list(ma.items()) + list(mb.items())))
+    _assert_matches(v - w, _model(list(ma.items()) + [(i, -x) for i, x in mb.items()]))
+    _assert_matches(v.scale(c), _model([(i, x * c) for i, x in ma.items()]))
+    _assert_matches(SparseVector.from_ints(v.coords, den),
+                    {i: Fraction(x, den) for i, x in v.coords.items()})
+    assert v.dot(w) == _model_dot(ma, mb) and v.norm_sq() == _model_dot(ma, ma)
+    assert (v == w) == (ma == mb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_pairs(), min_size=2, max_size=4))
+def test_project_many_matches_sympy_on_huge_entries(draws):
+    target, *gens = [SparseVector.from_pairs(pairs) for pairs in draws]
+    [p] = project_many([target], gens)
+    assert_stored_form(p)
+    assert p == oracle_project(target, gens, 8)

@@ -19,6 +19,7 @@ from defectlab import (
     rank_of_vectors,
 )
 from conftest import (
+    assert_stored_form,
     count_calls,
     dist_sq,
     oracle_random_family,
@@ -26,7 +27,6 @@ from conftest import (
     to_dense,
 )
 from defectlab import families
-from defectlab.exact import _integer_coords
 from defectlab.families import FamilySyntaxError, UnsupportedFamily
 
 Q = Fraction
@@ -308,18 +308,18 @@ _RANDOM_DRAWS = [(dim, count, seed) for dim in range(10) for count in range(dim 
 
 @pytest.mark.parametrize("style", ["span", "perturbed"])
 def test_integer_build_matches_the_fraction_build(monkeypatch, style):
-    """Every draw equals the build through Fractions (an identity-rhs Gram
-    solve, one combination per dual, the null-space basis), every entry is
-    a Fraction and every cached integer coordinate pair is the one that
-    the entries give."""
+    """Every draw equals the build in plain Fraction arithmetic (G^-1 by
+    Gauss-Jordan, one Fraction sum per dual, the null-space basis), every
+    entry is a Fraction, and every vector is in the stored form that its
+    entries give."""
     for dim, count, seed in _RANDOM_DRAWS:
         fam = RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
         vectors, duals = replay_random_family(dim, count, seed, style)
         assert (fam._vectors, fam._duals) == (vectors, duals), (dim, count, seed)
         for v in fam._vectors + fam._duals:
             assert all(type(x) is Fraction for _, x in v.entries)
-            assert v._ints in (None, _integer_coords(SparseVector(v.entries)))
-        assert None not in [v._ints for v in fam._vectors]
+            assert_stored_form(v)
+            assert SparseVector(v.entries) == v
     solves = count_calls(monkeypatch, "bordered_elimination", families)
     for dim, count, seed in _RANDOM_DRAWS[-4:]:
         solves.clear()

@@ -268,7 +268,7 @@ class TestDistanceProfile:
         for idx, p in enumerate(probes):
             for n in n_list:
                 gens = witnesses + mixed_vectors(MixedSelection(family, sigma, n))
-                ambient = max(v.max_index() for v in gens + probes)
+                ambient = max(i for v in gens + probes for i in v.coords)
                 expected.append((f"probe[{idx + 1}]", n, oracle_dist_sq(p, gens, ambient)))
         assert rows == expected
 
