@@ -219,8 +219,7 @@ def bordered_elimination(
         + [_idot(gens[i], p) for p in prbs]
         for i in range(m)
     ]
-    # C serves only the distance table and the digit budget
-    diag = [_idot(p, p) for p in prbs] if cuts or digit_budget is not None else []
+    diag = [_idot(p, p) for p in prbs]
     if digit_budget is not None:
         _check_budget([rows[i][i] for i in range(m)] + diag, digit_budget)
 

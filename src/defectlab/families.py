@@ -361,7 +361,7 @@ class RandomFiniteFamily(SystemFamily):
     reduced-row-echelon null-space basis n_f of V, with integer r_f in
     -2..2: r_f at each free coordinate f and -sum_f r_f R_p[f] / R_p[p]
     at each pivot p of the reduced rows R_p, all as integers over the lcm
-    of the denominators.
+    of the solve's denominator and the R_p[p].
     """
 
     kind = "random"
@@ -395,26 +395,24 @@ class RandomFiniteFamily(SystemFamily):
             raise RuntimeError("failed to draw an independent system")
         # coordinate c of the k-th dual is y_kc over one denominator
         den = elim.coefficients[0][0] if coords else 1
-        duals = [(den, row) for row in zip(*(y for _, y in elim.coefficients))]
+        duals = [list(row) for row in zip(*(y for _, y in elim.coefficients))]
         if self.dual_style == "perturbed":
             reduced = reduced_echelon(vecs)
             free = [f for f in coords if f not in reduced]
             # each pivot p with R_p[p] and R_p at the free coordinates
             pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
-            for k, (_, row) in enumerate(duals):
+            lcm = math.lcm(den, *(rp for _, rp, _ in pivots))
+            for dual in duals:
                 shifts = [rng.randint(-2, 2) for _f in free]
-                moves = [(p - 1, -t, rp) for p, rp, at_free in pivots
-                         if (t := sum(map(mul, shifts, at_free)))]
-                lcm = math.lcm(den, *(rp for _, _, rp in moves))
-                dual = [y * (lcm // den) for y in row]
+                dual[:] = [y * (lcm // den) for y in dual]
                 for f, r in zip(free, shifts):
                     dual[f - 1] += r * lcm
-                for c, t, rp in moves:
-                    dual[c] += t * (lcm // rp)
-                duals[k] = lcm, dual
+                for p, rp, at_free in pivots:
+                    dual[p - 1] -= sum(map(mul, shifts, at_free)) * (lcm // rp)
+            den = lcm
         self._vectors = vecs
-        self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, d)
-                       for d, dual in duals]
+        self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, den)
+                       for dual in duals]
 
     def vector(self, k):
         return self._vectors[k - 1]
