@@ -26,7 +26,6 @@ class InvariantViolation(RuntimeError):
     """A certified property that must always hold failed: this is a bug."""
 
 
-
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
