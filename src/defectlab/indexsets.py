@@ -205,8 +205,8 @@ _TOKEN_RE = re.compile(r"\s*(res|fin|all|none|\d+|[();,&|~+\-])")
 
 def _tokenize(text: str) -> list:
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise SetSyntaxError(f"unexpected character at {text[pos:]!r}")

@@ -162,6 +162,16 @@ class TestParser:
         t = parse_set("(~res(2;0))+2-1")
         assert members(t, 8) == {2, 3, 5, 7}
 
+    def test_whitespace_between_and_around_tokens(self):
+        expected = parse_set("res(3;1,2)|fin(5)")
+        for text in [" res( 3 ; 1 , 2 ) | fin( 5 )", "res(3;1,2)|fin(5) ",
+                     "\tres(3;1,2) |fin(5)\n", "  res(3;1,2)|fin(5)  "]:
+            assert parse_set(text) == expected
+        assert parse_set("all ") == parse_set(" all") == EventuallyPeriodicSet.all()
+        for bad in [" ", "all @ ", "all all "]:
+            with pytest.raises(SetSyntaxError):
+                parse_set(bad)
+
     def test_errors(self):
         for bad in ["", "res(0;1)", "fin(0)", "res(3)", "all all", "fin(1,)",
                     "res(3;1", "@", "+3"]:
