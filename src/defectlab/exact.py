@@ -284,25 +284,25 @@ def _reduce(row: dict, prow: dict, p: int) -> dict:
     return {i: x // g for i, x in out.items()} if g > 1 else out
 
 
-def echelon_step(pivots: dict, v: SparseVector, digit_budget: Optional[int] = None) -> bool:
-    """One step of the echelon pass: is v independent of the pivot rows?
+def echelon_step(chain: list, pivots: list, digit_budget: Optional[int] = None) -> bool:
+    """One step of the echelon pass: is the row chain[0] independent?
 
-    v's integer coordinates are reduced against the pivot rows in
-    insertion order; a row that stays nonzero is added to pivots under
-    its least coordinate.  A digit budget is checked on the input
-    coordinates and on every reduced row.  Rows are never mutated, so a
-    shallow copy of pivots is a separate echelon state.
+    pivots holds one (p, prow) per earlier step, (0, {}) if dependent;
+    chain[i] is chain[0] reduced against pivots[:i].  The chain is
+    extended to len(pivots) + 1 entries and its last row is appended to
+    pivots under its least coordinate.  A digit budget is checked on a
+    lone chain[0] and on every reduced row.  Rows are never mutated.
     """
-    row = v.coords
-    if digit_budget is not None:
+    row = chain[-1]
+    if digit_budget is not None and len(chain) == 1:
         _check_budget(row.values(), digit_budget)
-    for p, prow in pivots.items():
+    for p, prow in pivots[len(chain) - 1:]:
         if p in row:
             row = _reduce(row, prow, p)
             if digit_budget is not None:
                 _check_budget(row.values(), digit_budget)
-    if row:
-        pivots[min(row)] = row
+        chain.append(row)
+    pivots.append((min(row), row) if row else (0, {}))
     return bool(row)
 
 
@@ -314,11 +314,9 @@ def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None)
     independent subset); pivots maps each pivot row's least coordinate
     to the row, so its keys are the reduced-row-echelon pivot columns.
     """
-    kept, pivots = [], {}
-    for r, v in enumerate(vectors):
-        if echelon_step(pivots, v, digit_budget):
-            kept.append(r)
-    return tuple(kept), pivots
+    steps = []
+    kept = tuple(r for r, v in enumerate(vectors) if echelon_step([v.coords], steps, digit_budget))
+    return kept, {p: prow for p, prow in steps if p}
 
 
 def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:

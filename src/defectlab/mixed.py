@@ -75,22 +75,25 @@ def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[i
 
     Bit last - k of a key takes x_k when set and x_k* when clear, so two
     keys share their first d vectors when they share their top d bits.
-    One echelon state is kept per depth: each key is extended, one
-    `echelon_step` per vector, from its common prefix with the key before,
-    and the state at depth d is the sequential echelon state of the first
-    d vectors.  A repeated key costs nothing, and ascending keys extend
-    every shared prefix once.
+    Each candidate x_k and x_k* keeps a reduction chain: entry i is its
+    vector reduced against the pivot rows of depths 1..i of the key.  A
+    key drops the entries after its prefix shared with the key before,
+    then extends the chosen candidate's chain from its last valid entry,
+    one `echelon_step` per depth; vectors are made when first selected.
     """
-    states = [{}] * (last + 1)
-    ranks = [0] * (last + 1)
-    prev = None
+    chains = [[] for _ in range(2 * last + 2)]  # x_k* at 2k, x_k at 2k + 1
+    pivots, ranks, prev = [], [0] * (last + 1), None
     for key in keys:
         depth = 0 if prev is None else last - (key ^ prev).bit_length()
+        del pivots[depth:]
+        for chain in chains[2 * depth + 4:]:
+            del chain[depth + 1:]
         for k in range(depth + 1, last + 1):
-            v = family.vector(k) if key >> (last - k) & 1 else family.dual(k)
-            pivots = dict(states[k - 1])
-            ranks[k] = ranks[k - 1] + echelon_step(pivots, v, digit_budget)
-            states[k] = pivots
+            bit = key >> (last - k) & 1
+            chain = chains[2 * k + bit]
+            if not chain:
+                chain.append((family.vector(k) if bit else family.dual(k)).coords)
+            ranks[k] = ranks[k - 1] + echelon_step(chain, pivots, digit_budget)
         prev = key
         yield ranks[last]
 
@@ -102,10 +105,10 @@ def defect_truncated_many(family: SystemFamily, keys: Sequence[int], n: int,
 
     A key selects among x_1..x_last, last = family.truncation(n), as
     `selection_key` builds it.  The distinct keys are ranked in ascending
-    order over shared echelon prefixes, so a digit-budget trip anywhere
-    in the batch is raised before any rank is checked.  A rank below the
-    family's size raises InvariantViolation, for the first such key in
-    input order.
+    order, each candidate vector reduced once per shared prefix, so a
+    digit-budget trip anywhere in the batch is raised before any rank is
+    checked.  A rank below the family's size raises InvariantViolation,
+    for the first such key in input order.
     """
     last = family.truncation(n)
     distinct = sorted(set(keys))
@@ -290,7 +293,7 @@ def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = No
     """Max truncated defect over all 2^n subsets of a finite random system.
 
     The selections are the keys 0..2^n - 1 in ascending order, so the
-    scan makes 2^(n+1) - 2 echelon steps, one per nonempty prefix.
+    scan makes 2^(n+1) - 2 chain extensions, one per nonempty prefix.
     """
     if not isinstance(family, RandomFiniteFamily):
         raise UnsupportedScan("hereditary_scan requires a RandomFinite family")
@@ -298,10 +301,8 @@ def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = No
     if n > HEREDITARY_SCAN_LIMIT:
         raise TooLarge(f"enumeration bound is n <= {HEREDITARY_SCAN_LIMIT}")
     ambient = family.ambient(n)
-    worst = 0
-    for rank in _mixed_ranks(family, n, range(1 << n), digit_budget):
-        worst = max(worst, ambient - _check_mixed_rank(n, rank))
-    return worst
+    ranks = _mixed_ranks(family, n, range(1 << n), digit_budget)
+    return max(ambient - _check_mixed_rank(n, rank) for rank in ranks)
 
 
 class UnsupportedScan(ValueError):

@@ -458,16 +458,18 @@ def rising_decay(monkeypatch):
 @pytest.fixture
 def dropped_generator(monkeypatch):
     """Makes the shared echelon step, as `exact.echelon` and the mixed
-    batch call it, report the first pivot row of each pass as dependent
-    while keeping it in the state, so every pass loses exactly one rank
-    and a truncated mixed family of full rank reads as rank size - 1."""
+    chain pass call it, report the first pivot row of each pass (a step
+    that no earlier step gave a pivot) as dependent while keeping it in
+    the pivots, so every pass loses exactly one rank and a truncated
+    mixed family of full rank reads as rank size - 1."""
     import defectlab.exact as exact
     import defectlab.mixed as mixed
 
     real = exact.echelon_step
 
-    def dropping(pivots, v, digit_budget=None):
-        return real(pivots, v, digit_budget) and len(pivots) > 1
+    def dropping(chain, pivots, digit_budget=None):
+        first = not any(p for p, _ in pivots)
+        return real(chain, pivots, digit_budget) and not first
 
     for module in (exact, mixed):
         monkeypatch.setattr(module, "echelon_step", dropping)

@@ -178,6 +178,16 @@ def test_shared_prefix_ranks_match_fresh_passes(rng, last, dim, data):
     assert expected == [oracle_rank(_keyed_vectors(fam, last, key), dim) for key in keys]
 
 
+def test_budget_is_checked_only_on_selected_candidates():
+    # x_1* = 10^9 e_1 exceeds a budget of 3 digits, but the key 0b11
+    # selects x_1 and x_2 only
+    e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
+    fam = ListFamily([e1, e2], [e1.scale(10 ** 9), e2], 2)
+    assert list(_mixed_ranks(fam, 2, [0b11], 3)) == [2]
+    with pytest.raises(BudgetExceeded):
+        list(_mixed_ranks(fam, 2, [0b11, 0b01], 3))
+
+
 def test_first_deficit_in_input_order_raises():
     # x_1 = x_2 = 0: sigma = {1, 2} has rank 0, sigma = {2} has rank 1 and
     # is ranked first, as its key 0b01 is the smaller
@@ -397,6 +407,18 @@ class TestHereditaryScan:
         steps = count_calls(monkeypatch, "echelon_step", mixed)
         hereditary_scan(RandomFiniteFamily(n + 1, n, seed=n))
         assert len(steps) == 2 ** (n + 1) - 2
+
+    @pytest.mark.parametrize("n, reductions",
+                             [(1, 0), (2, 4), (3, 14), (4, 42), (5, 100), (6, 224)])
+    def test_each_candidate_is_reduced_once_per_shared_prefix(self, monkeypatch, n,
+                                                              reductions):
+        # reducing the chosen vector afresh at every step takes 0, 4, 16,
+        # 66, 178 and 508
+        import defectlab.exact as exact
+
+        calls = count_calls(monkeypatch, "_reduce", exact)
+        hereditary_scan(RandomFiniteFamily(n, n, seed=n))
+        assert len(calls) == reductions
 
     def test_too_large(self):
         fam = RandomFiniteFamily(25, 21, seed=0)
