@@ -412,8 +412,6 @@ class TestHereditaryScan:
                              [(1, 0), (2, 4), (3, 14), (4, 42), (5, 100), (6, 224)])
     def test_each_candidate_is_reduced_once_per_shared_prefix(self, monkeypatch, n,
                                                               reductions):
-        # reducing the chosen vector afresh at every step takes 0, 4, 16,
-        # 66, 178 and 508
         import defectlab.exact as exact
 
         calls = count_calls(monkeypatch, "_reduce", exact)
