@@ -8,7 +8,6 @@ exhaustion, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import random
 import sys
 from fractions import Fraction
@@ -120,6 +119,8 @@ def cmd_construct(args) -> int:
 def cmd_defect(args) -> int:
     n_list = _int_list("--n-list", args.n_list) if args.n_list else None
     _require_positive("--n", [args.n])
+    if n_list is not None and max(n_list) != args.n:
+        raise ValueError(f"--n-list must have --n as its largest entry, not {max(n_list)}")
     _require_positive("--min-points", [args.min_points])
     if args.probe_window is not None:
         _require_positive("--probe-window", [args.probe_window])
@@ -159,17 +160,9 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise ValueError("--sigmas names no sigma expression")
     n_grid = _int_list("--n-grid", args.n_grid)
-    _require_positive("--workers", [args.workers])
-    task = functools.partial(defect_sweep, parse_family(args.family), n_grid=n_grid,
-                             digit_budget=args.digit_budget)
+    family = parse_family(args.family)
     parsed = [parse_set(sigma_text) for sigma_text in sigmas]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            values = list(pool.map(task, parsed))
-    else:
-        values = [task(sigma) for sigma in parsed]
+    values = [defect_sweep(family, sigma, n_grid, args.digit_budget) for sigma in parsed]
     rows = [
         {"sigma": sigma_text, "n": n, "defect_truncated": v}
         for sigma_text, defects in zip(sigmas, values)
@@ -179,7 +172,6 @@ def cmd_sweep(args) -> int:
         "family": args.family,
         "sigmas": sigmas,
         "n_grid": n_grid,
-        "workers": args.workers,
         "digit_budget": args.digit_budget,
     }
     _emit(args, "sweep", config, {"grid": rows})
@@ -381,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--sigmas", required=True, help="semicolon-separated expressions")
     p.add_argument("--n-grid", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv", default=None)
     common(p)
     p.set_defaults(func=cmd_sweep)

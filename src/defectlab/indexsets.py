@@ -14,9 +14,20 @@ from typing import FrozenSet, Iterable, NamedTuple
 
 Q = Fraction
 
+# Every set's period is at most MAX_PERIOD, since complement and the
+# binary operations take time linear in the period.
+MAX_PERIOD = 10_000
+# "(" and "~" nest at most MAX_NESTING deep in an expression.
+MAX_NESTING = 100
+
 
 class SetSyntaxError(ValueError):
     """Raised on malformed set expressions."""
+
+
+def _check_period(period: int) -> None:
+    if period > MAX_PERIOD:
+        raise ValueError(f"period {period} exceeds the bound {MAX_PERIOD}")
 
 
 def _min_period(period: int, residues: FrozenSet[int]) -> tuple:
@@ -44,6 +55,7 @@ class EventuallyPeriodicSet(NamedTuple):
              removed: Iterable[int] = ()) -> "EventuallyPeriodicSet":
         if period < 1:
             raise ValueError("period must be positive")
+        _check_period(period)
         residues = frozenset(r % period for r in residues)
         added = frozenset(int(k) for k in added)
         removed = frozenset(int(k) for k in removed)
@@ -123,6 +135,7 @@ class EventuallyPeriodicSet(NamedTuple):
 
     def _combine(self, other: "EventuallyPeriodicSet", op) -> "EventuallyPeriodicSet":
         period = math.lcm(self.period, other.period)
+        _check_period(period)
         residues = [
             r for r in range(period)
             if op((r % self.period) in self.residues, (r % other.period) in other.residues)
@@ -219,6 +232,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,6 +245,12 @@ class _Parser:
             raise SetSyntaxError(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
+
+    def enter(self) -> None:
+        """Opens one level of "(" or "~"; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SetSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
 
     def int_token(self) -> int:
         tok = self.take()
@@ -255,7 +275,10 @@ class _Parser:
     def factor(self) -> EventuallyPeriodicSet:
         if self.peek() == "~":
             self.take()
-            return self.factor().complement()
+            self.enter()
+            node = self.factor().complement()
+            self.depth -= 1
+            return node
         node = self.atom()
         while self.peek() in ("+", "-"):
             op = self.take()
@@ -271,8 +294,10 @@ class _Parser:
         if tok == "none":
             return EventuallyPeriodicSet.empty()
         if tok == "(":
+            self.enter()
             node = self.expr()
             self.take(")")
+            self.depth -= 1
             return node
         if tok == "res":
             self.take("(")

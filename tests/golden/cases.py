@@ -147,6 +147,16 @@ for _name, _argv in [
     ("error sigma fin zero", _family_sigma("e1-plus-ek", "fin(0)", 8)),
     ("error sigma unknown", _family_sigma("e1-plus-ek", "odd", 8)),
     ("error sigma unbalanced", _family_sigma("e1-plus-ek", "(all", 8)),
+    ("sigma nesting at the bound", _family_sigma("e1-plus-ek", "(~" * 50 + "all" + ")" * 50, 8)),
+    ("error sigma deep complement", _family_sigma("e1-plus-ek", "~" * 1500 + "all", 4)),
+    ("error sigma deep parentheses",
+     _family_sigma("e1-plus-ek", "(" * 1200 + "all" + ")" * 1200, 4)),
+    ("sigma period at the bound", _family_sigma("e1-plus-ek", "~res(10000;1)", 8)),
+    ("error sigma period above the bound", _family_sigma("e1-plus-ek", "~res(3000000;1)", 4)),
+    ("error sigma lcm above the bound",
+     _family_sigma("e1-plus-ek", "res(9973;1)|res(9967;1)", 4)),
+    ("error n-list max not n",
+     _family_sigma("e1-plus-ek", "all", 5, "--n-list", "2,9,30", "--threshold", "1/50")),
 ]:
     _add(f"defect {_name}", "defect", *_argv)
 
@@ -169,13 +179,13 @@ for _name, _family, _sigmas, _grid in [
     ("error n-grid not int", "e1-plus-ek", "all", "a"),
     ("error sigma inside", "e1-plus-ek", "all;odd", "3"),
     ("res split at its semicolon", "e1-plus-ek", "res(2;1)", "3"),
+    ("error sigmas deep parentheses", "e1-plus-ek", "all;" + "(" * 1200 + "none" + ")" * 1200,
+     "3"),
 ]:
     _add(f"sweep {_name}", "sweep", "--family", _family, "--sigmas", _sigmas,
          "--n-grid", _grid)
 _add("sweep csv", "sweep", "--family", "e1-plus-ek", "--sigmas", "none;all",
      "--n-grid", "4,8", "--csv", "-")
-_add("sweep error workers 0", "sweep", "--family", "e1-plus-ek", "--sigmas", "all",
-     "--n-grid", "3", "--workers", "0")
 
 # -- metric ------------------------------------------------------------------
 for _name, _family, _sigma, _tau, _more in [
@@ -196,6 +206,7 @@ for _name, _family, _sigma, _tau, _more in [
     ("error precision negative", "e1-plus-ek", "all", "none", ["--n", 4, "--precision", -5]),
     ("error n=0", "e1-plus-ek", "all", "none", ["--n", 0]),
     ("error bad tau", "e1-plus-ek", "all", "res(0;0)", ["--n", 4]),
+    ("error tau deep complement", "e1-plus-ek", "all", "~" * 1500 + "none", ["--n", 4]),
 ]:
     _add(f"metric {_name}", "metric", "--family", _family, "--sigma", _sigma,
          "--tau", _tau, *_more)

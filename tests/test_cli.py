@@ -123,16 +123,11 @@ class TestDefect:
 
 
 class TestSweep:
-    def test_grid_and_workers_agree(self, capsys):
-        args = ("sweep", "--family", "defect-pair(m=2)",
-                "--sigmas", "none;all;fin(1)", "--n-grid", "3,5")
-        code, serial, _ = run(capsys, *args)
+    def test_grid_defect_values(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "defect-pair(m=2)",
+                           "--sigmas", "none;all;fin(1)", "--n-grid", "3,5")
         assert code == 0
-        code, parallel, _ = run(capsys, *args, "--workers", "2")
-        assert code == 0
-        a, b = json.loads(serial), json.loads(parallel)
-        assert a["results"] == b["results"]
-        grid = a["results"]["grid"]
+        grid = json.loads(out)["results"]["grid"]
         assert {(r["sigma"], r["n"]): r["defect_truncated"] for r in grid}[
             ("none", 5)] == 2
 
@@ -370,8 +365,6 @@ class TestExitCodes:
          "--digit-budget", "0"],
         ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
          "--min-points", "0"],
-        ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3",
-         "--workers", "0"],
         ["construct", "--family", "random(d=3,n=2,sede=4)", "--n", "1"],
         ["construct", "--family", "young(w=1,bogus=3)", "--n", "1"],
         ["construct", "--family", "e1-plus-ek(m=7)", "--n", "1"],
@@ -383,7 +376,7 @@ class TestExitCodes:
             "metric-n-0", "converge-n-0", "construct-n-negative", "construct-n-0",
             "metric-precision-negative", "converge-precision-negative",
             "chain-digit-budget-negative", "metric-digit-budget-0",
-            "defect-min-points-0", "sweep-workers-0", "random-unknown-key",
+            "defect-min-points-0", "random-unknown-key",
             "young-unknown-key", "e1-plus-ek-takes-no-argument"])
     def test_nonpositive_sizes_are_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -399,6 +392,8 @@ class TestExitCodes:
           "--n-list", ","], "--n-list"),
         (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
           "--n-list", "x"], "--n-list"),
+        (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "5",
+          "--n-list", "2,9,30", "--threshold", "1/50"], "--n-list"),
         (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8",
           "--threshold", "x"], "--threshold"),
         (["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12",
@@ -408,7 +403,8 @@ class TestExitCodes:
         (["chain", "--family", "e1-plus-ek", "--sigma", "none", "--depth", "9",
           "--n", "8"], "--depth"),
     ], ids=["sweep-sigmas-empty", "sweep-n-grid-empty", "sweep-n-grid-not-int",
-            "defect-n-list-empty", "defect-n-list-not-int", "defect-threshold-not-rational",
+            "defect-n-list-empty", "defect-n-list-not-int", "defect-n-list-max-not-n",
+            "defect-threshold-not-rational",
             "defect-probe-window-0", "chain-depth-0", "chain-depth-above-n"])
     def test_input_error_names_the_flag(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -416,6 +412,25 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert error["kind"] == "input"
         assert error["message"].startswith(flag + " ")
+
+    @pytest.mark.parametrize("argv", [
+        ["defect", "--family", "e1-plus-ek", "--sigma", "~" * 1500 + "all", "--n", "4"],
+        ["defect", "--family", "e1-plus-ek", "--sigma", "(" * 1200 + "all" + ")" * 1200,
+         "--n", "4"],
+        ["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "~" * 1500 + "none",
+         "--n", "4"],
+        ["sweep", "--family", "e1-plus-ek", "--sigmas", "all;" + "(" * 1200 + "none"
+         + ")" * 1200, "--n-grid", "3"],
+        ["defect", "--family", "e1-plus-ek", "--sigma", "~res(3000000;1)", "--n", "4"],
+        ["defect", "--family", "e1-plus-ek", "--sigma", "res(9973;1)|res(9967;1)",
+         "--n", "4"],
+    ], ids=["defect-sigma-deep-complement", "defect-sigma-deep-parentheses",
+            "metric-tau-deep-complement", "sweep-sigmas-deep-parentheses",
+            "defect-sigma-period-above-bound", "defect-sigma-lcm-above-bound"])
+    def test_sigma_past_its_bounds_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "input"
 
     def test_unsupported_scan_is_2(self, capsys, monkeypatch):
         import defectlab.cli as cli
@@ -612,9 +627,9 @@ def test_exit_code_contract(argv):
 
 
 def test_cli_import_loads_no_pool_or_dataclasses():
-    """A report's process imports only what it runs: the process pool is
-    imported for `sweep --workers > 1` alone.  -S keeps site packages,
-    and whatever they import, out of the check."""
+    """A report's process imports only what it runs, and no module of the
+    package imports a process pool.  -S keeps site packages, and whatever
+    they import, out of the check."""
     src = str(Path(defectlab.__file__).resolve().parents[1])
     heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "

@@ -14,7 +14,7 @@ from defectlab import (
     rho,
     sigma_m,
 )
-from defectlab.indexsets import SetSyntaxError
+from defectlab.indexsets import MAX_NESTING, MAX_PERIOD, SetSyntaxError
 
 Q = Fraction
 
@@ -171,6 +171,32 @@ class TestParser:
         for bad in [" ", "all @ ", "all all "]:
             with pytest.raises(SetSyntaxError):
                 parse_set(bad)
+
+    def test_nesting_is_bounded(self):
+        assert parse_set("~" * MAX_NESTING + "all") == EventuallyPeriodicSet.all()
+        assert parse_set("(~" * (MAX_NESTING // 2) + "all" + ")" * (MAX_NESTING // 2)) == (
+            EventuallyPeriodicSet.all())
+        assert parse_set("(" * MAX_NESTING + "none" + ")" * MAX_NESTING) == (
+            EventuallyPeriodicSet.empty())
+        # siblings do not add up: only the depth of one path counts
+        assert parse_set("|".join(["(" * MAX_NESTING + "none" + ")" * MAX_NESTING] * 3)) == (
+            EventuallyPeriodicSet.empty())
+        for bad in ["~" * 1500 + "all", "(" * 1200 + "all" + ")" * 1200,
+                    "~" * (MAX_NESTING + 1) + "all",
+                    "(" * (MAX_NESTING + 1) + "all" + ")" * (MAX_NESTING + 1)]:
+            with pytest.raises(SetSyntaxError, match="nesting"):
+                parse_set(bad)
+
+    def test_periods_are_bounded(self):
+        # checked before any work linear in the period
+        assert parse_set("~res(%d;1)" % MAX_PERIOD).period == MAX_PERIOD
+        assert parse_set("res(100;1)|res(99;1)").period == 9900
+        for bad in ["~res(3000000;1)", "res(9973;1)|res(9967;1)", "res(10001;1)",
+                    "res(1000000000000;1)", "res(100;1)&res(101;0)"]:
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                parse_set(bad)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            EventuallyPeriodicSet.make(MAX_PERIOD + 1, [0])
 
     def test_errors(self):
         for bad in ["", "res(0;1)", "fin(0)", "res(3)", "all all", "fin(1,)",
