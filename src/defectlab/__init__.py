@@ -28,7 +28,6 @@ from .indexsets import (
 from .mixed import (
     INCONCLUSIVE,
     DefectReport,
-    MixedSelection,
     TooLarge,
     classify_defect,
     defect_truncated_many,

@@ -78,9 +78,6 @@ class SparseVector:
         den = self.den
         return tuple((i, Fraction(x, den)) for i, x in self.coords.items())
 
-    def __reduce__(self):
-        return SparseVector.from_ints, (self.coords, self.den)
-
     def __eq__(self, other):
         if other.__class__ is not SparseVector:
             return NotImplemented

@@ -288,10 +288,9 @@ class InfiniteDefectSetFamily(SystemFamily):
         if j == self.s:
             return not sigma.is_finite()
         p = sigma.period
-        bound = sigma._exception_bound()
-        m = j
-        while m * (m + 1) // 2 + j + 1 <= bound:
-            m += 1
+        # from this m on, n = m(m+1)/2 + j + 1 lies past every exception,
+        # and m(m+1)/2 mod p has period 2p in m, so 2p steps decide
+        m = max(j, math.isqrt(2 * sigma._exception_bound()) + 1)
         for step in range(2 * p):
             n = (m + step) * (m + step + 1) // 2 + j + 1
             if (n % p) in sigma.residues:

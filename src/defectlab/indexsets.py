@@ -19,6 +19,9 @@ Q = Fraction
 MAX_PERIOD = 10_000
 # "(" and "~" nest at most MAX_NESTING deep in an expression.
 MAX_NESTING = 100
+# An expression names no element above MAX_ELEMENT, since rho holds
+# 1/2^k exactly for every exception k.
+MAX_ELEMENT = 100_000
 
 
 class SetSyntaxError(ValueError):
@@ -258,6 +261,13 @@ class _Parser:
             raise SetSyntaxError(f"expected integer, got {tok!r}")
         return int(tok)
 
+    def element(self) -> int:
+        """An element of fin(...) or of a "+k" / "-k" correction."""
+        k = self.int_token()
+        if k > MAX_ELEMENT:
+            raise SetSyntaxError(f"element {k} exceeds the bound {MAX_ELEMENT}")
+        return k
+
     def expr(self) -> EventuallyPeriodicSet:
         node = self.term()
         while self.peek() == "|":
@@ -282,7 +292,7 @@ class _Parser:
         node = self.atom()
         while self.peek() in ("+", "-"):
             op = self.take()
-            k = self.int_token()
+            k = self.element()
             single = EventuallyPeriodicSet.finite([k])
             node = node.union(single) if op == "+" else node.difference(single)
         return node
@@ -315,10 +325,10 @@ class _Parser:
             self.take("(")
             elements = []
             if self.peek() != ")":
-                elements.append(self.int_token())
+                elements.append(self.element())
                 while self.peek() == ",":
                     self.take()
-                    elements.append(self.int_token())
+                    elements.append(self.element())
             self.take(")")
             if any(k < 1 for k in elements):
                 raise SetSyntaxError("fin() elements must be positive")

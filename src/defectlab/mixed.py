@@ -35,18 +35,12 @@ class TooLarge(ValueError):
 HEREDITARY_SCAN_LIMIT = 20
 
 
-class MixedSelection(NamedTuple):
-    family: SystemFamily
-    sigma: EventuallyPeriodicSet
-    n: int
-
-
-def mixed_vectors(sel: MixedSelection) -> List[SparseVector]:
+def mixed_vectors(family: SystemFamily, sigma: EventuallyPeriodicSet,
+                  n: int) -> List[SparseVector]:
     """The truncated mixed family, in ascending index order, up to the
-    family's truncation of sel.n."""
-    family, sigma = sel.family, sel.sigma
+    family's truncation of n."""
     return [family.vector(k) if sigma.contains(k) else family.dual(k)
-            for k in range(1, family.truncation(sel.n) + 1)]
+            for k in range(1, family.truncation(n) + 1)]
 
 
 def _check_mixed_rank(size: int, rank: int) -> int:
@@ -129,13 +123,14 @@ def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
     before it, so one pass gives the rank at every n as the number of
     vectors it keeps before n.
     """
-    gens = mixed_vectors(MixedSelection(family, sigma, max(n_grid, default=0)))
+    gens = mixed_vectors(family, sigma, max(n_grid, default=0))
     kept = echelon(gens, digit_budget)[0]
     _check_mixed_rank(len(gens), len(kept))
     return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
 
-def witness_check(sel: MixedSelection, witnesses: Sequence[SparseVector]):
+def witness_check(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
+                  witnesses: Sequence[SparseVector]):
     """Exact orthogonality audit of a witness list against the mixed family.
 
     Returns (ok, exceptional) where exceptional collects the indices whose
@@ -144,12 +139,12 @@ def witness_check(sel: MixedSelection, witnesses: Sequence[SparseVector]):
     set).
     """
     exceptional = set()
-    for k, vec in enumerate(mixed_vectors(sel), start=1):
+    for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1):
         for w in witnesses:
             if vec.dot(w) != 0:
                 exceptional.add(k)
                 break
-    predicted = sel.family.predicted_exceptional(sel.sigma, sel.n)
+    predicted = family.predicted_exceptional(sigma, n)
     return exceptional <= predicted, frozenset(exceptional)
 
 
@@ -171,7 +166,7 @@ def distance_profile(
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     extra = list(extra_generators)
-    gens = extra + mixed_vectors(MixedSelection(family, sigma, max(n_list, default=0)))
+    gens = extra + mixed_vectors(family, sigma, max(n_list, default=0))
     elim = bordered_elimination(
         gens, probes, cuts=[len(extra) + max(n, 0) for n in n_list],
         digit_budget=digit_budget,
@@ -243,7 +238,7 @@ def classify_defect(
 
     witnesses = family.witness_space(sigma, n_max, window=probe_window)
     witness_dim = rank_of_vectors(witnesses, digit_budget=digit_budget)
-    ok, exceptional = witness_check(MixedSelection(family, sigma, n_max), witnesses)
+    ok, exceptional = witness_check(family, sigma, n_max, witnesses)
 
     if family.witnesses_unbounded(sigma):
         wide = family.witness_space(sigma, n_max, window=2 * probe_window)

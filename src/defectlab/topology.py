@@ -44,35 +44,35 @@ class IntervalValue:
     def __repr__(self):
         return f"IntervalValue(lo={self.lo!r}, hi={self.hi!r})"
 
-    @staticmethod
-    def exact(x) -> "IntervalValue":
-        x = Q(x)
-        return IntervalValue(x, x)
-
-    def __add__(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, c: Fraction) -> "IntervalValue":
-        c = Q(c)
-        if c < 0:
-            return IntervalValue(self.hi * c, self.lo * c)
-        return IntervalValue(self.lo * c, self.hi * c)
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
 
+def _root_sum(terms, precision_bits: int, tail: Fraction) -> IntervalValue:
+    """Certified enclosure of sum_i sqrt(r_i) / 2^{e_i} plus [0, tail]
+    over the (r_i, e_i) pairs of terms.
+
+    With scale = 2^{precision_bits+1}, each nonzero r_i adds
+    floor(sqrt(r_i) scale) to an integer lower sum and 1 to an integer
+    width, both over the one denominator scale 2^{max e_i}, so every term
+    is enclosed with width 2^{-e_i} / scale; a zero r_i adds nothing.
+    """
+    top = max((e for _, e in terms), default=0)
+    shift = 2 * (precision_bits + 1)
+    low = width = 0
+    for r, e in terms:
+        if r < 0:
+            raise ValueError("sqrt of a negative rational")
+        if r:
+            low += math.isqrt((r.numerator << shift) // r.denominator) << (top - e)
+            width += 1 << (top - e)
+    den = 1 << (precision_bits + 1 + top)
+    return IntervalValue(Q(low, den), Q(low + width, den) + tail)
+
+
 def sqrt_enclosure(r: Fraction, precision_bits: int) -> IntervalValue:
     """Certified enclosure of sqrt(r) with width <= 2^-precision_bits."""
-    r = Q(r)
-    if r < 0:
-        raise ValueError("sqrt of a negative rational")
-    if r == 0:
-        return IntervalValue(Q(0), Q(0))
-    scale = 1 << (precision_bits + 1)
-    t = (r.numerator * scale * scale) // r.denominator
-    root = math.isqrt(t)
-    return IntervalValue(Q(root, scale), Q(root + 1, scale))
+    return _root_sum([(Q(r), 0)], precision_bits, 0)
 
 
 def _norms_sq(vectors) -> list:
@@ -94,10 +94,8 @@ def _ds_enclosure(diff_sqs, norms, precision_bits):
     Tail interval [0, 2^{1-K}] is valid because each normalized term is
     bounded by 2 * 2^{-k}.
     """
-    total = IntervalValue.exact(0)
-    for k, (dsq, ns) in enumerate(zip(diff_sqs, norms), start=1):
-        total = total + sqrt_enclosure(dsq / ns, precision_bits).scale(Q(1, 2 ** k))
-    return total + IntervalValue(Q(0), Q(2, 2 ** len(diff_sqs)))
+    terms = [(dsq / ns, k) for k, (dsq, ns) in enumerate(zip(diff_sqs, norms), start=1)]
+    return _root_sum(terms, precision_bits, Q(2, 2 ** len(diff_sqs)))
 
 
 def projector_metrics(
@@ -126,15 +124,13 @@ def projector_metrics(
     norms = _norms_sq(targets)
     diffs = [a - b for a, b in zip(p_sig, p_tau)]
     d_s = _ds_enclosure([diff.norm_sq() for diff in diffs], norms, precision_bits)
-    total = IntervalValue.exact(0)
+    terms = []
     for k, (diff, nk) in enumerate(zip(diffs, norms), start=1):
         for j, (target, nj) in enumerate(zip(targets, norms), start=1):
             ip = diff.dot(target)
-            if ip == 0:
-                continue
-            r = ip * ip / (nk * nj)
-            total = total + sqrt_enclosure(r, precision_bits).scale(Q(1, 2 ** (k + j)))
-    d_w = total + IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
+            if ip:
+                terms.append((ip * ip / (nk * nj), k + j))
+    d_w = _root_sum(terms, precision_bits, Q(2, 2 ** K) - Q(1, 4 ** K))
     return d_s, d_w
 
 

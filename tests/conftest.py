@@ -249,10 +249,10 @@ def complement_basis(generators, ambient):
     ]
 
 
-def defect_truncated(sel, digit_budget=None):
+def defect_truncated(family, sigma, n, digit_budget=None):
     """ambient - rank of one truncated mixed family, through the batch call."""
-    key = selection_key(sel.sigma, sel.family.truncation(sel.n))
-    return defect_truncated_many(sel.family, [key], sel.n, digit_budget)[0]
+    key = selection_key(sigma, family.truncation(n))
+    return defect_truncated_many(family, [key], n, digit_budget)[0]
 
 
 class WrongSide(ValueError):
@@ -348,36 +348,42 @@ def _oracle_targets(family, K):
     return [family.vector(k) for k in range(1, K + 1)]
 
 
+def _oracle_sum(terms, precision_bits, tail):
+    """sum_i w_i sqrt(r_i) over the (r_i, w_i) pairs plus [0, tail], from
+    each term's own `sqrt_enclosure` bounds added as Fractions."""
+    from defectlab.topology import IntervalValue, sqrt_enclosure
+
+    lo = hi = Q(0)
+    for r, w in terms:
+        iv = sqrt_enclosure(r, precision_bits)
+        lo += iv.lo * w
+        hi += iv.hi * w
+    return IntervalValue(lo, hi + tail)
+
+
 def _oracle_ds(diffs, targets, precision_bits):
     """sum_k ||diffs[k]|| / (||x_k|| 2^k), enclosed term by term, plus the
     tail [0, 2^{1-K}]."""
-    from defectlab.topology import IntervalValue, sqrt_enclosure
-
-    total = IntervalValue.exact(0)
-    for k, (diff, t) in enumerate(zip(diffs, targets), start=1):
-        term = sqrt_enclosure(diff.norm_sq() / t.norm_sq(), precision_bits)
-        total = total + term.scale(Q(1, 2 ** k))
-    return total + IntervalValue(Q(0), Q(2, 2 ** len(targets)))
+    terms = [(diff.norm_sq() / t.norm_sq(), Q(1, 2 ** k))
+             for k, (diff, t) in enumerate(zip(diffs, targets), start=1)]
+    return _oracle_sum(terms, precision_bits, Q(2, 2 ** len(targets)))
 
 
 def oracle_projector_metrics(family, sigma, tau, n, K, precision_bits):
     """(d_s, d_w) summed from the coordinate projections of x_1..x_K onto
     truncated H_sigma and H_tau."""
-    from defectlab.topology import IntervalValue, sqrt_enclosure
-
     targets = _oracle_targets(family, K)
     p_sig = _oracle_span_projections(family, sigma, n, targets)
     p_tau = _oracle_span_projections(family, tau, n, targets)
     diffs = [a - b for a, b in zip(p_sig, p_tau)]
-    d_w = IntervalValue.exact(0)
+    terms = []
     for k, (diff, xk) in enumerate(zip(diffs, targets), start=1):
         for j, xj in enumerate(targets, start=1):
             ip = diff.dot(xj)
             if ip:
-                term = sqrt_enclosure(ip * ip / (xk.norm_sq() * xj.norm_sq()), precision_bits)
-                d_w = d_w + term.scale(Q(1, 2 ** (k + j)))
+                terms.append((ip * ip / (xk.norm_sq() * xj.norm_sq()), Q(1, 2 ** (k + j))))
     K = len(targets)
-    d_w = d_w + IntervalValue(Q(0), Q(2, 2 ** K) - Q(1, 4 ** K))
+    d_w = _oracle_sum(terms, precision_bits, Q(2, 2 ** K) - Q(1, 4 ** K))
     return _oracle_ds(diffs, targets, precision_bits), d_w
 
 

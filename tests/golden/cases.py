@@ -155,6 +155,9 @@ for _name, _argv in [
     ("error sigma period above the bound", _family_sigma("e1-plus-ek", "~res(3000000;1)", 4)),
     ("error sigma lcm above the bound",
      _family_sigma("e1-plus-ek", "res(9973;1)|res(9967;1)", 4)),
+    ("sigma element at the bound", _family_sigma("infinite-set(0,1,inf)", "all-100000", 6)),
+    ("error sigma element above the bound",
+     _family_sigma("infinite-set(0,1,inf)", "all-100001", 6)),
     ("error n-list max not n",
      _family_sigma("e1-plus-ek", "all", 5, "--n-list", "2,9,30", "--threshold", "1/50")),
 ]:
@@ -207,6 +210,10 @@ for _name, _family, _sigma, _tau, _more in [
     ("error n=0", "e1-plus-ek", "all", "none", ["--n", 0]),
     ("error bad tau", "e1-plus-ek", "all", "res(0;0)", ["--n", 4]),
     ("error tau deep complement", "e1-plus-ek", "all", "~" * 1500 + "none", ["--n", 4]),
+    ("sigma element at the bound", "e1-plus-ek", "fin(100000)", "none+1",
+     ["--n", 4, "--terms", 2]),
+    ("error sigma element above the bound", "e1-plus-ek", "fin(100001)", "none",
+     ["--n", 4, "--terms", 2]),
 ]:
     _add(f"metric {_name}", "metric", "--family", _family, "--sigma", _sigma,
          "--tau", _tau, *_more)

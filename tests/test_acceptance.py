@@ -20,7 +20,6 @@ from defectlab import (
     EventuallyPeriodicSet,
     FiniteDefectSetFamily,
     InfiniteDefectSetFamily,
-    MixedSelection,
     RandomFiniteFamily,
     SparseVector,
     YoungFamily,
@@ -86,7 +85,7 @@ def test_criterion_02_swap_invariance():
         base_members = frozenset(
             k for k in range(1, count + 1) if rng.random() < 0.5)
         sigma = EventuallyPeriodicSet.finite(base_members)
-        base = defect_truncated(MixedSelection(family, sigma, count))
+        base = defect_truncated(family, sigma, count)
         # every chain of <= 3 swaps ends at a toggle set of size <= 3, and
         # conversely each such toggle set is reached by some chain
         for size in (1, 2, 3):
@@ -94,8 +93,7 @@ def test_criterion_02_swap_invariance():
                 endpoint = EventuallyPeriodicSet.finite(
                     base_members ^ frozenset(toggles))
                 checks += 1
-                assert defect_truncated(
-                    MixedSelection(family, endpoint, count)) == base
+                assert defect_truncated(family, endpoint, count) == base
         # spot-check that stepwise swap_move reaches the same endpoints
         for toggles in itertools.combinations(range(1, count + 1),
                                               min(3, count)):
@@ -189,8 +187,7 @@ def test_criterion_06_infinite_defect_set():
         # witnesses f_j + x' pass exact orthogonality for j <= 5 at n = 30
         witnesses = family.witness_space(sigma, 30, window=5)
         assert len(witnesses) == 5
-        ok, exceptional = witness_check(MixedSelection(family, sigma, 30),
-                                        witnesses)
+        ok, exceptional = witness_check(family, sigma, 30, witnesses)
         assert ok and exceptional == frozenset()
 
         # witness rank grows with the window: evidence of verdict infinity

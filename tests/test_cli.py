@@ -19,7 +19,6 @@ from defectlab import (
     E1PlusEkFamily,
     EventuallyPeriodicSet,
     IntervalValue,
-    MixedSelection,
     SparseVector,
     parse_family,
     parse_set,
@@ -139,7 +138,7 @@ class TestSweep:
         assert code == 0
         fam = parse_family(family)
         expected = [
-            [sigma, n, defect_truncated(MixedSelection(fam, parse_set(sigma), n))]
+            [sigma, n, defect_truncated(fam, parse_set(sigma), n)]
             for sigma in sigmas
             for n in n_grid
         ]
@@ -154,7 +153,7 @@ class TestSweep:
         fam = parse_family("random(d=4,n=2,seed=1)")
         rows = json.loads(out)["results"]["grid"]
         for sigma in ("all", "none"):
-            at_count = defect_truncated(MixedSelection(fam, parse_set(sigma), 2))
+            at_count = defect_truncated(fam, parse_set(sigma), 2)
             got = {r["n"]: r["defect_truncated"] for r in rows if r["sigma"] == sigma}
             assert got[5] == got[2] == at_count
 
@@ -532,6 +531,8 @@ _SIGMA = st.sampled_from([
     "all", "none", "res(2;1)", "res(3;0,2)", "fin(1,4)", "fin()", "all-1", "~res(2;0)",
     "res(2;1)|fin(3)", "res(0;1)", "fin(0)", "", "(",
 ])
+# metric and converge also run at a precision far above the int-str limit
+_PRECISION = st.one_of(_SIZE, st.integers(0, 20_000).map(str))
 _RATIONAL = st.sampled_from(["1/100", "0", "-1", "1/3", "2", "1/0", "0/0", "x", ""])
 _INT_LIST = st.one_of(
     st.lists(st.integers(-1, 12), max_size=4).map(lambda xs: ",".join(map(str, xs))),
@@ -570,12 +571,12 @@ def cli_argv(draw):
         argv += flag("--n-grid", _INT_LIST)
     elif command == "metric":
         argv += flag("--sigma", _SIGMA) + flag("--tau", _SIGMA) + flag("--n", _SIZE)
-        argv += optional("--terms", _SIZE) + optional("--precision", _SIZE)
+        argv += optional("--terms", _SIZE) + optional("--precision", _PRECISION)
     elif command == "chain":
         argv += flag("--sigma", _SIGMA) + flag("--depth", _SIZE) + flag("--n", _SIZE)
     elif command == "converge":
         argv += flag("--sigma", _SIGMA) + flag("--m-max", _SIZE) + flag("--n", _SIZE)
-        argv += optional("--terms", _SIZE) + optional("--precision", _SIZE)
+        argv += optional("--terms", _SIZE) + optional("--precision", _PRECISION)
         argv += ["--semicontinuity"] if draw(st.booleans()) else []
     return argv + optional("--digit-budget", _SIZE)
 
@@ -605,6 +606,12 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(["construct", "--family", "e1-plus-ek", "--n", "3", "--bogus", "1"])
 @example(_LARGE_VALUES[0])
 @example(_LARGE_VALUES[1])
+@example(["metric", "--family", "e1-plus-ek", "--sigma", "all-10000000000000000",
+          "--tau", "all", "--n", "4", "--terms", "2"])
+@example(["converge", "--family", "e1-plus-ek", "--sigma", "fin(10000000000000000)",
+          "--m-max", "2", "--n", "4", "--terms", "2"])
+@example(["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "all-10000000000000000",
+          "--n", "6"])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

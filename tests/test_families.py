@@ -4,10 +4,13 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectlab import (
     DefectPairFamily,
     E1PlusEkFamily,
+    EventuallyPeriodicSet,
     FiniteDefectSetFamily,
     InfiniteDefectSetFamily,
     MalformedDefectSet,
@@ -257,6 +260,24 @@ class TestInfiniteDefectSet:
         assert fam.predicted_defect(parse_set("all")) == 0
         assert fam.witnesses_unbounded(parse_set("fin(2)"))
         assert not fam.witnesses_unbounded(parse_set("all"))
+
+    @given(st.sampled_from([(0,), (0, 2), (0, 1, 3), (0, 1, 2, 5)]), st.integers(1, 12),
+           st.sets(st.integers(0, 11)), st.sets(st.integers(1, 5000), max_size=4),
+           st.sets(st.integers(1, 5000), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_finitely_many_changes_keep_the_defect(self, finite_part, period, residues,
+                                                   added, removed):
+        fam = InfiniteDefectSetFamily(finite_part)
+        base = EventuallyPeriodicSet.make(period, residues)
+        moved = EventuallyPeriodicSet.make(period, residues, added, removed - added)
+        assert fam.predicted_defect(moved) == fam.predicted_defect(base)
+
+    def test_far_exception_is_decided_at_once(self):
+        # past the parser's element bound, as an API caller may build it
+        fam = parse_family("infinite-set(0,1,inf)")
+        sigma = EventuallyPeriodicSet.make(1, (0,), removed=[10 ** 16])
+        assert fam.predicted_defect(sigma) == 0
+        assert fam.predicted_defect(sigma.complement()) == math.inf
 
     def test_requires_infinity_marker(self):
         with pytest.raises(MalformedDefectSet):

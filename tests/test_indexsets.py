@@ -14,7 +14,7 @@ from defectlab import (
     rho,
     sigma_m,
 )
-from defectlab.indexsets import MAX_NESTING, MAX_PERIOD, SetSyntaxError
+from defectlab.indexsets import MAX_ELEMENT, MAX_NESTING, MAX_PERIOD, SetSyntaxError
 
 Q = Fraction
 
@@ -197,6 +197,20 @@ class TestParser:
                 parse_set(bad)
         with pytest.raises(ValueError, match="exceeds the bound"):
             EventuallyPeriodicSet.make(MAX_PERIOD + 1, [0])
+
+    def test_elements_are_bounded(self):
+        # checked while parsing, before rho builds 1/2^k for an exception k
+        assert parse_set("fin(1,%d)" % MAX_ELEMENT).added == {1, MAX_ELEMENT}
+        assert parse_set("all-%d" % MAX_ELEMENT).removed == {MAX_ELEMENT}
+        assert parse_set("none+%d" % MAX_ELEMENT).added == {MAX_ELEMENT}
+        for bad in ["fin(%d)" % (MAX_ELEMENT + 1), "fin(1,10000000000000000)",
+                    "all-10000000000000000", "res(2;1)+%d" % (MAX_ELEMENT + 1),
+                    "~(none+%d)" % (MAX_ELEMENT + 1)]:
+            with pytest.raises(SetSyntaxError, match="exceeds the bound %d" % MAX_ELEMENT):
+                parse_set(bad)
+        # residues are not elements, and the tails of sigma_m are built past the parser
+        assert parse_set("res(3;100000000000)") == parse_set("res(3;1)")
+        assert max(sigma_m(parse_set("fin(1)"), MAX_ELEMENT + 1).removed) == MAX_ELEMENT + 1
 
     def test_errors(self):
         for bad in ["", "res(0;1)", "fin(0)", "res(3)", "all all", "fin(1,)",

@@ -14,7 +14,6 @@ from defectlab import (
     EventuallyPeriodicSet,
     FiniteDefectSetFamily,
     InfiniteDefectSetFamily,
-    MixedSelection,
     RandomFiniteFamily,
     SparseVector,
     SystemFamily,
@@ -49,13 +48,13 @@ Q = Fraction
 class TestMixedVectors:
     def test_worked_examples(self):
         fam = E1PlusEkFamily()
-        assert mixed_vectors(MixedSelection(fam, parse_set("all"), 2)) == [
+        assert mixed_vectors(fam, parse_set("all"), 2) == [
             fam.vector(1), fam.vector(2),
         ]
-        assert mixed_vectors(MixedSelection(fam, parse_set("none"), 2)) == [
+        assert mixed_vectors(fam, parse_set("none"), 2) == [
             SparseVector.unit(2), SparseVector.unit(3),
         ]
-        assert mixed_vectors(MixedSelection(fam, parse_set("fin(1)"), 2)) == [
+        assert mixed_vectors(fam, parse_set("fin(1)"), 2) == [
             fam.vector(1), SparseVector.unit(3),
         ]
 
@@ -64,16 +63,16 @@ class TestDefectTruncated:
     def test_basis_family_always_complete(self):
         fam = RandomFiniteFamily(4, 4, seed=3)
         for text in ("none", "all", "fin(2,4)"):
-            assert defect_truncated(MixedSelection(fam, parse_set(text), 4)) == 0
+            assert defect_truncated(fam, parse_set(text), 4) == 0
 
     def test_e1_plus_ek_sigma_all(self):
         fam = E1PlusEkFamily()
         for n in (2, 4, 6):
-            assert defect_truncated(MixedSelection(fam, parse_set("all"), n)) == 1
+            assert defect_truncated(fam, parse_set("all"), n) == 1
 
     def test_defect_pair_worked_example(self):
         fam = DefectPairFamily(2)
-        assert defect_truncated(MixedSelection(fam, parse_set("none"), 5)) == 2
+        assert defect_truncated(fam, parse_set("none"), 5) == 2
 
 
 class TestMixedRankInvariant:
@@ -85,13 +84,14 @@ class TestMixedRankInvariant:
                     RandomFiniteFamily(6, 4, seed=3, dual_style="perturbed")]
         for fam in families:
             for text in ("all", "none", "res(2;1)", "fin(1,3)"):
-                sel = MixedSelection(fam, parse_set(text), 5)
-                assert defect_truncated(sel) == fam.ambient(5) - len(mixed_vectors(sel))
+                sigma = parse_set(text)
+                assert defect_truncated(fam, sigma, 5) == (
+                    fam.ambient(5) - len(mixed_vectors(fam, sigma, 5)))
 
     def test_dropped_generator_is_invariant_violation(self, dropped_generator):
         fam, sigma = DefectPairFamily(2), parse_set("res(2;1)")
         with pytest.raises(InvariantViolation):
-            defect_truncated(MixedSelection(fam, sigma, 6))
+            defect_truncated(fam, sigma, 6)
         with pytest.raises(InvariantViolation):
             defect_sweep(fam, sigma, [3, 6])
         with pytest.raises(InvariantViolation):
@@ -120,7 +120,7 @@ def test_batch_defects_match_sequential_echelon_and_sympy(case):
     fresh echelon pass and sympy give its selection; with a digit budget
     the batch trips exactly when one of those passes trips."""
     fam, sigmas, n, budget = case
-    gens = [mixed_vectors(MixedSelection(fam, sigma, n)) for sigma in sigmas]
+    gens = [mixed_vectors(fam, sigma, n) for sigma in sigmas]
     keys = [selection_key(sigma, fam.truncation(n)) for sigma in sigmas]
     ambient = fam.ambient(n)
     try:
@@ -131,7 +131,7 @@ def test_batch_defects_match_sequential_echelon_and_sympy(case):
         return
     assert ranks == [oracle_rank(g, ambient) for g in gens]
     assert defect_truncated_many(fam, keys, n, budget) == [ambient - r for r in ranks]
-    assert [defect_truncated(MixedSelection(fam, sigma, n), budget) for sigma in sigmas] == [
+    assert [defect_truncated(fam, sigma, n, budget) for sigma in sigmas] == [
         ambient - r for r in ranks]
 
 
@@ -212,22 +212,20 @@ class TestWitnessCheck:
     def test_defect_pair_clean(self):
         fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
-        ok, exceptional = witness_check(
-            MixedSelection(fam, parse_set("none"), 8), witnesses)
+        ok, exceptional = witness_check(fam, parse_set("none"), 8, witnesses)
         assert ok and exceptional == frozenset()
 
     def test_defect_pair_exceptional(self):
         fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
-        ok, exceptional = witness_check(
-            MixedSelection(fam, parse_set("fin(3)"), 8), witnesses)
+        ok, exceptional = witness_check(fam, parse_set("fin(3)"), 8, witnesses)
         assert exceptional == frozenset({3})
         assert ok  # the finite sigma itself is the predicted exceptional set
 
     def test_finite_set_residue_class(self):
         fam = FiniteDefectSetFamily((0, 1, 3))
         ok, exceptional = witness_check(
-            MixedSelection(fam, parse_set("res(3;2)"), 30), [SparseVector.unit(1)])
+            fam, parse_set("res(3;2)"), 30, [SparseVector.unit(1)])
         assert ok and exceptional == frozenset()
 
 
@@ -277,7 +275,7 @@ class TestDistanceProfile:
         expected = []
         for idx, p in enumerate(probes):
             for n in n_list:
-                gens = witnesses + mixed_vectors(MixedSelection(family, sigma, n))
+                gens = witnesses + mixed_vectors(family, sigma, n)
                 ambient = max(i for v in gens + probes for i in v.coords)
                 expected.append((f"probe[{idx + 1}]", n, oracle_dist_sq(p, gens, ambient)))
         assert rows == expected
@@ -372,10 +370,10 @@ class TestSwapMove:
             fam = RandomFiniteFamily(dim, count, seed=rng.randrange(1 << 30),
                                      dual_style=rng.choice(["span", "perturbed"]))
             sigma = parse_set("none")
-            base = defect_truncated(MixedSelection(fam, sigma, count))
+            base = defect_truncated(fam, sigma, count)
             for k0 in range(1, count + 1):
                 moved = swap_move(sigma, k0, "in")
-                assert defect_truncated(MixedSelection(fam, moved, count)) == base
+                assert defect_truncated(fam, moved, count) == base
 
 
 class TestHereditaryScan:

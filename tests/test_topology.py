@@ -52,10 +52,6 @@ class TestIntervalValue:
 
     def test_arithmetic(self):
         a = IntervalValue(Q(1), Q(2))
-        b = IntervalValue(Q(3), Q(5))
-        assert (a + b).lo == Q(4) and (a + b).hi == Q(7)
-        s = a.scale(Q(-2))
-        assert s.lo == Q(-4) and s.hi == Q(-2)
         assert a.width() == Q(1)
         assert interval_contains(IntervalValue(Q(0), Q(3)), a)
         assert (a.lo + a.hi) / 2 == Q(3, 2)
@@ -87,6 +83,36 @@ class TestSqrtEnclosure:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sqrt_enclosure(Q(-1), 10)
+
+
+_ROOT_TERMS = st.lists(st.tuples(
+    st.one_of(st.just(Q(0)), st.integers(1, 30).map(lambda x: Q(x * x)),
+              st.fractions(min_value=0, max_value=100, max_denominator=50)),
+    st.integers(0, 40)), max_size=10)
+
+
+class TestRootSum:
+    @given(_ROOT_TERMS, st.integers(0, 200),
+           st.fractions(min_value=0, max_value=2, max_denominator=64))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_of_one_term_enclosures(self, terms, prec, tail):
+        got = topology._root_sum(terms, prec, tail)
+        lo = hi = Q(0)
+        for r, e in terms:
+            iv = sqrt_enclosure(r, prec)
+            lo += iv.lo / 2 ** e
+            hi += iv.hi / 2 ** e
+        assert got == IntervalValue(lo, hi + tail)
+        scale = 2 ** (prec + 1)
+        assert got.width() == sum((Q(1, 2 ** e * scale) for r, e in terms if r), tail)
+
+    @given(_ROOT_TERMS, _ROOT_TERMS,
+           st.fractions(max_value=0, max_denominator=50).filter(lambda r: r < 0),
+           st.integers(0, 40), st.integers(0, 200))
+    @settings(max_examples=50, deadline=None)
+    def test_negative_term_rejected(self, before, after, r, e, prec):
+        with pytest.raises(ValueError, match="negative"):
+            topology._root_sum(before + [(r, e)] + after, prec, Q(0))
 
 
 class TestMetrics:
@@ -264,7 +290,7 @@ class TestConvergenceProbe:
         for row in rows:
             assert row["rho"] == 0
             assert row["ds_to_zero"] == limit
-            assert all(iv == IntervalValue.exact(0) for iv in row["pointwise"])
+            assert all(iv == IntervalValue(Q(0), Q(0)) for iv in row["pointwise"])
 
 
 class TestSemicontinuityProbe:
