@@ -94,7 +94,7 @@ _ROOT_TERMS = st.lists(st.tuples(
 class TestRootSum:
     @given(_ROOT_TERMS, st.integers(0, 200),
            st.fractions(min_value=0, max_value=2, max_denominator=64))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_sum_of_one_term_enclosures(self, terms, prec, tail):
         got = topology._root_sum(terms, prec, tail)
         lo = hi = Q(0)
