@@ -18,9 +18,9 @@ from .families import RandomFiniteFamily, parse_family
 from .indexsets import parse_set, rho
 from .mixed import (
     classify_defect,
-    defect_sweep,
     defect_truncated_many,
     hereditary_scan,
+    selection_key,
 )
 from .reports import (
     decay_csv,
@@ -162,11 +162,17 @@ def cmd_sweep(args) -> int:
     n_grid = _int_list("--n-grid", args.n_grid)
     family = parse_family(args.family)
     parsed = [parse_set(sigma_text) for sigma_text in sigmas]
-    values = [defect_sweep(family, sigma, n_grid, args.digit_budget) for sigma in parsed]
+    # one batched rank check at the largest n; every mixed family then has
+    # full rank at each prefix, so each cell is ambient(n) - truncation(n)
+    n_max = max(n_grid)
+    last = family.truncation(n_max)
+    defect_truncated_many(family, [selection_key(sigma, last) for sigma in parsed], n_max,
+                          args.digit_budget)
     rows = [
-        {"sigma": sigma_text, "n": n, "defect_truncated": v}
-        for sigma_text, defects in zip(sigmas, values)
-        for n, v in zip(n_grid, defects)
+        {"sigma": sigma_text, "n": n,
+         "defect_truncated": family.ambient(n) - family.truncation(n)}
+        for sigma_text in sigmas
+        for n in n_grid
     ]
     config = {
         "family": args.family,

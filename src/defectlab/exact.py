@@ -59,20 +59,6 @@ class SparseVector:
 
     __slots__ = ("den", "coords")
 
-    def __init__(self, entries: tuple):
-        prev = 0
-        for idx, val in entries:
-            if idx <= prev:
-                raise ValueError("indices must be strictly increasing and positive")
-            if val == 0:
-                raise ValueError("stored values must be nonzero")
-            prev = idx
-        values = [_as_fraction(val) for _, val in entries]
-        # the lcm of reduced denominators is coprime to the coordinates
-        self.den = den = math.lcm(*(x.denominator for x in values))
-        self.coords = {idx: x.numerator * (den // x.denominator)
-                       for (idx, _), x in zip(entries, values)}
-
     @property
     def entries(self) -> tuple:
         den = self.den
@@ -91,11 +77,19 @@ class SparseVector:
 
     @staticmethod
     def from_pairs(pairs) -> "SparseVector":
+        """The sum of the (index, value) pairs, for indices >= 1 and
+        rational values: merged, zeros dropped, over the lcm of the
+        reduced denominators."""
         acc = {}
         for idx, val in pairs:
             idx = int(idx)
+            if idx < 1:
+                raise ValueError(f"index {idx} is not positive")
             acc[idx] = acc.get(idx, 0) + _as_fraction(val)
-        return SparseVector(tuple((i, acc[i]) for i in sorted(acc) if acc[i] != 0))
+        values = {i: acc[i] for i in sorted(acc) if acc[i]}
+        den = math.lcm(*(x.denominator for x in values.values()))
+        return SparseVector.from_ints(
+            {i: x.numerator * (den // x.denominator) for i, x in values.items()}, den)
 
     @staticmethod
     def from_ints(coords: dict, den: int = 1) -> "SparseVector":
@@ -114,30 +108,19 @@ class SparseVector:
     def unit(index: int) -> "SparseVector":
         return SparseVector.from_ints({index: 1})
 
-    @staticmethod
-    def zero() -> "SparseVector":
-        return SparseVector.from_ints({})
-
     def dot(self, other: "SparseVector") -> Fraction:
         return Fraction(_idot(self.coords, other.coords), self.den * other.den)
 
     def norm_sq(self) -> Fraction:
         return Fraction(sum(x * x for x in self.coords.values()), self.den * self.den)
 
-    def scale(self, c) -> "SparseVector":
-        c = _as_fraction(c)
-        if c == 0:
-            return SparseVector.zero()
-        m = c.numerator
-        return SparseVector.from_ints({i: m * x for i, x in self.coords.items()},
-                                      self.den * c.denominator)
-
     def __add__(self, other: "SparseVector") -> "SparseVector":
         den = math.lcm(self.den, other.den)
         return _combine(den, [(den // self.den, self.coords), (den // other.den, other.coords)])
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
-        return self + other.scale(-1)
+        den = math.lcm(self.den, other.den)
+        return _combine(den, [(den // self.den, self.coords), (-den // other.den, other.coords)])
 
 
 def _idot(a: dict, b: dict) -> int:

@@ -22,6 +22,9 @@ MAX_NESTING = 100
 # An expression names no element above MAX_ELEMENT, since rho holds
 # 1/2^k exactly for every exception k.
 MAX_ELEMENT = 100_000
+# A bound error quotes a token of at most ECHO_DIGITS digits; a longer
+# one, far above every bound, is named by its digit count instead.
+ECHO_DIGITS = 20
 
 
 class SetSyntaxError(ValueError):
@@ -255,15 +258,20 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise SetSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
 
-    def int_token(self) -> int:
+    def int_token(self, what: str = "", bound: int = 0) -> int:
+        """The next integer; with a bound, a token of more than ECHO_DIGITS
+        digits is refused by its digit count before int() reads it."""
         tok = self.take()
         if not tok.isdigit():
             raise SetSyntaxError(f"expected integer, got {tok!r}")
+        digits = len(tok.lstrip("0"))
+        if bound and digits > ECHO_DIGITS:
+            raise SetSyntaxError(f"{what} of {digits} digits exceeds the bound {bound}")
         return int(tok)
 
     def element(self) -> int:
         """An element of fin(...) or of a "+k" / "-k" correction."""
-        k = self.int_token()
+        k = self.int_token("element", MAX_ELEMENT)
         if k > MAX_ELEMENT:
             raise SetSyntaxError(f"element {k} exceeds the bound {MAX_ELEMENT}")
         return k
@@ -311,7 +319,7 @@ class _Parser:
             return node
         if tok == "res":
             self.take("(")
-            period = self.int_token()
+            period = self.int_token("period", MAX_PERIOD)
             self.take(";")
             residues = [self.int_token()]
             while self.peek() == ",":

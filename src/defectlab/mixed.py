@@ -7,7 +7,6 @@ at a finite truncation.  Certification combines an exact witness basis
 """
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -16,7 +15,6 @@ from .exact import (
     InvariantViolation,
     SparseVector,
     bordered_elimination,
-    echelon,
     echelon_step,
     rank_of_vectors,
 )
@@ -111,22 +109,6 @@ def defect_truncated_many(family: SystemFamily, keys: Sequence[int], n: int,
     rank_of = dict(zip(distinct, _mixed_ranks(family, last, distinct, digit_budget)))
     ambient = family.ambient(n)
     return [ambient - _check_mixed_rank(last, rank_of[key]) for key in keys]
-
-
-def defect_sweep(family: SystemFamily, sigma: EventuallyPeriodicSet,
-                 n_grid: Sequence[int], digit_budget: Optional[int] = None) -> list:
-    """The truncated defect of sigma's mixed family at every n of n_grid,
-    in the given order.
-
-    The mixed vectors at n are a prefix of those at max(n_grid) and the
-    echelon pass keeps a vector exactly when it is independent of those
-    before it, so one pass gives the rank at every n as the number of
-    vectors it keeps before n.
-    """
-    gens = mixed_vectors(family, sigma, max(n_grid, default=0))
-    kept = echelon(gens, digit_budget)[0]
-    _check_mixed_rank(len(gens), len(kept))
-    return [family.ambient(n) - bisect.bisect_left(kept, n) for n in n_grid]
 
 
 def witness_check(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,

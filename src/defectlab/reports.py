@@ -69,12 +69,10 @@ def defect_report_json(report: DefectReport) -> dict:
 
 def decay_csv(report: DefectReport) -> str:
     """Flat CSV of the decay table; the decimal column is approximate."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["probe", "n", "dist_sq_exact", "dist_sq_approx"])
-    for label, n, d in report.decay_table:
-        writer.writerow([label, n, rational_str(d), f"{float(d):.12g}"])
-    return buf.getvalue()
+    return table_csv(
+        ["probe", "n", "dist_sq_exact", "dist_sq_approx"],
+        [[label, n, rational_str(d), f"{float(d):.12g}"] for label, n, d in report.decay_table],
+    )
 
 
 def table_csv(header: list, rows: list) -> str:

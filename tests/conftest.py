@@ -200,11 +200,9 @@ def replay_random_family(dim, count, seed, dual_style="span"):
 
 
 def combination(coeffs, vectors):
-    """sum(c_i v_i), through the vectors' own `scale` and `+`."""
-    total = SparseVector.zero()
-    for c, v in zip(coeffs, vectors):
-        total = total + v.scale(c)
-    return total
+    """sum(c_i v_i), through `from_pairs`."""
+    return SparseVector.from_pairs((i, c * x) for c, v in zip(coeffs, vectors)
+                                   for i, x in v.entries)
 
 
 def assert_stored_form(v):

@@ -158,6 +158,12 @@ for _name, _argv in [
     ("sigma element at the bound", _family_sigma("infinite-set(0,1,inf)", "all-100000", 6)),
     ("error sigma element above the bound",
      _family_sigma("infinite-set(0,1,inf)", "all-100001", 6)),
+    ("error sigma element of 100000 digits",
+     _family_sigma("e1-plus-ek", "fin(%s)" % ("9" * 100_000), 4)),
+    ("error sigma correction of 100000 digits",
+     _family_sigma("e1-plus-ek", "all+%s" % ("9" * 100_000), 4)),
+    ("error sigma period of 100000 digits",
+     _family_sigma("e1-plus-ek", "res(%s;1)" % ("9" * 100_000), 4)),
     ("error n-list max not n",
      _family_sigma("e1-plus-ek", "all", 5, "--n-list", "2,9,30", "--threshold", "1/50")),
 ]:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defectlab
-from conftest import defect_truncated, oracle_random_family, swap_move
+from conftest import count_calls, defect_truncated, oracle_random_family, swap_move
 from defectlab import (
     E1PlusEkFamily,
     EventuallyPeriodicSet,
@@ -90,6 +90,18 @@ class TestConstruct:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "young(w=2)", "--n", "4"],
+    ["sweep", "--family", "defect-pair(m=2)", "--sigmas", "none;all", "--n-grid", "3,5"],
+    ["oracle", "--instances", "3"],
+], ids=["construct", "sweep", "oracle"])
+def test_out_path_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, expected, _ = run(capsys, *argv)
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert code == 0 and path.read_bytes() == expected.encode()
+
+
 class TestDefect:
     def test_verdicts(self, capsys):
         code, out, _ = run(capsys, "defect", "--family", "defect-pair(m=3)",
@@ -156,6 +168,20 @@ class TestSweep:
             at_count = defect_truncated(fam, parse_set(sigma), 2)
             got = {r["n"]: r["defect_truncated"] for r in rows if r["sigma"] == sigma}
             assert got[5] == got[2] == at_count
+
+    def test_sigmas_are_ranked_as_one_batch(self, capsys, monkeypatch):
+        # equal sigmas share one key: one echelon step per index up to n = 40
+        import defectlab.mixed as mixed
+
+        steps = count_calls(monkeypatch, "echelon_step", mixed)
+        code, out, _ = run(capsys, "sweep", "--family", "e1-plus-ek", "--sigmas",
+                           "all;all;all", "--n-grid", "10,40")
+        assert code == 0
+        assert len(steps) == 40
+        fam, sigma = parse_family("e1-plus-ek"), parse_set("all")
+        rows = json.loads(out)["results"]["grid"]
+        assert [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows] == [
+            ["all", n, defect_truncated(fam, sigma, n)] for _ in range(3) for n in (10, 40)]
 
 
 class TestMetric:
@@ -473,6 +499,14 @@ class TestExitCodes:
             assert code == 2, argv
             assert out == ""
             assert json.loads(err)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("sigma", ["fin(%s)", "all+%s", "res(%s;1)"])
+    def test_overlong_sigma_integer_is_a_short_error(self, capsys, sigma):
+        code, out, err = run(capsys, "defect", "--family", "e1-plus-ek", "--sigma",
+                             sigma % ("9" * 100_000), "--n", "4")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert "of 100000 digits exceeds the bound" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
     def test_help_and_version_are_0(self, capsys, argv):

@@ -49,11 +49,7 @@ class TestSparseVector:
 
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
-            SparseVector(((0, Q(1)),))
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(ValueError):
-            SparseVector(((1, Q(0)),))
+            SparseVector.from_pairs([(0, Q(1))])
 
     def test_dot_and_norm(self):
         v = vec(1, 2, 3)
@@ -61,12 +57,12 @@ class TestSparseVector:
         assert v.dot(w) == Q(-1)
         assert v.norm_sq() == Q(14)
 
-    def test_add_sub_scale(self):
+    def test_add_and_sub(self):
         v = vec(1, 2)
         w = vec(3, -2)
         assert (v + w).entries == ((1, Q(4)),)
         assert not (v - v).entries
-        assert dict(v.scale(Q(1, 2)).entries)[2] == Q(1)
+        assert (v - w).entries == ((1, Q(-2)), (2, Q(4)))
 
     def test_to_dense_bounds(self):
         with pytest.raises(ValueError):
@@ -94,7 +90,7 @@ class TestRank:
 
     def test_duplicated_rows(self):
         v = vec(1, 2, 3)
-        assert rank_of_vectors([v, v, v.scale(5)]) == 1
+        assert rank_of_vectors([v, v, vec(5, 10, 15)]) == 1
 
 
 class TestProjection:
@@ -285,7 +281,7 @@ class TestBorderedElimination:
                 bordered_elimination(gens, [E1], cuts=cuts)
 
     def test_skips_dependent_and_zero_generators(self):
-        gens = [vec(1, 1, 0), SparseVector.zero(), vec(2, 2, 0), vec(0, 1, 1)]
+        gens = [vec(1, 1, 0), SparseVector.from_ints({}), vec(2, 2, 0), vec(0, 1, 1)]
         assert bordered_elimination(gens).kept == (0, 3)
         assert independent_subset(gens) == [gens[0], gens[3]]
 
@@ -392,7 +388,6 @@ _HUGE = 10 ** 40
 _NUMERATOR = st.one_of(st.integers(-6, 6), st.integers(-_HUGE, _HUGE))
 _DENOMINATOR = st.one_of(st.integers(-12, 12), st.integers(-_HUGE, _HUGE)).filter(bool)
 _VALUE = st.builds(Fraction, _NUMERATOR, _DENOMINATOR)
-_SCALAR = st.one_of(st.just(0), st.integers(-3, 3), _VALUE)
 
 
 @st.composite
@@ -420,21 +415,20 @@ def _assert_matches(v, model):
     entries = tuple(model.items())
     assert v.entries == entries
     assert all(type(x) is Fraction for _, x in v.entries)
-    assert v == SparseVector(entries) and hash(v) == hash(entries)
+    assert v == SparseVector.from_pairs(entries) and hash(v) == hash(entries)
     assert repr(v) == f"SparseVector(entries={entries!r})"
     copy = pickle.loads(pickle.dumps(v))
     assert (copy.den, copy.coords) == (v.den, v.coords)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_pairs(), _pairs(), _SCALAR, _DENOMINATOR)
-def test_stored_form_matches_a_fraction_model(a, b, c, den):
+@given(_pairs(), _pairs(), _DENOMINATOR)
+def test_stored_form_matches_a_fraction_model(a, b, den):
     ma, mb = _model(a), _model(b)
     v, w = SparseVector.from_pairs(a), SparseVector.from_pairs(b)
     _assert_matches(v, ma)
     _assert_matches(v + w, _model(list(ma.items()) + list(mb.items())))
     _assert_matches(v - w, _model(list(ma.items()) + [(i, -x) for i, x in mb.items()]))
-    _assert_matches(v.scale(c), _model([(i, x * c) for i, x in ma.items()]))
     _assert_matches(SparseVector.from_ints(v.coords, den),
                     {i: Fraction(x, den) for i, x in v.coords.items()})
     assert v.dot(w) == _model_dot(ma, mb) and v.norm_sq() == _model_dot(ma, ma)

@@ -340,7 +340,7 @@ def test_integer_build_matches_the_fraction_build(monkeypatch, style):
         for v in fam._vectors + fam._duals:
             assert all(type(x) is Fraction for _, x in v.entries)
             assert_stored_form(v)
-            assert SparseVector(v.entries) == v
+            assert SparseVector.from_pairs(v.entries) == v
     solves = count_calls(monkeypatch, "bordered_elimination", families)
     for dim, count, seed in _RANDOM_DRAWS[-4:]:
         solves.clear()

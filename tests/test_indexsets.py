@@ -14,7 +14,13 @@ from defectlab import (
     rho,
     sigma_m,
 )
-from defectlab.indexsets import MAX_ELEMENT, MAX_NESTING, MAX_PERIOD, SetSyntaxError
+from defectlab.indexsets import (
+    ECHO_DIGITS,
+    MAX_ELEMENT,
+    MAX_NESTING,
+    MAX_PERIOD,
+    SetSyntaxError,
+)
 
 Q = Fraction
 
@@ -211,6 +217,24 @@ class TestParser:
         # residues are not elements, and the tails of sigma_m are built past the parser
         assert parse_set("res(3;100000000000)") == parse_set("res(3;1)")
         assert max(sigma_m(parse_set("fin(1)"), MAX_ELEMENT + 1).removed) == MAX_ELEMENT + 1
+
+    @pytest.mark.parametrize("text, what, bound", [
+        ("fin(%s)", "element", MAX_ELEMENT),
+        ("all+%s", "element", MAX_ELEMENT),
+        ("res(%s;1)", "period", MAX_PERIOD),
+    ])
+    def test_overlong_tokens_are_named_by_their_digit_count(self, text, what, bound):
+        # refused before int() reads the token, so the message stays short
+        with pytest.raises(SetSyntaxError) as err:
+            parse_set(text % ("9" * 100_000))
+        assert str(err.value) == f"{what} of 100000 digits exceeds the bound {bound}"
+        # a token of ECHO_DIGITS digits is still quoted, and leading zeros do not count
+        at_echo = "9" * ECHO_DIGITS
+        with pytest.raises(ValueError, match=f"{what} {at_echo} exceeds the bound {bound}"):
+            parse_set(text % at_echo)
+        with pytest.raises(SetSyntaxError, match=f"{what} of {ECHO_DIGITS + 1} digits"):
+            parse_set(text % ("1" + "0" * ECHO_DIGITS))
+        assert parse_set(text % ("0" * 100 + "3")) == parse_set(text % "3")
 
     def test_errors(self):
         for bad in ["", "res(0;1)", "fin(0)", "res(3)", "all all", "fin(1,)",

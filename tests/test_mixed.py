@@ -40,7 +40,7 @@ from conftest import (
     swap_move,
 )
 from defectlab.exact import BudgetExceeded, InvariantViolation, echelon
-from defectlab.mixed import _mixed_ranks, _probe_passes, defect_sweep
+from defectlab.mixed import _mixed_ranks, _probe_passes
 
 Q = Fraction
 
@@ -92,8 +92,6 @@ class TestMixedRankInvariant:
         fam, sigma = DefectPairFamily(2), parse_set("res(2;1)")
         with pytest.raises(InvariantViolation):
             defect_truncated(fam, sigma, 6)
-        with pytest.raises(InvariantViolation):
-            defect_sweep(fam, sigma, [3, 6])
         with pytest.raises(InvariantViolation):
             hereditary_scan(RandomFiniteFamily(3, 3, seed=1))
 
@@ -163,7 +161,7 @@ def test_shared_prefix_ranks_match_fresh_passes(rng, last, dim, data):
     """Over vectors with planted zeros and repeats, and keys unsorted and
     repeated, each rank is the rank of a fresh echelon pass and of sympy;
     with a digit budget the pass trips exactly when a fresh pass trips."""
-    pool = [random_sparse_vector(rng, dim) for _ in range(3)] + [SparseVector.zero()]
+    pool = [random_sparse_vector(rng, dim) for _ in range(3)] + [SparseVector.from_ints({})]
     fam = ListFamily([rng.choice(pool) for _ in range(last)],
                      [rng.choice(pool) for _ in range(last)], dim)
     keys = data.draw(st.lists(st.integers(0, (1 << last) - 1), max_size=10))
@@ -182,7 +180,7 @@ def test_budget_is_checked_only_on_selected_candidates():
     # x_1* = 10^9 e_1 exceeds a budget of 3 digits, but the key 0b11
     # selects x_1 and x_2 only
     e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
-    fam = ListFamily([e1, e2], [e1.scale(10 ** 9), e2], 2)
+    fam = ListFamily([e1, e2], [SparseVector.from_ints({1: 10 ** 9}), e2], 2)
     assert list(_mixed_ranks(fam, 2, [0b11], 3)) == [2]
     with pytest.raises(BudgetExceeded):
         list(_mixed_ranks(fam, 2, [0b11, 0b01], 3))
@@ -192,7 +190,7 @@ def test_first_deficit_in_input_order_raises():
     # x_1 = x_2 = 0: sigma = {1, 2} has rank 0, sigma = {2} has rank 1 and
     # is ranked first, as its key 0b01 is the smaller
     e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
-    fam = ListFamily([SparseVector.zero()] * 2, [e1, e2], 2)
+    fam = ListFamily([SparseVector.from_ints({})] * 2, [e1, e2], 2)
     keys = [selection_key(EventuallyPeriodicSet.finite(m), 2) for m in ([1, 2], [2])]
     assert keys == [0b11, 0b01]
     with pytest.raises(InvariantViolation, match="of 2 vectors has rank 0"):
