@@ -7,6 +7,7 @@ at a finite truncation.  Certification combines an exact witness basis
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -72,11 +73,13 @@ def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[i
     key drops the entries after its prefix shared with the key before,
     then extends the chosen candidate's chain from its last valid entry,
     one `echelon_step` per depth; vectors are made when first selected.
+    An entry past the prefix shared with the next key is never read
+    again, so it is dropped as soon as its step is done.
     """
     chains = [[] for _ in range(2 * last + 2)]  # x_k* at 2k, x_k at 2k + 1
-    pivots, ranks, prev = [], [0] * (last + 1), None
-    for key in keys:
-        depth = 0 if prev is None else last - (key ^ prev).bit_length()
+    pivots, ranks, depth = [], [0] * (last + 1), 0
+    for key, after in itertools.pairwise(itertools.chain(keys, [None])):
+        keep = 0 if after is None else last - (key ^ after).bit_length()
         del pivots[depth:]
         for chain in chains[2 * depth + 4:]:
             del chain[depth + 1:]
@@ -86,7 +89,8 @@ def _mixed_ranks(family: SystemFamily, last: int, keys, digit_budget: Optional[i
             if not chain:
                 chain.append((family.vector(k) if bit else family.dual(k)).coords)
             ranks[k] = ranks[k - 1] + echelon_step(chain, pivots, digit_budget)
-        prev = key
+            del chain[keep + 1:]
+        depth = keep
         yield ranks[last]
 
 

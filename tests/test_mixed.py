@@ -414,6 +414,25 @@ class TestHereditaryScan:
         hereditary_scan(RandomFiniteFamily(n, n, seed=n))
         assert len(calls) == reductions
 
+    def test_entries_past_the_next_shared_prefix_are_dropped(self, monkeypatch):
+        # none, fin(1) and all share at most one leading index, so between
+        # steps each chain holds at most two entries: the rows held grow
+        # linearly in last = 40 (about last^2 / 2 if every entry were kept)
+        import defectlab.mixed as mixed
+
+        real, chains, held = mixed.echelon_step, {}, []
+
+        def step(chain, pivots, digit_budget=None):
+            chains[id(chain)] = chain
+            held.append(sum(map(len, chains.values())))
+            return real(chain, pivots, digit_budget)
+
+        monkeypatch.setattr(mixed, "echelon_step", step)
+        keys = [selection_key(parse_set(text), 40) for text in ("none", "fin(1)", "all")]
+        assert defect_truncated_many(E1PlusEkFamily(), keys, 40) == [1, 1, 1]
+        assert len(held) == 3 * 40 - 1
+        assert max(held) <= 2 * (2 * 40)
+
     def test_too_large(self):
         fam = RandomFiniteFamily(25, 21, seed=0)
         with pytest.raises(TooLarge):
