@@ -54,7 +54,8 @@ class SparseVector:
     and gcd(den, coords) = 1, so equal vectors have equal fields.  The
     kernels compute on these integers; `entries`, the (index, Fraction)
     pairs, is made on demand.  A vector is immutable: nothing may change
-    den or coords after construction.
+    den or coords after construction.  Vectors are made by `from_pairs`,
+    `from_ints` and `unit`, which all end in `from_ints`.
     """
 
     __slots__ = ("den", "coords")
