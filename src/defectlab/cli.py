@@ -2,7 +2,9 @@
 
 Subcommands: construct, defect, sweep, metric, chain, converge, oracle.
 Reports embed the full config and are byte-identical across runs with
-equal configuration.  Exit codes: 0 ok, 2 input error, 3 digit-budget
+equal configuration.  Each subcommand imports the analysis module it
+runs (`mixed` or `topology`) when it starts, so a process compiles only
+what its report needs.  Exit codes: 0 ok, 2 input error, 3 digit-budget
 exhaustion, 4 internal invariant violation.
 """
 from __future__ import annotations
@@ -11,17 +13,12 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__
 from .exact import BudgetExceeded, InvariantViolation
 from .families import RandomFiniteFamily, parse_family
 from .indexsets import parse_set, rho
-from .mixed import (
-    classify_defect,
-    defect_truncated_many,
-    hereditary_scan,
-    selection_key,
-)
 from .reports import (
     decay_csv,
     defect_report_json,
@@ -32,34 +29,38 @@ from .reports import (
     report_envelope,
     table_csv,
 )
-from .topology import (
-    convergence_probe,
-    intersection_chain,
-    projector_metrics,
-    semicontinuity_violation,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
+# Sizes are bounded before any work, each above every documented and
+# benchmarked use; a larger value exits 2 with a message that names its
+# flag and bound.
+MAX_N = 10_000  # --n, and each entry of --n-list and --n-grid
+MAX_TERMS = 1_000  # metric and converge --terms, the series cut K
+MAX_M_MAX = 1_000  # converge --m-max
+
 
 def _int_list(flag: str, text: str) -> list:
-    """The comma-separated positive integers of a flag, at least one."""
+    """The comma-separated integers of a flag, at least one, each in
+    1..MAX_N."""
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
     if not values:
         raise ValueError(f"{flag} names no truncation")
-    _require_positive(flag, values)
+    _require_positive(flag, values, MAX_N)
     return values
 
 
-def _require_positive(flag: str, values) -> None:
+def _require_positive(flag: str, values, bound: Optional[int] = None) -> None:
     if any(v <= 0 for v in values):
         raise ValueError(f"{flag} must be positive")
+    if bound is not None and max(values) > bound:
+        raise ValueError(f"{flag} {max(values)} exceeds the bound {bound}")
 
 
 def _require_nonnegative(flag: str, value: int) -> None:
@@ -90,7 +91,7 @@ def _emit(args, command: str, config: dict, results: dict) -> None:
 
 
 def cmd_construct(args) -> int:
-    _require_positive("--n", [args.n])
+    _require_positive("--n", [args.n], MAX_N)
     family = parse_family(args.family)
     n = family.truncation(args.n)
     xs = family.vectors(range(1, n + 1))
@@ -117,8 +118,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    from .mixed import classify_defect
+
     n_list = _int_list("--n-list", args.n_list) if args.n_list else None
-    _require_positive("--n", [args.n])
+    _require_positive("--n", [args.n], MAX_N)
     if n_list is not None and max(n_list) != args.n:
         raise ValueError(f"--n-list must have --n as its largest entry, not {max(n_list)}")
     _require_positive("--min-points", [args.min_points])
@@ -156,6 +159,8 @@ def cmd_defect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .mixed import defect_truncated_many, selection_key
+
     sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
     if not sigmas:
         raise ValueError("--sigmas names no sigma expression")
@@ -190,8 +195,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    _require_positive("--n", [args.n])
-    _require_positive("--terms", [args.terms])
+    from .topology import projector_metrics
+
+    _require_positive("--n", [args.n], MAX_N)
+    _require_positive("--terms", [args.terms], MAX_TERMS)
     _require_nonnegative("--precision", args.precision)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
@@ -219,7 +226,9 @@ def cmd_metric(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    _require_positive("--n", [args.n])
+    from .topology import intersection_chain
+
+    _require_positive("--n", [args.n], MAX_N)
     if not 1 <= args.depth <= args.n:
         raise ValueError("--depth must lie between 1 and --n")
     family = parse_family(args.family)
@@ -240,9 +249,11 @@ def cmd_chain(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    _require_positive("--n", [args.n])
-    _require_positive("--terms", [args.terms])
-    _require_positive("--m-max", [args.m_max])
+    from .topology import convergence_probe, semicontinuity_violation
+
+    _require_positive("--n", [args.n], MAX_N)
+    _require_positive("--terms", [args.terms], MAX_TERMS)
+    _require_positive("--m-max", [args.m_max], MAX_M_MAX)
     _require_nonnegative("--precision", args.precision)
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
@@ -283,6 +294,8 @@ def cmd_converge(args) -> int:
 
 
 def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
+    from .mixed import defect_truncated_many
+
     rng = random.Random(seed)
     violations = 0
     checks = 0
@@ -309,6 +322,8 @@ def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
 
 
 def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
+    from .mixed import hereditary_scan
+
     rng = random.Random(seed)
     violations = 0
     for i in range(instances):

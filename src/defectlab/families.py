@@ -118,6 +118,26 @@ class HeadFamily(SystemFamily):
             return frozenset(sigma.truncate(n))
         return frozenset()
 
+    def head_complement(self, sigma, n, taken=()) -> List[SparseVector]:
+        """w_i = e_i - sum_{k in sigma, k <= n} h_k[i] e_{head+k}, one for
+        each head coordinate i not in taken, h_k being x_k's head part.
+
+        A vector (u, v) on coordinates 1..head+n is orthogonal to
+        x_k = h_k + e_{head+k} exactly when v_k = -<u, h_k>, to
+        x_k* = e_{head+k} when v_k = 0, and to e_i when u_i = 0.  So the
+        w_i span the orthogonal complement, inside coordinates 1..head+n,
+        of the mixed system at n together with the e_i, i in taken; for
+        the span of the x_k, k in sigma, alone, the complement also holds
+        the e_{head+k}, k not in sigma.  Their Gram matrix is
+        I + sum h_k h_k^T on the head coordinates outside taken.
+        """
+        columns = {i: [(i, Q(1))] for i in range(1, self.head + 1) if i not in taken}
+        for k in sigma.truncate(n):
+            for i, x in self.head_pairs(k):
+                if i in columns:
+                    columns[i].append((self.head + k, -x))
+        return [SparseVector.from_pairs(pairs) for pairs in columns.values()]
+
 
 class YoungFamily(HeadFamily):
     """x_k = 2^k sum_{j<=min(k,W)} k^{1-j} f_j + e_k with the f-block first."""
@@ -345,6 +365,12 @@ class InfiniteDefectSetFamily(SystemFamily):
         )
 
 
+# A random family is drawn and solved densely, so its size is bounded:
+# d, the ambient dimension, and n, the number of vectors.
+MAX_RANDOM_DIM = 100
+MAX_RANDOM_COUNT = 50
+
+
 class RandomFiniteFamily(SystemFamily):
     """Seeded random independent system in a finite ambient space.
 
@@ -369,6 +395,10 @@ class RandomFiniteFamily(SystemFamily):
     def __init__(self, dim: int, count: int, seed: int, dual_style: str = "span"):
         if count < 0:
             raise ValueError("count must not be negative")
+        if dim > MAX_RANDOM_DIM:
+            raise ValueError(f"d={dim} exceeds the bound {MAX_RANDOM_DIM}")
+        if count > MAX_RANDOM_COUNT:
+            raise ValueError(f"n={count} exceeds the bound {MAX_RANDOM_COUNT}")
         if count > dim:
             raise ValueError("count must not exceed ambient dimension")
         if dual_style not in ("span", "perturbed"):

@@ -5,13 +5,13 @@ carry an extra decimal column that is clearly marked approximate.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .mixed import DefectReport
-from .topology import IntervalValue
+if TYPE_CHECKING:  # annotations only: a report's process imports what it runs
+    from .mixed import DefectReport
+    from .topology import IntervalValue
 
 TOOL_NAME = "defectlab"
 
@@ -76,6 +76,9 @@ def decay_csv(report: DefectReport) -> str:
 
 
 def table_csv(header: list, rows: list) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import bordered_elimination, echelon, project_many
-from .families import SystemFamily
+from .exact import SparseVector, bordered_elimination, echelon, project_many
+from .families import HeadFamily, SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho, sigma_m
 
 Q = Fraction
@@ -83,8 +83,30 @@ def _norms_sq(vectors) -> list:
     return norms
 
 
-def _sigma_generators(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int):
-    return [family.vector(k) for k in sigma.truncate(family.truncation(n))]
+def _span_projections(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
+                      targets, digit_budget: Optional[int]) -> list:
+    """Exact projections of the targets onto the span H of the x_k, k in
+    sigma, k <= truncation(n).
+
+    On a `HeadFamily`, inside coordinates 1..head+n the complement of H
+    is the span W of `head_complement(sigma, n)` plus the unit vectors
+    e_{head+k}, k not in sigma, and every coordinate past head+n is
+    orthogonal to H; the three parts are mutually orthogonal.  So
+    P_H t = t - P_{H^perp} t is t on the head and on the e_{head+k},
+    k in sigma, minus P_W t: one elimination of at most head generators.
+    Otherwise the targets are projected onto the x_k themselves.
+    """
+    members = sigma.truncate(family.truncation(n))
+    if not isinstance(family, HeadFamily):
+        return project_many(targets, family.vectors(members), digit_budget)
+    head = family.head
+    inside = {head + k for k in members}
+    to_w = project_many(targets, family.head_complement(sigma, n), digit_budget)
+    return [
+        SparseVector.from_ints(
+            {i: x for i, x in t.coords.items() if i <= head or i in inside}, t.den) - p
+        for t, p in zip(targets, to_w)
+    ]
 
 
 def _ds_enclosure(diff_sqs, norms, precision_bits):
@@ -119,8 +141,8 @@ def projector_metrics(
     """
     K = family.truncation(K)
     targets = family.vectors(range(1, K + 1))
-    p_sig = project_many(targets, _sigma_generators(family, sigma, n), digit_budget)
-    p_tau = project_many(targets, _sigma_generators(family, tau, n), digit_budget)
+    p_sig = _span_projections(family, sigma, n, targets, digit_budget)
+    p_tau = _span_projections(family, tau, n, targets, digit_budget)
     norms = _norms_sq(targets)
     diffs = [a - b for a, b in zip(p_sig, p_tau)]
     d_s = _ds_enclosure([diff.norm_sq() for diff in diffs], norms, precision_bits)

@@ -12,8 +12,8 @@ from operator import mul
 import pytest
 import sympy
 
-from defectlab import EventuallyPeriodicSet, SparseVector
-from defectlab.exact import bordered_elimination, reduced_echelon
+from defectlab.exact import SparseVector, bordered_elimination, reduced_echelon
+from defectlab.indexsets import EventuallyPeriodicSet
 from defectlab.mixed import defect_truncated_many, selection_key
 
 Q = Fraction
@@ -115,7 +115,7 @@ def oracle_random_family(dim, count, seed, dual_style="span"):
     perturbed dual adds a random integer combination of sympy's
     null-space basis.  Returns (vectors, duals) as SparseVectors.
     """
-    from defectlab import RandomFiniteFamily
+    from defectlab.families import RandomFiniteFamily
 
     rng = random.Random(seed)
     for _ in range(RandomFiniteFamily.MAX_RETRIES):
@@ -162,7 +162,7 @@ def replay_random_family(dim, count, seed, dual_style="span"):
     reduced-row-echelon null-space basis of V, e_f - sum_p R_p[f] e_p,
     read off a Gauss-Jordan pass on V.  Replays the seeded draws, a draw
     of dependent rows and its retry included.  Returns (vectors, duals)."""
-    from defectlab import RandomFiniteFamily
+    from defectlab.families import RandomFiniteFamily
 
     rng = random.Random(seed)
     for _ in range(RandomFiniteFamily.MAX_RETRIES):
@@ -331,7 +331,7 @@ def oracle_intersection_chain(family, sigma, depth, n):
     return dims, equal
 
 
-def _oracle_span_projections(family, sigma, n, targets):
+def oracle_span_projections(family, sigma, n, targets):
     """Each target's projection onto truncated H_sigma, one sympy projector
     per span."""
     last = family.truncation(n)
@@ -371,8 +371,8 @@ def oracle_projector_metrics(family, sigma, tau, n, K, precision_bits):
     """(d_s, d_w) summed from the coordinate projections of x_1..x_K onto
     truncated H_sigma and H_tau."""
     targets = _oracle_targets(family, K)
-    p_sig = _oracle_span_projections(family, sigma, n, targets)
-    p_tau = _oracle_span_projections(family, tau, n, targets)
+    p_sig = oracle_span_projections(family, sigma, n, targets)
+    p_tau = oracle_span_projections(family, tau, n, targets)
     diffs = [a - b for a, b in zip(p_sig, p_tau)]
     terms = []
     for k, (diff, xk) in enumerate(zip(diffs, targets), start=1):
@@ -394,11 +394,11 @@ def oracle_convergence(family, sigma, m_max, n, K, precision_bits):
 
     targets = _oracle_targets(family, K)
     window = targets[:family.default_probe_window()]
-    p_limit = _oracle_span_projections(family, sigma, n, targets)
+    p_limit = oracle_span_projections(family, sigma, n, targets)
     rows = []
     for m in range(1, m_max + 1):
         s = sigma_m(sigma, m)
-        p_m = _oracle_span_projections(family, s, n, targets)
+        p_m = oracle_span_projections(family, s, n, targets)
         rows.append({
             "m": m,
             "sigma_m": s.describe(),
@@ -446,17 +446,23 @@ def random_eventually_periodic(rng: random.Random) -> EventuallyPeriodicSet:
 
 @pytest.fixture
 def rising_decay(monkeypatch):
-    """Makes the elimination behind distance_profile return its cuts in
-    reverse, so every decay column that should fall rises instead."""
+    """Makes distance_profile's table come out with its cuts in reverse on
+    both of its routes: the one elimination of the Gram side and the
+    per-cut table of a head family's complement.  Every decay column
+    that should fall then rises instead."""
     import defectlab.mixed as mixed
 
-    real = mixed.bordered_elimination
+    real, real_table = mixed.bordered_elimination, mixed._complement_table
 
     def rising(*args, **kwargs):
         elim = real(*args, **kwargs)
         return elim._replace(dist_sq=elim.dist_sq[::-1])
 
+    def rising_table(*args, **kwargs):
+        return real_table(*args, **kwargs)[::-1]
+
     monkeypatch.setattr(mixed, "bordered_elimination", rising)
+    monkeypatch.setattr(mixed, "_complement_table", rising_table)
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ _SIGMA_FORMS = {
 
 _BUDGET_PINS = [
     # (name, argv, digits that exit 3, digits that pass)
-    ("defect-young", ["defect", *_family_sigma("young(w=2)", "all", 40)], 114, 115),
+    ("defect-young", ["defect", *_family_sigma("young(w=2)", "all", 40)], 70, 71),
     ("defect-witness-rank",
      ["defect", *_family_sigma("infinite-set(0,1,inf)", "fin(5,20,30)", 40)], 10, 11),
     ("chain", ["chain", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
@@ -271,6 +271,20 @@ for _suite, _instances, _seed in [("all", 20, 7), ("all", 10, 3), ("swap", 30, 1
          "--instances", _instances, "--seed", _seed)
 _add("oracle default suite", "oracle", "--instances", 4, "--seed", 11)
 _add("oracle error instances negative", "oracle", "--instances", -1)
+
+# -- sizes: one above each bound (defectlab.cli.MAX_N, MAX_TERMS, MAX_M_MAX and
+# defectlab.families.MAX_RANDOM_DIM, MAX_RANDOM_COUNT) ---------------------------
+_add("defect error n above the bound", "defect", *_family_sigma("e1-plus-ek", "all", 10_001))
+_add("sweep error n-grid above the bound", "sweep", "--family", "e1-plus-ek", "--sigmas",
+     "all", "--n-grid", "3,10001")
+_add("metric error terms above the bound", "metric", "--family", "e1-plus-ek", "--sigma",
+     "all", "--tau", "none", "--n", 4, "--terms", 1_001)
+_add("converge error m-max above the bound", "converge", "--family", "e1-plus-ek",
+     "--sigma", "none", "--m-max", 1_001, "--n", 4, "--terms", 2)
+_add("construct error random d above the bound", "construct", "--family",
+     "random(d=101,n=2)", "--n", 1)
+_add("construct error random n above the bound", "construct", "--family",
+     "random(d=100,n=51)", "--n", 1)
 
 # -- digit budget: just below and at each pinned trip point -------------------
 for _name, _argv, _below, _at in _BUDGET_PINS:

@@ -13,27 +13,22 @@ import time
 from fractions import Fraction
 
 from conftest import defect_truncated, dist_sq, interval_contains, rho_partial, swap_move
-from defectlab import (
-    INCONCLUSIVE,
+from defectlab.exact import SparseVector, rank_of_vectors
+from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
-    EventuallyPeriodicSet,
     FiniteDefectSetFamily,
     InfiniteDefectSetFamily,
     RandomFiniteFamily,
-    SparseVector,
     YoungFamily,
-    classify_defect,
+)
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho, sigma_m
+from defectlab.mixed import INCONCLUSIVE, classify_defect, hereditary_scan, witness_check
+from defectlab.topology import (
     convergence_probe,
-    hereditary_scan,
     intersection_chain,
-    parse_set,
     projector_metrics,
-    rank_of_vectors,
-    rho,
     semicontinuity_violation,
-    sigma_m,
-    witness_check,
 )
 
 Q = Fraction

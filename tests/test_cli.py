@@ -15,17 +15,18 @@ from hypothesis import strategies as st
 
 import defectlab
 from conftest import count_calls, defect_truncated, oracle_random_family, swap_move
-from defectlab import (
+from defectlab.cli import MAX_M_MAX, MAX_N, MAX_TERMS, main
+from defectlab.exact import SparseVector
+from defectlab.families import (
+    MAX_RANDOM_COUNT,
+    MAX_RANDOM_DIM,
     E1PlusEkFamily,
-    EventuallyPeriodicSet,
-    IntervalValue,
-    SparseVector,
     parse_family,
-    parse_set,
-    selection_key,
 )
-from defectlab.cli import main
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.mixed import selection_key
 from defectlab.reports import rational_str
+from defectlab.topology import IntervalValue
 
 Q = Fraction
 
@@ -242,15 +243,16 @@ class TestOracle:
         import random
 
         import defectlab.cli as cli
+        import defectlab.mixed as mixed
 
         batches = []
-        real = cli.defect_truncated_many
+        real = mixed.defect_truncated_many
 
         def recording(family, keys, n, digit_budget=None):
             batches.append((family.seed, list(keys), n))
             return real(family, keys, n, digit_budget)
 
-        monkeypatch.setattr(cli, "defect_truncated_many", recording)
+        monkeypatch.setattr(mixed, "defect_truncated_many", recording)
         assert cli._run_swap_suite(40, 5)["violations"] == 0
         rng, expected = random.Random(5), []
         for _ in range(40):
@@ -292,6 +294,26 @@ class TestOracle:
             "59fb9721f1221038312571207a264fdb552b0aec2cbf5ef4881aac9b0ecb2e4b")
 
 
+# one above each size bound, with the flag or family key and the bound
+# that its message names
+_ABOVE_BOUNDS = [
+    (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", str(MAX_N + 1)],
+     f"--n {MAX_N + 1} exceeds the bound {MAX_N}"),
+    (["chain", "--family", "e1-plus-ek", "--sigma", "all", "--depth", "3",
+      "--n", str(MAX_N + 1)], f"--n {MAX_N + 1} exceeds the bound {MAX_N}"),
+    (["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", f"3,{MAX_N + 1}"],
+     f"--n-grid {MAX_N + 1} exceeds the bound {MAX_N}"),
+    (["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+      "--terms", str(MAX_TERMS + 1)], f"--terms {MAX_TERMS + 1} exceeds the bound {MAX_TERMS}"),
+    (["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", str(MAX_M_MAX + 1),
+      "--n", "4", "--terms", "2"], f"--m-max {MAX_M_MAX + 1} exceeds the bound {MAX_M_MAX}"),
+    (["construct", "--family", f"random(d={MAX_RANDOM_DIM + 1},n=2)", "--n", "1"],
+     f"d={MAX_RANDOM_DIM + 1} exceeds the bound {MAX_RANDOM_DIM}"),
+    (["construct", "--family", f"random(d={MAX_RANDOM_DIM},n={MAX_RANDOM_COUNT + 1})",
+      "--n", "1"], f"n={MAX_RANDOM_COUNT + 1} exceeds the bound {MAX_RANDOM_COUNT}"),
+]
+
+
 class TestExitCodes:
     def test_input_error_is_2(self, capsys):
         code, out, err = run(capsys, "defect", "--family", "bogus(q=1)",
@@ -312,9 +334,9 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "budget"
 
     def test_invariant_error_is_4(self, capsys, monkeypatch):
-        import defectlab.cli as cli
+        import defectlab.topology as topology
 
-        monkeypatch.setattr(cli, "projector_metrics", lambda *a, **k: (
+        monkeypatch.setattr(topology, "projector_metrics", lambda *a, **k: (
             IntervalValue(Q(0), Q(0)), IntervalValue(Q(1), Q(1))))
         code, _, err = run(capsys, "metric", "--family", "e1-plus-ek",
                            "--sigma", "all", "--tau", "none", "--n", "4")
@@ -438,6 +460,17 @@ class TestExitCodes:
         assert error["kind"] == "input"
         assert error["message"].startswith(flag + " ")
 
+    @pytest.mark.parametrize("argv, names", _ABOVE_BOUNDS,
+                             ids=[" ".join(argv[:1] + [name]) for argv, name in _ABOVE_BOUNDS])
+    def test_size_above_its_bound_is_2(self, capsys, argv, names):
+        """One above each size bound exits 2 before any work, with a
+        message that names the flag or family key and the bound."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input"
+        assert names in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ["defect", "--family", "e1-plus-ek", "--sigma", "~" * 1500 + "all", "--n", "4"],
         ["defect", "--family", "e1-plus-ek", "--sigma", "(" * 1200 + "all" + ")" * 1200,
@@ -458,10 +491,10 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "input"
 
     def test_unsupported_scan_is_2(self, capsys, monkeypatch):
-        import defectlab.cli as cli
+        import defectlab.mixed as mixed
 
-        real = cli.hereditary_scan
-        monkeypatch.setattr(cli, "hereditary_scan",
+        real = mixed.hereditary_scan
+        monkeypatch.setattr(mixed, "hereditary_scan",
                             lambda family, digit_budget: real(E1PlusEkFamily()))
         code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
         assert code == 2
@@ -469,11 +502,13 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "input"
 
     def test_increasing_decay_is_4(self, capsys, rising_decay):
-        code, out, err = run(capsys, "defect", "--family", "e1-plus-ek",
-                             "--sigma", "all", "--n", "20")
-        assert code == 4
-        assert out == ""
-        assert json.loads(err)["error"]["kind"] == "invariant"
+        # a head family's complement route and infinite-set's Gram side
+        for family in ("e1-plus-ek", "infinite-set(0,1,inf)"):
+            code, out, err = run(capsys, "defect", "--family", family,
+                                 "--sigma", "all", "--n", "20")
+            assert code == 4, family
+            assert out == ""
+            assert json.loads(err)["error"]["kind"] == "invariant"
 
     def test_witness_rank_budget_counts_echelon_rows(self, capsys):
         argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
@@ -646,6 +681,13 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
           "--m-max", "2", "--n", "4", "--terms", "2"])
 @example(["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "all-10000000000000000",
           "--n", "6"])
+@example(_ABOVE_BOUNDS[0][0])
+@example(_ABOVE_BOUNDS[1][0])
+@example(_ABOVE_BOUNDS[2][0])
+@example(_ABOVE_BOUNDS[3][0])
+@example(_ABOVE_BOUNDS[4][0])
+@example(_ABOVE_BOUNDS[5][0])
+@example(_ABOVE_BOUNDS[6][0])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -669,12 +711,21 @@ def test_exit_code_contract(argv):
 
 def test_cli_import_loads_no_pool_or_dataclasses():
     """A report's process imports only what it runs, and no module of the
-    package imports a process pool.  -S keeps site packages, and whatever
-    they import, out of the check."""
+    package imports a process pool: importing the CLI loads neither
+    analysis module, a `defect` run loads no `topology` and a `metric`
+    run no `mixed`.  -S keeps site packages, and whatever they import,
+    out of the check."""
     src = str(Path(defectlab.__file__).resolve().parents[1])
     heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
-            "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-S", "-c", code, src, *heavy],
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == []
+            "argv = sys.argv[2].split(); code = defectlab.cli.main(argv) if argv else 0; "
+            "sys.stderr.write(' '.join([str(code)] + [m for m in sys.argv[3:] "
+            "if m in sys.modules]))")
+    for argv, absent in [
+        ("", ["defectlab.mixed", "defectlab.topology"]),
+        ("defect --family e1-plus-ek --sigma all --n 8", ["defectlab.topology"]),
+        ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["defectlab.mixed"]),
+    ]:
+        result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy, *absent],
+                                capture_output=True, text=True, check=True)
+        assert result.stderr.split() == ["0"], argv

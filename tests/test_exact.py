@@ -25,12 +25,14 @@ from conftest import (
     random_sparse_vector,
     to_dense,
 )
-from defectlab import (
+from defectlab.exact import (
     BudgetExceeded,
     SparseVector,
+    bordered_elimination,
+    echelon,
+    project_many,
     rank_of_vectors,
 )
-from defectlab.exact import bordered_elimination, echelon, project_many
 from defectlab.families import parse_family
 
 Q = Fraction

@@ -7,20 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab import (
-    DefectPairFamily,
-    E1PlusEkFamily,
-    EventuallyPeriodicSet,
-    FiniteDefectSetFamily,
-    InfiniteDefectSetFamily,
-    MalformedDefectSet,
-    RandomFiniteFamily,
-    SparseVector,
-    YoungFamily,
-    parse_family,
-    parse_set,
-    rank_of_vectors,
-)
 from conftest import (
     assert_stored_form,
     count_calls,
@@ -30,7 +16,20 @@ from conftest import (
     to_dense,
 )
 from defectlab import families
-from defectlab.families import FamilySyntaxError, UnsupportedFamily
+from defectlab.exact import SparseVector, rank_of_vectors
+from defectlab.families import (
+    DefectPairFamily,
+    E1PlusEkFamily,
+    FamilySyntaxError,
+    FiniteDefectSetFamily,
+    InfiniteDefectSetFamily,
+    MalformedDefectSet,
+    RandomFiniteFamily,
+    UnsupportedFamily,
+    YoungFamily,
+    parse_family,
+)
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 
 Q = Fraction
 

@@ -1,0 +1,155 @@
+"""The head-dimensional complement of a HeadFamily against the Gram side
+and the sympy oracles: distance tables, projections, and which route runs."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import defectlab.exact as exact
+import defectlab.mixed as mixed
+import defectlab.topology as topology
+from conftest import oracle_dist_sq, oracle_span_projections
+from defectlab.cli import main
+from defectlab.exact import SparseVector, bordered_elimination, project_many
+from defectlab.families import (
+    DefectPairFamily,
+    E1PlusEkFamily,
+    FiniteDefectSetFamily,
+    InfiniteDefectSetFamily,
+    YoungFamily,
+    parse_family,
+)
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.mixed import distance_profile, mixed_vectors
+
+Q = Fraction
+
+_FAMILIES = [E1PlusEkFamily(), YoungFamily(1), YoungFamily(2), DefectPairFamily(2),
+             DefectPairFamily(3), FiniteDefectSetFamily((0, 1, 3)),
+             FiniteDefectSetFamily((0, 2))]
+
+
+@st.composite
+def _sigmas(draw):
+    """A finite, cofinite or residue-class σ, the last with exceptions."""
+    small = st.frozensets(st.integers(1, 10), max_size=4)
+    kind = draw(st.sampled_from(["finite", "cofinite", "residue"]))
+    if kind == "finite":
+        return EventuallyPeriodicSet.finite(draw(small))
+    if kind == "cofinite":
+        return EventuallyPeriodicSet.make(1, (0,), removed=draw(small))
+    period = draw(st.integers(2, 4))
+    residues = draw(st.frozensets(st.integers(0, period - 1), min_size=1))
+    return EventuallyPeriodicSet.make(period, residues, draw(small), draw(small))
+
+
+def _vector(draw, ambient):
+    """A sparse rational vector on coordinates 1..ambient."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, ambient), st.integers(-4, 4),
+                                     st.integers(1, 3)), max_size=4))
+    return SparseVector.from_pairs((i, Q(a, b)) for i, a, b in pairs)
+
+
+@st.composite
+def _distance_cases(draw):
+    family = draw(st.sampled_from(_FAMILIES))
+    sigma = draw(_sigmas())
+    n_list = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=3)))
+    taken = draw(st.sets(st.integers(1, family.head), max_size=family.head))
+    witnesses = [SparseVector.unit(i) for i in sorted(taken)]
+    ambient = family.ambient(n_list[-1])
+    # unit probes on the head and past it, and one vector reaching two
+    # coordinates past the largest truncation
+    probes = [SparseVector.unit(i) for i in range(1, min(ambient, 5) + 1)]
+    probes.append(_vector(draw, ambient + 2))
+    return family, sigma, n_list, witnesses, probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_distance_cases())
+def test_complement_distances_match_gram_side_and_sympy(case):
+    family, sigma, n_list, witnesses, probes = case
+    rows = distance_profile(family, sigma, probes, n_list, extra_generators=witnesses)
+    gram = bordered_elimination(witnesses + mixed_vectors(family, sigma, n_list[-1]),
+                                probes, cuts=[len(witnesses) + n for n in n_list]).dist_sq
+    assert [d for _, _, d in rows] == [dists[i] for i in range(len(probes)) for dists in gram]
+    for (_, n, d), (i, _) in zip(rows, [(i, n) for i in range(len(probes)) for n in n_list]):
+        gens = witnesses + mixed_vectors(family, sigma, n)
+        ambient = max([family.ambient(n)] + [j for v in probes for j in v.coords])
+        assert d == oracle_dist_sq(probes[i], gens, ambient)
+
+
+@st.composite
+def _projection_cases(draw):
+    family = draw(st.sampled_from(_FAMILIES))
+    sigma = draw(_sigmas())
+    n = draw(st.integers(0, 7))
+    # targets past the truncation too, and one vector reaching past them
+    targets = family.vectors(range(1, draw(st.integers(1, 9)) + 1))
+    targets.append(_vector(draw, family.ambient(n) + 2))
+    return family, sigma, n, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(_projection_cases())
+def test_complement_projections_match_gram_side_and_sympy(case):
+    family, sigma, n, targets = case
+    projections = topology._span_projections(family, sigma, n, targets, None)
+    gram = project_many(targets, family.vectors(sigma.truncate(n)))
+    assert projections == gram == oracle_span_projections(family, sigma, n, targets)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.descriptor())
+def test_head_complement_is_orthogonal_to_the_mixed_system(family):
+    sigma, n = parse_set("res(3;1)|fin(2)"), 9
+    for taken in (set(), {1}):
+        basis = family.head_complement(sigma, n, taken)
+        assert len(basis) == family.head - len(taken)
+        span = [SparseVector.unit(i) for i in taken] + mixed_vectors(family, sigma, n)
+        assert all(w.dot(v) == 0 for w in basis for v in span)
+        assert all(max(w.coords) <= family.ambient(n) for w in basis)
+
+
+def _record_generators(monkeypatch, *modules):
+    """Replaces bordered_elimination in the modules by a wrapper that
+    records the number of generators of each call."""
+    sizes, real = [], exact.bordered_elimination
+
+    def recording(generators, *args, **kwargs):
+        sizes.append(len(generators))
+        return real(generators, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "bordered_elimination", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("family, sigma", [
+    ("young(w=2)", "all"), ("defect-pair(m=3)", "none"), ("e1-plus-ek", "res(2;1)"),
+    ("finite-set(0,1,3)", "res(3;2)"),
+])
+def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, capsys,
+                                                                 family, sigma):
+    sizes = _record_generators(monkeypatch, mixed)
+    assert main(["defect", "--family", family, "--sigma", sigma, "--n", "30"]) == 0
+    capsys.readouterr()
+    assert len(sizes) == 6  # one elimination per cut of the default n_list
+    assert max(sizes) <= parse_family(family).head
+
+
+def test_infinite_set_distances_eliminate_the_mixed_family(monkeypatch, capsys):
+    sizes = _record_generators(monkeypatch, mixed)
+    assert main(["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "all",
+                 "--n", "30"]) == 0
+    capsys.readouterr()
+    family = InfiniteDefectSetFamily((0, 1))
+    assert sizes == [len(family.witness_space(parse_set("all"), 30)) + 30]
+
+
+def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, capsys):
+    sizes = _record_generators(monkeypatch, exact, topology)
+    assert main(["metric", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
+                 "--tau", "all", "--n", "30", "--terms", "6"]) == 0
+    capsys.readouterr()
+    assert sizes == [2, 2]

@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_element, prefix_agreement, random_eventually_periodic, rho_partial
-from defectlab import (
-    EventuallyPeriodicSet,
-    parse_set,
-    rho,
-    sigma_m,
-)
 from defectlab.indexsets import (
     ECHO_DIGITS,
     MAX_ELEMENT,
     MAX_NESTING,
     MAX_PERIOD,
+    EventuallyPeriodicSet,
     SetSyntaxError,
+    parse_set,
+    rho,
+    sigma_m,
 )
 
 Q = Fraction

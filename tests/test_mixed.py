@@ -7,24 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab import (
-    INCONCLUSIVE,
+from defectlab.exact import SparseVector
+from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
-    EventuallyPeriodicSet,
     FiniteDefectSetFamily,
     InfiniteDefectSetFamily,
     RandomFiniteFamily,
-    SparseVector,
     SystemFamily,
-    TooLarge,
     YoungFamily,
+)
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.mixed import (
+    INCONCLUSIVE,
+    TooLarge,
     classify_defect,
     defect_truncated_many,
     distance_profile,
     hereditary_scan,
     mixed_vectors,
-    parse_set,
     selection_key,
     witness_check,
 )
@@ -300,8 +301,10 @@ class TestProbePasses:
 
 class TestClassifyDefect:
     def test_increasing_decay_is_invariant_violation(self, rising_decay):
-        with pytest.raises(InvariantViolation):
-            classify_defect(E1PlusEkFamily(), parse_set("all"), [5, 10, 20, 30])
+        # a head family's complement route and infinite-set's Gram side
+        for family in (E1PlusEkFamily(), InfiniteDefectSetFamily((0, 1))):
+            with pytest.raises(InvariantViolation):
+                classify_defect(family, parse_set("all"), [5, 10, 20, 30])
 
     def test_e1_plus_ek_sigma_empty(self):
         rep = classify_defect(E1PlusEkFamily(), parse_set("none"), [5, 10, 20, 30])

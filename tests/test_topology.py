@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab import (
+from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
-    IntervalValue,
     RandomFiniteFamily,
+    parse_family,
+)
+from defectlab.indexsets import parse_set, rho, sigma_m
+from defectlab.topology import (
+    IntervalValue,
     convergence_probe,
     intersection_chain,
-    parse_family,
-    parse_set,
     projector_metrics,
-    rho,
     semicontinuity_violation,
-    sigma_m,
     sqrt_enclosure,
 )
 from defectlab.cli import main
