@@ -1,7 +1,19 @@
 """Exact-arithmetic laboratory for mixed vector systems and their defects.
 
 The package imports none of its modules, so that a CLI process compiles
-only those its subcommand runs; import each name from its module.
+only those its subcommand runs; import each name from its module:
+
+- `exact`: sparse rational vectors and the two exact kernels;
+- `indexsets`: eventually periodic index sets, rho and the sigma grammar;
+- `families`: the family descriptor parser and the head families;
+- `infiniteset`: the `infinite-set(...)` family;
+- `oracle`: the seeded `random(...)` family, the hereditary scan and the
+  `oracle` subcommand;
+- `mixed`: mixed systems, defect certification, `defect` and `sweep`;
+- `topology`: projector metrics, chains, convergence probes, `metric`,
+  `chain` and `converge`;
+- `reports`: JSON and CSV serialization;
+- `cli`: the parser, the shared input checks and `construct`.
 """
 
 __version__ = "0.1.0"

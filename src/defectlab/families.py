@@ -3,23 +3,33 @@
 Each family produces, for any index k, the primal vector x_k and its
 biorthogonal partner x_k* as exact SparseVectors, together with the
 predicted limiting defect and an explicit witness basis for the
-orthogonal complement of a mixed system.
+orthogonal complement of a mixed system.  The `infinite-set` family
+lives in `infiniteset` and the seeded `random` family in `oracle`;
+`parse_family` imports either only when a descriptor names it.
 """
 from __future__ import annotations
 
-import math
-import random
 import re
 from fractions import Fraction
-from operator import mul
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .exact import SparseVector, bordered_elimination, reduced_echelon
-from .indexsets import EventuallyPeriodicSet
+from .exact import SparseVector
+
+if TYPE_CHECKING:  # annotations only: a process that parses no sigma compiles no indexsets
+    from .indexsets import EventuallyPeriodicSet
 
 Q = Fraction
 
-INFINITE = math.inf
+# Family arguments are bounded before any work, each far above every
+# documented and benchmarked use; a larger value exits 2 with a message
+# that names its key and bound.
+MAX_YOUNG_WIDTH = 100  # young w, the head width
+MAX_PAIR_M = 100  # defect-pair m, the head width
+MAX_FINITE_SET_ELEMENT = 100  # each element of finite-set(...); the last is the head width
+# An integer argument of more than ECHO_DIGITS digits, far above every
+# bound, is refused by its digit count before int() reads it, so that
+# the message stays short; the sigma grammar keeps the same rule.
+ECHO_DIGITS = 20
 
 
 class UnsupportedFamily(ValueError):
@@ -32,6 +42,11 @@ class MalformedDefectSet(ValueError):
 
 class FamilySyntaxError(ValueError):
     """Raised on malformed family descriptors."""
+
+
+class LongArgument(FamilySyntaxError):
+    """Raised for an integer argument of more than ECHO_DIGITS digits; its
+    message names the argument's digit count, not the descriptor."""
 
 
 class SystemFamily:
@@ -147,6 +162,8 @@ class YoungFamily(HeadFamily):
     def __init__(self, width: int):
         if width < 0:
             raise ValueError("width must be nonnegative")
+        if width > MAX_YOUNG_WIDTH:
+            raise ValueError(f"w={width} exceeds the bound {MAX_YOUNG_WIDTH}")
         self.head = width
 
     def head_pairs(self, k):
@@ -164,6 +181,8 @@ class DefectPairFamily(HeadFamily):
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be positive")
+        if m > MAX_PAIR_M:
+            raise ValueError(f"m={m} exceeds the bound {MAX_PAIR_M}")
         self.head = m
 
     def head_pairs(self, k):
@@ -187,12 +206,14 @@ class E1PlusEkFamily(DefectPairFamily):
         return "e1-plus-ek"
 
 
-def _check_defect_set(finite_part) -> list:
+def _check_defect_set(finite_part, bound: int) -> list:
     S = [int(x) for x in finite_part]
     if not S or S[0] != 0:
         raise MalformedDefectSet("defect set must start with 0")
     if any(a >= b for a, b in zip(S, S[1:])):
         raise MalformedDefectSet("defect set must be strictly increasing")
+    if S[-1] > bound:
+        raise ValueError(f"element {S[-1]} exceeds the bound {bound}")
     return S
 
 
@@ -206,7 +227,7 @@ class FiniteDefectSetFamily(HeadFamily):
     kind = "finite-set"
 
     def __init__(self, defect_set: tuple):
-        self.defect_set = tuple(_check_defect_set(defect_set))
+        self.defect_set = tuple(_check_defect_set(defect_set, MAX_FINITE_SET_ELEMENT))
         self.head = self.defect_set[-1]
 
     @property
@@ -217,6 +238,8 @@ class FiniteDefectSetFamily(HeadFamily):
         return (k - 1) % (self.s + 1)
 
     def class_set(self, j: int) -> EventuallyPeriodicSet:
+        from .indexsets import EventuallyPeriodicSet
+
         period = self.s + 1
         return EventuallyPeriodicSet.residue_class(period, [(j + 1) % period])
 
@@ -241,223 +264,6 @@ class FiniteDefectSetFamily(HeadFamily):
         kj1 = self.predicted_defect(sigma)
         return frozenset(
             k for k in sigma.truncate(n) if self.defect_set[self.class_of(k)] < kj1
-        )
-
-
-class InfiniteDefectSetFamily(SystemFamily):
-    """Triangular-block family realizing S = {0=k_0,...,k_s, infinity}.
-
-    Superscripts follow the pattern x_1^0, x_2^0, x_3^1, x_4^0, x_5^1,
-    x_6^2, ... and are padded with k_j = k_s beyond the finite part.
-    Layout interleaves the two blocks: f_j at coordinate 2j-1, e_n at 2n.
-    """
-
-    kind = "infinite-set"
-
-    def __init__(self, finite_part: tuple):
-        self.finite_part = tuple(_check_defect_set(finite_part))
-
-    @property
-    def s(self):
-        return len(self.finite_part) - 1
-
-    @staticmethod
-    def superscript(n: int) -> int:
-        t = math.isqrt(8 * (n - 1) + 1)
-        m = (t - 1) // 2
-        return n - m * (m + 1) // 2 - 1
-
-    def effective_class(self, n: int) -> int:
-        return min(self.superscript(n), self.s)
-
-    def k_eff(self, n: int) -> int:
-        return self.finite_part[self.effective_class(n)]
-
-    def f_coord(self, j):
-        return 2 * j - 1
-
-    def e_coord(self, n):
-        return 2 * n
-
-    def vector(self, n):
-        kj = self.k_eff(n)
-        pairs = [
-            (self.f_coord(j), Q(2 ** n) / Q(n ** (j - 1)))
-            for j in range(kj + 1, n + 1)
-        ]
-        pairs.append((self.e_coord(n), Q(1)))
-        return SparseVector.from_pairs(pairs)
-
-    def dual(self, n):
-        return SparseVector.unit(self.e_coord(n))
-
-    def ambient(self, n):
-        return 2 * n
-
-    def descriptor(self):
-        return "infinite-set(%s,inf)" % ",".join(str(x) for x in self.finite_part)
-
-    def default_probe_window(self):
-        return max(self.k_s_value(), 5)
-
-    def k_s_value(self):
-        return self.finite_part[-1]
-
-    def _class_infinite(self, sigma: EventuallyPeriodicSet, j: int) -> bool:
-        """Does sigma meet {n : effective class(n) = j} infinitely often?"""
-        if j == self.s:
-            return not sigma.is_finite()
-        p = sigma.period
-        # from this m on, n = m(m+1)/2 + j + 1 lies past every exception,
-        # and m(m+1)/2 mod p has period 2p in m, so 2p steps decide
-        m = max(j, math.isqrt(2 * sigma._exception_bound()) + 1)
-        for step in range(2 * p):
-            n = (m + step) * (m + step + 1) // 2 + j + 1
-            if (n % p) in sigma.residues:
-                return True
-        return False
-
-    def _leading_class(self, sigma: EventuallyPeriodicSet) -> Optional[int]:
-        """Smallest effective class meeting sigma infinitely; None if all finite."""
-        if sigma.is_finite():
-            return None
-        for j in range(self.s + 1):
-            if self._class_infinite(sigma, j):
-                return j
-        return None
-
-    def predicted_defect(self, sigma):
-        j1 = self._leading_class(sigma)
-        if j1 is None:
-            return INFINITE
-        return self.finite_part[j1]
-
-    def witnesses_unbounded(self, sigma):
-        return self._leading_class(sigma) is None
-
-    def witness_space(self, sigma, n, window=None):
-        j1 = self._leading_class(sigma)
-        if j1 is not None:
-            kj = self.finite_part[j1]
-            return [SparseVector.unit(self.f_coord(j)) for j in range(1, kj + 1)]
-        # Defect-infinity regime: one witness f_j + x' per f-direction, with
-        # the exact correction c_n = -2^n / n^{j-1} over the finitely many
-        # n in sigma whose expansion contains f_j.
-        if window is None:
-            window = self.default_probe_window()
-        members = sigma.truncate(n)
-        witnesses = []
-        for j in range(1, min(window, n) + 1):
-            pairs = [(self.f_coord(j), Q(1))]
-            for m in members:
-                if self.k_eff(m) < j <= m:
-                    pairs.append((self.e_coord(m), -Q(2 ** m) / Q(m ** (j - 1))))
-            witnesses.append(SparseVector.from_pairs(pairs))
-        return witnesses
-
-    def predicted_exceptional(self, sigma, n):
-        j1 = self._leading_class(sigma)
-        if j1 is None:
-            return frozenset()
-        kj1 = self.finite_part[j1]
-        return frozenset(
-            m for m in sigma.truncate(n) if self.k_eff(m) < kj1
-        )
-
-
-# A random family is drawn and solved densely, so its size is bounded:
-# d, the ambient dimension, and n, the number of vectors.
-MAX_RANDOM_DIM = 100
-MAX_RANDOM_COUNT = 50
-
-
-class RandomFiniteFamily(SystemFamily):
-    """Seeded random independent system in a finite ambient space.
-
-    The biorthogonal family is the dual basis inside the span, optionally
-    perturbed by exact components from the orthogonal complement (which
-    preserves biorthogonality but exercises its non-uniqueness).
-
-    The vectors are integer rows V.  The span duals are the rows of
-    G^-1 V, G = V V^T: the coefficient of x_k in the projection of the
-    unit probe e_c is (G^-1 V)_kc, so one Gram solve with probes
-    e_1..e_dim gives every dual as one integer row over the solve's
-    denominator.  A perturbed dual adds sum_f r_f n_f over the
-    reduced-row-echelon null-space basis n_f of V, with integer r_f in
-    -2..2: r_f at each free coordinate f and -sum_f r_f R_p[f] / R_p[p]
-    at each pivot p of the reduced rows R_p, all as integers over the lcm
-    of the solve's denominator and the R_p[p].
-    """
-
-    kind = "random"
-    MAX_RETRIES = 50
-
-    def __init__(self, dim: int, count: int, seed: int, dual_style: str = "span"):
-        if count < 0:
-            raise ValueError("count must not be negative")
-        if dim > MAX_RANDOM_DIM:
-            raise ValueError(f"d={dim} exceeds the bound {MAX_RANDOM_DIM}")
-        if count > MAX_RANDOM_COUNT:
-            raise ValueError(f"n={count} exceeds the bound {MAX_RANDOM_COUNT}")
-        if count > dim:
-            raise ValueError("count must not exceed ambient dimension")
-        if dual_style not in ("span", "perturbed"):
-            raise ValueError("dual_style must be 'span' or 'perturbed'")
-        self.dim = dim
-        self.count = count
-        self.seed = seed
-        self.dual_style = dual_style
-        self._generate()
-
-    def _generate(self):
-        rng = random.Random(self.seed)
-        coords = range(1, self.dim + 1)
-        units = [SparseVector.unit(c) for c in coords]
-        for _ in range(self.MAX_RETRIES):
-            rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
-            vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x})
-                    for row in rows]
-            elim = bordered_elimination(vecs, units, cuts=(), solve=True)
-            if len(elim.kept) == self.count:
-                break
-        else:
-            raise RuntimeError("failed to draw an independent system")
-        # coordinate c of the k-th dual is y_kc over one denominator
-        den = elim.coefficients[0][0] if coords else 1
-        duals = [list(row) for row in zip(*(y for _, y in elim.coefficients))]
-        if self.dual_style == "perturbed":
-            reduced = reduced_echelon(vecs)
-            free = [f for f in coords if f not in reduced]
-            # each pivot p with R_p[p] and R_p at the free coordinates
-            pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
-            lcm = math.lcm(den, *(rp for _, rp, _ in pivots))
-            for dual in duals:
-                shifts = [rng.randint(-2, 2) for _f in free]
-                dual[:] = [y * (lcm // den) for y in dual]
-                for f, r in zip(free, shifts):
-                    dual[f - 1] += r * lcm
-                for p, rp, at_free in pivots:
-                    dual[p - 1] -= sum(map(mul, shifts, at_free)) * (lcm // rp)
-            den = lcm
-        self._vectors = vecs
-        self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, den)
-                       for dual in duals]
-
-    def vector(self, k):
-        return self._vectors[k - 1]
-
-    def dual(self, k):
-        return self._duals[k - 1]
-
-    def ambient(self, n):
-        return self.dim
-
-    def truncation(self, n):
-        return min(n, self.count)
-
-    def descriptor(self):
-        return (
-            f"random(d={self.dim},n={self.count},seed={self.seed},dual={self.dual_style})"
         )
 
 
@@ -493,27 +299,41 @@ def parse_family(text: str) -> SystemFamily:
             kwargs()
             return E1PlusEkFamily()
         if name == "young":
-            return YoungFamily(width=int(kwargs("w")["w"]))
+            return YoungFamily(width=_integer("w", kwargs("w")["w"], MAX_YOUNG_WIDTH))
         if name == "defect-pair":
-            return DefectPairFamily(m=int(kwargs("m")["m"]))
+            return DefectPairFamily(m=_integer("m", kwargs("m")["m"], MAX_PAIR_M))
         if name == "finite-set":
-            return FiniteDefectSetFamily(defect_set=tuple(int(a) for a in args))
+            return FiniteDefectSetFamily(defect_set=tuple(
+                _integer("element", a, MAX_FINITE_SET_ELEMENT) for a in args))
         if name == "infinite-set":
             if not args or args[-1] != "inf":
                 raise MalformedDefectSet("infinite-set must end with 'inf'")
-            return InfiniteDefectSetFamily(
-                finite_part=tuple(int(a) for a in args[:-1])
-            )
+            from .infiniteset import MAX_INFINITE_SET_ELEMENT, InfiniteDefectSetFamily
+
+            return InfiniteDefectSetFamily(finite_part=tuple(
+                _integer("element", a, MAX_INFINITE_SET_ELEMENT) for a in args[:-1]))
         if name == "random":
+            from .oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM, RandomFiniteFamily
+
             kw = kwargs("d", "n", "seed", "dual")
             return RandomFiniteFamily(
-                dim=int(kw["d"]),
-                count=int(kw["n"]),
-                seed=int(kw.get("seed", "0")),
+                dim=_integer("d", kw["d"], MAX_RANDOM_DIM),
+                count=_integer("n", kw["n"], MAX_RANDOM_COUNT),
+                seed=_integer("seed", kw.get("seed", "0"), f"of {ECHO_DIGITS} digits"),
                 dual_style=kw.get("dual", "span"),
             )
     except (KeyError, ValueError) as exc:
-        if isinstance(exc, (MalformedDefectSet,)):
+        if isinstance(exc, (MalformedDefectSet, LongArgument)):
             raise
         raise FamilySyntaxError(f"bad arguments in {text!r}: {exc}") from exc
     raise FamilySyntaxError(f"unknown family kind {name!r}")
+
+
+def _integer(key: str, token: str, bound) -> int:
+    """The integer of an argument token.  A token of more than ECHO_DIGITS
+    digits is refused by its digit count before int() reads it, with a
+    message that names the key and the bound."""
+    digits = token.lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > ECHO_DIGITS and digits.isdigit():
+        raise LongArgument(f"{key} of {len(digits)} digits exceeds the bound {bound}")
+    return int(token)

@@ -12,6 +12,11 @@ import re
 from fractions import Fraction
 from typing import FrozenSet, Iterable, NamedTuple
 
+# A bound error quotes a token of at most ECHO_DIGITS digits; a longer
+# one, far above every bound, is named by its digit count instead, as in
+# the family descriptors.
+from .families import ECHO_DIGITS
+
 Q = Fraction
 
 # Every set's period is at most MAX_PERIOD, since complement and the
@@ -22,9 +27,6 @@ MAX_NESTING = 100
 # An expression names no element above MAX_ELEMENT, since rho holds
 # 1/2^k exactly for every exception k.
 MAX_ELEMENT = 100_000
-# A bound error quotes a token of at most ECHO_DIGITS digits; a longer
-# one, far above every bound, is named by its digit count instead.
-ECHO_DIGITS = 20
 
 
 class SetSyntaxError(ValueError):
@@ -194,19 +196,21 @@ def sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet:
 
 
 def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:
-    """Exact value of sum_k |1_a(k) - 1_b(k)| / 2^k (closed form)."""
+    """Exact value of sum_k |1_a(k) - 1_b(k)| / 2^k (closed form).
+
+    Over the symmetric difference, of period p, a residue r adds
+    2^{p-f} / (2^p - 1), f being r, or p for r = 0, and an exception k
+    adds or removes 2^{-k}.  The residues sum as one integer over
+    2^p - 1 and the exceptions as one integer over 2^t, t the largest
+    exception, so one Fraction holds the value.
+    """
     diff = a.symmetric_difference(b)
-    total = Q(0)
     p = diff.period
-    geom = Q(2 ** p, 2 ** p - 1)
-    for r in sorted(diff.residues):
-        first = r if r >= 1 else p
-        total += Q(1, 2 ** first) * geom
-    for k in diff.added:
-        total += Q(1, 2 ** k)
-    for k in diff.removed:
-        total -= Q(1, 2 ** k)
-    return total
+    periodic = sum(1 << (p - (r or p)) for r in diff.residues)
+    t = diff._exception_bound()
+    exceptions = sum(1 << (t - k) for k in diff.added) - sum(1 << (t - k) for k in diff.removed)
+    cycle = (1 << p) - 1
+    return Q((periodic << t) + exceptions * cycle, cycle << t)
 
 
 # ---------------------------------------------------------------------------

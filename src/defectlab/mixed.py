@@ -4,14 +4,18 @@ A mixed selection realizes {x_k : k in sigma} ∪ {x_k* : k not in sigma}
 at a finite truncation.  Certification combines an exact witness basis
 (lower bound on the defect) with monotone decay of probe distances
 (completeness evidence); a verdict is only issued when both sides agree.
+The `defect` and `sweep` subcommands run here; each imports the sigma
+grammar when it starts, so the oracle suites, which rank through this
+module, parse no sigma.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
+from .cli import EXIT_OK, MAX_N, _emit, _int_list, _rational, _require_positive, _write
 from .exact import (
     InvariantViolation,
     SparseVector,
@@ -19,19 +23,15 @@ from .exact import (
     echelon_step,
     rank_of_vectors,
 )
-from .families import HeadFamily, RandomFiniteFamily, SystemFamily
-from .indexsets import EventuallyPeriodicSet
+from .families import HeadFamily, SystemFamily, parse_family
+from .reports import decay_csv, defect_report_json, table_csv
+
+if TYPE_CHECKING:  # annotations only
+    from .indexsets import EventuallyPeriodicSet
 
 Q = Fraction
 
 INCONCLUSIVE = "inconclusive"
-
-
-class TooLarge(ValueError):
-    """Raised when an exhaustive scan would exceed the enumeration bound."""
-
-
-HEREDITARY_SCAN_LIMIT = 20
 
 
 def mixed_vectors(family: SystemFamily, sigma: EventuallyPeriodicSet,
@@ -318,21 +318,78 @@ def classify_defect(
     )
 
 
-def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = None) -> int:
-    """Max truncated defect over all 2^n subsets of a finite random system.
+def cmd_defect(args) -> int:
+    from .indexsets import parse_set
 
-    The selections are the keys 0..2^n - 1 in ascending order, so the
-    scan makes 2^(n+1) - 2 chain extensions, one per nonempty prefix.
-    """
-    if not isinstance(family, RandomFiniteFamily):
-        raise UnsupportedScan("hereditary_scan requires a RandomFinite family")
-    n = family.count
-    if n > HEREDITARY_SCAN_LIMIT:
-        raise TooLarge(f"enumeration bound is n <= {HEREDITARY_SCAN_LIMIT}")
-    ambient = family.ambient(n)
-    ranks = _mixed_ranks(family, n, range(1 << n), digit_budget)
-    return max(ambient - _check_mixed_rank(n, rank) for rank in ranks)
+    n_list = _int_list("--n-list", args.n_list) if args.n_list else None
+    _require_positive("--n", [args.n], MAX_N)
+    if n_list is not None and max(n_list) != args.n:
+        raise ValueError(f"--n-list must have --n as its largest entry, not {max(n_list)}")
+    _require_positive("--min-points", [args.min_points])
+    if args.probe_window is not None:
+        _require_positive("--probe-window", [args.probe_window])
+    threshold = _rational("--threshold", args.threshold)
+    family = parse_family(args.family)
+    sigma = parse_set(args.sigma)
+    if n_list is None:
+        step = max(args.n // 6, 1)
+        n_list = sorted(set(list(range(step, args.n + 1, step)) + [args.n]))
+    report = classify_defect(
+        family,
+        sigma,
+        n_list,
+        decay_threshold=threshold,
+        min_points=args.min_points,
+        probe_window=args.probe_window,
+        digit_budget=args.digit_budget,
+    )
+    config = {
+        "family": args.family,
+        "sigma": args.sigma,
+        "n": args.n,
+        "n_list": n_list,
+        "threshold": args.threshold,
+        "min_points": args.min_points,
+        "probe_window": report.probe_window,
+        "digit_budget": args.digit_budget,
+    }
+    _emit(args, "defect", config, defect_report_json(report))
+    if args.csv:
+        _write(args.csv, decay_csv(report))
+    return EXIT_OK
 
 
-class UnsupportedScan(ValueError):
-    """Raised when hereditary_scan gets a non-finite family."""
+def cmd_sweep(args) -> int:
+    from .indexsets import parse_set
+
+    sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
+    if not sigmas:
+        raise ValueError("--sigmas names no sigma expression")
+    n_grid = _int_list("--n-grid", args.n_grid)
+    family = parse_family(args.family)
+    parsed = [parse_set(sigma_text) for sigma_text in sigmas]
+    # one batched rank check at the largest n; every mixed family then has
+    # full rank at each prefix, so each cell is ambient(n) - truncation(n)
+    n_max = max(n_grid)
+    last = family.truncation(n_max)
+    defect_truncated_many(family, [selection_key(sigma, last) for sigma in parsed], n_max,
+                          args.digit_budget)
+    rows = [
+        {"sigma": sigma_text, "n": n,
+         "defect_truncated": family.ambient(n) - family.truncation(n)}
+        for sigma_text in sigmas
+        for n in n_grid
+    ]
+    config = {
+        "family": args.family,
+        "sigmas": sigmas,
+        "n_grid": n_grid,
+        "digit_budget": args.digit_budget,
+    }
+    _emit(args, "sweep", config, {"grid": rows})
+    if args.csv:
+        _write(args.csv, table_csv(
+            ["sigma", "n", "defect_truncated"],
+            [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
+        ))
+    return EXIT_OK

@@ -1,0 +1,198 @@
+"""The oracle suites: seeded random finite systems, their exhaustive
+hereditary scan, and the swap-invariance and hereditary suites of the
+`oracle` subcommand.
+
+`families.parse_family` imports this module for a `random(...)`
+descriptor.  The suites and the scan import `mixed` when they run, so a
+process that only builds a random family compiles no analysis module.
+"""
+from __future__ import annotations
+
+import math
+import random
+from operator import mul
+from typing import Optional
+
+from .cli import EXIT_OK, MAX_INSTANCES, _emit, _require_nonnegative
+from .exact import InvariantViolation, SparseVector, bordered_elimination, reduced_echelon
+from .families import SystemFamily
+
+# A random family is drawn and solved densely, so its size is bounded:
+# d, the ambient dimension, and n, the number of vectors.
+MAX_RANDOM_DIM = 100
+MAX_RANDOM_COUNT = 50
+
+
+class RandomFiniteFamily(SystemFamily):
+    """Seeded random independent system in a finite ambient space.
+
+    The biorthogonal family is the dual basis inside the span, optionally
+    perturbed by exact components from the orthogonal complement (which
+    preserves biorthogonality but exercises its non-uniqueness).
+
+    The vectors are integer rows V.  The span duals are the rows of
+    G^-1 V, G = V V^T: the coefficient of x_k in the projection of the
+    unit probe e_c is (G^-1 V)_kc, so one Gram solve with probes
+    e_1..e_dim gives every dual as one integer row over the solve's
+    denominator.  A perturbed dual adds sum_f r_f n_f over the
+    reduced-row-echelon null-space basis n_f of V, with integer r_f in
+    -2..2: r_f at each free coordinate f and -sum_f r_f R_p[f] / R_p[p]
+    at each pivot p of the reduced rows R_p, all as integers over the lcm
+    of the solve's denominator and the R_p[p].
+    """
+
+    kind = "random"
+    MAX_RETRIES = 50
+
+    def __init__(self, dim: int, count: int, seed: int, dual_style: str = "span"):
+        if count < 0:
+            raise ValueError("count must not be negative")
+        if dim > MAX_RANDOM_DIM:
+            raise ValueError(f"d={dim} exceeds the bound {MAX_RANDOM_DIM}")
+        if count > MAX_RANDOM_COUNT:
+            raise ValueError(f"n={count} exceeds the bound {MAX_RANDOM_COUNT}")
+        if count > dim:
+            raise ValueError("count must not exceed ambient dimension")
+        if dual_style not in ("span", "perturbed"):
+            raise ValueError("dual_style must be 'span' or 'perturbed'")
+        self.dim = dim
+        self.count = count
+        self.seed = seed
+        self.dual_style = dual_style
+        self._generate()
+
+    def _generate(self):
+        rng = random.Random(self.seed)
+        coords = range(1, self.dim + 1)
+        units = [SparseVector.unit(c) for c in coords]
+        for _ in range(self.MAX_RETRIES):
+            rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
+            vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x})
+                    for row in rows]
+            elim = bordered_elimination(vecs, units, cuts=(), solve=True)
+            if len(elim.kept) == self.count:
+                break
+        else:
+            raise RuntimeError("failed to draw an independent system")
+        # coordinate c of the k-th dual is y_kc over one denominator
+        den = elim.coefficients[0][0] if coords else 1
+        duals = [list(row) for row in zip(*(y for _, y in elim.coefficients))]
+        if self.dual_style == "perturbed":
+            reduced = reduced_echelon(vecs)
+            free = [f for f in coords if f not in reduced]
+            # each pivot p with R_p[p] and R_p at the free coordinates
+            pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
+            lcm = math.lcm(den, *(rp for _, rp, _ in pivots))
+            for dual in duals:
+                shifts = [rng.randint(-2, 2) for _f in free]
+                dual[:] = [y * (lcm // den) for y in dual]
+                for f, r in zip(free, shifts):
+                    dual[f - 1] += r * lcm
+                for p, rp, at_free in pivots:
+                    dual[p - 1] -= sum(map(mul, shifts, at_free)) * (lcm // rp)
+            den = lcm
+        self._vectors = vecs
+        self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, den)
+                       for dual in duals]
+
+    def vector(self, k):
+        return self._vectors[k - 1]
+
+    def dual(self, k):
+        return self._duals[k - 1]
+
+    def ambient(self, n):
+        return self.dim
+
+    def truncation(self, n):
+        return min(n, self.count)
+
+    def descriptor(self):
+        return (
+            f"random(d={self.dim},n={self.count},seed={self.seed},dual={self.dual_style})"
+        )
+
+
+class TooLarge(ValueError):
+    """Raised when an exhaustive scan would exceed the enumeration bound."""
+
+
+class UnsupportedScan(ValueError):
+    """Raised when hereditary_scan gets a non-finite family."""
+
+
+HEREDITARY_SCAN_LIMIT = 20
+
+
+def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = None) -> int:
+    """Max truncated defect over all 2^n subsets of a finite random system.
+
+    The selections are the keys 0..2^n - 1 in ascending order, so the
+    scan makes 2^(n+1) - 2 chain extensions, one per nonempty prefix.
+    """
+    from .mixed import _check_mixed_rank, _mixed_ranks
+
+    if not isinstance(family, RandomFiniteFamily):
+        raise UnsupportedScan("hereditary_scan requires a RandomFinite family")
+    n = family.count
+    if n > HEREDITARY_SCAN_LIMIT:
+        raise TooLarge(f"enumeration bound is n <= {HEREDITARY_SCAN_LIMIT}")
+    ambient = family.ambient(n)
+    ranks = _mixed_ranks(family, n, range(1 << n), digit_budget)
+    return max(ambient - _check_mixed_rank(n, rank) for rank in ranks)
+
+
+def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
+    from .mixed import defect_truncated_many
+
+    rng = random.Random(seed)
+    violations = 0
+    checks = 0
+    for i in range(instances):
+        dim = rng.randint(2, 8)
+        count = rng.randint(1, dim)
+        dual = rng.choice(["span", "perturbed"])
+        family = RandomFiniteFamily(dim=dim, count=count,
+                                    seed=rng.randrange(1 << 30), dual_style=dual)
+        members = [k for k in range(1, count + 1) if rng.random() < 0.5]
+        # the base selection, its single flips, then four chains of flips;
+        # bit count - k of a key selects x_k, so a flip of k is one xor
+        base = sum(1 << (count - k) for k in members)
+        keys = [base] + [base ^ 1 << (count - k0) for k0 in range(1, count + 1)]
+        for _chain in range(4):
+            key = base
+            for _step in range(rng.randint(1, 3)):
+                key ^= 1 << (count - rng.randint(1, count))
+            keys.append(key)
+        defect, *moved = defect_truncated_many(family, keys, count, digit_budget)
+        checks += len(moved)
+        violations += sum(d != defect for d in moved)
+    return {"instances": instances, "checks": checks, "violations": violations}
+
+
+def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
+    rng = random.Random(seed)
+    violations = 0
+    for i in range(instances):
+        dim = rng.randint(1, 6)
+        family = RandomFiniteFamily(dim=dim, count=dim,
+                                    seed=rng.randrange(1 << 30), dual_style="span")
+        if hereditary_scan(family, digit_budget) != 0:
+            violations += 1
+    return {"instances": instances, "violations": violations}
+
+
+def cmd_oracle(args) -> int:
+    _require_nonnegative("--instances", args.instances, MAX_INSTANCES)
+    results = {}
+    if args.suite in ("swap", "all"):
+        results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)
+    if args.suite in ("hereditary", "all"):
+        results["hereditary"] = _run_hereditary_suite(
+            min(args.instances, 100), args.seed, args.digit_budget
+        )
+    config = {"suite": args.suite, "instances": args.instances, "seed": args.seed}
+    _emit(args, "oracle", config, results)
+    if any(r["violations"] for r in results.values()):
+        raise InvariantViolation("oracle suite found a violated invariant")
+    return EXIT_OK

@@ -3,6 +3,7 @@
 Ranks, squared distances, and the set metric rho stay exact rationals;
 the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
+The `metric`, `chain` and `converge` subcommands run here.
 """
 from __future__ import annotations
 
@@ -11,9 +12,26 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import SparseVector, bordered_elimination, echelon, project_many
-from .families import HeadFamily, SystemFamily
-from .indexsets import EventuallyPeriodicSet, rho, sigma_m
+from .cli import (
+    EXIT_OK,
+    MAX_M_MAX,
+    MAX_N,
+    MAX_PRECISION,
+    MAX_TERMS,
+    _emit,
+    _require_nonnegative,
+    _require_positive,
+)
+from .exact import (
+    InvariantViolation,
+    SparseVector,
+    bordered_elimination,
+    echelon,
+    project_many,
+)
+from .families import HeadFamily, SystemFamily, parse_family
+from .indexsets import EventuallyPeriodicSet, parse_set, rho, sigma_m
+from .reports import exact_value, interval_value
 
 Q = Fraction
 
@@ -156,9 +174,10 @@ def projector_metrics(
     return d_s, d_w
 
 
-def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int, n: int):
+def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, tails: list, n: int):
     """Indices ordered sigma, then sigma_depth minus sigma, then sigma_{m-1}
-    minus sigma_m for m = depth..2, together with each block's end.
+    minus sigma_m for m = depth..2, together with each block's end, where
+    tails[m - 1] is sigma_m for m = 1..depth.
 
     sigma_{m+1} is a subset of sigma_m, so the truncated span of sigma and
     of every sigma_m is the span of a prefix of this order: ends[0] closes
@@ -167,9 +186,11 @@ def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int
     last = family.truncation(n)
     order = sigma.truncate(last)
     ends = [len(order)]
-    for m in range(depth, 0, -1):
-        placed = set(order)
-        order += [k for k in sigma_m(sigma, m).truncate(last) if k not in placed]
+    placed = set(order)
+    for tail in reversed(tails):
+        block = [k for k in tail.truncate(last) if k not in placed]
+        order += block
+        placed.update(block)
         ends.append(len(order))
     return order, ends
 
@@ -193,7 +214,8 @@ def intersection_chain(
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    order, ends = _nested_order(family, sigma, depth, n)
+    tails = [sigma_m(sigma, m) for m in range(1, depth + 1)]
+    order, ends = _nested_order(family, sigma, tails, n)
     kept = echelon(family.vectors(order), digit_budget)[0]
     ranks = [bisect.bisect_left(kept, end) for end in ends]
     return ranks[1:][::-1], ranks[0] == ranks[1]
@@ -225,7 +247,8 @@ def convergence_probe(
     K = family.truncation(K)
     window = min(K, family.default_probe_window())
     targets = family.vectors(range(1, K + 1))
-    order, ends = _nested_order(family, sigma, m_max, n)
+    tails = [sigma_m(sigma, m) for m in range(1, m_max + 1)]  # each built once
+    order, ends = _nested_order(family, sigma, tails, n)
     table = bordered_elimination(family.vectors(order), targets, cuts=ends,
                                  digit_budget=digit_budget).dist_sq
     norms = _norms_sq(targets)
@@ -235,8 +258,7 @@ def convergence_probe(
 
     at_sigma = table[0]
     rows = []
-    for m, dists in enumerate(reversed(table[1:]), start=1):
-        sig_m = sigma_m(sigma, m)
+    for m, (sig_m, dists) in enumerate(zip(tails, reversed(table[1:])), start=1):
         rows.append({
             "m": m,
             "sigma_m": sig_m.describe(),
@@ -257,3 +279,96 @@ def semicontinuity_violation(rows, limit: IntervalValue) -> bool:
     a bug and must never occur.
     """
     return all(row["ds_to_zero"].hi < limit.lo for row in rows[-3:])
+
+
+def cmd_metric(args) -> int:
+    _require_positive("--n", [args.n], MAX_N)
+    _require_positive("--terms", [args.terms], MAX_TERMS)
+    _require_nonnegative("--precision", args.precision, MAX_PRECISION)
+    family = parse_family(args.family)
+    sigma = parse_set(args.sigma)
+    tau = parse_set(args.tau)
+    ds, dw = projector_metrics(family, sigma, tau, args.n, args.terms, args.precision,
+                               digit_budget=args.digit_budget)
+    results = {
+        "rho": exact_value(rho(sigma, tau)),
+        "d_s": interval_value(ds),
+        "d_w": interval_value(dw),
+    }
+    config = {
+        "family": args.family,
+        "sigma": args.sigma,
+        "tau": args.tau,
+        "n": args.n,
+        "K": args.terms,
+        "precision": args.precision,
+        "digit_budget": args.digit_budget,
+    }
+    _emit(args, "metric", config, results)
+    if dw.lo > ds.hi:
+        raise InvariantViolation("certified d_w enclosure exceeds d_s upper bound")
+    return EXIT_OK
+
+
+def cmd_chain(args) -> int:
+    _require_positive("--n", [args.n], MAX_N)
+    if not 1 <= args.depth <= args.n:
+        raise ValueError("--depth must lie between 1 and --n")
+    family = parse_family(args.family)
+    sigma = parse_set(args.sigma)
+    dims, equal = intersection_chain(family, sigma, args.depth, args.n,
+                                     digit_budget=args.digit_budget)
+    config = {
+        "family": args.family,
+        "sigma": args.sigma,
+        "depth": args.depth,
+        "n": args.n,
+        "digit_budget": args.digit_budget,
+    }
+    _emit(args, "chain", config, {"dims": dims, "equal_to_h_sigma": equal})
+    if any(b > a for a, b in zip(dims, dims[1:])):
+        raise InvariantViolation("intersection-chain dimensions increased")
+    return EXIT_OK
+
+
+def cmd_converge(args) -> int:
+    _require_positive("--n", [args.n], MAX_N)
+    _require_positive("--terms", [args.terms], MAX_TERMS)
+    _require_positive("--m-max", [args.m_max], MAX_M_MAX)
+    _require_nonnegative("--precision", args.precision, MAX_PRECISION)
+    family = parse_family(args.family)
+    sigma = parse_set(args.sigma)
+    rows, limit = convergence_probe(family, sigma, args.m_max, args.n, args.terms,
+                                    args.precision, digit_budget=args.digit_budget)
+    out_rows = [
+        {
+            "m": row["m"],
+            "sigma_m": row["sigma_m"],
+            "rho": exact_value(row["rho"]),
+            "ds_to_zero": interval_value(row["ds_to_zero"]),
+            "pointwise": [interval_value(iv) for iv in row["pointwise"]],
+        }
+        for row in rows
+    ]
+    results = {"rows": out_rows}
+    violation = False
+    if args.semicontinuity:
+        violation = semicontinuity_violation(rows, limit)
+        results["semicontinuity"] = {
+            "limit": interval_value(limit),
+            "violation": violation,
+        }
+    config = {
+        "family": args.family,
+        "sigma": args.sigma,
+        "m_max": args.m_max,
+        "n": args.n,
+        "K": args.terms,
+        "precision": args.precision,
+        "semicontinuity": args.semicontinuity,
+        "digit_budget": args.digit_budget,
+    }
+    _emit(args, "converge", config, results)
+    if violation:
+        raise InvariantViolation("certified lower-semicontinuity violation")
+    return EXIT_OK

@@ -115,7 +115,7 @@ def oracle_random_family(dim, count, seed, dual_style="span"):
     perturbed dual adds a random integer combination of sympy's
     null-space basis.  Returns (vectors, duals) as SparseVectors.
     """
-    from defectlab.families import RandomFiniteFamily
+    from defectlab.oracle import RandomFiniteFamily
 
     rng = random.Random(seed)
     for _ in range(RandomFiniteFamily.MAX_RETRIES):
@@ -162,7 +162,7 @@ def replay_random_family(dim, count, seed, dual_style="span"):
     reduced-row-echelon null-space basis of V, e_f - sum_p R_p[f] e_p,
     read off a Gauss-Jordan pass on V.  Replays the seeded draws, a draw
     of dependent rows and its retry included.  Returns (vectors, duals)."""
-    from defectlab.families import RandomFiniteFamily
+    from defectlab.oracle import RandomFiniteFamily
 
     rng = random.Random(seed)
     for _ in range(RandomFiniteFamily.MAX_RETRIES):

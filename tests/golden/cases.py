@@ -255,6 +255,8 @@ for _name, _family, _sigma, _more in [
     ("random", "random(d=5,n=4,seed=6,dual=perturbed)", "fin(1,3)",
      ["--m-max", 3, "--n", 4, "--terms", 3, "--semicontinuity"]),
     ("precision 8", "e1-plus-ek", "none", ["--m-max", 2, "--n", 6, "--precision", 8]),
+    # 300 rows, each with its own sigma_m and rho over exceptions up to 300
+    ("m-max 300", "e1-plus-ek", "none", ["--m-max", 300, "--n", 4, "--terms", 2]),
     ("error m-max 0", "e1-plus-ek", "none", ["--m-max", 0, "--n", 4]),
     ("error terms 0", "e1-plus-ek", "none", ["--m-max", 2, "--n", 4, "--terms", 0]),
     ("error precision negative", "e1-plus-ek", "none",
@@ -272,8 +274,10 @@ for _suite, _instances, _seed in [("all", 20, 7), ("all", 10, 3), ("swap", 30, 1
 _add("oracle default suite", "oracle", "--instances", 4, "--seed", 11)
 _add("oracle error instances negative", "oracle", "--instances", -1)
 
-# -- sizes: one above each bound (defectlab.cli.MAX_N, MAX_TERMS, MAX_M_MAX and
-# defectlab.families.MAX_RANDOM_DIM, MAX_RANDOM_COUNT) ---------------------------
+# -- sizes: one above each bound (defectlab.cli.MAX_N, MAX_TERMS, MAX_M_MAX,
+# MAX_PRECISION, MAX_INSTANCES; defectlab.families.MAX_YOUNG_WIDTH, MAX_PAIR_M,
+# MAX_FINITE_SET_ELEMENT; defectlab.infiniteset.MAX_INFINITE_SET_ELEMENT;
+# defectlab.oracle.MAX_RANDOM_DIM, MAX_RANDOM_COUNT) -------------------------------
 _add("defect error n above the bound", "defect", *_family_sigma("e1-plus-ek", "all", 10_001))
 _add("sweep error n-grid above the bound", "sweep", "--family", "e1-plus-ek", "--sigmas",
      "all", "--n-grid", "3,10001")
@@ -285,6 +289,20 @@ _add("construct error random d above the bound", "construct", "--family",
      "random(d=101,n=2)", "--n", 1)
 _add("construct error random n above the bound", "construct", "--family",
      "random(d=100,n=51)", "--n", 1)
+_add("metric error precision above the bound", "metric", "--family", "e1-plus-ek", "--sigma",
+     "all", "--tau", "none", "--n", 4, "--precision", 100_001)
+_add("converge error precision above the bound", "converge", "--family", "e1-plus-ek",
+     "--sigma", "none", "--m-max", 2, "--n", 4, "--precision", 100_001)
+_add("oracle error instances above the bound", "oracle", "--instances", 10_001)
+for _name, _family in [("young w", "young(w=101)"), ("defect-pair m", "defect-pair(m=101)"),
+                       ("finite-set element", "finite-set(0,1,101)"),
+                       ("infinite-set element", "infinite-set(0,101,inf)")]:
+    _add(f"construct error {_name} above the bound", "construct", "--family", _family, "--n", 1)
+# an integer argument of more than 20 digits is refused by its digit count
+_add("construct error young w of 5000 digits", "construct", "--family",
+     "young(w=%s)" % ("9" * 5000), "--n", 1)
+_add("construct error random d of 5000 digits", "construct", "--family",
+     "random(d=%s,n=2)" % ("9" * 5000), "--n", 1)
 
 # -- digit budget: just below and at each pinned trip point -------------------
 for _name, _argv, _below, _at in _BUDGET_PINS:

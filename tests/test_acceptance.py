@@ -18,12 +18,12 @@ from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
-    InfiniteDefectSetFamily,
-    RandomFiniteFamily,
     YoungFamily,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho, sigma_m
-from defectlab.mixed import INCONCLUSIVE, classify_defect, hereditary_scan, witness_check
+from defectlab.infiniteset import InfiniteDefectSetFamily
+from defectlab.mixed import INCONCLUSIVE, classify_defect, witness_check
+from defectlab.oracle import RandomFiniteFamily, hereditary_scan
 from defectlab.topology import (
     convergence_probe,
     intersection_chain,

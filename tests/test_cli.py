@@ -15,16 +15,19 @@ from hypothesis import strategies as st
 
 import defectlab
 from conftest import count_calls, defect_truncated, oracle_random_family, swap_move
-from defectlab.cli import MAX_M_MAX, MAX_N, MAX_TERMS, main
+from defectlab.cli import MAX_INSTANCES, MAX_M_MAX, MAX_N, MAX_PRECISION, MAX_TERMS, main
 from defectlab.exact import SparseVector
 from defectlab.families import (
-    MAX_RANDOM_COUNT,
-    MAX_RANDOM_DIM,
+    MAX_FINITE_SET_ELEMENT,
+    MAX_PAIR_M,
+    MAX_YOUNG_WIDTH,
     E1PlusEkFamily,
     parse_family,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.infiniteset import MAX_INFINITE_SET_ELEMENT
 from defectlab.mixed import selection_key
+from defectlab.oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM
 from defectlab.reports import rational_str
 from defectlab.topology import IntervalValue
 
@@ -242,8 +245,8 @@ class TestOracle:
         swap moves of it and four chains of swap moves, drawn in this order."""
         import random
 
-        import defectlab.cli as cli
         import defectlab.mixed as mixed
+        import defectlab.oracle as oracle
 
         batches = []
         real = mixed.defect_truncated_many
@@ -253,7 +256,7 @@ class TestOracle:
             return real(family, keys, n, digit_budget)
 
         monkeypatch.setattr(mixed, "defect_truncated_many", recording)
-        assert cli._run_swap_suite(40, 5)["violations"] == 0
+        assert oracle._run_swap_suite(40, 5)["violations"] == 0
         rng, expected = random.Random(5), []
         for _ in range(40):
             dim = rng.randint(2, 8)
@@ -311,6 +314,23 @@ _ABOVE_BOUNDS = [
      f"d={MAX_RANDOM_DIM + 1} exceeds the bound {MAX_RANDOM_DIM}"),
     (["construct", "--family", f"random(d={MAX_RANDOM_DIM},n={MAX_RANDOM_COUNT + 1})",
       "--n", "1"], f"n={MAX_RANDOM_COUNT + 1} exceeds the bound {MAX_RANDOM_COUNT}"),
+    (["construct", "--family", f"young(w={MAX_YOUNG_WIDTH + 1})", "--n", "1"],
+     f"w={MAX_YOUNG_WIDTH + 1} exceeds the bound {MAX_YOUNG_WIDTH}"),
+    (["defect", "--family", f"defect-pair(m={MAX_PAIR_M + 1})", "--sigma", "all", "--n", "2"],
+     f"m={MAX_PAIR_M + 1} exceeds the bound {MAX_PAIR_M}"),
+    (["construct", "--family", f"finite-set(0,1,{MAX_FINITE_SET_ELEMENT + 1})", "--n", "1"],
+     f"element {MAX_FINITE_SET_ELEMENT + 1} exceeds the bound {MAX_FINITE_SET_ELEMENT}"),
+    (["defect", "--family", f"infinite-set(0,{MAX_INFINITE_SET_ELEMENT + 1},inf)", "--sigma",
+      "none", "--n", "2"],
+     f"element {MAX_INFINITE_SET_ELEMENT + 1} exceeds the bound {MAX_INFINITE_SET_ELEMENT}"),
+    (["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+      "--precision", str(MAX_PRECISION + 1)],
+     f"--precision {MAX_PRECISION + 1} exceeds the bound {MAX_PRECISION}"),
+    (["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2", "--n", "4",
+      "--precision", str(MAX_PRECISION + 1)],
+     f"--precision {MAX_PRECISION + 1} exceeds the bound {MAX_PRECISION}"),
+    (["oracle", "--instances", str(MAX_INSTANCES + 1)],
+     f"--instances {MAX_INSTANCES + 1} exceeds the bound {MAX_INSTANCES}"),
 ]
 
 
@@ -491,10 +511,10 @@ class TestExitCodes:
         assert json.loads(err)["error"]["kind"] == "input"
 
     def test_unsupported_scan_is_2(self, capsys, monkeypatch):
-        import defectlab.mixed as mixed
+        import defectlab.oracle as oracle
 
-        real = mixed.hereditary_scan
-        monkeypatch.setattr(mixed, "hereditary_scan",
+        real = oracle.hereditary_scan
+        monkeypatch.setattr(oracle, "hereditary_scan",
                             lambda family, digit_budget: real(E1PlusEkFamily()))
         code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
         assert code == 2
@@ -542,6 +562,48 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 200
         assert "of 100000 digits exceeds the bound" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, names", [
+        (["construct", "--family", "young(w=%s)", "--n", "1"],
+         f"w of 5000 digits exceeds the bound {MAX_YOUNG_WIDTH}"),
+        (["defect", "--family", "young(w=%s)", "--sigma", "all", "--n", "2"],
+         f"w of 5000 digits exceeds the bound {MAX_YOUNG_WIDTH}"),
+        (["construct", "--family", "defect-pair(m=-%s)", "--n", "1"],
+         f"m of 5000 digits exceeds the bound {MAX_PAIR_M}"),
+        (["construct", "--family", "finite-set(0,%s)", "--n", "1"],
+         f"element of 5000 digits exceeds the bound {MAX_FINITE_SET_ELEMENT}"),
+        (["construct", "--family", "infinite-set(0,%s,inf)", "--n", "1"],
+         f"element of 5000 digits exceeds the bound {MAX_INFINITE_SET_ELEMENT}"),
+        (["construct", "--family", "random(d=%s,n=2)", "--n", "1"],
+         f"d of 5000 digits exceeds the bound {MAX_RANDOM_DIM}"),
+        (["construct", "--family", "random(d=3,n=0%s)", "--n", "1"],
+         f"n of 5000 digits exceeds the bound {MAX_RANDOM_COUNT}"),
+        (["construct", "--family", "random(d=3,n=2,seed=%s)", "--n", "1"],
+         "seed of 5000 digits exceeds the bound of 20 digits"),
+    ], ids=["construct-young", "defect-young", "defect-pair-negative", "finite-set",
+            "infinite-set", "random-d", "random-n", "random-seed"])
+    def test_overlong_family_integer_is_a_short_error(self, capsys, argv, names):
+        """An integer argument of 5,000 digits is refused by its digit count
+        before it is read: exit 2 with a short message, not the descriptor."""
+        argv = [a % ("9" * 5000) if "%s" in a else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert names in json.loads(err)["error"]["message"]
+
+    def test_family_integer_of_twenty_digits_is_read(self, capsys):
+        # twenty digits are read and quoted; leading zeros and the sign do not count
+        for family, message in [
+            ("young(w=%s)" % ("9" * 20), "w=%s exceeds the bound" % ("9" * 20)),
+            ("young(w=000%s)" % ("9" * 20), "w=%s exceeds the bound" % ("9" * 20)),
+            ("random(d=3,n=2,seed=-%s)" % ("9" * 20), None),
+        ]:
+            code, out, err = run(capsys, "construct", "--family", family, "--n", "1")
+            if message is None:
+                assert code == 0
+            else:
+                assert (code, out) == (2, "")
+                assert message in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
     def test_help_and_version_are_0(self, capsys, argv):
@@ -688,6 +750,13 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(_ABOVE_BOUNDS[4][0])
 @example(_ABOVE_BOUNDS[5][0])
 @example(_ABOVE_BOUNDS[6][0])
+@example(_ABOVE_BOUNDS[7][0])
+@example(_ABOVE_BOUNDS[8][0])
+@example(_ABOVE_BOUNDS[9][0])
+@example(_ABOVE_BOUNDS[10][0])
+@example(_ABOVE_BOUNDS[11][0])
+@example(_ABOVE_BOUNDS[12][0])
+@example(_ABOVE_BOUNDS[13][0])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -710,22 +779,36 @@ def test_exit_code_contract(argv):
 
 
 def test_cli_import_loads_no_pool_or_dataclasses():
-    """A report's process imports only what it runs, and no module of the
-    package imports a process pool: importing the CLI loads neither
-    analysis module, a `defect` run loads no `topology` and a `metric`
-    run no `mixed`.  -S keeps site packages, and whatever they import,
-    out of the check."""
+    """A report's process imports exactly the package modules it runs, and
+    no module of the package imports a process pool or `dataclasses`:
+    each invocation below loads the core modules and the listed ones, no
+    other.  -S keeps site packages, and whatever they import, out of the
+    check."""
     src = str(Path(defectlab.__file__).resolve().parents[1])
     heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
-            "argv = sys.argv[2].split(); code = defectlab.cli.main(argv) if argv else 0; "
-            "sys.stderr.write(' '.join([str(code)] + [m for m in sys.argv[3:] "
-            "if m in sys.modules]))")
-    for argv, absent in [
-        ("", ["defectlab.mixed", "defectlab.topology"]),
-        ("defect --family e1-plus-ek --sigma all --n 8", ["defectlab.topology"]),
-        ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["defectlab.mixed"]),
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
+            "argv = sys.argv[2].split(); sys.stdout = io.StringIO(); "
+            "code = defectlab.cli.main(argv) if argv else 0; "
+            "loaded = [m for m in sys.modules if m.startswith('defectlab')] + "
+            "[m for m in sys.argv[3:] if m in sys.modules]; "
+            "sys.stderr.write(' '.join([str(code)] + sorted(loaded)))")
+    core = ["defectlab", "defectlab.cli", "defectlab.exact", "defectlab.families",
+            "defectlab.reports"]
+    for argv, modules in [
+        ("", []),
+        ("construct --family young(w=2) --n 3", []),
+        ("construct --family random(d=4,n=2,seed=1) --n 2", ["oracle"]),
+        ("defect --family defect-pair(m=2) --sigma all --n 8", ["indexsets", "mixed"]),
+        ("defect --family infinite-set(0,1,inf) --sigma all --n 8",
+         ["indexsets", "infiniteset", "mixed"]),
+        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5", ["indexsets", "mixed"]),
+        ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["indexsets", "topology"]),
+        ("chain --family e1-plus-ek --sigma none --depth 2 --n 4", ["indexsets", "topology"]),
+        ("converge --family e1-plus-ek --sigma none --m-max 2 --n 4",
+         ["indexsets", "topology"]),
+        ("oracle --instances 2", ["mixed", "oracle"]),
     ]:
-        result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy, *absent],
+        result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy],
                                 capture_output=True, text=True, check=True)
-        assert result.stderr.split() == ["0"], argv
+        expected = sorted(core + ["defectlab." + m for m in modules])
+        assert result.stderr.split() == ["0"] + expected, argv

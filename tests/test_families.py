@@ -15,21 +15,21 @@ from conftest import (
     replay_random_family,
     to_dense,
 )
-from defectlab import families
+from defectlab import oracle
 from defectlab.exact import SparseVector, rank_of_vectors
 from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FamilySyntaxError,
     FiniteDefectSetFamily,
-    InfiniteDefectSetFamily,
     MalformedDefectSet,
-    RandomFiniteFamily,
     UnsupportedFamily,
     YoungFamily,
     parse_family,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.infiniteset import InfiniteDefectSetFamily
+from defectlab.oracle import RandomFiniteFamily
 
 Q = Fraction
 
@@ -340,7 +340,7 @@ def test_integer_build_matches_the_fraction_build(monkeypatch, style):
             assert all(type(x) is Fraction for _, x in v.entries)
             assert_stored_form(v)
             assert SparseVector.from_pairs(v.entries) == v
-    solves = count_calls(monkeypatch, "bordered_elimination", families)
+    solves = count_calls(monkeypatch, "bordered_elimination", oracle)
     for dim, count, seed in _RANDOM_DRAWS[-4:]:
         solves.clear()
         RandomFiniteFamily(dim, count, seed=seed, dual_style=style)

@@ -16,11 +16,11 @@ from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
-    InfiniteDefectSetFamily,
     YoungFamily,
     parse_family,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import distance_profile, mixed_vectors
 
 Q = Fraction

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_element, prefix_agreement, random_eventually_periodic, rho_partial
+from defectlab.families import ECHO_DIGITS
 from defectlab.indexsets import (
-    ECHO_DIGITS,
     MAX_ELEMENT,
     MAX_NESTING,
     MAX_PERIOD,
@@ -119,6 +119,18 @@ class TestRho:
 
     def test_rho_bounded_by_one(self):
         assert rho(parse_set("all"), parse_set("none")) == Q(1)
+
+    @given(eps, eps, st.lists(st.integers(1, 400), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_one_fraction_equals_the_sum_of_terms(self, a, b, extra):
+        # the closed form summed one Fraction per residue and per exception
+        a = a.symmetric_difference(EventuallyPeriodicSet.finite(extra))
+        diff = a.symmetric_difference(b)
+        p = diff.period
+        terms = [Q(1, 2 ** (r if r >= 1 else p)) * Q(2 ** p, 2 ** p - 1)
+                 for r in diff.residues]
+        terms += [Q(1, 2 ** k) for k in diff.added] + [-Q(1, 2 ** k) for k in diff.removed]
+        assert rho(a, b) == sum(terms, Q(0))
 
 
 class TestPrefixAgreement:

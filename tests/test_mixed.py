@@ -12,23 +12,21 @@ from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
-    InfiniteDefectSetFamily,
-    RandomFiniteFamily,
     SystemFamily,
     YoungFamily,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import (
     INCONCLUSIVE,
-    TooLarge,
     classify_defect,
     defect_truncated_many,
     distance_profile,
-    hereditary_scan,
     mixed_vectors,
     selection_key,
     witness_check,
 )
+from defectlab.oracle import RandomFiniteFamily, TooLarge, hereditary_scan
 from conftest import (
     WrongSide,
     count_calls,

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab.families import (
-    DefectPairFamily,
-    E1PlusEkFamily,
-    RandomFiniteFamily,
-    parse_family,
-)
+from defectlab.families import DefectPairFamily, E1PlusEkFamily, parse_family
 from defectlab.indexsets import parse_set, rho, sigma_m
+from defectlab.oracle import RandomFiniteFamily
 from defectlab.topology import (
     IntervalValue,
     convergence_probe,
@@ -282,6 +278,16 @@ class TestConvergenceProbe:
         capsys.readouterr()
         assert code == 0
         assert len(elims) == 1
+
+    def test_each_sigma_m_is_built_once(self, monkeypatch, capsys):
+        # the nested order and the rows share each sigma_m
+        built = count_calls(monkeypatch, "sigma_m", topology)
+        for argv, count in [(["converge", "--m-max", "7", "--n", "12"], 7),
+                            (["chain", "--depth", "5", "--n", "12"], 5)]:
+            built.clear()
+            assert main(argv + ["--family", "e1-plus-ek", "--sigma", "res(3;1)"]) == 0
+            assert len(built) == count
+        capsys.readouterr()
 
     def test_constant_sequence_is_tail_only(self):
         # sigma_m(all, m) = all, so every row equals the limit
