@@ -9,6 +9,7 @@ lives in `infiniteset` and the seeded `random` family in `oracle`;
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
@@ -237,12 +238,6 @@ class FiniteDefectSetFamily(HeadFamily):
     def class_of(self, k: int) -> int:
         return (k - 1) % (self.s + 1)
 
-    def class_set(self, j: int) -> EventuallyPeriodicSet:
-        from .indexsets import EventuallyPeriodicSet
-
-        period = self.s + 1
-        return EventuallyPeriodicSet.residue_class(period, [(j + 1) % period])
-
     def head_pairs(self, k):
         kj = self.defect_set[self.class_of(k)]
         return [(l, Q(k ** (l - 1))) for l in range(kj + 1, self.head + 1)]
@@ -251,11 +246,15 @@ class FiniteDefectSetFamily(HeadFamily):
         return "finite-set(%s)" % ",".join(str(x) for x in self.defect_set)
 
     def _leading_class(self, sigma: EventuallyPeriodicSet) -> int:
-        """Smallest class index meeting sigma infinitely often; s if none."""
-        for j in range(self.s + 1):
-            if not sigma.intersection(self.class_set(j)).is_finite():
-                return j
-        return self.s
+        """Smallest class index meeting sigma infinitely often; s if none.
+
+        Class j holds the k = j+1 mod s+1, so by the Chinese remainder
+        theorem it meets the residue r mod sigma.period infinitely often
+        exactly when r = j+1 mod gcd(sigma.period, s+1).
+        """
+        g = math.gcd(sigma.period, self.s + 1)
+        hit = {r % g for r in sigma.residues}
+        return next((j for j in range(self.s + 1) if (j + 1) % g in hit), self.s)
 
     def predicted_defect(self, sigma):
         return self.defect_set[self._leading_class(sigma)]

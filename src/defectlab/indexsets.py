@@ -69,26 +69,11 @@ class EventuallyPeriodicSet(NamedTuple):
         removed = frozenset(int(k) for k in removed)
         if any(k < 1 for k in added | removed):
             raise ValueError("exception elements must be positive")
-
-        def pattern(k):
-            return (k % period) in residues
-
-        def member(k):
-            if k in added:
-                return True
-            if k in removed:
-                return False
-            return pattern(k)
-
-        period2, residues2 = _min_period(period, residues)
-        add2, rem2 = set(), set()
-        for k in added | removed:
-            pat = (k % period2) in residues2
-            if member(k) and not pat:
-                add2.add(k)
-            elif not member(k) and pat:
-                rem2.add(k)
-        return EventuallyPeriodicSet(period2, residues2, frozenset(add2), frozenset(rem2))
+        period, residues = _min_period(period, residues)
+        return EventuallyPeriodicSet(
+            period, residues,
+            frozenset(k for k in added if k % period not in residues),
+            frozenset(k for k in removed - added if k % period in residues))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -106,11 +91,6 @@ class EventuallyPeriodicSet(NamedTuple):
     @staticmethod
     def residue_class(period: int, residues: Iterable[int]) -> "EventuallyPeriodicSet":
         return EventuallyPeriodicSet.make(period, residues)
-
-    @staticmethod
-    def tail(start: int) -> "EventuallyPeriodicSet":
-        """The set {k : k >= start}."""
-        return EventuallyPeriodicSet.make(1, (0,), removed=range(1, start))
 
     # -- membership ----------------------------------------------------
     def contains(self, k: int) -> bool:
@@ -189,10 +169,12 @@ class EventuallyPeriodicSet(NamedTuple):
 
 
 def sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet:
-    """sigma together with the whole tail [m+1, infinity)."""
+    """sigma together with the whole tail [m+1, infinity): every k but the
+    k <= m outside sigma."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return sigma.union(EventuallyPeriodicSet.tail(m + 1))
+    return EventuallyPeriodicSet.make(
+        1, (0,), removed=[k for k in range(1, m + 1) if k not in sigma])
 
 
 def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:

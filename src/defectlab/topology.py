@@ -174,23 +174,23 @@ def projector_metrics(
     return d_s, d_w
 
 
-def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, tails: list, n: int):
-    """Indices ordered sigma, then sigma_depth minus sigma, then sigma_{m-1}
-    minus sigma_m for m = depth..2, together with each block's end, where
-    tails[m - 1] is sigma_m for m = 1..depth.
+def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int, n: int):
+    """Indices ordered sigma, then [depth+1, last] minus sigma, then {m}
+    minus sigma for m = depth..2, together with each block's end.
 
-    sigma_{m+1} is a subset of sigma_m, so the truncated span of sigma and
-    of every sigma_m is the span of a prefix of this order: ends[0] closes
-    sigma and ends[i] closes sigma_{depth+1-i}.
+    sigma_m = sigma ∪ [m+1, ∞), so these blocks are sigma_depth minus
+    sigma and each sigma_{m-1} minus sigma_m, and the truncated span of
+    sigma and of every sigma_m, m = 1..depth, is the span of a prefix of
+    this order: ends[0] closes sigma and ends[i] closes sigma_{depth+1-i}.
     """
     last = family.truncation(n)
     order = sigma.truncate(last)
     ends = [len(order)]
-    placed = set(order)
-    for tail in reversed(tails):
-        block = [k for k in tail.truncate(last) if k not in placed]
-        order += block
-        placed.update(block)
+    order += [k for k in range(depth + 1, last + 1) if k not in sigma]
+    ends.append(len(order))
+    for m in range(depth, 1, -1):
+        if m <= last and m not in sigma:
+            order.append(m)
         ends.append(len(order))
     return order, ends
 
@@ -214,8 +214,7 @@ def intersection_chain(
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    tails = [sigma_m(sigma, m) for m in range(1, depth + 1)]
-    order, ends = _nested_order(family, sigma, tails, n)
+    order, ends = _nested_order(family, sigma, depth, n)
     kept = echelon(family.vectors(order), digit_budget)[0]
     ranks = [bisect.bisect_left(kept, end) for end in ends]
     return ranks[1:][::-1], ranks[0] == ranks[1]
@@ -247,8 +246,7 @@ def convergence_probe(
     K = family.truncation(K)
     window = min(K, family.default_probe_window())
     targets = family.vectors(range(1, K + 1))
-    tails = [sigma_m(sigma, m) for m in range(1, m_max + 1)]  # each built once
-    order, ends = _nested_order(family, sigma, tails, n)
+    order, ends = _nested_order(family, sigma, m_max, n)
     table = bordered_elimination(family.vectors(order), targets, cuts=ends,
                                  digit_budget=digit_budget).dist_sq
     norms = _norms_sq(targets)
@@ -258,7 +256,8 @@ def convergence_probe(
 
     at_sigma = table[0]
     rows = []
-    for m, (sig_m, dists) in enumerate(zip(tails, reversed(table[1:])), start=1):
+    for m, dists in enumerate(reversed(table[1:]), start=1):
+        sig_m = sigma_m(sigma, m)
         rows.append({
             "m": m,
             "sigma_m": sig_m.describe(),

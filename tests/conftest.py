@@ -11,6 +11,7 @@ from operator import mul
 
 import pytest
 import sympy
+from hypothesis import strategies as st
 
 from defectlab.exact import SparseVector, bordered_elimination, reduced_echelon
 from defectlab.indexsets import EventuallyPeriodicSet
@@ -442,6 +443,32 @@ def random_eventually_periodic(rng: random.Random) -> EventuallyPeriodicSet:
     removed = [rng.randint(1, 20) for _ in range(rng.randint(0, 3))]
     removed = [k for k in removed if k not in added]
     return EventuallyPeriodicSet.make(period, residues, added, removed)
+
+
+# near MAX_PERIOD: a prime, and two periods with many small divisors
+LONG_PERIODS = (9973, 9996, 10000)
+
+
+def random_long_period(rng: random.Random) -> EventuallyPeriodicSet:
+    """Like random_eventually_periodic, with a period from LONG_PERIODS."""
+    period = rng.choice(LONG_PERIODS)
+    residues = rng.sample(range(period), rng.randint(0, 4))
+    added = [rng.randint(1, 20) for _ in range(rng.randint(0, 3))]
+    removed = [rng.randint(1, 20) for _ in range(rng.randint(0, 3))]
+    removed = [k for k in removed if k not in added]
+    return EventuallyPeriodicSet.make(period, residues, added, removed)
+
+
+def eventually_periodic_sets():
+    """Strategy: sets from random_eventually_periodic or random_long_period."""
+    rngs = st.integers(0, 10 ** 6).map(random.Random)
+    return st.one_of(rngs.map(random_eventually_periodic), rngs.map(random_long_period))
+
+
+def union_sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet:
+    """sigma_m by set algebra: sigma united with all minus {1..m}."""
+    tail = EventuallyPeriodicSet.all().difference(EventuallyPeriodicSet.finite(range(1, m + 1)))
+    return sigma.union(tail)
 
 
 @pytest.fixture

@@ -124,6 +124,8 @@ for _name, _argv in [
     ("finite-set threshold", _family_sigma("finite-set(0,1,3)", "res(3;1)", 24,
                                            "--threshold", "1/2")),
     ("finite-set none", _family_sigma("finite-set(0,2)", "none", 12)),
+    ("defect-pair paper scale", _family_sigma("defect-pair(m=3)", "all", 1200)),
+    ("finite-set paper scale", _family_sigma("finite-set(0,1,3)", "res(3;1)", 3600)),
     ("infinite-set all", _family_sigma("infinite-set(0,1,inf)", "all", 16)),
     ("infinite-set none", _family_sigma("infinite-set(0,2,inf)", "none", 12)),
     ("infinite-set finite sigma", _family_sigma("infinite-set(0,1,inf)", "fin(2,3)", 12)),

@@ -145,6 +145,11 @@ def test_criterion_04_defect_pair_verdicts():
             per_probe.setdefault(label, []).append(d)
         for vals in per_probe.values():
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    # at the paper's scale m = 3 certifies 0 with the default threshold 1/100
+    # and the CLI's default n_list for --n 1200
+    rep = classify_defect(DefectPairFamily(3), parse_set("all"), range(200, 1201, 200))
+    assert rep.verdict == 0
     report(4, "defect-pair verdicts m / 0 with the exact 1/(n+1) law")
 
 
@@ -171,6 +176,11 @@ def test_criterion_05_finite_defect_set():
         assert rank_of_vectors(witnesses) == expected
         realized.add(rep.verdict)
     assert realized == {0, 1, 3}
+
+    # at the paper's scale the 0-defect class certifies with the default
+    # threshold 1/100 and the CLI's default n_list for --n 3600
+    rep = classify_defect(family, parse_set("res(3;1)"), range(600, 3601, 600))
+    assert rep.verdict == 0
     report(5, "finite-set {0,1,3}: realized verdicts are exactly {0, 1, 3}")
 
 

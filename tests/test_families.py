@@ -4,13 +4,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     assert_stored_form,
     count_calls,
     dist_sq,
+    eventually_periodic_sets,
     oracle_random_family,
     replay_random_family,
     to_dense,
@@ -27,7 +28,7 @@ from defectlab.families import (
     YoungFamily,
     parse_family,
 )
-from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.oracle import RandomFiniteFamily
 
@@ -150,6 +151,24 @@ class TestFiniteDefectSet:
         assert fam.predicted_defect(parse_set("res(3;0)")) == 3
         assert fam.predicted_defect(parse_set("fin(1,2,3)")) == 3
         assert fam.predicted_defect(parse_set("all")) == 0
+        # res(9973;1) meets every class mod 4, although the intersection with
+        # a class has period 4 * 9973, above MAX_PERIOD
+        assert fam.predicted_defect(parse_set("res(9973;1)")) == 0
+        assert fam.predicted_defect(parse_set("res(9996;2)+3")) == 1
+
+    @given(st.lists(st.integers(1, 12), max_size=7, unique=True), eventually_periodic_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_leading_class_is_the_first_class_met_infinitely(self, positive, sigma):
+        # the reference intersects sigma with each class's residue set
+        fam = FiniteDefectSetFamily((0, *sorted(positive)))
+        period = fam.s + 1
+        assume(math.lcm(sigma.period, period) <= MAX_PERIOD)
+        expect = next(
+            (j for j in range(period)
+             if not sigma.intersection(
+                 EventuallyPeriodicSet.residue_class(period, [(j + 1) % period])).is_finite()),
+            fam.s)
+        assert fam._leading_class(sigma) == expect
 
     def test_witness_bases(self):
         fam = FiniteDefectSetFamily((0, 1, 3))

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import min_element, prefix_agreement, random_eventually_periodic, rho_partial
+from conftest import (
+    LONG_PERIODS,
+    eventually_periodic_sets,
+    min_element,
+    prefix_agreement,
+    random_eventually_periodic,
+    rho_partial,
+    union_sigma_m,
+)
 from defectlab.families import ECHO_DIGITS
 from defectlab.indexsets import (
     MAX_ELEMENT,
@@ -15,6 +23,7 @@ from defectlab.indexsets import (
     MAX_PERIOD,
     EventuallyPeriodicSet,
     SetSyntaxError,
+    _min_period,
     parse_set,
     rho,
     sigma_m,
@@ -61,6 +70,27 @@ class TestCanonicalForm:
         if members(a) == members(b):
             assert a == b
 
+    @given(st.one_of(st.integers(1, 12), st.sampled_from(LONG_PERIODS)),
+           st.lists(st.integers(0, 10 ** 4), max_size=5),
+           st.lists(st.integers(1, 30), max_size=5),
+           st.lists(st.integers(1, 30), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_exceptions_split_as_by_membership(self, period, residues, added, removed):
+        # the reference asks each exception's membership (added first, then
+        # removed, then the given pattern) against the minimal pattern
+        pattern = {r % period for r in residues}
+
+        def member(k):
+            return k in added or (k not in removed and k % period in pattern)
+
+        period2, residues2 = _min_period(period, frozenset(pattern))
+        exceptions = set(added) | set(removed)
+        expect = EventuallyPeriodicSet(
+            period2, residues2,
+            frozenset(k for k in exceptions if member(k) and k % period2 not in residues2),
+            frozenset(k for k in exceptions if not member(k) and k % period2 in residues2))
+        assert EventuallyPeriodicSet.make(period, residues, added, removed) == expect
+
     def test_describe_round_trip(self):
         for text in ["all", "none", "fin(1,5)", "res(3;0,2)", "res(2;1)+2-3"]:
             s = parse_set(text)
@@ -82,6 +112,11 @@ class TestAlgebra:
         assert members(s, 10) == {2, 5, 6, 7, 8, 9, 10}
         with pytest.raises(ValueError):
             sigma_m(parse_set("none"), -1)
+
+    @given(eventually_periodic_sets(), st.one_of(st.integers(0, 40), st.integers(0, 2000)))
+    @settings(max_examples=100, deadline=None)
+    def test_sigma_m_is_the_union_with_the_tail(self, sigma, m):
+        assert sigma_m(sigma, m) == union_sigma_m(sigma, m)
 
     def test_truncate(self):
         assert parse_set("res(3;1)").truncate(10) == [1, 4, 7, 10]

@@ -22,11 +22,13 @@ from defectlab.cli import main
 from defectlab.exact import project_many
 from conftest import (
     count_calls,
+    eventually_periodic_sets,
     interval_contains,
     oracle_convergence,
     oracle_intersection_chain,
     oracle_projector_metrics,
     random_eventually_periodic,
+    union_sigma_m,
 )
 import defectlab.exact as exact
 import defectlab.topology as topology
@@ -190,6 +192,22 @@ class TestIntersectionChain:
         with pytest.raises(ValueError):
             intersection_chain(E1PlusEkFamily(), parse_set("all"), 5, 4)
 
+    @given(eventually_periodic_sets(), st.integers(1, 30), st.integers(1, 34),
+           st.sampled_from([E1PlusEkFamily(), RandomFiniteFamily(6, 5, seed=1)]))
+    @settings(max_examples=50, deadline=None)
+    def test_nested_order_matches_the_sigma_m_blocks(self, sigma, n, depth, family):
+        # the reference truncates each sigma_m, built by set algebra, and
+        # appends what it adds to the order; converge's m-max may exceed n
+        last = family.truncation(n)
+        order = sigma.truncate(last)
+        ends = [len(order)]
+        placed = set(order)
+        for m in range(depth, 0, -1):
+            block = [k for k in union_sigma_m(sigma, m).truncate(last) if k not in placed]
+            order += block
+            placed.update(block)
+            ends.append(len(order))
+        assert topology._nested_order(family, sigma, depth, n) == (order, ends)
 
     def test_one_elimination_no_complement(self, monkeypatch):
         passes = count_calls(monkeypatch, "echelon", exact, topology)
@@ -280,10 +298,11 @@ class TestConvergenceProbe:
         assert len(elims) == 1
 
     def test_each_sigma_m_is_built_once(self, monkeypatch, capsys):
-        # the nested order and the rows share each sigma_m
+        # the nested order reads its blocks off sigma; only a converge row
+        # builds its sigma_m
         built = count_calls(monkeypatch, "sigma_m", topology)
         for argv, count in [(["converge", "--m-max", "7", "--n", "12"], 7),
-                            (["chain", "--depth", "5", "--n", "12"], 5)]:
+                            (["chain", "--depth", "5", "--n", "12"], 0)]:
             built.clear()
             assert main(argv + ["--family", "e1-plus-ek", "--sigma", "res(3;1)"]) == 0
             assert len(built) == count
