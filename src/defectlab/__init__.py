@@ -9,6 +9,7 @@ only those its subcommand runs; import each name from its module:
 - `infiniteset`: the `infinite-set(...)` family;
 - `oracle`: the seeded `random(...)` family, the hereditary scan and the
   `oracle` subcommand;
+- `ranks`: the rank engine that ranks many mixed selections at once;
 - `mixed`: mixed systems, defect certification, `defect` and `sweep`;
 - `topology`: projector metrics, chains, convergence probes, `metric`,
   `chain` and `converge`;

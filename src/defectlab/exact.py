@@ -6,7 +6,8 @@ fraction-free on those integers; `fractions.Fraction` values are made
 only where a value leaves the kernels (distances, inner products and
 `SparseVector.entries`).  Distances, projections and Gram solves come
 from one Bareiss elimination of a bordered integer Gram matrix,
-`bordered_elimination`; ranks and orthogonal complements come from one
+`bareiss_pass`, which `bordered_elimination` feeds from vectors and
+probes; ranks and orthogonal complements come from one
 sparse echelon pass on the vectors' integer coordinates, `echelon`.  No
 floating point ever enters.
 """
@@ -168,38 +169,62 @@ def bordered_elimination(
     solve: bool = False,
     digit_budget: Optional[int] = None,
 ) -> Elimination:
-    """Symmetric fraction-free (Bareiss) elimination of [[G, B], [B^T, C]].
+    """Distances of the probes to every prefix of span(generators) and,
+    with solve=True, their projections: `bareiss_pass` over the bordered
+    Gram matrix [[G, B], [B^T, C]] that this function builds.
 
     G is the Gram matrix of the generators, B their inner products with
     the probes and C the probes' squared norms.  Every vector enters as
     its integer coordinates, that is scaled by its denominator, which
-    leaves spans unchanged and makes the matrix integral.  Pivots are
-    taken on the diagonal in generator order; G is positive
-    semidefinite, so a zero pivot means the generator lies in the span of
-    those before it, and it is skipped.  By Sylvester's identity, once
-    the first k generators are eliminated a probe's trailing diagonal
-    entry divided by the last pivot taken is its dist^2 to their span, so
-    one pass reads off every ascending cut (default: all generators).
-    With solve=True the probe columns are back-substituted after the
-    forward pass: by Cramer's rule the solution times the last pivot is
-    integral, so each projection is one integer combination of the kept
-    generators over one denominator.
-
-    With a digit budget, every pivot and every diagonal entry is checked
-    as it is produced; by Cauchy-Schwarz they bound all symmetric entries.
+    leaves spans unchanged and makes the matrix integral; the pass
+    divides each probe's denominator back out.
     """
     m = len(generators)
-    cuts = [m] if cuts is None else list(cuts)
     gens = [g.coords for g in generators]
     prbs = [p.coords for p in probes]
-    probe_scale = [p.den for p in probes]
     rows = [
         [0] * i
         + [_idot(gens[i], gens[j]) for j in range(i, m)]
         + [_idot(gens[i], p) for p in prbs]
         for i in range(m)
     ]
-    diag = [_idot(p, p) for p in prbs]
+    return bareiss_pass(rows, [p.den for p in probes], [_idot(p, p) for p in prbs],
+                        cuts, solve, digit_budget)
+
+
+def bareiss_pass(
+    rows: list,
+    scales: Sequence[int],
+    norms: Sequence[int] = (),
+    cuts: Optional[Sequence[int]] = None,
+    solve: bool = False,
+    digit_budget: Optional[int] = None,
+) -> Elimination:
+    """Symmetric fraction-free (Bareiss) elimination of an integer
+    bordered matrix [[G, B], [B^T, C]], with G positive semidefinite.
+
+    rows[i] is row i of [G | B]; its entries left of the diagonal are
+    never read, and the pass overwrites the rows.  B has one column per
+    probe: scales[c] is the denominator of probe c, and norms, the
+    diagonal of C, is empty when no distance is read.
+
+    Pivots are taken on the diagonal in generator order; a zero pivot
+    means the generator lies in the span of those before it, and it is
+    skipped.  By Sylvester's identity, once the first k generators are
+    eliminated a probe's trailing diagonal entry divided by the last
+    pivot taken is its dist^2 to their span, so one pass reads off every
+    ascending cut (default: all generators).  With solve=True the probe
+    columns are back-substituted after the forward pass: by Cramer's
+    rule the solution times the last pivot is integral, so each
+    projection is one integer combination of the kept generators over
+    one denominator.
+
+    With a digit budget, every pivot and every diagonal entry is checked
+    as it is produced; by Cauchy-Schwarz they bound all symmetric entries.
+    """
+    m = len(rows)
+    cuts = [m] if cuts is None else list(cuts)
+    diag = list(norms)
     if digit_budget is not None:
         _check_budget([rows[i][i] for i in range(m)] + diag, digit_budget)
 
@@ -210,7 +235,7 @@ def bordered_elimination(
     next_cut = next(cut_at)
     for r in range(m + 1):
         while next_cut == r:
-            table.append([Fraction(d, prev * s * s) for d, s in zip(diag, probe_scale)])
+            table.append([Fraction(d, prev * s * s) for d, s in zip(diag, scales)])
             next_cut = next(cut_at)
         if r == m:
             break
@@ -237,7 +262,7 @@ def bordered_elimination(
         # Fraction-free back substitution of every column at once:
         # y = prev * x is integral (Cramer).  ys[c] holds column c's y over
         # the kept rows solved so far, the last kept row first.
-        ys = [[] for _ in prbs]
+        ys = [[] for _ in scales]
         solved = []
         for r in reversed(kept):
             row = rows[r]
@@ -245,7 +270,7 @@ def bordered_elimination(
             for y, b in zip(ys, row[m:]):
                 y.append((prev * b - sum(map(mul, a, y))) // row[r])
             solved.append(r)
-        coefficients = [(prev * s, y[::-1]) for y, s in zip(ys, probe_scale)]
+        coefficients = [(prev * s, y[::-1]) for y, s in zip(ys, scales)]
     return Elimination(tuple(kept), table, coefficients)
 
 

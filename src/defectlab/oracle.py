@@ -3,8 +3,9 @@ hereditary scan, and the swap-invariance and hereditary suites of the
 `oracle` subcommand.
 
 `families.parse_family` imports this module for a `random(...)`
-descriptor.  The suites and the scan import `mixed` when they run, so a
-process that only builds a random family compiles no analysis module.
+descriptor.  The suites and the scan import the rank engine, `ranks`,
+when they run, so a process that only builds a random family compiles
+no analysis module, and an `oracle` process compiles no `mixed`.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from operator import mul
 from typing import Optional
 
 from .cli import EXIT_OK, MAX_INSTANCES, _emit, _require_nonnegative
-from .exact import InvariantViolation, SparseVector, bordered_elimination, reduced_echelon
+from .exact import InvariantViolation, SparseVector, bareiss_pass, reduced_echelon
 from .families import SystemFamily
 
 # A random family is drawn and solved densely, so its size is bounded:
@@ -32,13 +33,15 @@ class RandomFiniteFamily(SystemFamily):
 
     The vectors are integer rows V.  The span duals are the rows of
     G^-1 V, G = V V^T: the coefficient of x_k in the projection of the
-    unit probe e_c is (G^-1 V)_kc, so one Gram solve with probes
-    e_1..e_dim gives every dual as one integer row over the solve's
-    denominator.  A perturbed dual adds sum_f r_f n_f over the
-    reduced-row-echelon null-space basis n_f of V, with integer r_f in
-    -2..2: r_f at each free coordinate f and -sum_f r_f R_p[f] / R_p[p]
-    at each pivot p of the reduced rows R_p, all as integers over the lcm
-    of the solve's denominator and the R_p[p].
+    unit probe e_c is (G^-1 V)_kc.  V is the border that the probes
+    e_1..e_dim give G, so one `bareiss_pass` over the integer rows
+    [G | V] of a draw solves every dual as one integer row over the
+    pass's denominator, and no probe is made.  A perturbed dual adds
+    sum_f r_f n_f over the reduced-row-echelon null-space basis n_f of V,
+    with integer r_f in -2..2: r_f at each free coordinate f and
+    -sum_f r_f R_p[f] / R_p[p] at each pivot p of the reduced rows R_p,
+    all as integers over the lcm of the pass's denominator and the
+    R_p[p].
     """
 
     kind = "random"
@@ -64,16 +67,18 @@ class RandomFiniteFamily(SystemFamily):
     def _generate(self):
         rng = random.Random(self.seed)
         coords = range(1, self.dim + 1)
-        units = [SparseVector.unit(c) for c in coords]
+        ones = [1] * self.dim
         for _ in range(self.MAX_RETRIES):
             rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
-            vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x})
-                    for row in rows]
-            elim = bordered_elimination(vecs, units, cuts=(), solve=True)
+            # [G | V]: row k of G = V V^T from the diagonal on, then row k of V
+            bordered = [[0] * k + [sum(map(mul, row, other)) for other in rows[k:]] + row
+                        for k, row in enumerate(rows)]
+            elim = bareiss_pass(bordered, ones, cuts=(), solve=True)
             if len(elim.kept) == self.count:
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
+        vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x}) for row in rows]
         # coordinate c of the k-th dual is y_kc over one denominator
         den = elim.coefficients[0][0] if coords else 1
         duals = [list(row) for row in zip(*(y for _, y in elim.coefficients))]
@@ -122,6 +127,9 @@ class UnsupportedScan(ValueError):
 
 
 HEREDITARY_SCAN_LIMIT = 20
+# `oracle` runs min(--instances, HEREDITARY_SUITE_LIMIT) instances of the
+# hereditary suite, each a scan of all 2^n selections of n <= 6 vectors.
+HEREDITARY_SUITE_LIMIT = 100
 
 
 def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = None) -> int:
@@ -130,7 +138,7 @@ def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = No
     The selections are the keys 0..2^n - 1 in ascending order, so the
     scan makes 2^(n+1) - 2 chain extensions, one per nonempty prefix.
     """
-    from .mixed import _check_mixed_rank, _mixed_ranks
+    from .ranks import _check_mixed_rank, _mixed_ranks
 
     if not isinstance(family, RandomFiniteFamily):
         raise UnsupportedScan("hereditary_scan requires a RandomFinite family")
@@ -143,7 +151,7 @@ def hereditary_scan(family: RandomFiniteFamily, digit_budget: Optional[int] = No
 
 
 def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
-    from .mixed import defect_truncated_many
+    from .ranks import defect_truncated_many
 
     rng = random.Random(seed)
     violations = 0
@@ -189,7 +197,7 @@ def cmd_oracle(args) -> int:
         results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)
     if args.suite in ("hereditary", "all"):
         results["hereditary"] = _run_hereditary_suite(
-            min(args.instances, 100), args.seed, args.digit_budget
+            min(args.instances, HEREDITARY_SUITE_LIMIT), args.seed, args.digit_budget
         )
     config = {"suite": args.suite, "instances": args.instances, "seed": args.seed}
     _emit(args, "oracle", config, results)

@@ -30,7 +30,7 @@ from .exact import (
     project_many,
 )
 from .families import HeadFamily, SystemFamily, parse_family
-from .indexsets import EventuallyPeriodicSet, parse_set, rho, sigma_m
+from .indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set, rho, sigma_m
 from .reports import exact_value, interval_value
 
 Q = Fraction
@@ -287,6 +287,11 @@ def cmd_metric(args) -> int:
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
     tau = parse_set(args.tau)
+    # rho runs over the symmetric difference, whose period is the lcm
+    period = math.lcm(sigma.period, tau.period)
+    if period > MAX_PERIOD:
+        raise ValueError(f"--sigma and --tau: the common period {period} exceeds the bound "
+                         f"{MAX_PERIOD}")
     ds, dw = projector_metrics(family, sigma, tau, args.n, args.terms, args.precision,
                                digit_budget=args.digit_budget)
     results = {

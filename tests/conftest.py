@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from defectlab.exact import SparseVector, bordered_elimination, reduced_echelon
 from defectlab.indexsets import EventuallyPeriodicSet
-from defectlab.mixed import defect_truncated_many, selection_key
+from defectlab.ranks import defect_truncated_many, selection_key
 
 Q = Fraction
 
@@ -494,13 +494,13 @@ def rising_decay(monkeypatch):
 
 @pytest.fixture
 def dropped_generator(monkeypatch):
-    """Makes the shared echelon step, as `exact.echelon` and the mixed
-    chain pass call it, report the first pivot row of each pass (a step
+    """Makes the shared echelon step, as `exact.echelon` and the rank
+    engine's chain pass call it, report the first pivot row of each pass (a step
     that no earlier step gave a pivot) as dependent while keeping it in
     the pivots, so every pass loses exactly one rank and a truncated
     mixed family of full rank reads as rank size - 1."""
     import defectlab.exact as exact
-    import defectlab.mixed as mixed
+    import defectlab.ranks as ranks
 
     real = exact.echelon_step
 
@@ -508,5 +508,5 @@ def dropped_generator(monkeypatch):
         first = not any(p for p, _ in pivots)
         return real(chain, pivots, digit_budget) and not first
 
-    for module in (exact, mixed):
+    for module in (exact, ranks):
         monkeypatch.setattr(module, "echelon_step", dropping)

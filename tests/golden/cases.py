@@ -222,6 +222,8 @@ for _name, _family, _sigma, _tau, _more in [
      ["--n", 4, "--terms", 2]),
     ("error sigma element above the bound", "e1-plus-ek", "fin(100001)", "none",
      ["--n", 4, "--terms", 2]),
+    ("error sigma tau lcm above the bound", "e1-plus-ek", "res(9973;1)", "res(2;1)",
+     ["--n", 4, "--terms", 2]),
 ]:
     _add(f"metric {_name}", "metric", "--family", _family, "--sigma", _sigma,
          "--tau", _tau, *_more)

@@ -26,8 +26,8 @@ from defectlab.families import (
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import MAX_INFINITE_SET_ELEMENT
-from defectlab.mixed import selection_key
 from defectlab.oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM
+from defectlab.ranks import selection_key
 from defectlab.reports import rational_str
 from defectlab.topology import IntervalValue
 
@@ -175,9 +175,9 @@ class TestSweep:
 
     def test_sigmas_are_ranked_as_one_batch(self, capsys, monkeypatch):
         # equal sigmas share one key: one echelon step per index up to n = 40
-        import defectlab.mixed as mixed
+        import defectlab.ranks as ranks
 
-        steps = count_calls(monkeypatch, "echelon_step", mixed)
+        steps = count_calls(monkeypatch, "echelon_step", ranks)
         code, out, _ = run(capsys, "sweep", "--family", "e1-plus-ek", "--sigmas",
                            "all;all;all", "--n-grid", "10,40")
         assert code == 0
@@ -245,17 +245,17 @@ class TestOracle:
         swap moves of it and four chains of swap moves, drawn in this order."""
         import random
 
-        import defectlab.mixed as mixed
         import defectlab.oracle as oracle
+        import defectlab.ranks as ranks
 
         batches = []
-        real = mixed.defect_truncated_many
+        real = ranks.defect_truncated_many
 
         def recording(family, keys, n, digit_budget=None):
             batches.append((family.seed, list(keys), n))
             return real(family, keys, n, digit_budget)
 
-        monkeypatch.setattr(mixed, "defect_truncated_many", recording)
+        monkeypatch.setattr(ranks, "defect_truncated_many", recording)
         assert oracle._run_swap_suite(40, 5)["violations"] == 0
         rng, expected = random.Random(5), []
         for _ in range(40):
@@ -509,6 +509,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_metric_common_period_is_checked_first(self, capsys, monkeypatch):
+        """--sigma and --tau whose periods are within the bound but whose
+        lcm is not exit 2 before any metric is computed, naming both
+        flags, the common period and the bound."""
+        import defectlab.topology as topology
+
+        calls = count_calls(monkeypatch, "projector_metrics", topology)
+        code, out, err = run(capsys, "metric", "--family", "e1-plus-ek", "--sigma",
+                             "res(9973;1)", "--tau", "res(2;1)", "--n", "4", "--terms", "2")
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err)["error"] == {
+            "kind": "input",
+            "message": "--sigma and --tau: the common period 19946 exceeds the bound 10000"}
 
     def test_unsupported_scan_is_2(self, capsys, monkeypatch):
         import defectlab.oracle as oracle
@@ -801,12 +815,13 @@ def test_cli_import_loads_no_pool_or_dataclasses():
         ("defect --family defect-pair(m=2) --sigma all --n 8", ["indexsets", "mixed"]),
         ("defect --family infinite-set(0,1,inf) --sigma all --n 8",
          ["indexsets", "infiniteset", "mixed"]),
-        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5", ["indexsets", "mixed"]),
+        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5",
+         ["indexsets", "mixed", "ranks"]),
         ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["indexsets", "topology"]),
         ("chain --family e1-plus-ek --sigma none --depth 2 --n 4", ["indexsets", "topology"]),
         ("converge --family e1-plus-ek --sigma none --m-max 2 --n 4",
          ["indexsets", "topology"]),
-        ("oracle --instances 2", ["mixed", "oracle"]),
+        ("oracle --instances 2", ["oracle", "ranks"]),
     ]:
         result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy],
                                 capture_output=True, text=True, check=True)

@@ -359,11 +359,15 @@ def test_integer_build_matches_the_fraction_build(monkeypatch, style):
             assert all(type(x) is Fraction for _, x in v.entries)
             assert_stored_form(v)
             assert SparseVector.from_pairs(v.entries) == v
-    solves = count_calls(monkeypatch, "bordered_elimination", oracle)
+    solves = count_calls(monkeypatch, "bareiss_pass", oracle)
+    units = count_calls(monkeypatch, "unit", SparseVector)
     for dim, count, seed in _RANDOM_DRAWS[-4:]:
         solves.clear()
         RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
         assert len(solves) == 2  # one Gram solve per draw
+    for dim, count, seed in _RANDOM_DRAWS:
+        RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
+    assert units == []  # no unit probe: the border is V itself
 
 
 @pytest.mark.parametrize("style", ["span", "perturbed"])

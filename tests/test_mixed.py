@@ -20,13 +20,12 @@ from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import (
     INCONCLUSIVE,
     classify_defect,
-    defect_truncated_many,
     distance_profile,
     mixed_vectors,
-    selection_key,
     witness_check,
 )
 from defectlab.oracle import RandomFiniteFamily, TooLarge, hereditary_scan
+from defectlab.ranks import defect_truncated_many, selection_key
 from conftest import (
     WrongSide,
     count_calls,
@@ -39,7 +38,8 @@ from conftest import (
     swap_move,
 )
 from defectlab.exact import BudgetExceeded, InvariantViolation, echelon
-from defectlab.mixed import _mixed_ranks, _probe_passes
+from defectlab.mixed import _probe_passes
+from defectlab.ranks import _mixed_ranks
 
 Q = Fraction
 
@@ -399,9 +399,9 @@ class TestHereditaryScan:
 
     @pytest.mark.parametrize("n", range(6))
     def test_one_step_per_nonempty_prefix(self, monkeypatch, n):
-        import defectlab.mixed as mixed
+        import defectlab.ranks as ranks
 
-        steps = count_calls(monkeypatch, "echelon_step", mixed)
+        steps = count_calls(monkeypatch, "echelon_step", ranks)
         hereditary_scan(RandomFiniteFamily(n + 1, n, seed=n))
         assert len(steps) == 2 ** (n + 1) - 2
 
@@ -419,16 +419,16 @@ class TestHereditaryScan:
         # none, fin(1) and all share at most one leading index, so between
         # steps each chain holds at most two entries: the rows held grow
         # linearly in last = 40 (about last^2 / 2 if every entry were kept)
-        import defectlab.mixed as mixed
+        import defectlab.ranks as ranks
 
-        real, chains, held = mixed.echelon_step, {}, []
+        real, chains, held = ranks.echelon_step, {}, []
 
         def step(chain, pivots, digit_budget=None):
             chains[id(chain)] = chain
             held.append(sum(map(len, chains.values())))
             return real(chain, pivots, digit_budget)
 
-        monkeypatch.setattr(mixed, "echelon_step", step)
+        monkeypatch.setattr(ranks, "echelon_step", step)
         keys = [selection_key(parse_set(text), 40) for text in ("none", "fin(1)", "all")]
         assert defect_truncated_many(E1PlusEkFamily(), keys, 40) == [1, 1, 1]
         assert len(held) == 3 * 40 - 1
