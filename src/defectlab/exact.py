@@ -7,9 +7,9 @@ only where a value leaves the kernels (distances, inner products and
 `SparseVector.entries`).  Distances, projections and Gram solves come
 from one Bareiss elimination of a bordered integer Gram matrix,
 `bareiss_pass`, which `bordered_elimination` feeds from vectors and
-probes; ranks and orthogonal complements come from one
-sparse echelon pass on the vectors' integer coordinates, `echelon`.  No
-floating point ever enters.
+probes; ranks and orthogonal complements come from one sparse echelon
+pass on the vectors' integer coordinates, `echelon`.  No floating point
+ever enters.
 """
 from __future__ import annotations
 

@@ -495,10 +495,10 @@ def rising_decay(monkeypatch):
 @pytest.fixture
 def dropped_generator(monkeypatch):
     """Makes the shared echelon step, as `exact.echelon` and the rank
-    engine's chain pass call it, report the first pivot row of each pass (a step
-    that no earlier step gave a pivot) as dependent while keeping it in
-    the pivots, so every pass loses exactly one rank and a truncated
-    mixed family of full rank reads as rank size - 1."""
+    engine's chain pass call it, report the first pivot row of each pass
+    (a step that no earlier step gave a pivot) as dependent while keeping
+    it in the pivots, so every pass loses exactly one rank and a
+    truncated mixed family of full rank reads as rank size - 1."""
     import defectlab.exact as exact
     import defectlab.ranks as ranks
 
