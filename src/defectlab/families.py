@@ -1,10 +1,11 @@
 """Generators for the vector families under study.
 
 Each family produces, for any index k, the primal vector x_k and its
-biorthogonal partner x_k* as exact SparseVectors, together with the
-predicted limiting defect and an explicit witness basis for the
-orthogonal complement of a mixed system.  The `infinite-set` family
-lives in `infiniteset` and the seeded `random` family in `oracle`;
+biorthogonal partner x_k* as exact SparseVectors, the predicted
+limiting defect and an explicit witness basis; a `HeadFamily` also owns
+the closed-form orthogonal complement of its spans, which `defect`,
+`metric` and `converge` read.  The `infinite-set` family lives in
+`infiniteset` and the seeded `random` family in `oracle`;
 `parse_family` imports either only when a descriptor names it.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .exact import SparseVector
+from .exact import SparseVector, bordered_elimination
 
 if TYPE_CHECKING:  # annotations only: a process that parses no sigma compiles no indexsets
     from .indexsets import EventuallyPeriodicSet
@@ -134,25 +135,53 @@ class HeadFamily(SystemFamily):
             return frozenset(sigma.truncate(n))
         return frozenset()
 
-    def head_complement(self, sigma, n, taken=()) -> List[SparseVector]:
-        """w_i = e_i - sum_{k in sigma, k <= n} h_k[i] e_{head+k}, one for
-        each head coordinate i not in taken, h_k being x_k's head part.
+    def head_units(self, vectors) -> Optional[set]:
+        """The coordinates i when each vector is a multiple of one head
+        unit vector e_i, i <= head; otherwise None."""
+        taken = set()
+        for v in vectors:
+            if len(v.coords) != 1 or min(v.coords) > self.head:
+                return None
+            taken.update(v.coords)
+        return taken
 
-        A vector (u, v) on coordinates 1..head+n is orthogonal to
-        x_k = h_k + e_{head+k} exactly when v_k = -<u, h_k>, to
-        x_k* = e_{head+k} when v_k = 0, and to e_i when u_i = 0.  So the
-        w_i span the orthogonal complement, inside coordinates 1..head+n,
-        of the mixed system at n together with the e_i, i in taken; for
-        the span of the x_k, k in sigma, alone, the complement also holds
-        the e_{head+k}, k not in sigma.  Their Gram matrix is
-        I + sum h_k h_k^T on the head coordinates outside taken.
+    def complement(self, primal, duals, taken, probes) -> tuple:
+        """(W, rests) for S = span{x_k : k in primal} + span{x_k* : k in
+        duals} + span{e_i : i in taken}, primal and duals disjoint and
+        taken a set of head coordinates.
+
+        A vector (u, v) is orthogonal to x_k = h_k + e_{head+k} exactly
+        when v_k = -<u, h_k>, to x_k* = e_{head+k} when v_k = 0, and to
+        e_i when u_i = 0 (h_k is x_k's head part).  So S's complement is
+        the span W of the w_i = e_i - sum_{k in primal} h_k[i] e_{head+k},
+        i a head coordinate outside taken, with Gram matrix I + sum h_k h_k^T,
+        plus, orthogonal to W, the e_{head+k} with k in neither primal nor
+        duals; rests holds each probe's part on the latter.
         """
-        columns = {i: [(i, Q(1))] for i in range(1, self.head + 1) if i not in taken}
-        for k in sigma.truncate(n):
+        head = self.head
+        columns = {i: [(i, Q(1))] for i in range(1, head + 1) if i not in taken}
+        for k in primal:
             for i, x in self.head_pairs(k):
                 if i in columns:
-                    columns[i].append((self.head + k, -x))
-        return [SparseVector.from_pairs(pairs) for pairs in columns.values()]
+                    columns[i].append((head + k, -x))
+        inside = {head + k for k in (*primal, *duals)}
+        rests = [SparseVector.from_ints(
+            {i: x for i, x in p.coords.items() if i > head and i not in inside}, p.den)
+            for p in probes]
+        return [SparseVector.from_pairs(pairs) for pairs in columns.values()], rests
+
+    def complement_dist_sq(self, spans, probes, taken=(), digit_budget=None) -> list:
+        """For each (primal, duals) of spans, dist^2 of every probe to the
+        span S of `complement(primal, duals, taken, probes)`:
+        ||p||^2 - dist^2(p, W) + ||rest||^2, from one `bordered_elimination`
+        of the at most head w_i per span."""
+        norms = [p.norm_sq() for p in probes]
+        table = []
+        for primal, duals in spans:
+            basis, rests = self.complement(primal, duals, taken, probes)
+            [to_w] = bordered_elimination(basis, probes, digit_budget=digit_budget).dist_sq
+            table.append([ns - d + r.norm_sq() for ns, d, r in zip(norms, to_w, rests)])
+        return table
 
 
 class YoungFamily(HeadFamily):

@@ -4,10 +4,11 @@ A mixed selection realizes {x_k : k in sigma} ∪ {x_k* : k not in sigma}
 at a finite truncation.  Certification combines an exact witness basis
 (lower bound on the defect) with monotone decay of probe distances
 (completeness evidence); a verdict is only issued when both sides agree.
-The `defect` and `sweep` subcommands run here.  `sweep` imports the rank
-engine, `ranks`, when it runs, so a `defect` process does not compile
-it; the `oracle` suites rank through `ranks` and never import this
-module.
+On a `HeadFamily` the probe distances come from the family's span
+complements.  The `defect` and `sweep` subcommands run here.  `sweep`
+imports the rank engine, `ranks`, when it runs, so a `defect` process
+does not compile it; the `oracle` suites rank through `ranks` and never
+import this module.
 """
 from __future__ import annotations
 
@@ -66,16 +67,15 @@ def distance_profile(
     Returns a list of (probe_label, n, Fraction) rows; distances are
     nonincreasing in n because the truncated spans grow.  On a
     `HeadFamily` whose extra generators are head unit vectors (the
-    witnesses `classify_defect` passes), the table comes from the
-    family's head-dimensional complement (`_complement_table`).
-    Otherwise the mixed vectors at each n are a prefix of those at
-    max(n_list), so one elimination of extra + mixed(max(n_list)) gives
-    the whole table.
+    witnesses `classify_defect` passes), each cut comes from the
+    complement of its span (`HeadFamily.complement_dist_sq`).  Otherwise
+    the mixed vectors at each n are a prefix of those at max(n_list), so
+    one elimination of extra + mixed(max(n_list)) gives the whole table.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     extra = list(extra_generators)
-    taken = _head_units(family, extra)
+    taken = family.head_units(extra) if isinstance(family, HeadFamily) else None
     if taken is None:
         gens = extra + mixed_vectors(family, sigma, max(n_list, default=0))
         table = bordered_elimination(
@@ -83,52 +83,14 @@ def distance_profile(
             digit_budget=digit_budget,
         ).dist_sq
     else:
-        table = _complement_table(family, sigma, probes, n_list, taken, digit_budget)
+        spans = [(sigma.truncate(n), [k for k in range(1, n + 1) if k not in sigma])
+                 for n in n_list]
+        table = family.complement_dist_sq(spans, probes, taken, digit_budget)
     rows = []
     for idx in range(len(probes)):
         label = f"probe[{idx + 1}]"
         rows.extend((label, n, dists[idx]) for n, dists in zip(n_list, table))
     return rows
-
-
-def _head_units(family: SystemFamily, extra: Sequence[SparseVector]) -> Optional[set]:
-    """The head coordinates i of the extra generators when the family is a
-    `HeadFamily` and each extra generator is a multiple of one e_i,
-    i <= head; otherwise None."""
-    if not isinstance(family, HeadFamily):
-        return None
-    taken = set()
-    for g in extra:
-        if len(g.coords) != 1 or min(g.coords) > family.head:
-            return None
-        taken.update(g.coords)
-    return taken
-
-
-def _complement_table(family: HeadFamily, sigma: EventuallyPeriodicSet,
-                      probes: Sequence[SparseVector], n_list: Sequence[int],
-                      taken: set, digit_budget: Optional[int]) -> list:
-    """For each n of n_list, dist^2 of every probe to the span S of the
-    e_i, i in taken, and the mixed system at n.
-
-    Inside coordinates 1..head+n the complement of S is the span W of
-    `family.head_complement(sigma, n, taken)`, and every coordinate past
-    head+n is orthogonal to S.  So dist^2(p, S) = ||P_W p||^2 + the
-    squared norm of p past head+n, with ||P_W p||^2 = ||p||^2 -
-    dist^2(p, W): one elimination of at most head generators per cut.
-    """
-    norms = [p.norm_sq() for p in probes]
-    table = []
-    for n in n_list:
-        n = max(n, 0)
-        last = family.ambient(n)
-        basis = family.head_complement(sigma, n, taken)
-        [to_w] = bordered_elimination(basis, probes, digit_budget=digit_budget).dist_sq
-        table.append([
-            ns - d + Q(sum(x * x for i, x in p.coords.items() if i > last), p.den * p.den)
-            for p, ns, d in zip(probes, norms, to_w)
-        ])
-    return table
 
 
 class DefectReport(NamedTuple):

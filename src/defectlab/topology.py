@@ -3,7 +3,8 @@
 Ranks, squared distances, and the set metric rho stay exact rationals;
 the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
-The `metric`, `chain` and `converge` subcommands run here.
+The `metric`, `chain` and `converge` subcommands run here; on a
+`HeadFamily`, `metric` and `converge` read the family's span complements.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .cli import (
 )
 from .exact import (
     InvariantViolation,
-    SparseVector,
     bordered_elimination,
     echelon,
     project_many,
@@ -106,25 +106,17 @@ def _span_projections(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int
     """Exact projections of the targets onto the span H of the x_k, k in
     sigma, k <= truncation(n).
 
-    On a `HeadFamily`, inside coordinates 1..head+n the complement of H
-    is the span W of `head_complement(sigma, n)` plus the unit vectors
-    e_{head+k}, k not in sigma, and every coordinate past head+n is
-    orthogonal to H; the three parts are mutually orthogonal.  So
-    P_H t = t - P_{H^perp} t is t on the head and on the e_{head+k},
-    k in sigma, minus P_W t: one elimination of at most head generators.
+    On a `HeadFamily` the complement of H is the span W of the at most
+    head w_i of `HeadFamily.complement` plus, orthogonal to W, unit
+    vectors, on which t's part is rest; so P_H t = t - P_W t - rest.
     Otherwise the targets are projected onto the x_k themselves.
     """
     members = sigma.truncate(family.truncation(n))
     if not isinstance(family, HeadFamily):
         return project_many(targets, family.vectors(members), digit_budget)
-    head = family.head
-    inside = {head + k for k in members}
-    to_w = project_many(targets, family.head_complement(sigma, n), digit_budget)
-    return [
-        SparseVector.from_ints(
-            {i: x for i, x in t.coords.items() if i <= head or i in inside}, t.den) - p
-        for t, p in zip(targets, to_w)
-    ]
+    basis, rests = family.complement(members, (), (), targets)
+    to_w = project_many(targets, basis, digit_budget)
+    return [t - p - r for t, p, r in zip(targets, to_w, rests)]
 
 
 def _ds_enclosure(diff_sqs, norms, precision_bits):
@@ -239,25 +231,39 @@ def convergence_probe(
     H_{sigma_m}, so P_{sigma_m} P_sigma = P_sigma and every norm is a
     difference of squared distances: ||P_S x||^2 = ||x||^2 - dist^2(x, S)
     and ||(P_{sigma_m} - P_sigma) x||^2
-    = dist^2(x, H_sigma) - dist^2(x, H_{sigma_m}).  One elimination in the
-    nested order, with the targets as probes and a cut at each block end,
-    gives all of them.
+    = dist^2(x, H_sigma) - dist^2(x, H_{sigma_m}), which must rise with m
+    up to dist^2(x, H_sigma) <= ||x||^2, or InvariantViolation is raised.
+    On a `HeadFamily` each span's complement gives its distances, one
+    elimination of at most head generators for sigma and for each sigma_m,
+    m < last = truncation(n); the later sigma_m agree with sigma on
+    1..last.  Otherwise one elimination in the nested order, with the
+    targets as probes and a cut at each block end, gives all of them.
     """
     K = family.truncation(K)
     window = min(K, family.default_probe_window())
     targets = family.vectors(range(1, K + 1))
-    order, ends = _nested_order(family, sigma, m_max, n)
-    table = bordered_elimination(family.vectors(order), targets, cuts=ends,
-                                 digit_budget=digit_budget).dist_sq
+    last = family.truncation(n)
+    sigmas = [sigma_m(sigma, m) for m in range(1, m_max + 1)]
+    if isinstance(family, HeadFamily):
+        spans = [sigma] + [s for m, s in enumerate(sigmas, start=1) if m < last]
+        at_sigma, *table = family.complement_dist_sq(
+            [(s.truncate(last), ()) for s in spans], targets, digit_budget=digit_budget)
+    else:
+        order, ends = _nested_order(family, sigma, m_max, n)
+        at_sigma, *table = bordered_elimination(family.vectors(order), targets, cuts=ends,
+                                                digit_budget=digit_budget).dist_sq
+        table.reverse()
     norms = _norms_sq(targets)
+    for k, column in enumerate(zip(*table, at_sigma, norms), start=1):
+        if column[0] < 0 or any(b < a for a, b in zip(column, column[1:])):
+            raise InvariantViolation(f"dist^2 of x_{k} is not monotone over the nested spans")
+    table += [at_sigma] * (m_max - len(table))
 
     def ds_to_zero(dists):
         return _ds_enclosure([ns - d for ns, d in zip(norms, dists)], norms, precision_bits)
 
-    at_sigma = table[0]
     rows = []
-    for m, dists in enumerate(reversed(table[1:]), start=1):
-        sig_m = sigma_m(sigma, m)
+    for m, (sig_m, dists) in enumerate(zip(sigmas, table), start=1):
         rows.append({
             "m": m,
             "sigma_m": sig_m.describe(),

@@ -471,25 +471,45 @@ def union_sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet
     return sigma.union(tail)
 
 
+def _reverse_tables(monkeypatch, module):
+    """Makes the distance tables of nested spans come out in reverse on
+    both routes: the cuts of `module`'s one Gram elimination and the
+    per-span rows of `HeadFamily.complement_dist_sq`."""
+    from defectlab.families import HeadFamily
+
+    real, real_rows = module.bordered_elimination, HeadFamily.complement_dist_sq
+
+    def reversed_cuts(*args, **kwargs):
+        elim = real(*args, **kwargs)
+        return elim._replace(dist_sq=elim.dist_sq[::-1])
+
+    def reversed_rows(*args, **kwargs):
+        return real_rows(*args, **kwargs)[::-1]
+
+    monkeypatch.setattr(module, "bordered_elimination", reversed_cuts)
+    monkeypatch.setattr(HeadFamily, "complement_dist_sq", reversed_rows)
+
+
 @pytest.fixture
 def rising_decay(monkeypatch):
     """Makes distance_profile's table come out with its cuts in reverse on
     both of its routes: the one elimination of the Gram side and the
-    per-cut table of a head family's complement.  Every decay column
-    that should fall then rises instead."""
+    per-cut rows of a head family's complement.  Every decay column that
+    should fall then rises instead."""
     import defectlab.mixed as mixed
 
-    real, real_table = mixed.bordered_elimination, mixed._complement_table
+    _reverse_tables(monkeypatch, mixed)
 
-    def rising(*args, **kwargs):
-        elim = real(*args, **kwargs)
-        return elim._replace(dist_sq=elim.dist_sq[::-1])
 
-    def rising_table(*args, **kwargs):
-        return real_table(*args, **kwargs)[::-1]
+@pytest.fixture
+def unnested_convergence(monkeypatch):
+    """Makes convergence_probe's table come out in reverse on both of its
+    routes: the nested-order elimination of the Gram side and the
+    per-span rows of a head family's complement.  The distances to the
+    sigma_m spans then fall with m, where they should rise."""
+    import defectlab.topology as topology
 
-    monkeypatch.setattr(mixed, "bordered_elimination", rising)
-    monkeypatch.setattr(mixed, "_complement_table", rising_table)
+    _reverse_tables(monkeypatch, topology)
 
 
 @pytest.fixture

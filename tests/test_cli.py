@@ -544,6 +544,18 @@ class TestExitCodes:
             assert out == ""
             assert json.loads(err)["error"]["kind"] == "invariant"
 
+    def test_unnested_convergence_is_4(self, capsys, unnested_convergence):
+        # a head family's complement route and the Gram side of the
+        # infinite-set and random families
+        for family in ("e1-plus-ek", "infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)"):
+            code, out, err = run(capsys, "converge", "--family", family, "--sigma", "none",
+                                 "--m-max", "6", "--n", "12", "--semicontinuity")
+            assert code == 4, family
+            assert out == ""
+            assert json.loads(err)["error"] == {
+                "kind": "invariant",
+                "message": "dist^2 of x_1 is not monotone over the nested spans"}, family
+
     def test_witness_rank_budget_counts_echelon_rows(self, capsys):
         argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
                 "fin(5,20,30)", "--n", "40", "--digit-budget"]

@@ -1,5 +1,6 @@
 """The head-dimensional complement of a HeadFamily against the Gram side
-and the sympy oracles: distance tables, projections, and which route runs."""
+and the sympy oracles: distance tables, projections, convergence tables,
+and which route runs."""
 from fractions import Fraction
 
 import pytest
@@ -7,21 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defectlab.exact as exact
+import defectlab.families as families
 import defectlab.mixed as mixed
 import defectlab.topology as topology
-from conftest import oracle_dist_sq, oracle_span_projections
+from conftest import oracle_convergence, oracle_dist_sq, oracle_span_projections
 from defectlab.cli import main
 from defectlab.exact import SparseVector, bordered_elimination, project_many
 from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
+    SystemFamily,
     YoungFamily,
     parse_family,
 )
-from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set, sigma_m
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import distance_profile, mixed_vectors
+from defectlab.topology import convergence_probe
 
 Q = Fraction
 
@@ -100,15 +104,72 @@ def test_complement_projections_match_gram_side_and_sympy(case):
     assert projections == gram == oracle_span_projections(family, sigma, n, targets)
 
 
+@st.composite
+def _convergence_cases(draw):
+    family = draw(st.sampled_from(_FAMILIES + [YoungFamily(0)]))
+    n = draw(st.integers(1, 7))
+    # m_max both below and above truncation(n), where the rows repeat sigma's
+    m_max = draw(st.integers(1, 2 * n + 2))
+    return (family, draw(_sigmas()), m_max, n, draw(st.integers(1, 9)),
+            draw(st.integers(1, 40)))
+
+
+class _GramSide(SystemFamily):
+    """A head family's vectors without its head layout, so that
+    convergence_probe takes the nested-order Gram route."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def vector(self, k):
+        return self.family.vector(k)
+
+    def truncation(self, n):
+        return self.family.truncation(n)
+
+    def default_probe_window(self):
+        return self.family.default_probe_window()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_convergence_cases())
+def test_complement_convergence_matches_gram_side_and_sympy(case):
+    family, sigma, m_max, n, K, precision = case
+    targets = family.vectors(range(1, K + 1))
+    spans = [sigma] + [sigma_m(sigma, m) for m in range(1, m_max + 1)]
+    complement = family.complement_dist_sq([(s.truncate(n), ()) for s in spans], targets)
+    order, ends = topology._nested_order(family, sigma, m_max, n)
+    at_sigma, *gram = bordered_elimination(family.vectors(order), targets, cuts=ends).dist_sq
+    assert complement == [at_sigma] + gram[::-1]
+    probe = convergence_probe(*case)
+    assert probe == convergence_probe(_GramSide(family), sigma, m_max, n, K, precision)
+    assert probe == oracle_convergence(*case)
+
+
 @pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.descriptor())
 def test_head_complement_is_orthogonal_to_the_mixed_system(family):
     sigma, n = parse_set("res(3;1)|fin(2)"), 9
-    for taken in (set(), {1}):
-        basis = family.head_complement(sigma, n, taken)
-        assert len(basis) == family.head - len(taken)
-        span = [SparseVector.unit(i) for i in taken] + mixed_vectors(family, sigma, n)
-        assert all(w.dot(v) == 0 for w in basis for v in span)
-        assert all(max(w.coords) <= family.ambient(n) for w in basis)
+    primal = sigma.truncate(n)
+    duals = [k for k in range(1, n + 1) if k not in sigma]
+    ambient = family.ambient(n)
+    # every unit vector on the coordinates and two past them, and one vector on all
+    probes = [SparseVector.unit(i) for i in range(1, ambient + 3)]
+    probes.append(SparseVector.from_pairs((i, Q(i)) for i in range(1, ambient + 3)))
+    # the mixed system at n, and the span of the x_k, k in sigma, alone
+    for span_duals in (duals, ()):
+        for taken in (set(), {1}):
+            basis, rests = family.complement(primal, span_duals, taken, probes)
+            assert len(basis) == family.head - len(taken)
+            span = ([SparseVector.unit(i) for i in taken] + family.vectors(primal)
+                    + [family.dual(k) for k in span_duals])
+            assert all(w.dot(v) == 0 for w in basis for v in span)
+            assert all(max(w.coords) <= ambient for w in basis)
+            assert all(r.dot(v) == 0 for r in rests for v in span + basis)
+            # each rest is its probe's part on the unit vectors that S leaves out
+            left_out = {i for i in range(1, ambient + 3)
+                        if all(SparseVector.unit(i).dot(v) == 0 for v in span + basis)}
+            assert rests == [SparseVector.from_pairs((i, x) for i, x in p.entries if i in left_out)
+                             for p in probes]
 
 
 def _record_generators(monkeypatch, *modules):
@@ -131,7 +192,7 @@ def _record_generators(monkeypatch, *modules):
 ])
 def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, capsys,
                                                                  family, sigma):
-    sizes = _record_generators(monkeypatch, mixed)
+    sizes = _record_generators(monkeypatch, mixed, families)
     assert main(["defect", "--family", family, "--sigma", sigma, "--n", "30"]) == 0
     capsys.readouterr()
     assert len(sizes) == 6  # one elimination per cut of the default n_list
@@ -139,7 +200,7 @@ def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, ca
 
 
 def test_infinite_set_distances_eliminate_the_mixed_family(monkeypatch, capsys):
-    sizes = _record_generators(monkeypatch, mixed)
+    sizes = _record_generators(monkeypatch, mixed, families)
     assert main(["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "all",
                  "--n", "30"]) == 0
     capsys.readouterr()
@@ -153,3 +214,28 @@ def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, 
                  "--tau", "all", "--n", "30", "--terms", "6"]) == 0
     capsys.readouterr()
     assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("family, sigma", [
+    ("e1-plus-ek", "none"), ("young(w=2)", "res(2;1)"), ("defect-pair(m=3)", "fin(1,2)"),
+    ("finite-set(0,1,3)", "all"),
+])
+@pytest.mark.parametrize("m_max", [6, 20])
+def test_head_family_convergence_eliminates_at_most_head_generators(monkeypatch, capsys,
+                                                                    family, sigma, m_max):
+    sizes = _record_generators(monkeypatch, exact, families, topology)
+    assert main(["converge", "--family", family, "--sigma", sigma, "--m-max", str(m_max),
+                 "--n", "12"]) == 0
+    capsys.readouterr()
+    # sigma and each sigma_m with m < 12; the later sigma_m reuse sigma's row
+    assert len(sizes) == 1 + min(m_max, 11)
+    assert max(sizes) <= parse_family(family).head
+
+
+@pytest.mark.parametrize("family", ["infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)"])
+def test_gram_families_converge_in_one_elimination(monkeypatch, capsys, family):
+    sizes = _record_generators(monkeypatch, exact, families, topology)
+    assert main(["converge", "--family", family, "--sigma", "res(2;1)", "--m-max", "6",
+                 "--n", "8"]) == 0
+    capsys.readouterr()
+    assert len(sizes) == 1

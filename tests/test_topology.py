@@ -288,15 +288,6 @@ class TestConvergenceProbe:
             assert len(row["pointwise"]) == 5
             assert all(iv.lo >= 0 for iv in row["pointwise"])
 
-    def test_one_elimination_per_span(self, monkeypatch, capsys):
-        # every sigma_m span and the limit's sigma span are prefixes of one order
-        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
-        code = main(["converge", "--family", "e1-plus-ek", "--sigma", "none",
-                     "--m-max", "6", "--n", "12", "--semicontinuity"])
-        capsys.readouterr()
-        assert code == 0
-        assert len(elims) == 1
-
     def test_each_sigma_m_is_built_once(self, monkeypatch, capsys):
         # the nested order reads its blocks off sigma; only a converge row
         # builds its sigma_m
