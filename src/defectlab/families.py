@@ -2,9 +2,12 @@
 
 Each family produces, for any index k, the primal vector x_k and its
 biorthogonal partner x_k* as exact SparseVectors, the predicted
-limiting defect and an explicit witness basis; a `HeadFamily` also owns
-the closed-form orthogonal complement of its spans, which `defect`,
-`metric` and `converge` read.  The `infinite-set` family lives in
+limiting defect and an explicit witness basis.  Every family answers the
+span questions of `defect`, `metric` and `converge` through one method
+pair, `span_dist_sq` and `span_projections`: the base class eliminates
+the x_k and x_k* themselves (the Gram route), and a `HeadFamily`
+overrides both with the closed-form orthogonal complement of its spans
+(the complement route).  The `infinite-set` family lives in
 `infiniteset` and the seeded `random` family in `oracle`;
 `parse_family` imports either only when a descriptor names it.
 """
@@ -15,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .exact import SparseVector, bordered_elimination
+from .exact import SparseVector, bordered_elimination, project_many
 
 if TYPE_CHECKING:  # annotations only: a process that parses no sigma compiles no indexsets
     from .indexsets import EventuallyPeriodicSet
@@ -95,6 +98,28 @@ class SystemFamily:
     def vectors(self, indices) -> List[SparseVector]:
         return [self.vector(k) for k in indices]
 
+    # -- span distances and projections ---------------------------------
+    def span_dist_sq(self, blocks, probes, taken=(), digit_budget=None) -> list:
+        """dist^2 of every probe to each span of a nested chain, one row
+        per block: row j is for span{e_i : i in taken} plus the x_k,
+        k in primal, and the x_k*, k in duals, of each (primal, duals)
+        of blocks[:j+1], a block naming only indices that no earlier
+        block names.  One `bordered_elimination` of the e_i, then each
+        block's vectors in ascending index order, with a cut at each
+        block's end."""
+        gens = [SparseVector.unit(i) for i in taken]
+        cuts = []
+        for primal, duals in blocks:
+            duals = set(duals)
+            gens += [self.dual(k) if k in duals else self.vector(k)
+                     for k in sorted({*primal, *duals})]
+            cuts.append(len(gens))
+        return bordered_elimination(gens, probes, cuts=cuts, digit_budget=digit_budget).dist_sq
+
+    def span_projections(self, primal, targets, digit_budget=None) -> list:
+        """Exact projections of the targets onto span{x_k : k in primal}."""
+        return project_many(targets, self.vectors(primal), digit_budget)
+
 
 class HeadFamily(SystemFamily):
     """x_k = sum of head_pairs(k) + e_{head+k} and x_k* = e_{head+k}.
@@ -135,16 +160,6 @@ class HeadFamily(SystemFamily):
             return frozenset(sigma.truncate(n))
         return frozenset()
 
-    def head_units(self, vectors) -> Optional[set]:
-        """The coordinates i when each vector is a multiple of one head
-        unit vector e_i, i <= head; otherwise None."""
-        taken = set()
-        for v in vectors:
-            if len(v.coords) != 1 or min(v.coords) > self.head:
-                return None
-            taken.update(v.coords)
-        return taken
-
     def complement(self, primal, duals, taken, probes) -> tuple:
         """(W, rests) for S = span{x_k : k in primal} + span{x_k* : k in
         duals} + span{e_i : i in taken}, primal and duals disjoint and
@@ -170,18 +185,36 @@ class HeadFamily(SystemFamily):
             for p in probes]
         return [SparseVector.from_pairs(pairs) for pairs in columns.values()], rests
 
-    def complement_dist_sq(self, spans, probes, taken=(), digit_budget=None) -> list:
-        """For each (primal, duals) of spans, dist^2 of every probe to the
-        span S of `complement(primal, duals, taken, probes)`:
+    def span_dist_sq(self, blocks, probes, taken=(), digit_budget=None) -> list:
+        """`SystemFamily.span_dist_sq` from the complement of each span:
         ||p||^2 - dist^2(p, W) + ||rest||^2, from one `bordered_elimination`
-        of the at most head w_i per span."""
+        of the at most head w_i per span.  A block that adds nothing
+        repeats the row before it; a taken coordinate past the head
+        takes the Gram route."""
+        if any(i > self.head for i in taken):
+            return super().span_dist_sq(blocks, probes, taken, digit_budget)
+        taken = set(taken)
         norms = [p.norm_sq() for p in probes]
-        table = []
-        for primal, duals in spans:
+        primal, duals, table = [], [], []
+        for more_primal, more_duals in blocks:
+            if table and not (more_primal or more_duals):
+                table.append(table[-1])
+                continue
+            primal += more_primal
+            duals += more_duals
             basis, rests = self.complement(primal, duals, taken, probes)
             [to_w] = bordered_elimination(basis, probes, digit_budget=digit_budget).dist_sq
             table.append([ns - d + r.norm_sq() for ns, d, r in zip(norms, to_w, rests)])
         return table
+
+    def span_projections(self, primal, targets, digit_budget=None) -> list:
+        """`SystemFamily.span_projections` from the complement: the
+        complement of H = span{x_k : k in primal} is the span W of the w_i
+        plus, orthogonal to W, unit vectors on which t's part is rest, so
+        P_H t = t - P_W t - rest."""
+        basis, rests = self.complement(primal, (), (), targets)
+        to_w = project_many(targets, basis, digit_budget)
+        return [t - p - r for t, p, r in zip(targets, to_w, rests)]
 
 
 class YoungFamily(HeadFamily):

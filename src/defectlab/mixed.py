@@ -4,8 +4,8 @@ A mixed selection realizes {x_k : k in sigma} ∪ {x_k* : k not in sigma}
 at a finite truncation.  Certification combines an exact witness basis
 (lower bound on the defect) with monotone decay of probe distances
 (completeness evidence); a verdict is only issued when both sides agree.
-On a `HeadFamily` the probe distances come from the family's span
-complements.  The `defect` and `sweep` subcommands run here.  `sweep`
+The probe distances come from the family's `span_dist_sq`, which picks
+its own route.  The `defect` and `sweep` subcommands run here.  `sweep`
 imports the rank engine, `ranks`, when it runs, so a `defect` process
 does not compile it; the `oracle` suites rank through `ranks` and never
 import this module.
@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
 from .cli import EXIT_OK, MAX_N, _emit, _int_list, _rational, _require_positive, _write
-from .exact import InvariantViolation, SparseVector, bordered_elimination, rank_of_vectors
-from .families import HeadFamily, SystemFamily, parse_family
+from .exact import InvariantViolation, SparseVector, rank_of_vectors
+from .families import SystemFamily, parse_family
 from .indexsets import EventuallyPeriodicSet, parse_set
 from .reports import decay_csv, defect_report_json, table_csv
 
@@ -59,33 +59,25 @@ def distance_profile(
     sigma: EventuallyPeriodicSet,
     probes: Sequence[SparseVector],
     n_list: Sequence[int],
-    extra_generators: Sequence[SparseVector] = (),
+    taken: Sequence[int] = (),
     digit_budget: Optional[int] = None,
 ):
-    """Exact dist^2(probe, span(mixed at n) + extra) for each probe and n.
+    """Exact dist^2(probe, span(mixed at n) + span{e_i : i in taken}) for
+    each probe and n.
 
     Returns a list of (probe_label, n, Fraction) rows; distances are
-    nonincreasing in n because the truncated spans grow.  On a
-    `HeadFamily` whose extra generators are head unit vectors (the
-    witnesses `classify_defect` passes), each cut comes from the
-    complement of its span (`HeadFamily.complement_dist_sq`).  Otherwise
-    the mixed vectors at each n are a prefix of those at max(n_list), so
-    one elimination of extra + mixed(max(n_list)) gives the whole table.
+    nonincreasing in n because the truncated spans grow.  The mixed
+    family at each n extends the one before it by one block of indices,
+    so the family's `span_dist_sq` gives the whole table.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    extra = list(extra_generators)
-    taken = family.head_units(extra) if isinstance(family, HeadFamily) else None
-    if taken is None:
-        gens = extra + mixed_vectors(family, sigma, max(n_list, default=0))
-        table = bordered_elimination(
-            gens, probes, cuts=[len(extra) + max(n, 0) for n in n_list],
-            digit_budget=digit_budget,
-        ).dist_sq
-    else:
-        spans = [(sigma.truncate(n), [k for k in range(1, n + 1) if k not in sigma])
-                 for n in n_list]
-        table = family.complement_dist_sq(spans, probes, taken, digit_budget)
+    blocks, done = [], 0
+    for n in n_list:
+        new = range(done + 1, family.truncation(n) + 1)
+        blocks.append(([k for k in new if k in sigma], [k for k in new if k not in sigma]))
+        done = max(done, family.truncation(n))
+    table = family.span_dist_sq(blocks, probes, taken, digit_budget)
     rows = []
     for idx in range(len(probes)):
         label = f"probe[{idx + 1}]"
@@ -168,10 +160,10 @@ def classify_defect(
         probes = [
             SparseVector.unit(i) for i in range(1, min(probe_window, ambient) + 1)
         ]
-        decay_rows = distance_profile(
-            family, sigma, probes, n_list,
-            extra_generators=witnesses, digit_budget=digit_budget,
-        )
+        taken = [min(w.coords, default=0) for w in witnesses]
+        if witnesses != [SparseVector.unit(i) for i in taken]:
+            raise InvariantViolation("a witness of the decay table is not a unit vector")
+        decay_rows = distance_profile(family, sigma, probes, n_list, taken, digit_budget)
         per_probe = {}
         for label, n, d in decay_rows:
             per_probe.setdefault(label, []).append(d)

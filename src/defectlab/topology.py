@@ -3,12 +3,14 @@
 Ranks, squared distances, and the set metric rho stay exact rationals;
 the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
-The `metric`, `chain` and `converge` subcommands run here; on a
-`HeadFamily`, `metric` and `converge` read the family's span complements.
+The `metric`, `chain` and `converge` subcommands run here; `metric` and
+`converge` read their spans through the family's `span_projections` and
+`span_dist_sq`, which pick their own route.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -23,13 +25,8 @@ from .cli import (
     _require_nonnegative,
     _require_positive,
 )
-from .exact import (
-    InvariantViolation,
-    bordered_elimination,
-    echelon,
-    project_many,
-)
-from .families import HeadFamily, SystemFamily, parse_family
+from .exact import InvariantViolation, echelon
+from .families import SystemFamily, parse_family
 from .indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set, rho, sigma_m
 from .reports import exact_value, interval_value
 
@@ -101,24 +98,6 @@ def _norms_sq(vectors) -> list:
     return norms
 
 
-def _span_projections(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
-                      targets, digit_budget: Optional[int]) -> list:
-    """Exact projections of the targets onto the span H of the x_k, k in
-    sigma, k <= truncation(n).
-
-    On a `HeadFamily` the complement of H is the span W of the at most
-    head w_i of `HeadFamily.complement` plus, orthogonal to W, unit
-    vectors, on which t's part is rest; so P_H t = t - P_W t - rest.
-    Otherwise the targets are projected onto the x_k themselves.
-    """
-    members = sigma.truncate(family.truncation(n))
-    if not isinstance(family, HeadFamily):
-        return project_many(targets, family.vectors(members), digit_budget)
-    basis, rests = family.complement(members, (), (), targets)
-    to_w = project_many(targets, basis, digit_budget)
-    return [t - p - r for t, p, r in zip(targets, to_w, rests)]
-
-
 def _ds_enclosure(diff_sqs, norms, precision_bits):
     """Enclosure of sum_{k<=K} ||d_k|| / (||x_k|| 2^k) plus tail, K = len(diff_sqs),
     from the exact squared norms ||d_k||^2.
@@ -151,8 +130,9 @@ def projector_metrics(
     """
     K = family.truncation(K)
     targets = family.vectors(range(1, K + 1))
-    p_sig = _span_projections(family, sigma, n, targets, digit_budget)
-    p_tau = _span_projections(family, tau, n, targets, digit_budget)
+    last = family.truncation(n)
+    p_sig = family.span_projections(sigma.truncate(last), targets, digit_budget)
+    p_tau = family.span_projections(tau.truncate(last), targets, digit_budget)
     norms = _norms_sq(targets)
     diffs = [a - b for a, b in zip(p_sig, p_tau)]
     d_s = _ds_enclosure([diff.norm_sq() for diff in diffs], norms, precision_bits)
@@ -166,25 +146,20 @@ def projector_metrics(
     return d_s, d_w
 
 
-def _nested_order(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int, n: int):
-    """Indices ordered sigma, then [depth+1, last] minus sigma, then {m}
-    minus sigma for m = depth..2, together with each block's end.
+def _sigma_m_blocks(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int,
+                    n: int) -> list:
+    """The blocks sigma, then [depth+1, last] minus sigma, then {m} minus
+    sigma for m = depth..2, each truncated at last = truncation(n).
 
     sigma_m = sigma ∪ [m+1, ∞), so these blocks are sigma_depth minus
-    sigma and each sigma_{m-1} minus sigma_m, and the truncated span of
-    sigma and of every sigma_m, m = 1..depth, is the span of a prefix of
-    this order: ends[0] closes sigma and ends[i] closes sigma_{depth+1-i}.
+    sigma and each sigma_{m-1} minus sigma_m: the truncated span of sigma
+    is that of the first block, and that of sigma_{depth+1-i} that of
+    the first i+1 blocks.
     """
     last = family.truncation(n)
-    order = sigma.truncate(last)
-    ends = [len(order)]
-    order += [k for k in range(depth + 1, last + 1) if k not in sigma]
-    ends.append(len(order))
-    for m in range(depth, 1, -1):
-        if m <= last and m not in sigma:
-            order.append(m)
-        ends.append(len(order))
-    return order, ends
+    blocks = [sigma.truncate(last), [k for k in range(depth + 1, last + 1) if k not in sigma]]
+    blocks += [[m] if m <= last and m not in sigma else [] for m in range(depth, 1, -1)]
+    return blocks
 
 
 def intersection_chain(
@@ -206,7 +181,9 @@ def intersection_chain(
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    order, ends = _nested_order(family, sigma, depth, n)
+    blocks = _sigma_m_blocks(family, sigma, depth, n)
+    order = [k for block in blocks for k in block]
+    ends = list(itertools.accumulate(map(len, blocks)))
     kept = echelon(family.vectors(order), digit_budget)[0]
     ranks = [bisect.bisect_left(kept, end) for end in ends]
     return ranks[1:][::-1], ranks[0] == ranks[1]
@@ -233,41 +210,35 @@ def convergence_probe(
     and ||(P_{sigma_m} - P_sigma) x||^2
     = dist^2(x, H_sigma) - dist^2(x, H_{sigma_m}), which must rise with m
     up to dist^2(x, H_sigma) <= ||x||^2, or InvariantViolation is raised.
-    On a `HeadFamily` each span's complement gives its distances, one
-    elimination of at most head generators for sigma and for each sigma_m,
-    m < last = truncation(n); the later sigma_m agree with sigma on
-    1..last.  Otherwise one elimination in the nested order, with the
-    targets as probes and a cut at each block end, gives all of them.
+    The family's `span_dist_sq` over the sigma_m blocks, with the targets
+    as probes, gives all of them.  rho(sigma_m, sigma) is the sum of
+    2^{-k} over the k > m outside sigma: rho(all, sigma) less 2^{-k} for
+    each k <= m outside sigma.
     """
     K = family.truncation(K)
     window = min(K, family.default_probe_window())
     targets = family.vectors(range(1, K + 1))
-    last = family.truncation(n)
-    sigmas = [sigma_m(sigma, m) for m in range(1, m_max + 1)]
-    if isinstance(family, HeadFamily):
-        spans = [sigma] + [s for m, s in enumerate(sigmas, start=1) if m < last]
-        at_sigma, *table = family.complement_dist_sq(
-            [(s.truncate(last), ()) for s in spans], targets, digit_budget=digit_budget)
-    else:
-        order, ends = _nested_order(family, sigma, m_max, n)
-        at_sigma, *table = bordered_elimination(family.vectors(order), targets, cuts=ends,
-                                                digit_budget=digit_budget).dist_sq
-        table.reverse()
+    blocks = _sigma_m_blocks(family, sigma, m_max, n)
+    at_sigma, *table = family.span_dist_sq([(block, ()) for block in blocks], targets,
+                                           digit_budget=digit_budget)
+    table.reverse()
     norms = _norms_sq(targets)
     for k, column in enumerate(zip(*table, at_sigma, norms), start=1):
         if column[0] < 0 or any(b < a for a, b in zip(column, column[1:])):
             raise InvariantViolation(f"dist^2 of x_{k} is not monotone over the nested spans")
-    table += [at_sigma] * (m_max - len(table))
 
     def ds_to_zero(dists):
         return _ds_enclosure([ns - d for ns, d in zip(norms, dists)], norms, precision_bits)
 
     rows = []
-    for m, (sig_m, dists) in enumerate(zip(sigmas, table), start=1):
+    rho_m = rho(EventuallyPeriodicSet.all(), sigma)
+    for m, dists in enumerate(table, start=1):
+        if m not in sigma:
+            rho_m -= Q(1, 2 ** m)
         rows.append({
             "m": m,
-            "sigma_m": sig_m.describe(),
-            "rho": rho(sig_m, sigma),
+            "sigma_m": sigma_m(sigma, m).describe(),
+            "rho": rho_m,
             "ds_to_zero": ds_to_zero(dists),
             "pointwise": [
                 sqrt_enclosure((a - b) / ns, precision_bits)

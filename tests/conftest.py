@@ -471,13 +471,14 @@ def union_sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet
     return sigma.union(tail)
 
 
-def _reverse_tables(monkeypatch, module):
+def _reverse_tables(monkeypatch):
     """Makes the distance tables of nested spans come out in reverse on
-    both routes: the cuts of `module`'s one Gram elimination and the
-    per-span rows of `HeadFamily.complement_dist_sq`."""
-    from defectlab.families import HeadFamily
+    both routes of `span_dist_sq`: the cuts of the Gram route's one
+    elimination (`families.bordered_elimination`) and the per-span rows of
+    `HeadFamily.span_dist_sq`."""
+    import defectlab.families as families
 
-    real, real_rows = module.bordered_elimination, HeadFamily.complement_dist_sq
+    real, real_rows = families.bordered_elimination, families.HeadFamily.span_dist_sq
 
     def reversed_cuts(*args, **kwargs):
         elim = real(*args, **kwargs)
@@ -486,30 +487,24 @@ def _reverse_tables(monkeypatch, module):
     def reversed_rows(*args, **kwargs):
         return real_rows(*args, **kwargs)[::-1]
 
-    monkeypatch.setattr(module, "bordered_elimination", reversed_cuts)
-    monkeypatch.setattr(HeadFamily, "complement_dist_sq", reversed_rows)
+    monkeypatch.setattr(families, "bordered_elimination", reversed_cuts)
+    monkeypatch.setattr(families.HeadFamily, "span_dist_sq", reversed_rows)
 
 
 @pytest.fixture
 def rising_decay(monkeypatch):
     """Makes distance_profile's table come out with its cuts in reverse on
-    both of its routes: the one elimination of the Gram side and the
-    per-cut rows of a head family's complement.  Every decay column that
-    should fall then rises instead."""
-    import defectlab.mixed as mixed
-
-    _reverse_tables(monkeypatch, mixed)
+    both routes of `span_dist_sq`.  Every decay column that should fall
+    then rises instead."""
+    _reverse_tables(monkeypatch)
 
 
 @pytest.fixture
 def unnested_convergence(monkeypatch):
-    """Makes convergence_probe's table come out in reverse on both of its
-    routes: the nested-order elimination of the Gram side and the
-    per-span rows of a head family's complement.  The distances to the
-    sigma_m spans then fall with m, where they should rise."""
-    import defectlab.topology as topology
-
-    _reverse_tables(monkeypatch, topology)
+    """Makes convergence_probe's table come out in reverse on both routes
+    of `span_dist_sq`.  The distances to the sigma_m spans then fall with
+    m, where they should rise."""
+    _reverse_tables(monkeypatch)
 
 
 @pytest.fixture

@@ -544,6 +544,20 @@ class TestExitCodes:
             assert out == ""
             assert json.loads(err)["error"]["kind"] == "invariant"
 
+    def test_non_unit_witness_is_4(self, capsys, monkeypatch):
+        # the decay table spans its witnesses as unit vectors e_i
+        from defectlab.families import HeadFamily
+
+        monkeypatch.setattr(HeadFamily, "witness_space",
+                            lambda self, sigma, n, window=None: [SparseVector.from_pairs(
+                                [(1, 1), (2, 1)])])
+        code, out, err = run(capsys, "defect", "--family", "defect-pair(m=2)",
+                             "--sigma", "none", "--n", "8")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "kind": "invariant", "message": "a witness of the decay table is not a unit vector"}
+
     def test_unnested_convergence_is_4(self, capsys, unnested_convergence):
         # a head family's complement route and the Gram side of the
         # infinite-set and random families

@@ -1,6 +1,8 @@
-"""The head-dimensional complement of a HeadFamily against the Gram side
-and the sympy oracles: distance tables, projections, convergence tables,
-and which route runs."""
+"""The two routes of `span_dist_sq` and `span_projections`: a
+HeadFamily's head-dimensional complement against the Gram side of the
+base class and the sympy oracles (distance tables, projections,
+convergence tables), and which route runs."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 import defectlab.exact as exact
 import defectlab.families as families
-import defectlab.mixed as mixed
 import defectlab.topology as topology
 from conftest import oracle_convergence, oracle_dist_sq, oracle_span_projections
 from defectlab.cli import main
@@ -74,7 +75,7 @@ def _distance_cases(draw):
 @given(_distance_cases())
 def test_complement_distances_match_gram_side_and_sympy(case):
     family, sigma, n_list, witnesses, probes = case
-    rows = distance_profile(family, sigma, probes, n_list, extra_generators=witnesses)
+    rows = distance_profile(family, sigma, probes, n_list, [min(w.coords) for w in witnesses])
     gram = bordered_elimination(witnesses + mixed_vectors(family, sigma, n_list[-1]),
                                 probes, cuts=[len(witnesses) + n for n in n_list]).dist_sq
     assert [d for _, _, d in rows] == [dists[i] for i in range(len(probes)) for dists in gram]
@@ -82,6 +83,56 @@ def test_complement_distances_match_gram_side_and_sympy(case):
         gens = witnesses + mixed_vectors(family, sigma, n)
         ambient = max([family.ambient(n)] + [j for v in probes for j in v.coords])
         assert d == oracle_dist_sq(probes[i], gens, ambient)
+
+
+@st.composite
+def _block_cases(draw):
+    """A chain of (primal, duals) blocks over indices 1..8, some blocks
+    empty and some indices in none, with head coordinates taken, now and
+    then one past the head, and probes on the coordinates and past them."""
+    family = draw(st.sampled_from(_FAMILIES + [YoungFamily(0)]))
+    blocks = [([], []) for _ in range(draw(st.integers(1, 4)))]
+    for k in range(1, draw(st.integers(0, 8)) + 1):
+        j = draw(st.integers(0, len(blocks)))
+        if j < len(blocks):
+            blocks[j][draw(st.integers(0, 1))].append(k)
+    bits = draw(st.lists(st.booleans(), min_size=family.head, max_size=family.head))
+    taken = [i for i, bit in enumerate(bits, start=1) if bit]
+    if draw(st.integers(0, 4)) == 0:
+        taken.append(family.head + draw(st.integers(1, 9)))
+    ambient = family.ambient(9)
+    probes = [SparseVector.unit(i) for i in range(1, draw(st.integers(1, 5)) + 1)]
+    probes.append(_vector(draw, ambient + 2))
+    return family, blocks, taken, probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_cases())
+def test_span_dist_sq_routes_match_each_other_and_sympy(case):
+    family, blocks, taken, probes = case
+    table = family.span_dist_sq(blocks, probes, taken)
+    assert table == SystemFamily.span_dist_sq(family, blocks, probes, taken)
+    assert len(table) == len(blocks)
+    gens = [SparseVector.unit(i) for i in taken]
+    ambient = max([family.ambient(9)] + [j for v in probes + gens for j in v.coords])
+    for (primal, duals), row in zip(blocks, table):
+        gens += family.vectors(primal) + [family.dual(k) for k in duals]
+        assert row == [oracle_dist_sq(p, gens, ambient) for p in probes]
+
+
+@pytest.mark.parametrize("family, sigma, eliminations", [
+    ("defect-pair(m=2)", "none", 2), ("infinite-set(0,1,inf)", "all", 1)])
+def test_repeated_cut_repeats_its_row(monkeypatch, capsys, family, sigma, eliminations):
+    # a head family eliminates once per distinct n, the Gram route once in
+    # all; probes past ambient(4) keep a distance at n = 4
+    sizes = _record_generators(monkeypatch, families)
+    assert main(["defect", "--family", family, "--sigma", sigma, "--n-list", "4,4,8",
+                 "--n", "8", "--probe-window", "8"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["decay_table"]
+    assert len(sizes) == eliminations
+    assert [row["n"] for row in rows[:3]] == [4, 4, 8]
+    assert rows[0::3] == rows[1::3]
+    assert any(row["dist_sq"]["value"] != "0" for row in rows[0::3])
 
 
 @st.composite
@@ -99,8 +150,10 @@ def _projection_cases(draw):
 @given(_projection_cases())
 def test_complement_projections_match_gram_side_and_sympy(case):
     family, sigma, n, targets = case
-    projections = topology._span_projections(family, sigma, n, targets, None)
-    gram = project_many(targets, family.vectors(sigma.truncate(n)))
+    primal = sigma.truncate(family.truncation(n))
+    projections = family.span_projections(primal, targets)
+    gram = SystemFamily.span_projections(family, primal, targets)
+    assert gram == project_many(targets, family.vectors(primal))
     assert projections == gram == oracle_span_projections(family, sigma, n, targets)
 
 
@@ -136,11 +189,12 @@ class _GramSide(SystemFamily):
 def test_complement_convergence_matches_gram_side_and_sympy(case):
     family, sigma, m_max, n, K, precision = case
     targets = family.vectors(range(1, K + 1))
-    spans = [sigma] + [sigma_m(sigma, m) for m in range(1, m_max + 1)]
-    complement = family.complement_dist_sq([(s.truncate(n), ()) for s in spans], targets)
-    order, ends = topology._nested_order(family, sigma, m_max, n)
-    at_sigma, *gram = bordered_elimination(family.vectors(order), targets, cuts=ends).dist_sq
-    assert complement == [at_sigma] + gram[::-1]
+    # each span on its own: sigma, then sigma_m for m = m_max..1
+    spans = [sigma] + [sigma_m(sigma, m) for m in range(m_max, 0, -1)]
+    alone = [family.span_dist_sq([(s.truncate(n), ())], targets)[0] for s in spans]
+    blocks = [(block, ()) for block in topology._sigma_m_blocks(family, sigma, m_max, n)]
+    complement = family.span_dist_sq(blocks, targets)
+    assert complement == SystemFamily.span_dist_sq(family, blocks, targets) == alone
     probe = convergence_probe(*case)
     assert probe == convergence_probe(_GramSide(family), sigma, m_max, n, K, precision)
     assert probe == oracle_convergence(*case)
@@ -192,7 +246,7 @@ def _record_generators(monkeypatch, *modules):
 ])
 def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, capsys,
                                                                  family, sigma):
-    sizes = _record_generators(monkeypatch, mixed, families)
+    sizes = _record_generators(monkeypatch, families)
     assert main(["defect", "--family", family, "--sigma", sigma, "--n", "30"]) == 0
     capsys.readouterr()
     assert len(sizes) == 6  # one elimination per cut of the default n_list
@@ -200,7 +254,7 @@ def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, ca
 
 
 def test_infinite_set_distances_eliminate_the_mixed_family(monkeypatch, capsys):
-    sizes = _record_generators(monkeypatch, mixed, families)
+    sizes = _record_generators(monkeypatch, families)
     assert main(["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "all",
                  "--n", "30"]) == 0
     capsys.readouterr()
@@ -209,7 +263,7 @@ def test_infinite_set_distances_eliminate_the_mixed_family(monkeypatch, capsys):
 
 
 def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, capsys):
-    sizes = _record_generators(monkeypatch, exact, topology)
+    sizes = _record_generators(monkeypatch, exact, families)
     assert main(["metric", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
                  "--tau", "all", "--n", "30", "--terms", "6"]) == 0
     capsys.readouterr()
@@ -223,18 +277,22 @@ def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, 
 @pytest.mark.parametrize("m_max", [6, 20])
 def test_head_family_convergence_eliminates_at_most_head_generators(monkeypatch, capsys,
                                                                     family, sigma, m_max):
-    sizes = _record_generators(monkeypatch, exact, families, topology)
+    sizes = _record_generators(monkeypatch, exact, families)
     assert main(["converge", "--family", family, "--sigma", sigma, "--m-max", str(m_max),
                  "--n", "12"]) == 0
     capsys.readouterr()
-    # sigma and each sigma_m with m < 12; the later sigma_m reuse sigma's row
-    assert len(sizes) == 1 + min(m_max, 11)
+    # one per distinct truncated span among sigma, sigma_1..sigma_{m_max};
+    # a sigma_m that adds nothing to the next reuses its row
+    sigma = parse_set(sigma)
+    spans = {tuple(s.truncate(12)) for s in [sigma] + [sigma_m(sigma, m)
+                                                       for m in range(1, m_max + 1)]}
+    assert len(sizes) == len(spans)
     assert max(sizes) <= parse_family(family).head
 
 
 @pytest.mark.parametrize("family", ["infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)"])
 def test_gram_families_converge_in_one_elimination(monkeypatch, capsys, family):
-    sizes = _record_generators(monkeypatch, exact, families, topology)
+    sizes = _record_generators(monkeypatch, exact, families)
     assert main(["converge", "--family", family, "--sigma", "res(2;1)", "--m-max", "6",
                  "--n", "8"]) == 0
     capsys.readouterr()

@@ -268,7 +268,8 @@ class TestDistanceProfile:
         n_list = [1, 4, 9]
         witnesses = family.witness_space(sigma, 9, window=3)
         probes = [SparseVector.unit(i) for i in range(1, 4)]
-        rows = distance_profile(family, sigma, probes, n_list, extra_generators=witnesses)
+        rows = distance_profile(family, sigma, probes, n_list,
+                                taken=[min(w.coords) for w in witnesses])
         expected = []
         for idx, p in enumerate(probes):
             for n in n_list:

@@ -31,6 +31,7 @@ from conftest import (
     union_sigma_m,
 )
 import defectlab.exact as exact
+import defectlab.families as families
 import defectlab.topology as topology
 
 Q = Fraction
@@ -162,7 +163,7 @@ class TestMetrics:
 
     def test_one_elimination_per_span(self, monkeypatch, capsys):
         # d_s and d_w share the projections of each span
-        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
+        elims = count_calls(monkeypatch, "bordered_elimination", exact, families)
         code = main(["metric", "--family", "e1-plus-ek", "--sigma", "res(2;1)",
                      "--tau", "all", "--n", "16", "--terms", "10"])
         capsys.readouterr()
@@ -197,21 +198,19 @@ class TestIntersectionChain:
     @settings(max_examples=50, deadline=None)
     def test_nested_order_matches_the_sigma_m_blocks(self, sigma, n, depth, family):
         # the reference truncates each sigma_m, built by set algebra, and
-        # appends what it adds to the order; converge's m-max may exceed n
+        # takes what it adds as the next block; converge's m-max may exceed n
         last = family.truncation(n)
-        order = sigma.truncate(last)
-        ends = [len(order)]
-        placed = set(order)
+        blocks = [sigma.truncate(last)]
+        placed = set(blocks[0])
         for m in range(depth, 0, -1):
             block = [k for k in union_sigma_m(sigma, m).truncate(last) if k not in placed]
-            order += block
+            blocks.append(block)
             placed.update(block)
-            ends.append(len(order))
-        assert topology._nested_order(family, sigma, depth, n) == (order, ends)
+        assert topology._sigma_m_blocks(family, sigma, depth, n) == blocks
 
     def test_one_elimination_no_complement(self, monkeypatch):
         passes = count_calls(monkeypatch, "echelon", exact, topology)
-        elims = count_calls(monkeypatch, "bordered_elimination", exact, topology)
+        elims = count_calls(monkeypatch, "bordered_elimination", exact, families)
         complements = count_calls(monkeypatch, "reduced_echelon", exact)
         intersection_chain(DefectPairFamily(2), parse_set("res(2;1)"), 8, 24)
         assert len(passes) == 1
