@@ -55,7 +55,15 @@ class LongArgument(FamilySyntaxError):
 
 
 class SystemFamily:
-    """Base class: a rule-based (x_k, x_k*) generator with metadata."""
+    """Base class: a rule-based (x_k, x_k*) generator with metadata.
+
+    Contract: x_1..x_truncation(n) are linearly independent for every n,
+    so the dimension of a truncated span is the number of its indices;
+    `chain` counts indices on this alone.  In a head family x_k is the
+    only vector with a nonzero coordinate head+k, in `infinite-set` the
+    only one with a nonzero coordinate 2k, and a `random` draw is
+    redrawn until its elimination keeps every vector.
+    """
 
     kind = ""
     index_offset = 0

@@ -2,8 +2,10 @@
 
 A set is a union of residue classes modulo a period, corrected by a
 finite list of added and removed elements.  The class is closed under
-complement, union, intersection, the tail-completion sigma_m, and
-carries the exact weighted metric rho(A, B) = sum |1_A(k) - 1_B(k)| / 2^k.
+complement, union and intersection, and carries the exact weighted
+metric rho(A, B) = sum |1_A(k) - 1_B(k)| / 2^k.  The tail completions
+sigma_m = sigma ∪ [m+1, ∞) are never built as sets: `topology` reads
+them off sigma.
 """
 from __future__ import annotations
 
@@ -166,15 +168,6 @@ class EventuallyPeriodicSet(NamedTuple):
         for k in sorted(self.removed):
             out += "-%d" % k
         return out
-
-
-def sigma_m(sigma: EventuallyPeriodicSet, m: int) -> EventuallyPeriodicSet:
-    """sigma together with the whole tail [m+1, infinity): every k but the
-    k <= m outside sigma."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return EventuallyPeriodicSet.make(
-        1, (0,), removed=[k for k in range(1, m + 1) if k not in sigma])
 
 
 def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:

@@ -5,11 +5,13 @@ the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
 The `metric`, `chain` and `converge` subcommands run here; `metric` and
 `converge` read their spans through the family's `span_projections` and
-`span_dist_sq`, which pick their own route.
+`span_dist_sq`, which pick their own route.  `chain` and `converge` read
+every truncated sigma_m = sigma ∪ [m+1, ∞) off sigma through
+`_sigma_m_blocks`: `chain` counts the blocks, and `converge` names each
+sigma_m from sigma, so neither builds a sigma_m set.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -25,9 +27,9 @@ from .cli import (
     _require_nonnegative,
     _require_positive,
 )
-from .exact import InvariantViolation, echelon
+from .exact import InvariantViolation
 from .families import SystemFamily, parse_family
-from .indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set, rho, sigma_m
+from .indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set, rho
 from .reports import exact_value, interval_value
 
 Q = Fraction
@@ -162,30 +164,22 @@ def _sigma_m_blocks(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: i
     return blocks
 
 
-def intersection_chain(
-    family: SystemFamily,
-    sigma: EventuallyPeriodicSet,
-    depth: int,
-    n: int,
-    digit_budget: Optional[int] = None,
-):
+def intersection_chain(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int,
+                       n: int):
     """Iterated intersection of truncated H_{sigma_m}, m = 1..depth.
 
     Returns (dims, equal_to_h_sigma): the dimension after each
     intersection step and the exact equality test against truncated
     H_sigma.  sigma_{m+1} is a subset of sigma_m, so the truncated spans
     are nested and the intersection after step m is truncated
-    H_{sigma_m} itself, which contains H_sigma.  In the nested order every
-    one of these spans is a prefix, so one echelon pass gives each
-    dimension as the number of vectors it keeps before that prefix's end.
+    H_{sigma_m} itself, which contains H_sigma.  Every one of these spans
+    is a prefix of the sigma_m blocks, and x_1..x_truncation(n) are
+    independent (the `SystemFamily` contract), so each dimension is the
+    number of indices up to that prefix's end: no vector is built.
     """
     if not 1 <= depth <= n:
         raise ValueError("depth must lie between 1 and the truncation")
-    blocks = _sigma_m_blocks(family, sigma, depth, n)
-    order = [k for block in blocks for k in block]
-    ends = list(itertools.accumulate(map(len, blocks)))
-    kept = echelon(family.vectors(order), digit_budget)[0]
-    ranks = [bisect.bisect_left(kept, end) for end in ends]
+    ranks = list(itertools.accumulate(map(len, _sigma_m_blocks(family, sigma, depth, n))))
     return ranks[1:][::-1], ranks[0] == ranks[1]
 
 
@@ -213,7 +207,8 @@ def convergence_probe(
     The family's `span_dist_sq` over the sigma_m blocks, with the targets
     as probes, gives all of them.  rho(sigma_m, sigma) is the sum of
     2^{-k} over the k > m outside sigma: rho(all, sigma) less 2^{-k} for
-    each k <= m outside sigma.
+    each k <= m outside sigma.  sigma_m is all less those k, and its name
+    is "all" followed by "-k" for each of them.
     """
     K = family.truncation(K)
     window = min(K, family.default_probe_window())
@@ -231,13 +226,14 @@ def convergence_probe(
         return _ds_enclosure([ns - d for ns, d in zip(norms, dists)], norms, precision_bits)
 
     rows = []
-    rho_m = rho(EventuallyPeriodicSet.all(), sigma)
+    name, rho_m = "all", rho(EventuallyPeriodicSet.all(), sigma)
     for m, dists in enumerate(table, start=1):
         if m not in sigma:
+            name += f"-{m}"
             rho_m -= Q(1, 2 ** m)
         rows.append({
             "m": m,
-            "sigma_m": sigma_m(sigma, m).describe(),
+            "sigma_m": name,
             "rho": rho_m,
             "ds_to_zero": ds_to_zero(dists),
             "pointwise": [
@@ -297,8 +293,7 @@ def cmd_chain(args) -> int:
         raise ValueError("--depth must lie between 1 and --n")
     family = parse_family(args.family)
     sigma = parse_set(args.sigma)
-    dims, equal = intersection_chain(family, sigma, args.depth, args.n,
-                                     digit_budget=args.digit_budget)
+    dims, equal = intersection_chain(family, sigma, args.depth, args.n)
     config = {
         "family": args.family,
         "sigma": args.sigma,

@@ -313,7 +313,6 @@ def oracle_intersection_chain(family, sigma, depth, n):
     intersected with each later truncated H_{sigma_m} through
     `intersect`, then compared with truncated H_sigma by two ranks."""
     from defectlab.exact import rank_of_vectors
-    from defectlab.indexsets import sigma_m
 
     last = family.truncation(n)
 
@@ -321,10 +320,10 @@ def oracle_intersection_chain(family, sigma, depth, n):
         return [family.vector(k) for k in s.truncate(last)]
 
     ambient = family.ambient(n)
-    current = independent_subset(gens(sigma_m(sigma, 1)))
+    current = independent_subset(gens(union_sigma_m(sigma, 1)))
     dims = [len(current)]
     for m in range(2, depth + 1):
-        current = intersect(current, gens(sigma_m(sigma, m)), ambient)
+        current = intersect(current, gens(union_sigma_m(sigma, m)), ambient)
         dims.append(len(current))
     h_sigma = gens(sigma)
     h_rank = rank_of_vectors(h_sigma)
@@ -390,7 +389,7 @@ def oracle_convergence(family, sigma, m_max, n, K, precision_bits):
     """The convergence rows and the semicontinuity limit, rebuilt from the
     coordinate projections onto every truncated span H_{sigma_m} and
     H_sigma, each computed on its own."""
-    from defectlab.indexsets import rho, sigma_m
+    from defectlab.indexsets import rho
     from defectlab.topology import sqrt_enclosure
 
     targets = _oracle_targets(family, K)
@@ -398,7 +397,7 @@ def oracle_convergence(family, sigma, m_max, n, K, precision_bits):
     p_limit = oracle_span_projections(family, sigma, n, targets)
     rows = []
     for m in range(1, m_max + 1):
-        s = sigma_m(sigma, m)
+        s = union_sigma_m(sigma, m)
         p_m = oracle_span_projections(family, s, n, targets)
         rows.append({
             "m": m,

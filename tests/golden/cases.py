@@ -47,8 +47,6 @@ _BUDGET_PINS = [
     ("defect-young", ["defect", *_family_sigma("young(w=2)", "all", 40)], 70, 71),
     ("defect-witness-rank",
      ["defect", *_family_sigma("infinite-set(0,1,inf)", "fin(5,20,30)", 40)], 10, 11),
-    ("chain", ["chain", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
-               "--depth", "8", "--n", "24"], 1, 2),
     ("sweep", ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
                "--n-grid", "10,20,40,80"], 3, 4),
     ("oracle-swap", ["oracle", "--suite", "swap", "--instances", "5", "--seed", "0"],
@@ -244,6 +242,9 @@ for _name, _family, _sigma, _depth, _n in [
 ]:
     _add(f"chain {_name}", "chain", "--family", _family, "--sigma", _sigma,
          "--depth", _depth, "--n", _n)
+# chain counts indices and computes no rational, so no budget can trip it
+_add("chain digit budget 1", "chain", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
+     "--depth", 8, "--n", 24, "--digit-budget", 1)
 
 # -- converge ----------------------------------------------------------------
 for _name, _family, _sigma, _more in [

@@ -12,7 +12,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import defect_truncated, dist_sq, interval_contains, rho_partial, swap_move
+from conftest import (
+    defect_truncated,
+    dist_sq,
+    interval_contains,
+    rho_partial,
+    swap_move,
+    union_sigma_m,
+)
 from defectlab.exact import SparseVector, rank_of_vectors
 from defectlab.families import (
     DefectPairFamily,
@@ -20,7 +27,7 @@ from defectlab.families import (
     FiniteDefectSetFamily,
     YoungFamily,
 )
-from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho, sigma_m
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import INCONCLUSIVE, classify_defect, witness_check
 from defectlab.oracle import RandomFiniteFamily, hereditary_scan
@@ -252,7 +259,7 @@ def test_criterion_09_discontinuity_at_incomplete_mixed_system():
 
     # rho(sigma_m, empty) = 2^-m -> 0, exactly
     for m in range(1, 20):
-        assert rho(sigma_m(empty, m), empty) == Q(1, 2 ** m)
+        assert rho(union_sigma_m(empty, m), empty) == Q(1, 2 ** m)
 
     # dist^2(e_1, span{x_k : m < k <= n}) = 1/(n - m + 1), exactly
     e1 = SparseVector.unit(1)

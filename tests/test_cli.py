@@ -370,16 +370,15 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "input"
 
-    def test_chain_budget_is_3(self, capsys):
-        # the echelon pass needs 2 digits here
+    def test_chain_ignores_the_budget(self, capsys):
+        # chain counts indices and computes no rational
         argv = ["chain", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
-                "--depth", "8", "--n", "24", "--digit-budget"]
-        code, out, err = run(capsys, *argv, "1")
-        assert code == 3
-        assert out == ""
-        assert json.loads(err)["error"]["kind"] == "budget"
-        code, out, _ = run(capsys, *argv, "2")
+                "--depth", "8", "--n", "24"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
+        code, budgeted, err = run(capsys, *argv, "--digit-budget", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(budgeted)["results"] == json.loads(out)["results"]
         assert json.loads(out)["results"]["dims"]
 
     def test_sweep_budget_is_3(self, capsys):

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import defectlab.exact as exact
 import defectlab.families as families
 import defectlab.topology as topology
-from conftest import oracle_convergence, oracle_dist_sq, oracle_span_projections
+from conftest import (
+    oracle_convergence,
+    oracle_dist_sq,
+    oracle_span_projections,
+    union_sigma_m,
+)
 from defectlab.cli import main
 from defectlab.exact import SparseVector, bordered_elimination, project_many
 from defectlab.families import (
@@ -23,7 +28,7 @@ from defectlab.families import (
     YoungFamily,
     parse_family,
 )
-from defectlab.indexsets import EventuallyPeriodicSet, parse_set, sigma_m
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import distance_profile, mixed_vectors
 from defectlab.topology import convergence_probe
@@ -190,7 +195,7 @@ def test_complement_convergence_matches_gram_side_and_sympy(case):
     family, sigma, m_max, n, K, precision = case
     targets = family.vectors(range(1, K + 1))
     # each span on its own: sigma, then sigma_m for m = m_max..1
-    spans = [sigma] + [sigma_m(sigma, m) for m in range(m_max, 0, -1)]
+    spans = [sigma] + [union_sigma_m(sigma, m) for m in range(m_max, 0, -1)]
     alone = [family.span_dist_sq([(s.truncate(n), ())], targets)[0] for s in spans]
     blocks = [(block, ()) for block in topology._sigma_m_blocks(family, sigma, m_max, n)]
     complement = family.span_dist_sq(blocks, targets)
@@ -284,7 +289,7 @@ def test_head_family_convergence_eliminates_at_most_head_generators(monkeypatch,
     # one per distinct truncated span among sigma, sigma_1..sigma_{m_max};
     # a sigma_m that adds nothing to the next reuses its row
     sigma = parse_set(sigma)
-    spans = {tuple(s.truncate(12)) for s in [sigma] + [sigma_m(sigma, m)
+    spans = {tuple(s.truncate(12)) for s in [sigma] + [union_sigma_m(sigma, m)
                                                        for m in range(1, m_max + 1)]}
     assert len(sizes) == len(spans)
     assert max(sizes) <= parse_family(family).head

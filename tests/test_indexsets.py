@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     LONG_PERIODS,
-    eventually_periodic_sets,
     min_element,
     prefix_agreement,
     random_eventually_periodic,
     rho_partial,
-    union_sigma_m,
 )
 from defectlab.families import ECHO_DIGITS
 from defectlab.indexsets import (
@@ -26,7 +24,6 @@ from defectlab.indexsets import (
     _min_period,
     parse_set,
     rho,
-    sigma_m,
 )
 
 Q = Fraction
@@ -106,17 +103,6 @@ class TestAlgebra:
         assert members(a.complement()) == set(range(1, SCAN + 1)) - members(a)
         assert members(a.symmetric_difference(b)) == members(a) ^ members(b)
         assert members(a.difference(b)) == members(a) - members(b)
-
-    def test_sigma_m(self):
-        s = sigma_m(parse_set("fin(2)"), 4)
-        assert members(s, 10) == {2, 5, 6, 7, 8, 9, 10}
-        with pytest.raises(ValueError):
-            sigma_m(parse_set("none"), -1)
-
-    @given(eventually_periodic_sets(), st.one_of(st.integers(0, 40), st.integers(0, 2000)))
-    @settings(max_examples=100, deadline=None)
-    def test_sigma_m_is_the_union_with_the_tail(self, sigma, m):
-        assert sigma_m(sigma, m) == union_sigma_m(sigma, m)
 
     def test_truncate(self):
         assert parse_set("res(3;1)").truncate(10) == [1, 4, 7, 10]
@@ -259,9 +245,8 @@ class TestParser:
                     "~(none+%d)" % (MAX_ELEMENT + 1)]:
             with pytest.raises(SetSyntaxError, match="exceeds the bound %d" % MAX_ELEMENT):
                 parse_set(bad)
-        # residues are not elements, and the tails of sigma_m are built past the parser
+        # residues are not elements
         assert parse_set("res(3;100000000000)") == parse_set("res(3;1)")
-        assert max(sigma_m(parse_set("fin(1)"), MAX_ELEMENT + 1).removed) == MAX_ELEMENT + 1
 
     @pytest.mark.parametrize("text, what, bound", [
         ("fin(%s)", "element", MAX_ELEMENT),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectlab.families import DefectPairFamily, E1PlusEkFamily, parse_family
-from defectlab.indexsets import parse_set, rho, sigma_m
+from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho
 from defectlab.oracle import RandomFiniteFamily
 from defectlab.topology import (
     IntervalValue,
@@ -208,14 +208,20 @@ class TestIntersectionChain:
             placed.update(block)
         assert topology._sigma_m_blocks(family, sigma, depth, n) == blocks
 
-    def test_one_elimination_no_complement(self, monkeypatch):
-        passes = count_calls(monkeypatch, "echelon", exact, topology)
+    @pytest.mark.parametrize("family, sigma, depth, n", [
+        (DefectPairFamily(2), "res(2;1)", 8, 24),
+        (RandomFiniteFamily(6, 5, seed=2, dual_style="perturbed"), "fin(1,2)", 3, 5),
+    ], ids=["defect-pair", "random"])
+    def test_counts_without_building_a_vector(self, monkeypatch, family, sigma, depth, n):
+        # the dimensions are counts of indices: no vector, no elimination
+        sigma = parse_set(sigma)
+        expected = intersection_chain(family, sigma, depth, n)
+        vectors = []
+        monkeypatch.setattr(family, "vector", lambda k: vectors.append(k))
+        passes = count_calls(monkeypatch, "echelon", exact)
         elims = count_calls(monkeypatch, "bordered_elimination", exact, families)
-        complements = count_calls(monkeypatch, "reduced_echelon", exact)
-        intersection_chain(DefectPairFamily(2), parse_set("res(2;1)"), 8, 24)
-        assert len(passes) == 1
-        assert elims == []
-        assert complements == []
+        assert intersection_chain(family, sigma, depth, n) == expected
+        assert vectors == passes == elims == []
 
 
 _CHAIN_FAMILIES = ["e1-plus-ek", "defect-pair(m=2)", "defect-pair(m=3)", "young(w=2)",
@@ -282,21 +288,30 @@ class TestConvergenceProbe:
         rows, _ = convergence_probe(fam, sigma, 6, 12, 8, 32)
         rhos = [row["rho"] for row in rows]
         assert all(b < a for a, b in zip(rhos, rhos[1:]))
-        assert rhos == [rho(sigma_m(sigma, m), sigma) for m in range(1, 7)]
+        assert rhos == [rho(union_sigma_m(sigma, m), sigma) for m in range(1, 7)]
         for row in rows:
             assert len(row["pointwise"]) == 5
             assert all(iv.lo >= 0 for iv in row["pointwise"])
 
-    def test_each_sigma_m_is_built_once(self, monkeypatch, capsys):
-        # the nested order reads its blocks off sigma; only a converge row
-        # builds its sigma_m
-        built = count_calls(monkeypatch, "sigma_m", topology)
-        for argv, count in [(["converge", "--m-max", "7", "--n", "12"], 7),
-                            (["chain", "--depth", "5", "--n", "12"], 0)]:
-            built.clear()
-            assert main(argv + ["--family", "e1-plus-ek", "--sigma", "res(3;1)"]) == 0
-            assert len(built) == count
-        capsys.readouterr()
+    def test_sigma_m_names_build_no_set(self, monkeypatch):
+        # each row names its sigma_m from sigma, so the set algebra a probe
+        # does is the same at every m-max
+        fam, sigma = E1PlusEkFamily(), parse_set("res(3;1)")
+        real, made = EventuallyPeriodicSet.make, []
+
+        def make(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(EventuallyPeriodicSet, "make", staticmethod(make))
+        counts = []
+        for m_max in (7, 300):
+            made.clear()
+            rows, _ = convergence_probe(fam, sigma, m_max, 12, 4, 16)
+            counts.append(len(made))
+            assert [row["sigma_m"] for row in rows] == [
+                union_sigma_m(sigma, m).describe() for m in range(1, m_max + 1)]
+        assert counts[0] == counts[1]
 
     def test_constant_sequence_is_tail_only(self):
         # sigma_m(all, m) = all, so every row equals the limit
@@ -327,7 +342,8 @@ class TestSemicontinuityProbe:
             rows, limit = convergence_probe(fam, sigma, 5, 10, 6, 32)
             assert limit == projector_metrics(fam, sigma, none, 10, 6, 32)[0]
             for row in rows:
-                fresh = projector_metrics(fam, sigma_m(sigma, row["m"]), none, 10, 6, 32)
+                fresh = projector_metrics(fam, union_sigma_m(sigma, row["m"]), none, 10, 6,
+                                          32)
                 assert row["ds_to_zero"] == fresh[0]
 
     def test_violation_needs_the_last_three_rows_below_the_limit(self):
