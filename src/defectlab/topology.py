@@ -164,8 +164,7 @@ def _sigma_m_blocks(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: i
     return blocks
 
 
-def intersection_chain(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int,
-                       n: int):
+def intersection_chain(family: SystemFamily, sigma: EventuallyPeriodicSet, depth: int, n: int):
     """Iterated intersection of truncated H_{sigma_m}, m = 1..depth.
 
     Returns (dims, equal_to_h_sigma): the dimension after each

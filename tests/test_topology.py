@@ -300,7 +300,7 @@ class TestConvergenceProbe:
         real, made = EventuallyPeriodicSet.make, []
 
         def make(*args, **kwargs):
-            made.append(args)
+            made.append(1)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(EventuallyPeriodicSet, "make", staticmethod(make))
@@ -342,8 +342,7 @@ class TestSemicontinuityProbe:
             rows, limit = convergence_probe(fam, sigma, 5, 10, 6, 32)
             assert limit == projector_metrics(fam, sigma, none, 10, 6, 32)[0]
             for row in rows:
-                fresh = projector_metrics(fam, union_sigma_m(sigma, row["m"]), none, 10, 6,
-                                          32)
+                fresh = projector_metrics(fam, union_sigma_m(sigma, row["m"]), none, 10, 6, 32)
                 assert row["ds_to_zero"] == fresh[0]
 
     def test_violation_needs_the_last_three_rows_below_the_limit(self):
