@@ -7,9 +7,8 @@ only where a value leaves the kernels (distances, inner products and
 `SparseVector.entries`).  Distances, projections and Gram solves come
 from one Bareiss elimination of a bordered integer Gram matrix,
 `bareiss_pass`, which `bordered_elimination` feeds from vectors and
-probes; ranks and orthogonal complements come from one sparse echelon
-pass on the vectors' integer coordinates, `echelon`.  No floating point
-ever enters.
+probes; ranks come from one sparse echelon pass on the vectors' integer
+coordinates, `echelon`.  No floating point ever enters.
 """
 from __future__ import annotations
 
@@ -313,21 +312,16 @@ def echelon_step(chain: list, pivots: list, digit_budget: Optional[int] = None) 
 
 
 def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> tuple:
-    """Fraction-free sparse row echelon pass: (kept, pivots).
-
-    Each vector takes one `echelon_step`.  The indices of the vectors
-    independent of those before them go into kept (the greedy maximal
-    independent subset); pivots maps each pivot row's least coordinate
-    to the row, so its keys are the reduced-row-echelon pivot columns.
-    """
+    """Fraction-free sparse row echelon pass: the indices of the vectors
+    independent of those before them, the greedy maximal independent
+    subset.  Each vector takes one `echelon_step`."""
     steps = []
-    kept = tuple(r for r, v in enumerate(vectors) if echelon_step([v.coords], steps, digit_budget))
-    return kept, {p: prow for p, prow in steps if p}
+    return tuple(r for r, v in enumerate(vectors) if echelon_step([v.coords], steps, digit_budget))
 
 
 def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
     """dim span(vectors): the number of vectors the echelon pass keeps."""
-    return len(echelon(vectors, digit_budget)[0])
+    return len(echelon(vectors, digit_budget))
 
 
 def project_many(
@@ -340,21 +334,3 @@ def project_many(
     kept = [generators[i].coords for i in elim.kept]
     return [_combine(den, zip(y, kept)) for den, y in elim.coefficients]
 
-
-def reduced_echelon(vectors: Sequence[SparseVector]) -> dict:
-    """The echelon pass's pivot rows, back-reduced to reduced row echelon
-    form: {pivot: row}, largest pivot first.
-
-    Each pivot row is reduced against the rows of the larger pivots, so
-    the row R_p is zero at every other pivot.  The null space of the
-    matrix whose rows are the vectors then has the basis
-    e_f - sum_p (R_p[f] / R_p[p]) e_p, one vector per free coordinate f:
-    the reduced-row-echelon null-space basis.
-    """
-    rows = {}
-    for p, row in sorted(echelon(vectors)[1].items(), reverse=True):
-        for q, qrow in rows.items():
-            if q in row:
-                row = _reduce(row, qrow, q)
-        rows[p] = row
-    return rows

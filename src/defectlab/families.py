@@ -401,8 +401,12 @@ def parse_family(text: str) -> SystemFamily:
 def _integer(key: str, token: str, bound) -> int:
     """The integer of an argument token.  A token of more than ECHO_DIGITS
     digits is refused by its digit count before int() reads it, with a
-    message that names the key and the bound."""
+    message that names the key and the bound; a token that is no integer
+    is refused with a message that names the key and the token."""
     digits = token.lstrip("+-").replace("_", "").lstrip("0")
     if len(digits) > ECHO_DIGITS and digits.isdigit():
         raise LongArgument(f"{key} of {len(digits)} digits exceeds the bound {bound}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise FamilySyntaxError(f"{key} takes an integer, not {token!r}") from None

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .cli import EXIT_OK, MAX_N, _emit, _int_list, _rational, _require_positive, _write
 from .exact import InvariantViolation, SparseVector, rank_of_vectors
-from .families import SystemFamily, parse_family
+from .families import SystemFamily, UnsupportedFamily, parse_family
 from .indexsets import EventuallyPeriodicSet, parse_set
 from .reports import decay_csv, defect_report_json, table_csv
 
@@ -205,15 +205,18 @@ def cmd_defect(args) -> int:
     if n_list is None:
         step = max(args.n // 6, 1)
         n_list = sorted(set(list(range(step, args.n + 1, step)) + [args.n]))
-    report = classify_defect(
-        family,
-        sigma,
-        n_list,
-        decay_threshold=threshold,
-        min_points=args.min_points,
-        probe_window=args.probe_window,
-        digit_budget=args.digit_budget,
-    )
+    try:
+        report = classify_defect(
+            family,
+            sigma,
+            n_list,
+            decay_threshold=threshold,
+            min_points=args.min_points,
+            probe_window=args.probe_window,
+            digit_budget=args.digit_budget,
+        )
+    except UnsupportedFamily as exc:
+        raise ValueError(f"--family {exc}") from None
     config = {
         "family": args.family,
         "sigma": args.sigma,

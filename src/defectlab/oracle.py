@@ -9,13 +9,12 @@ no analysis module, and an `oracle` process compiles no `mixed`.
 """
 from __future__ import annotations
 
-import math
 import random
 from operator import mul
 from typing import Optional
 
 from .cli import EXIT_OK, MAX_INSTANCES, _emit, _require_nonnegative
-from .exact import InvariantViolation, SparseVector, bareiss_pass, reduced_echelon
+from .exact import InvariantViolation, SparseVector, bareiss_pass
 from .families import SystemFamily
 
 # A random family is drawn and solved densely, so its size is bounded:
@@ -35,13 +34,12 @@ class RandomFiniteFamily(SystemFamily):
     G^-1 V, G = V V^T: the coefficient of x_k in the projection of the
     unit probe e_c is (G^-1 V)_kc.  V is the border that the probes
     e_1..e_dim give G, so one `bareiss_pass` over the integer rows
-    [G | V] of a draw solves every dual as one integer row over the
-    pass's denominator, and no probe is made.  A perturbed dual adds
-    sum_f r_f n_f over the reduced-row-echelon null-space basis n_f of V,
-    with integer r_f in -2..2: r_f at each free coordinate f and
-    -sum_f r_f R_p[f] / R_p[p] at each pivot p of the reduced rows R_p,
-    all as integers over the lcm of the pass's denominator and the
-    R_p[p].
+    [G | V] of a draw solves every dual as one integer row y_k over the
+    pass's denominator, and no probe is made.  The solve also gives the
+    projector onto the span, P = sum_j x_j x_j*^T, so a perturbed dual
+    is x_k* + (I - P) r_k for an integer vector r_k drawn in -2..2:
+    y_k + den r_k - sum_j (y_j . r_k) v_j over the same denominator.
+    (I - P) r_k is orthogonal to every x_i, and zero when count = dim.
     """
 
     kind = "random"
@@ -81,21 +79,16 @@ class RandomFiniteFamily(SystemFamily):
         vecs = [SparseVector.from_ints({i: x for i, x in zip(coords, row) if x}) for row in rows]
         # coordinate c of the k-th dual is y_kc over one denominator
         den = elim.coefficients[0][0] if coords else 1
-        duals = [list(row) for row in zip(*(y for _, y in elim.coefficients))]
+        duals = list(zip(*(y for _, y in elim.coefficients)))
         if self.dual_style == "perturbed":
-            reduced = reduced_echelon(vecs)
-            free = [f for f in coords if f not in reduced]
-            # each pivot p with R_p[p] and R_p at the free coordinates
-            pivots = [(p, row[p], [row.get(f, 0) for f in free]) for p, row in reduced.items()]
-            lcm = math.lcm(den, *(rp for _, rp, _ in pivots))
-            for dual in duals:
-                shifts = [rng.randint(-2, 2) for _f in free]
-                dual[:] = [y * (lcm // den) for y in dual]
-                for f, r in zip(free, shifts):
-                    dual[f - 1] += r * lcm
-                for p, rp, at_free in pivots:
-                    dual[p - 1] -= sum(map(mul, shifts, at_free)) * (lcm // rp)
-            den = lcm
+            columns = list(zip(*rows))
+            spans, duals = duals, []
+            for y in spans:
+                r = [rng.randint(-2, 2) for _c in coords]
+                # P r = sum_j (y_j . r) v_j / den
+                dots = [sum(map(mul, yj, r)) for yj in spans]
+                duals.append([yc + den * rc - sum(map(mul, dots, col))
+                              for yc, rc, col in zip(y, r, columns)])
         self._vectors = vecs
         self._duals = [SparseVector.from_ints({c: y for c, y in zip(coords, dual) if y}, den)
                        for dual in duals]

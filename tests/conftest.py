@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
-from defectlab.exact import SparseVector, bordered_elimination, reduced_echelon
+from defectlab.exact import SparseVector, bordered_elimination
 from defectlab.indexsets import EventuallyPeriodicSet
 from defectlab.ranks import defect_truncated_many, selection_key
 
@@ -101,20 +101,14 @@ def oracle_greedy_kept(vectors, ambient):
     return tuple(matrix.T.rref()[1])
 
 
-def oracle_pivot_columns(vectors, ambient):
-    """The reduced-row-echelon pivot columns, numbered from 1, of the
-    matrix whose rows are the vectors."""
-    matrix = to_sympy_matrix(vectors, ambient) if vectors else sympy.zeros(0, ambient)
-    return [c + 1 for c in matrix.rref()[1]]
-
-
 def oracle_random_family(dim, count, seed, dual_style="span"):
     """random(d=dim,n=count,seed=seed,dual=dual_style), replayed on sympy.
 
     Replays the family's seeded draws, a draw of dependent rows and its
     retry included: the span duals are the rows of (x x^T)^-1 x, and a
-    perturbed dual adds a random integer combination of sympy's
-    null-space basis.  Returns (vectors, duals) as SparseVectors.
+    perturbed dual adds (I - P) r for a random integer vector r, with P
+    the projector x^T (x x^T)^-1 x onto the span.  Returns (vectors,
+    duals) as SparseVectors.
     """
     from defectlab.oracle import RandomFiniteFamily
 
@@ -126,12 +120,12 @@ def oracle_random_family(dim, count, seed, dual_style="span"):
     else:
         raise RuntimeError("failed to draw an independent system")
     span_duals = (x * x.T).inv() * x if count else x
-    null = x.nullspace() if dual_style == "perturbed" else []
+    complement = sympy.eye(dim) - x.T * span_duals if count else sympy.eye(dim)
     duals = []
     for k in range(count):
         target = span_duals.row(k).T
-        for w in null:
-            target += rng.randint(-2, 2) * w
+        if dual_style == "perturbed":
+            target += complement * sympy.Matrix([rng.randint(-2, 2) for _ in range(dim)])
         duals.append(_from_sympy(target))
     return [_from_sympy(x.row(k)) for k in range(count)], duals
 
@@ -159,10 +153,10 @@ def replay_random_family(dim, count, seed, dual_style="span"):
     """random(d=dim,n=count,seed=seed,dual=dual_style) rebuilt in plain
     Fraction arithmetic, without the package's kernels: Gauss-Jordan on
     [G | I], G = V V^T, gives G^-1; span dual k is the Fraction sum
-    sum_j (G^-1)_kj x_j; a perturbed dual adds its shifts times the
-    reduced-row-echelon null-space basis of V, e_f - sum_p R_p[f] e_p,
-    read off a Gauss-Jordan pass on V.  Replays the seeded draws, a draw
-    of dependent rows and its retry included.  Returns (vectors, duals)."""
+    sum_j (G^-1)_kj x_j; a perturbed dual adds r - sum_j <x_j*, r> x_j,
+    the part of its integer shift r orthogonal to the span, with x_j* the
+    span duals.  Replays the seeded draws, a draw of dependent rows and
+    its retry included.  Returns (vectors, duals)."""
     from defectlab.oracle import RandomFiniteFamily
 
     rng = random.Random(seed)
@@ -176,22 +170,16 @@ def replay_random_family(dim, count, seed, dual_style="span"):
     else:
         raise RuntimeError("failed to draw an independent system")
     inverse = [row[count:] for row in reduced]
-    null = []
-    if dual_style == "perturbed":
-        echelon_rows, pivot_cols = _rref(rows)
-        for f in range(dim):
-            if f not in pivot_cols:
-                w = [Q(int(c == f)) for c in range(dim)]
-                for row, p in zip(echelon_rows, pivot_cols):
-                    w[p] -= row[f]
-                null.append(w)
+    span_duals = [[sum((inverse[k][j] * rows[j][c] for j in range(count)), Q(0))
+                   for c in range(dim)] for k in range(count)]
     duals = []
-    for k in range(count):
-        dual = [sum((inverse[k][j] * rows[j][c] for j in range(count)), Q(0))
-                for c in range(dim)]
-        for w in null:
-            r = rng.randint(-2, 2)
-            dual = [x + r * y for x, y in zip(dual, w)]
+    for dual in span_duals:
+        if dual_style == "perturbed":
+            r = [Q(rng.randint(-2, 2)) for _c in range(dim)]
+            dual = [x + y for x, y in zip(dual, r)]
+            for span_dual, row in zip(span_duals, rows):
+                t = sum(map(mul, span_dual, r), Q(0))
+                dual = [x - t * y for x, y in zip(dual, row)]
         duals.append(dual)
 
     def sparse(dense):
@@ -233,19 +221,18 @@ def dist_sq(v, generators, digit_budget=None):
 
 def complement_basis(generators, ambient):
     """Exact basis of the orthogonal complement inside coordinates
-    1..ambient: for each free coordinate f of the reduced pivot rows R_p,
-    e_f - sum_p (R_p[f] / R_p[p]) e_p, the reduced-row-echelon null-space
-    basis in order."""
-    if any(max(g.coords, default=0) > ambient for g in generators):
-        raise ValueError("generator support exceeds ambient dimension")
-    rows = reduced_echelon(generators)
-    return [
-        SparseVector.from_pairs(
-            [(f, Q(1))] + [(p, Q(-row[f], row[p])) for p, row in rows.items() if f in row]
-        )
-        for f in range(1, ambient + 1)
-        if f not in rows
-    ]
+    1..ambient: for each free coordinate f of the reduced row echelon form
+    R of the generators, by `_rref`, e_f - sum_p R_p[f] e_p, the
+    reduced-row-echelon null-space basis in order."""
+    rows, pivots = _rref([to_dense(g, ambient) for g in generators])
+    basis = []
+    for f in range(ambient):
+        if f not in pivots:
+            w = [Q(int(c == f)) for c in range(ambient)]
+            for row, p in zip(rows, pivots):
+                w[p] -= row[f]
+            basis.append(SparseVector.from_pairs(enumerate(w, start=1)))
+    return basis
 
 
 def defect_truncated(family, sigma, n, digit_budget=None):

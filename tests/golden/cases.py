@@ -50,7 +50,7 @@ _BUDGET_PINS = [
     ("sweep", ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
                "--n-grid", "10,20,40,80"], 3, 4),
     ("oracle-swap", ["oracle", "--suite", "swap", "--instances", "5", "--seed", "0"],
-     13, 14),
+     11, 12),
     ("oracle-hereditary",
      ["oracle", "--suite", "hereditary", "--instances", "5", "--seed", "0"], 3, 4),
 ]
@@ -103,7 +103,8 @@ for _name, _family in [
     ("young-twice", "young(w=1,w=2)"), ("e1-plus-ek-argument", "e1-plus-ek(m=7)"),
     ("defect-pair-bare", "defect-pair"), ("finite-set-no-zero", "finite-set(1,2)"),
     ("finite-set-unordered", "finite-set(0,3,2)"), ("infinite-set-no-inf", "infinite-set(0,2)"),
-    ("malformed", "young(w=1"),
+    ("malformed", "young(w=1"), ("defect-pair-empty", "defect-pair(m=)"),
+    ("finite-set-not-int", "finite-set(0,x)"), ("random-not-int", "random(d=3,n=x)"),
 ]:
     _add(f"construct error {_name}", "construct", "--family", _family, "--n", 2)
 _add("construct error n=0", "construct", "--family", "e1-plus-ek", "--n", 0)

@@ -67,22 +67,24 @@ class TestConstruct:
 
     @pytest.mark.parametrize("family, digest", [
         ("random(d=6,n=3,seed=5,dual=perturbed)",
-         "529954e301b30cdab6ea99f876451eaf0075d815ec6f8bf685365a5497c0ebb7"),
+         "adae18040f71696d21f95e7119978e6542da689cf10d77c731b9ca11ea782bf5"),
         ("random(d=9,n=9,seed=1)",
          "223577bdc79b151c6ed071427cc4a66e266e5dc6eb4fe2d8fe30c7a2e9967c6b"),
         ("random(d=9,n=4,seed=123,dual=perturbed)",
-         "b9aedf356c3eb94094d43e0ef6d66891151778d3b0909c79e39ea74d52e1ce3e"),
+         "94c858090d9c5a99f5f3239ff7b6bebb4b20a8d332097cffc95df91662284137"),
         ("random(d=8,n=8,seed=77,dual=perturbed)",
          "0788fcbc839d893d95fe23ff30d9bdad99e527a6a8c78e301c888526fdf52bd3"),
         ("random(d=7,n=2,seed=999,dual=perturbed)",
-         "fcf6834fd91ea63fb1e272d4b1bc6dea4d5ae19b87a582b89cd787d98bb84693"),
+         "e5f8769e67ac401ad1178c251a233a7b1b9886d2868f3fc07f549d9972bbe0cb"),
         # the first draw of this one is dependent and is drawn again
         ("random(d=3,n=3,seed=20,dual=perturbed)",
          "fb88ce1d45fd96cac38bb71c4f47150a5b0c10201032a8e40c9e9b8f0e460fe3"),
     ])
     def test_random_report_bytes_are_pinned(self, capsys, family, digest):
         """Digests of these reports as the families were built through
-        Fractions: the integer build must not change a byte."""
+        Fractions, and of the three perturbed draws with count < dim as
+        their duals became span dual + (I - P) r: the integer build must
+        not change a byte."""
         code, out, _ = run(capsys, "construct", "--family", family, "--n", "12")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -276,7 +278,7 @@ class TestOracle:
             expected.append((seed, [selection_key(s, count) for s in sigmas], count))
         assert batches == expected
 
-    @pytest.mark.parametrize("suite, needed", [("swap", 14), ("hereditary", 4)])
+    @pytest.mark.parametrize("suite, needed", [("swap", 12), ("hereditary", 4)])
     def test_digit_budget_reaches_the_suites(self, capsys, suite, needed):
         """Both suites rank under --digit-budget: one digit below what the
         ranks need exits 3, and at it the report is the one without a
@@ -763,6 +765,18 @@ def _flag_value(argv, name):
 
 _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "12"]
 
+# An exit-2 message names the flag at fault, or the family key: a reason
+# that starts with the key, or quotes it.
+_FAMILY_KEY = "(?:w|m|d|n|seed|dual|element)"
+_NAMES_AN_ARGUMENT = re.compile(
+    rf"--[a-z]|(?:^|: ){_FAMILY_KEY}[ =]|'{_FAMILY_KEY}'|takes no argument")
+# the checks of the family and sigma grammars whose messages name neither yet
+_NAMES_NOTHING_YET = (
+    "count must not", "width must be nonnegative", "defect set must", "infinite-set must end",
+    "malformed family descriptor", "unknown family kind", "unexpected end of expression",
+    "period must be positive", "fin() elements must be positive",
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(cli_argv())
@@ -796,6 +810,10 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 @example(_ABOVE_BOUNDS[11][0])
 @example(_ABOVE_BOUNDS[12][0])
 @example(_ABOVE_BOUNDS[13][0])
+@example(["construct", "--family", "young(w=x)", "--n", "1"])
+@example(["construct", "--family", "defect-pair(m=)", "--n", "1"])
+@example(["construct", "--family", "finite-set(0,x)", "--n", "1"])
+@example(["defect", "--family", "random(d=4,n=3)", "--sigma", "all", "--n", "3"])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -809,6 +827,9 @@ def test_exit_code_contract(argv):
         assert set(json.loads(err.getvalue())) == {"error"}
         # an exact value of any size serializes
         assert "integer string conversion" not in err.getvalue()
+        message = json.loads(err.getvalue())["error"]["message"]
+        if code == 2 and not any(shape in message for shape in _NAMES_NOTHING_YET):
+            assert _NAMES_AN_ARGUMENT.search(message), message
         return
     report = json.loads(out.getvalue())
     if report["command"] == "defect" and report["results"]["verdict"] not in (

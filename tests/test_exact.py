@@ -19,7 +19,6 @@ from conftest import (
     oracle_intersection_dim,
     oracle_nullspace,
     oracle_nullspace_dim,
-    oracle_pivot_columns,
     oracle_project,
     oracle_rank,
     random_sparse_vector,
@@ -255,13 +254,7 @@ class TestEchelon:
             echelon([row], digit_budget=1)
         with pytest.raises(BudgetExceeded):
             echelon(rows, digit_budget=1)
-        assert echelon(rows, digit_budget=2)[0] == (0, 1)
-
-    def test_pivots_are_least_coordinates_of_reduced_rows(self):
-        # (3,1,0) reduced against (0,2,4) is 2(3,1,0) - (0,2,4) = 2(3,0,-2)
-        kept, pivots = echelon([vec(0, 2, 4), vec(0, 1, 2), vec(3, 1, 0)])
-        assert kept == (0, 2)
-        assert list(pivots.items()) == [(2, {2: 2, 3: 4}), (1, {1: 3, 3: -2})]
+        assert echelon(rows, digit_budget=2) == (0, 1)
 
 
 class TestBorderedElimination:
@@ -354,9 +347,8 @@ _SPANS = st.one_of(planted_spans().map(lambda span: span[:2]), family_spans())
 @given(_SPANS)
 def test_echelon_keeps_the_greedy_independent_subset(span):
     ambient, vectors = span
-    kept, pivots = echelon(vectors)
+    kept = echelon(vectors)
     assert kept == bordered_elimination(vectors).kept == oracle_greedy_kept(vectors, ambient)
-    assert sorted(pivots) == oracle_pivot_columns(vectors, ambient)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from conftest import (
     replay_random_family,
     to_dense,
 )
-from defectlab import oracle
+from defectlab import exact, oracle
 from defectlab.exact import SparseVector, rank_of_vectors
 from defectlab.families import (
     DefectPairFamily,
@@ -348,7 +348,8 @@ _RANDOM_DRAWS = [(dim, count, seed) for dim in range(10) for count in range(dim 
 @pytest.mark.parametrize("style", ["span", "perturbed"])
 def test_integer_build_matches_the_fraction_build(monkeypatch, style):
     """Every draw equals the build in plain Fraction arithmetic (G^-1 by
-    Gauss-Jordan, one Fraction sum per dual, the null-space basis), every
+    Gauss-Jordan, one Fraction sum per dual, the shift's part orthogonal
+    to the span), every
     entry is a Fraction, and every vector is in the stored form that its
     entries give."""
     for dim, count, seed in _RANDOM_DRAWS:
@@ -373,10 +374,40 @@ def test_integer_build_matches_the_fraction_build(monkeypatch, style):
 @pytest.mark.parametrize("style", ["span", "perturbed"])
 def test_random_build_matches_sympy(style):
     """The span duals are the rows of (x x^T)^-1 x and a perturbed dual adds
-    an integer combination of the null-space basis, retries included."""
+    (I - P) r for an integer vector r, retries included."""
     for dim, count, seed in _RANDOM_DRAWS + _RANDOM_DRAWS[-4:]:
         fam = RandomFiniteFamily(dim, count, seed=seed, dual_style=style)
         assert (fam._vectors, fam._duals) == oracle_random_family(dim, count, seed, style)
+
+
+def test_perturbed_draw_makes_one_elimination(monkeypatch):
+    """A perturbed draw with count < dim reads the complement off its one
+    Gram solve: one `bareiss_pass` and no echelon step."""
+    solves = count_calls(monkeypatch, "bareiss_pass", oracle)
+    steps = count_calls(monkeypatch, "echelon_step", exact)
+    fam = RandomFiniteFamily(9, 4, seed=123, dual_style="perturbed")
+    assert (len(solves), steps) == (1, [])
+    assert fam._duals != RandomFiniteFamily(9, 4, seed=123)._duals
+
+
+def test_perturbed_duals_add_a_complement_vector():
+    """For every perturbed draw with dim > count, x_k* minus the span dual
+    is orthogonal to every x_j, <x_i, x_k*> = delta_ik exactly, and the
+    duals equal the Fraction build."""
+    moved = 0
+    for dim, count, seed in _RANDOM_DRAWS:
+        if dim <= count:
+            continue
+        fam = RandomFiniteFamily(dim, count, seed=seed, dual_style="perturbed")
+        span = RandomFiniteFamily(dim, count, seed=seed)
+        xs = fam.vectors(range(1, count + 1))
+        for k in range(1, count + 1):
+            shift = fam.dual(k) - span.dual(k)
+            assert all(x.dot(shift) == 0 for x in xs), (dim, count, seed, k)
+            assert [x.dot(fam.dual(k)) for x in xs] == [int(i == k) for i in range(1, count + 1)]
+            moved += bool(shift.coords)
+        assert fam._duals == replay_random_family(dim, count, seed, "perturbed")[1]
+    assert moved
 
 
 class TestDescriptorGrammar:
