@@ -120,7 +120,7 @@ def oracle_random_family(dim, count, seed, dual_style="span"):
     else:
         raise RuntimeError("failed to draw an independent system")
     span_duals = (x * x.T).inv() * x if count else x
-    complement = sympy.eye(dim) - x.T * span_duals if count else sympy.eye(dim)
+    complement = sympy.eye(dim) - x.T * span_duals
     duals = []
     for k in range(count):
         target = span_duals.row(k).T
