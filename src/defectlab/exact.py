@@ -26,6 +26,10 @@ class InvariantViolation(RuntimeError):
     """A certified property that must always hold failed: this is a bug."""
 
 
+class InputError(Exception):
+    """An input that the CLI's parser, input gate or output write refuses."""
+
+
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 

@@ -31,9 +31,10 @@ Q = Fraction
 MAX_YOUNG_WIDTH = 100  # young w, the head width
 MAX_PAIR_M = 100  # defect-pair m, the head width
 MAX_FINITE_SET_ELEMENT = 100  # each element of finite-set(...); the last is the head width
-# An integer argument of more than ECHO_DIGITS digits, far above every
-# bound, is refused by its digit count before int() reads it, so that
-# the message stays short; the sigma grammar keeps the same rule.
+# An integer argument or bounded CLI flag of more than ECHO_DIGITS
+# digits, far above every bound, is refused by its digit count before
+# int() reads it, so that the message stays short; the sigma grammar
+# keeps the same rule.
 ECHO_DIGITS = 20
 
 
@@ -368,27 +369,27 @@ def parse_family(text: str) -> SystemFamily:
             kwargs()
             return E1PlusEkFamily()
         if name == "young":
-            return YoungFamily(width=_integer("w", kwargs("w")["w"], MAX_YOUNG_WIDTH))
+            return YoungFamily(width=parse_integer("w", kwargs("w")["w"], MAX_YOUNG_WIDTH))
         if name == "defect-pair":
-            return DefectPairFamily(m=_integer("m", kwargs("m")["m"], MAX_PAIR_M))
+            return DefectPairFamily(m=parse_integer("m", kwargs("m")["m"], MAX_PAIR_M))
         if name == "finite-set":
             return FiniteDefectSetFamily(defect_set=tuple(
-                _integer("element", a, MAX_FINITE_SET_ELEMENT) for a in args))
+                parse_integer("element", a, MAX_FINITE_SET_ELEMENT) for a in args))
         if name == "infinite-set":
             if not args or args[-1] != "inf":
                 raise MalformedDefectSet("infinite-set must end with 'inf'")
             from .infiniteset import MAX_INFINITE_SET_ELEMENT, InfiniteDefectSetFamily
 
             return InfiniteDefectSetFamily(finite_part=tuple(
-                _integer("element", a, MAX_INFINITE_SET_ELEMENT) for a in args[:-1]))
+                parse_integer("element", a, MAX_INFINITE_SET_ELEMENT) for a in args[:-1]))
         if name == "random":
             from .oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM, RandomFiniteFamily
 
             kw = kwargs("d", "n", "seed", "dual")
             return RandomFiniteFamily(
-                dim=_integer("d", kw["d"], MAX_RANDOM_DIM),
-                count=_integer("n", kw["n"], MAX_RANDOM_COUNT),
-                seed=_integer("seed", kw.get("seed", "0"), f"of {ECHO_DIGITS} digits"),
+                dim=parse_integer("d", kw["d"], MAX_RANDOM_DIM),
+                count=parse_integer("n", kw["n"], MAX_RANDOM_COUNT),
+                seed=parse_integer("seed", kw.get("seed", "0"), f"of {ECHO_DIGITS} digits"),
                 dual_style=kw.get("dual", "span"),
             )
     except (KeyError, ValueError) as exc:
@@ -398,13 +399,13 @@ def parse_family(text: str) -> SystemFamily:
     raise FamilySyntaxError(f"unknown family kind {name!r}")
 
 
-def _integer(key: str, token: str, bound) -> int:
-    """The integer of an argument token.  A token of more than ECHO_DIGITS
-    digits is refused by its digit count before int() reads it, with a
-    message that names the key and the bound; a token that is no integer
-    is refused with a message that names the key and the token."""
-    digits = token.lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) > ECHO_DIGITS and digits.isdigit():
+def parse_integer(key: str, token: str, bound=None) -> int:
+    """The integer of a token of key, a family argument or a CLI flag.
+    With a bound, a token of more than ECHO_DIGITS digits is refused by
+    its digit count before int() reads it; every message names the key,
+    and the bound or the token."""
+    digits = token.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if bound is not None and len(digits) > ECHO_DIGITS and digits.isdigit():
         raise LongArgument(f"{key} of {len(digits)} digits exceeds the bound {bound}")
     try:
         return int(token)

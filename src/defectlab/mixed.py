@@ -5,10 +5,10 @@ at a finite truncation.  Certification combines an exact witness basis
 (lower bound on the defect) with monotone decay of probe distances
 (completeness evidence); a verdict is only issued when both sides agree.
 The probe distances come from the family's `span_dist_sq`, which picks
-its own route.  The `defect` and `sweep` subcommands run here.  `sweep`
-imports the rank engine, `ranks`, when it runs, so a `defect` process
-does not compile it; the `oracle` suites rank through `ranks` and never
-import this module.
+its own route.  `defect` and `sweep` run here on the inputs that
+`cli.check_inputs` parsed.  `sweep` imports the rank engine, `ranks`,
+when it runs, so a `defect` process does not compile it; the `oracle`
+suites rank through `ranks` and never import this module.
 """
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from .cli import EXIT_OK, MAX_N, _emit, _int_list, _rational, _require_positive, _write
+from .cli import EXIT_OK, _emit, _write
 from .exact import InvariantViolation, SparseVector, rank_of_vectors
-from .families import SystemFamily, UnsupportedFamily, parse_family
-from .indexsets import EventuallyPeriodicSet, parse_set
+from .families import SystemFamily
+from .indexsets import EventuallyPeriodicSet
 from .reports import decay_csv, defect_report_json, table_csv
 
 Q = Fraction
@@ -191,32 +191,11 @@ def classify_defect(
     )
 
 
-def cmd_defect(args) -> int:
-    n_list = _int_list("--n-list", args.n_list) if args.n_list else None
-    _require_positive("--n", [args.n], MAX_N)
-    if n_list is not None and max(n_list) != args.n:
-        raise ValueError(f"--n-list must have --n as its largest entry, not {max(n_list)}")
-    _require_positive("--min-points", [args.min_points])
-    if args.probe_window is not None:
-        _require_positive("--probe-window", [args.probe_window])
-    threshold = _rational("--threshold", args.threshold)
-    family = parse_family(args.family)
-    sigma = parse_set(args.sigma)
-    if n_list is None:
-        step = max(args.n // 6, 1)
-        n_list = sorted(set(list(range(step, args.n + 1, step)) + [args.n]))
-    try:
-        report = classify_defect(
-            family,
-            sigma,
-            n_list,
-            decay_threshold=threshold,
-            min_points=args.min_points,
-            probe_window=args.probe_window,
-            digit_budget=args.digit_budget,
-        )
-    except UnsupportedFamily as exc:
-        raise ValueError(f"--family {exc}") from None
+def cmd_defect(args, parsed) -> int:
+    step = max(args.n // 6, 1)
+    n_list = getattr(parsed, "n_list", None) or sorted({*range(step, args.n + 1, step), args.n})
+    report = classify_defect(parsed.family, parsed.sigma, n_list, parsed.threshold,
+                             args.min_points, args.probe_window, args.digit_budget)
     config = {
         "family": args.family,
         "sigma": args.sigma,
@@ -229,34 +208,29 @@ def cmd_defect(args) -> int:
     }
     _emit(args, "defect", config, defect_report_json(report))
     if args.csv:
-        _write(args.csv, decay_csv(report))
+        _write(args.csv, decay_csv(report), "--csv")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, parsed) -> int:
     from .ranks import defect_truncated_many, selection_key
 
-    sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
-    if not sigmas:
-        raise ValueError("--sigmas names no sigma expression")
-    n_grid = _int_list("--n-grid", args.n_grid)
-    family = parse_family(args.family)
-    parsed = [parse_set(sigma_text) for sigma_text in sigmas]
+    family, n_grid = parsed.family, parsed.n_grid
     # one batched rank check at the largest n; every mixed family then has
     # full rank at each prefix, so each cell is ambient(n) - truncation(n)
     n_max = max(n_grid)
     last = family.truncation(n_max)
-    defect_truncated_many(family, [selection_key(sigma, last) for sigma in parsed], n_max,
+    defect_truncated_many(family, [selection_key(sigma, last) for sigma in parsed.sigmas], n_max,
                           args.digit_budget)
     rows = [
         {"sigma": sigma_text, "n": n,
          "defect_truncated": family.ambient(n) - family.truncation(n)}
-        for sigma_text in sigmas
+        for sigma_text in args.sigmas
         for n in n_grid
     ]
     config = {
         "family": args.family,
-        "sigmas": sigmas,
+        "sigmas": args.sigmas,
         "n_grid": n_grid,
         "digit_budget": args.digit_budget,
     }
@@ -265,5 +239,5 @@ def cmd_sweep(args) -> int:
         _write(args.csv, table_csv(
             ["sigma", "n", "defect_truncated"],
             [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
-        ))
+        ), "--csv")
     return EXIT_OK

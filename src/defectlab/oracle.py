@@ -1,6 +1,6 @@
 """The oracle suites: seeded random finite systems, their exhaustive
 hereditary scan, and the swap-invariance and hereditary suites of the
-`oracle` subcommand.
+`oracle` subcommand, run on the inputs that `cli.check_inputs` read.
 
 `families.parse_family` imports this module for a `random(...)`
 descriptor.  The suites and the scan import the rank engine, `ranks`,
@@ -13,7 +13,7 @@ import random
 from operator import mul
 from typing import Optional
 
-from .cli import EXIT_OK, MAX_INSTANCES, _emit, _require_nonnegative
+from .cli import EXIT_OK, _emit
 from .exact import InvariantViolation, SparseVector, bareiss_pass
 from .families import SystemFamily
 
@@ -183,8 +183,7 @@ def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     return {"instances": instances, "violations": violations}
 
 
-def cmd_oracle(args) -> int:
-    _require_nonnegative("--instances", args.instances, MAX_INSTANCES)
+def cmd_oracle(args, parsed) -> int:
     results = {}
     if args.suite in ("swap", "all"):
         results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)

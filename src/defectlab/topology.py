@@ -3,10 +3,11 @@
 Ranks, squared distances, and the set metric rho stay exact rationals;
 the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
-The `metric`, `chain` and `converge` subcommands run here; `metric` and
-`converge` read their spans through the family's `span_projections` and
-`span_dist_sq`, which pick their own route.  `chain` and `converge` read
-every truncated sigma_m = sigma ∪ [m+1, ∞) off sigma through
+The `metric`, `chain` and `converge` subcommands run here, on the
+inputs that `cli.check_inputs` parsed; `metric` and `converge` read
+their spans through the family's `span_projections` and `span_dist_sq`,
+which pick their own route.  `chain` and `converge` read every
+truncated sigma_m = sigma ∪ [m+1, ∞) off sigma through
 `_sigma_m_blocks`: `chain` counts the blocks, and `converge` names each
 sigma_m from sigma, so neither builds a sigma_m set.
 """
@@ -17,19 +18,10 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .cli import (
-    EXIT_OK,
-    MAX_M_MAX,
-    MAX_N,
-    MAX_PRECISION,
-    MAX_TERMS,
-    _emit,
-    _require_nonnegative,
-    _require_positive,
-)
+from .cli import EXIT_OK, _emit
 from .exact import InvariantViolation
-from .families import SystemFamily, parse_family
-from .indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set, rho
+from .families import SystemFamily
+from .indexsets import EventuallyPeriodicSet, rho
 from .reports import exact_value, interval_value
 
 Q = Fraction
@@ -252,22 +244,11 @@ def semicontinuity_violation(rows, limit: IntervalValue) -> bool:
     return all(row["ds_to_zero"].hi < limit.lo for row in rows[-3:])
 
 
-def cmd_metric(args) -> int:
-    _require_positive("--n", [args.n], MAX_N)
-    _require_positive("--terms", [args.terms], MAX_TERMS)
-    _require_nonnegative("--precision", args.precision, MAX_PRECISION)
-    family = parse_family(args.family)
-    sigma = parse_set(args.sigma)
-    tau = parse_set(args.tau)
-    # rho runs over the symmetric difference, whose period is the lcm
-    period = math.lcm(sigma.period, tau.period)
-    if period > MAX_PERIOD:
-        raise ValueError(f"--sigma and --tau: the common period {period} exceeds the bound "
-                         f"{MAX_PERIOD}")
-    ds, dw = projector_metrics(family, sigma, tau, args.n, args.terms, args.precision,
-                               digit_budget=args.digit_budget)
+def cmd_metric(args, parsed) -> int:
+    ds, dw = projector_metrics(parsed.family, parsed.sigma, parsed.tau, args.n, args.terms,
+                               args.precision, digit_budget=args.digit_budget)
     results = {
-        "rho": exact_value(rho(sigma, tau)),
+        "rho": exact_value(rho(parsed.sigma, parsed.tau)),
         "d_s": interval_value(ds),
         "d_w": interval_value(dw),
     }
@@ -286,13 +267,8 @@ def cmd_metric(args) -> int:
     return EXIT_OK
 
 
-def cmd_chain(args) -> int:
-    _require_positive("--n", [args.n], MAX_N)
-    if not 1 <= args.depth <= args.n:
-        raise ValueError("--depth must lie between 1 and --n")
-    family = parse_family(args.family)
-    sigma = parse_set(args.sigma)
-    dims, equal = intersection_chain(family, sigma, args.depth, args.n)
+def cmd_chain(args, parsed) -> int:
+    dims, equal = intersection_chain(parsed.family, parsed.sigma, args.depth, args.n)
     config = {
         "family": args.family,
         "sigma": args.sigma,
@@ -306,14 +282,8 @@ def cmd_chain(args) -> int:
     return EXIT_OK
 
 
-def cmd_converge(args) -> int:
-    _require_positive("--n", [args.n], MAX_N)
-    _require_positive("--terms", [args.terms], MAX_TERMS)
-    _require_positive("--m-max", [args.m_max], MAX_M_MAX)
-    _require_nonnegative("--precision", args.precision, MAX_PRECISION)
-    family = parse_family(args.family)
-    sigma = parse_set(args.sigma)
-    rows, limit = convergence_probe(family, sigma, args.m_max, args.n, args.terms,
+def cmd_converge(args, parsed) -> int:
+    rows, limit = convergence_probe(parsed.family, parsed.sigma, args.m_max, args.n, args.terms,
                                     args.precision, digit_budget=args.digit_budget)
     out_rows = [
         {

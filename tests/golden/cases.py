@@ -309,6 +309,11 @@ _add("construct error young w of 5000 digits", "construct", "--family",
      "young(w=%s)" % ("9" * 5000), "--n", 1)
 _add("construct error random d of 5000 digits", "construct", "--family",
      "random(d=%s,n=2)" % ("9" * 5000), "--n", 1)
+# and so is a bounded integer flag
+_add("construct error n of 100000 digits", "construct", "--family", "e1-plus-ek",
+     "--n", "9" * 100_000)
+_add("defect error n-list of 100000 digits", "defect",
+     *_family_sigma("e1-plus-ek", "all", 4, "--n-list", "9" * 100_000 + ",4"))
 
 # -- digit budget: just below and at each pinned trip point -------------------
 for _name, _argv, _below, _at in _BUDGET_PINS:

@@ -108,6 +108,22 @@ def test_out_path_holds_the_stdout_bytes(capsys, tmp_path, argv):
     assert code == 0 and path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--out", ["construct", "--family", "e1-plus-ek", "--n", "2"]),
+    ("--csv", ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8"]),
+], ids=["out", "csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_is_2(capsys, tmp_path, flag, argv, where):
+    """A report path in a directory that does not exist, or a path that is
+    a directory, exits 2 with a message that names the flag and the path."""
+    path = str(tmp_path / "missing" / "r.out" if where == "missing-directory" else tmp_path)
+    code, _, err = run(capsys, *argv, flag, path)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(f"{flag}: cannot write {path!r}: ")
+
+
 class TestDefect:
     def test_verdicts(self, capsys):
         code, out, _ = run(capsys, "defect", "--family", "defect-pair(m=3)",
@@ -355,6 +371,44 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "budget"
 
+    def test_value_error_after_the_gate_is_4(self, capsys, monkeypatch):
+        """Every input is checked before any computation, so a ValueError
+        that an analysis raises is a bug: exit 4, naming the exception."""
+        import defectlab.topology as topology
+
+        def fails(*args, **kwargs):
+            raise ValueError("interval bounds out of order")
+
+        monkeypatch.setattr(topology, "projector_metrics", fails)
+        code, out, err = run(capsys, "metric", "--family", "e1-plus-ek",
+                             "--sigma", "all", "--tau", "none", "--n", "4")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "kind": "invariant", "message": "ValueError: interval bounds out of order"}
+
+    def test_each_family_and_sigma_is_parsed_once(self, capsys, monkeypatch):
+        import defectlab.cli as cli
+        import defectlab.indexsets as indexsets
+
+        families = count_calls(monkeypatch, "parse_family", cli)
+        sigmas = count_calls(monkeypatch, "parse_set", indexsets)
+        for argv, expected in [
+            (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8"], 1),
+            (["sweep", "--family", "e1-plus-ek", "--sigmas", "all;none;fin(2)",
+              "--n-grid", "3,5"], 3),
+            (["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none",
+              "--n", "4"], 2),
+            (["chain", "--family", "e1-plus-ek", "--sigma", "none", "--depth", "2",
+              "--n", "4"], 1),
+            (["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2",
+              "--n", "4"], 1),
+            (["construct", "--family", "e1-plus-ek", "--n", "3"], 0),
+        ]:
+            families.clear()
+            sigmas.clear()
+            assert run(capsys, *argv)[0] == 0, argv
+            assert (len(families), len(sigmas)) == (1, expected), argv
+
     def test_invariant_error_is_4(self, capsys, monkeypatch):
         import defectlab.topology as topology
 
@@ -525,16 +579,19 @@ class TestExitCodes:
             "kind": "input",
             "message": "--sigma and --tau: the common period 19946 exceeds the bound 10000"}
 
-    def test_unsupported_scan_is_2(self, capsys, monkeypatch):
+    def test_unsupported_scan_is_4(self, capsys, monkeypatch):
+        # the suites build only random families, so a scan of another is a bug
         import defectlab.oracle as oracle
 
         real = oracle.hereditary_scan
         monkeypatch.setattr(oracle, "hereditary_scan",
                             lambda family, digit_budget: real(E1PlusEkFamily()))
         code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
-        assert code == 2
+        assert code == 4
         assert out == ""
-        assert json.loads(err)["error"]["kind"] == "input"
+        assert json.loads(err)["error"] == {
+            "kind": "invariant",
+            "message": "UnsupportedScan: hereditary_scan requires a RandomFinite family"}
 
     def test_increasing_decay_is_4(self, capsys, rising_decay):
         # a head family's complement route and infinite-set's Gram side
@@ -631,6 +688,42 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 200
         assert names in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, flag, bound", [
+        (["construct", "--family", "e1-plus-ek", "--n", "%s"], "--n", MAX_N),
+        (["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "4",
+          "--n-list", "%s,4"], "--n-list", MAX_N),
+        (["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", "3,-%s"],
+         "--n-grid", MAX_N),
+        (["metric", "--family", "e1-plus-ek", "--sigma", "all", "--tau", "none", "--n", "4",
+          "--terms", "%s"], "--terms", MAX_TERMS),
+        (["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "0%s",
+          "--n", "4"], "--m-max", MAX_M_MAX),
+        (["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2",
+          "--n", "4", "--precision=-%s"], "--precision", MAX_PRECISION),
+        (["oracle", "--instances", "%s"], "--instances", MAX_INSTANCES),
+        (["chain", "--family", "e1-plus-ek", "--sigma", "none", "--depth", "%s",
+          "--n", "4"], "--depth", MAX_N),
+    ], ids=["n", "n-list", "n-grid", "terms", "m-max", "precision", "instances", "depth"])
+    def test_overlong_size_flag_is_a_short_error(self, capsys, argv, flag, bound):
+        """A bounded integer flag of 100,000 digits is refused by its digit
+        count before it is read; leading zeros and the sign do not count."""
+        argv = [a % ("9" * 100_000) if "%s" in a else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "input", "message": f"{flag} of 100000 digits exceeds the bound {bound}"}
+
+    def test_unbounded_flags_take_any_integer(self, capsys):
+        big = "9" * 30
+        code, out, _ = run(capsys, "defect", "--family", "e1-plus-ek", "--sigma", "all",
+                           "--n", "8", "--min-points", big, "--probe-window", big,
+                           "--digit-budget", big)
+        assert code == 0
+        assert json.loads(out)["config"]["min_points"] == int(big)
+        code, out, _ = run(capsys, "oracle", "--instances", "1", "--seed", "-" + big)
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == -int(big)
 
     def test_family_integer_of_twenty_digits_is_read(self, capsys):
         # twenty digits are read and quoted; leading zeros and the sign do not count
@@ -770,12 +863,6 @@ _DEFECT = ["defect", "--family", "defect-pair(m=3)", "--sigma", "all", "--n", "1
 _FAMILY_KEY = "(?:w|m|d|n|seed|dual|element)"
 _NAMES_AN_ARGUMENT = re.compile(
     rf"--[a-z]|(?:^|: ){_FAMILY_KEY}[ =]|'{_FAMILY_KEY}'|takes no argument")
-# the checks of the family and sigma grammars whose messages name neither yet
-_NAMES_NOTHING_YET = (
-    "count must not", "width must be nonnegative", "defect set must", "infinite-set must end",
-    "malformed family descriptor", "unknown family kind", "unexpected end of expression",
-    "period must be positive", "fin() elements must be positive",
-)
 
 
 @settings(max_examples=200, deadline=None)
@@ -828,7 +915,7 @@ def test_exit_code_contract(argv):
         # an exact value of any size serializes
         assert "integer string conversion" not in err.getvalue()
         message = json.loads(err.getvalue())["error"]["message"]
-        if code == 2 and not any(shape in message for shape in _NAMES_NOTHING_YET):
+        if code == 2:
             assert _NAMES_AN_ARGUMENT.search(message), message
         return
     report = json.loads(out.getvalue())
