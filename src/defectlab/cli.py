@@ -111,10 +111,7 @@ def check_inputs(args) -> argparse.Namespace:
         if max(parsed.n_list) != args.n:
             raise ValueError(f"--n-list must have --n as its largest entry, "
                              f"not {max(parsed.n_list)}")
-    if hasattr(args, "sigmas"):
-        args.sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
-        if not args.sigmas:
-            raise ValueError("--sigmas names no sigma expression")
+    if hasattr(args, "n_grid"):
         parsed.n_grid = _int_list("--n-grid", args.n_grid)
     if hasattr(args, "threshold"):
         parsed.threshold = _rational("--threshold", args.threshold)
@@ -125,6 +122,9 @@ def check_inputs(args) -> argparse.Namespace:
     if hasattr(args, "sigmas"):
         from .indexsets import parse_set
 
+        args.sigmas = [s.strip() for s in args.sigmas.split(";") if s.strip()]
+        if not args.sigmas:
+            raise ValueError("--sigmas names no sigma expression")
         parsed.sigmas = [_parsed("--sigmas", parse_set, text) for text in args.sigmas]
     elif hasattr(args, "sigma"):
         from .indexsets import MAX_PERIOD, parse_set

@@ -27,7 +27,8 @@ class InvariantViolation(RuntimeError):
 
 
 class InputError(Exception):
-    """An input that the CLI's parser, input gate or output write refuses."""
+    """An input that the CLI's parser, input gate or output write refuses;
+    defined here, so that under `python -m` both copies of cli share it."""
 
 
 def _as_fraction(x) -> Fraction:

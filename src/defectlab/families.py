@@ -31,10 +31,9 @@ Q = Fraction
 MAX_YOUNG_WIDTH = 100  # young w, the head width
 MAX_PAIR_M = 100  # defect-pair m, the head width
 MAX_FINITE_SET_ELEMENT = 100  # each element of finite-set(...); the last is the head width
-# An integer argument or bounded CLI flag of more than ECHO_DIGITS
-# digits, far above every bound, is refused by its digit count before
-# int() reads it, so that the message stays short; the sigma grammar
-# keeps the same rule.
+# An integer argument or bounded CLI flag of more than ECHO_DIGITS digits,
+# far above every bound, is refused by its digit count before int() reads
+# it, so that the message stays short; the sigma grammar keeps the rule.
 ECHO_DIGITS = 20
 
 
