@@ -21,8 +21,8 @@ from fractions import Fraction
 from importlib import import_module
 
 from . import __version__
-from .exact import BudgetExceeded, InputError, InvariantViolation
-from .families import LongArgument, SystemFamily, parse_family, parse_integer
+from .exact import BudgetExceeded, InputError, InvariantViolation, biorthogonal
+from .families import LongArgument, SystemFamily, echo, parse_family, parse_integer
 from .reports import dump_json, rational_str, report_envelope
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _int_list(flag: str, text: str) -> list:
     except LongArgument:
         raise
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
+        raise ValueError(f"{flag} takes comma-separated integers, not {echo(text)}") from None
     if not values:
         raise ValueError(f"{flag} names no truncation")
     _check_range(flag, min(values), 1, None)
@@ -84,7 +84,7 @@ def _rational(flag: str, text: str) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"{flag} has a zero denominator") from None
     except ValueError:
-        raise ValueError(f"{flag} takes a rational, not {text!r}") from None
+        raise ValueError(f"{flag} takes a rational, not {echo(text)}") from None
 
 
 def _parsed(flag: str, parse, text: str):
@@ -154,9 +154,17 @@ def _write(path, text: str, flag: str = "--out") -> None:
         raise InputError(f"{flag}: cannot write {path!r}: {exc.strerror}") from None
 
 
-def _emit(args, command: str, config: dict, results: dict) -> None:
-    payload = report_envelope(command, config, results, __version__)
-    _write(getattr(args, "out", None), dump_json(payload))
+def _emit(args, command: str, config: dict, results: dict, csv=None) -> None:
+    """Writes the report to --out and csv, a table's text, to --csv.  A
+    --csv file is written before the report, so that one that cannot be
+    written exits 2 with no report; --csv - follows the report."""
+    report = dump_json(report_envelope(command, config, results, __version__))
+    if csv is not None and args.csv != "-":
+        _write(args.csv, csv, "--csv")
+        csv = None
+    _write(getattr(args, "out", None), report)
+    if csv is not None:
+        _write("-", csv)
 
 
 def cmd_construct(args, parsed) -> int:
@@ -164,7 +172,7 @@ def cmd_construct(args, parsed) -> int:
     n = family.truncation(args.n)
     xs = family.vectors(range(1, n + 1))
     duals = [family.dual(k) for k in range(1, n + 1)]
-    ok = all(x.dot(d) == int(j == k) for j, x in enumerate(xs) for k, d in enumerate(duals))
+    ok = biorthogonal(xs, duals)
     vectors = [
         {
             "k": k,

@@ -8,7 +8,8 @@ only where a value leaves the kernels (distances, inner products and
 from one Bareiss elimination of a bordered integer Gram matrix,
 `bareiss_pass`, which `bordered_elimination` feeds from vectors and
 probes; ranks come from one sparse echelon pass on the vectors' integer
-coordinates, `echelon`.  No floating point ever enters.
+coordinates, `echelon`; `biorthogonal` checks <x_j, x_k*> = delta_jk on
+the pairs that share a coordinate.  No floating point ever enters.
 """
 from __future__ import annotations
 
@@ -294,39 +295,61 @@ def _reduce(row: dict, prow: dict, p: int) -> dict:
     return {i: x // g for i, x in out.items()} if g > 1 else out
 
 
-def echelon_step(chain: list, pivots: list, digit_budget: Optional[int] = None) -> bool:
-    """One step of the echelon pass: is the row chain[0] independent?
-
-    pivots holds one (p, prow) per earlier step, (0, {}) if dependent;
-    chain[i] is chain[0] reduced against pivots[:i].  The chain is
-    extended to len(pivots) + 1 entries and its last row is appended to
-    pivots under its least coordinate.  A digit budget is checked on a
-    lone chain[0] and on every reduced row.  Rows are never mutated.
-    """
-    row = chain[-1]
-    if digit_budget is not None and len(chain) == 1:
-        _check_budget(row.values(), digit_budget)
-    for p, prow in pivots[len(chain) - 1:]:
-        if p in row:
-            row = _reduce(row, prow, p)
-            if digit_budget is not None:
-                _check_budget(row.values(), digit_budget)
-        chain.append(row)
-    pivots.append((min(row), row) if row else (0, {}))
-    return bool(row)
-
-
 def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> tuple:
     """Fraction-free sparse row echelon pass: the indices of the vectors
     independent of those before them, the greedy maximal independent
-    subset.  Each vector takes one `echelon_step`."""
-    steps = []
-    return tuple(r for r, v in enumerate(vectors) if echelon_step([v.coords], steps, digit_budget))
+    subset.  Each row is reduced against the pivot rows before it and,
+    if nonzero, becomes a pivot row under its least coordinate.  A digit
+    budget is checked on every input row and every reduced row."""
+    pivots, kept = [], []
+    for r, v in enumerate(vectors):
+        row = v.coords
+        if digit_budget is not None:
+            _check_budget(row.values(), digit_budget)
+        for p, prow in pivots:
+            if p in row:
+                row = _reduce(row, prow, p)
+                if digit_budget is not None:
+                    _check_budget(row.values(), digit_budget)
+        if row:
+            pivots.append((min(row), row))
+            kept.append(r)
+    return tuple(kept)
 
 
 def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
     """dim span(vectors): the number of vectors the echelon pass keeps."""
     return len(echelon(vectors, digit_budget))
+
+
+def biorthogonal(xs: Sequence[SparseVector], duals: Sequence[SparseVector],
+                 digit_budget: Optional[int] = None) -> bool:
+    """Is <xs[j], duals[k]> = delta_jk for every j and k?
+
+    Two vectors that share no coordinate are orthogonal, so an index from
+    each coordinate to the duals that use it gives the only pairs that
+    are computed: those that share a coordinate, and each pair (j, j).
+    A head family then costs O(n * head), not O(n^2).  With a digit
+    budget, every coordinate and denominator read is checked.
+    """
+    if len(xs) != len(duals):
+        raise ValueError("xs and duals must have equal length")
+    users = {}
+    for k, d in enumerate(duals):
+        if digit_budget is not None:
+            _check_budget([d.den, *d.coords.values()], digit_budget)
+        for i in d.coords:
+            users.setdefault(i, []).append(k)
+    for j, x in enumerate(xs):
+        if digit_budget is not None:
+            _check_budget([x.den, *x.coords.values()], digit_budget)
+        near = {k for i in x.coords for k in users.get(i, ())}
+        near.add(j)
+        for k in near:
+            d = duals[k]
+            if _idot(x.coords, d.coords) != (x.den * d.den if k == j else 0):
+                return False
+    return True
 
 
 def project_many(

@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .exact import SparseVector, bordered_elimination, project_many
+from .exact import (InvariantViolation, SparseVector, biorthogonal, bordered_elimination,
+                    project_many)
 
 if TYPE_CHECKING:  # annotations only: a process that parses no sigma compiles no indexsets
     from .indexsets import EventuallyPeriodicSet
@@ -35,6 +36,16 @@ MAX_FINITE_SET_ELEMENT = 100  # each element of finite-set(...); the last is the
 # far above every bound, is refused by its digit count before int() reads
 # it, so that the message stays short; the sigma grammar keeps the rule.
 ECHO_DIGITS = 20
+# A message quotes a token of at most ECHO_CHARS characters in full, and a
+# longer one by its first ECHO_CHARS characters and its length.
+ECHO_CHARS = 40
+
+
+def echo(token: str) -> str:
+    """The token as a message quotes it, bounded by ECHO_CHARS."""
+    if len(token) <= ECHO_CHARS:
+        return repr(token)
+    return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
 
 
 class UnsupportedFamily(ValueError):
@@ -127,6 +138,17 @@ class SystemFamily:
     def span_projections(self, primal, targets, digit_budget=None) -> list:
         """Exact projections of the targets onto span{x_k : k in primal}."""
         return project_many(targets, self.vectors(primal), digit_budget)
+
+
+def check_biorthogonal(family: SystemFamily, last: int, digit_budget=None) -> None:
+    """Raises InvariantViolation unless <x_j, x_k*> = delta_jk for j, k
+    in 1..last.  Then every mixed family {x_k : k in sigma} and
+    {x_k* : k not in sigma} of x_1..x_last has a block-diagonal Gram
+    matrix with full-rank blocks: it has rank last."""
+    indices = range(1, last + 1)
+    if not biorthogonal(family.vectors(indices), [family.dual(k) for k in indices],
+                        digit_budget):
+        raise InvariantViolation(f"x_1..x_{last} and their duals are not biorthogonal")
 
 
 class HeadFamily(SystemFamily):
@@ -345,7 +367,7 @@ def parse_family(text: str) -> SystemFamily:
     """Parse a family descriptor, e.g. "defect-pair(m=3)" or "finite-set(0,1,3)"."""
     m = _FAMILY_RE.match(text)
     if not m:
-        raise FamilySyntaxError(f"malformed family descriptor: {text!r}")
+        raise FamilySyntaxError(f"malformed family descriptor: {echo(text)}")
     name, argtext = m.group(1), m.group(2) or ""
     args = [a.strip() for a in argtext.split(",") if a.strip()]
 
@@ -355,11 +377,11 @@ def parse_family(text: str) -> SystemFamily:
         for a in args:
             key, eq, val = (part.strip() for part in a.partition("="))
             if key not in keys:
-                raise FamilySyntaxError(f"{name} takes no argument {a!r}")
+                raise FamilySyntaxError(f"{name} takes no argument {echo(a)}")
             if not eq:
-                raise FamilySyntaxError(f"expected key=value in {text!r}")
+                raise FamilySyntaxError(f"expected key=value in {echo(text)}")
             if key in out:
-                raise FamilySyntaxError(f"argument {key!r} is given twice")
+                raise FamilySyntaxError(f"argument {echo(key)} is given twice")
             out[key] = val
         return out
 
@@ -394,8 +416,8 @@ def parse_family(text: str) -> SystemFamily:
     except (KeyError, ValueError) as exc:
         if isinstance(exc, (MalformedDefectSet, LongArgument)):
             raise
-        raise FamilySyntaxError(f"bad arguments in {text!r}: {exc}") from exc
-    raise FamilySyntaxError(f"unknown family kind {name!r}")
+        raise FamilySyntaxError(f"bad arguments in {echo(text)}: {exc}") from exc
+    raise FamilySyntaxError(f"unknown family kind {echo(name)}")
 
 
 def parse_integer(key: str, token: str, bound=None) -> int:
@@ -409,4 +431,4 @@ def parse_integer(key: str, token: str, bound=None) -> int:
     try:
         return int(token)
     except ValueError:
-        raise FamilySyntaxError(f"{key} takes an integer, not {token!r}") from None
+        raise FamilySyntaxError(f"{key} takes an integer, not {echo(token)}") from None

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, NamedTuple
 
 # A bound error quotes a token of at most ECHO_DIGITS digits; a longer
-# one, far above every bound, is named by its digit count instead, as in
-# the family descriptors.
-from .families import ECHO_DIGITS
+# one, far above every bound, is named by its digit count instead, and
+# any other token is quoted by `echo`, as in the family descriptors.
+from .families import ECHO_DIGITS, echo
 
 Q = Fraction
 
@@ -207,7 +207,7 @@ def _tokenize(text: str) -> list:
     while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise SetSyntaxError(f"unexpected character at {text[pos:]!r}")
+            raise SetSyntaxError(f"unexpected character at {echo(text[pos:])}")
         tokens.append(m.group(1))
         pos = m.end()
     return tokens
@@ -227,7 +227,7 @@ class _Parser:
         if tok is None:
             raise SetSyntaxError("unexpected end of expression")
         if expected is not None and tok != expected:
-            raise SetSyntaxError(f"expected {expected!r}, got {tok!r}")
+            raise SetSyntaxError(f"expected {expected!r}, got {echo(tok)}")
         self.pos += 1
         return tok
 
@@ -242,7 +242,7 @@ class _Parser:
         digits is refused by its digit count before int() reads it."""
         tok = self.take()
         if not tok.isdigit():
-            raise SetSyntaxError(f"expected integer, got {tok!r}")
+            raise SetSyntaxError(f"expected integer, got {echo(tok)}")
         digits = len(tok.lstrip("0"))
         if bound and digits > ECHO_DIGITS:
             raise SetSyntaxError(f"{what} of {digits} digits exceeds the bound {bound}")
@@ -320,7 +320,7 @@ class _Parser:
             if any(k < 1 for k in elements):
                 raise SetSyntaxError("fin() elements must be positive")
             return EventuallyPeriodicSet.finite(elements)
-        raise SetSyntaxError(f"unexpected token {tok!r}")
+        raise SetSyntaxError(f"unexpected token {echo(tok)}")
 
 
 def parse_set(text: str) -> EventuallyPeriodicSet:
@@ -328,5 +328,5 @@ def parse_set(text: str) -> EventuallyPeriodicSet:
     parser = _Parser(_tokenize(text))
     node = parser.expr()
     if parser.peek() is not None:
-        raise SetSyntaxError(f"trailing input at {parser.peek()!r}")
+        raise SetSyntaxError(f"trailing input at {echo(parser.peek())}")
     return node

@@ -6,9 +6,8 @@ at a finite truncation.  Certification combines an exact witness basis
 (completeness evidence); a verdict is only issued when both sides agree.
 The probe distances come from the family's `span_dist_sq`, which picks
 its own route.  `defect` and `sweep` run here on the inputs that
-`cli.check_inputs` parsed.  `sweep` imports the rank engine, `ranks`,
-when it runs, so a `defect` process does not compile it; the `oracle`
-suites rank through `ranks` and never import this module.
+`cli.check_inputs` parsed.  `sweep` checks the family's biorthogonality
+once, at its largest truncation: every mixed family then has full rank.
 """
 from __future__ import annotations
 
@@ -16,9 +15,9 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from .cli import EXIT_OK, _emit, _write
+from .cli import EXIT_OK, _emit
 from .exact import InvariantViolation, SparseVector, rank_of_vectors
-from .families import SystemFamily
+from .families import SystemFamily, check_biorthogonal
 from .indexsets import EventuallyPeriodicSet
 from .reports import decay_csv, defect_report_json, table_csv
 
@@ -206,22 +205,16 @@ def cmd_defect(args, parsed) -> int:
         "probe_window": report.probe_window,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "defect", config, defect_report_json(report))
-    if args.csv:
-        _write(args.csv, decay_csv(report), "--csv")
+    _emit(args, "defect", config, defect_report_json(report),
+          decay_csv(report) if args.csv else None)
     return EXIT_OK
 
 
 def cmd_sweep(args, parsed) -> int:
-    from .ranks import defect_truncated_many, selection_key
-
     family, n_grid = parsed.family, parsed.n_grid
-    # one batched rank check at the largest n; every mixed family then has
-    # full rank at each prefix, so each cell is ambient(n) - truncation(n)
-    n_max = max(n_grid)
-    last = family.truncation(n_max)
-    defect_truncated_many(family, [selection_key(sigma, last) for sigma in parsed.sigmas], n_max,
-                          args.digit_budget)
+    # one biorthogonality check at the largest n; every mixed family then
+    # has full rank at each prefix, so each cell is ambient(n) - truncation(n)
+    check_biorthogonal(family, family.truncation(max(n_grid)), args.digit_budget)
     rows = [
         {"sigma": sigma_text, "n": n,
          "defect_truncated": family.ambient(n) - family.truncation(n)}
@@ -234,10 +227,8 @@ def cmd_sweep(args, parsed) -> int:
         "n_grid": n_grid,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "sweep", config, {"grid": rows})
-    if args.csv:
-        _write(args.csv, table_csv(
-            ["sigma", "n", "defect_truncated"],
-            [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
-        ), "--csv")
+    _emit(args, "sweep", config, {"grid": rows}, table_csv(
+        ["sigma", "n", "defect_truncated"],
+        [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
+    ) if args.csv else None)
     return EXIT_OK

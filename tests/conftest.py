@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from defectlab.exact import SparseVector, bordered_elimination
 from defectlab.indexsets import EventuallyPeriodicSet
-from defectlab.ranks import defect_truncated_many, selection_key
 
 Q = Fraction
 
@@ -40,6 +39,13 @@ def to_sympy_matrix(vectors, ambient):
 
 def oracle_rank(vectors, ambient):
     return to_sympy_matrix(vectors, ambient).rank()
+
+
+def oracle_biorthogonal(xs, duals, ambient):
+    """Is V D^T the identity, for V and D the matrices whose rows are xs
+    and duals?"""
+    product = to_sympy_matrix(xs, ambient) * to_sympy_matrix(duals, ambient).T
+    return product == sympy.eye(len(xs))
 
 
 def _to_fraction(r):
@@ -235,10 +241,12 @@ def complement_basis(generators, ambient):
     return basis
 
 
-def defect_truncated(family, sigma, n, digit_budget=None):
-    """ambient - rank of one truncated mixed family, through the batch call."""
-    key = selection_key(sigma, family.truncation(n))
-    return defect_truncated_many(family, [key], n, digit_budget)[0]
+def defect_truncated(family, sigma, n):
+    """ambient - rank of one truncated mixed family, the rank by `_rref`."""
+    ambient = family.ambient(n)
+    vectors = [family.vector(k) if sigma.contains(k) else family.dual(k)
+               for k in range(1, family.truncation(n) + 1)]
+    return ambient - len(_rref([to_dense(v, ambient) for v in vectors])[1])
 
 
 class WrongSide(ValueError):
@@ -493,21 +501,28 @@ def unnested_convergence(monkeypatch):
     _reverse_tables(monkeypatch)
 
 
+def _replace_first_dual(monkeypatch, make):
+    """Replaces x_1* of every head family and every random family by
+    make(x_1*)."""
+    from defectlab.families import HeadFamily
+    from defectlab.oracle import RandomFiniteFamily
+
+    for cls in (HeadFamily, RandomFiniteFamily):
+        def dual(self, k, real=cls.dual):
+            return make(real(self, k)) if k == 1 else real(self, k)
+
+        monkeypatch.setattr(cls, "dual", dual)
+
+
 @pytest.fixture
-def dropped_generator(monkeypatch):
-    """Makes the shared echelon step, as `exact.echelon` and the rank
-    engine's chain pass call it, report the first pivot row of each pass
-    (a step that no earlier step gave a pivot) as dependent while keeping
-    it in the pivots, so every pass loses exactly one rank and a
-    truncated mixed family of full rank reads as rank size - 1."""
-    import defectlab.exact as exact
-    import defectlab.ranks as ranks
+def zero_dual(monkeypatch):
+    """Makes x_1* zero, so every truncated mixed family that selects x_1*
+    loses one rank."""
+    _replace_first_dual(monkeypatch, lambda d: SparseVector.from_ints({}))
 
-    real = exact.echelon_step
 
-    def dropping(chain, pivots, digit_budget=None):
-        first = not any(p for p, _ in pivots)
-        return real(chain, pivots, digit_budget) and not first
-
-    for module in (exact, ranks):
-        monkeypatch.setattr(module, "echelon_step", dropping)
+@pytest.fixture
+def moved_dual(monkeypatch):
+    """Doubles x_1*, so <x_1, x_1*> = 2 while every truncated mixed family
+    keeps its full rank."""
+    _replace_first_dual(monkeypatch, lambda d: d + d)

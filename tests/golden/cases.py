@@ -50,9 +50,9 @@ _BUDGET_PINS = [
     ("sweep", ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
                "--n-grid", "10,20,40,80"], 3, 4),
     ("oracle-swap", ["oracle", "--suite", "swap", "--instances", "5", "--seed", "0"],
-     11, 12),
+     7, 8),
     ("oracle-hereditary",
-     ["oracle", "--suite", "hereditary", "--instances", "5", "--seed", "0"], 3, 4),
+     ["oracle", "--suite", "hereditary", "--instances", "5", "--seed", "0"], 2, 3),
 ]
 
 _RANDOM = [

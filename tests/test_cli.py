@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defectlab
-from conftest import count_calls, defect_truncated, oracle_random_family, swap_move
+from conftest import count_calls, defect_truncated, oracle_random_family
 from defectlab.cli import MAX_INSTANCES, MAX_M_MAX, MAX_N, MAX_PRECISION, MAX_TERMS, main
 from defectlab.exact import SparseVector
 from defectlab.families import (
@@ -24,10 +24,9 @@ from defectlab.families import (
     E1PlusEkFamily,
     parse_family,
 )
-from defectlab.indexsets import EventuallyPeriodicSet, parse_set
+from defectlab.indexsets import parse_set
 from defectlab.infiniteset import MAX_INFINITE_SET_ELEMENT
 from defectlab.oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM
-from defectlab.ranks import selection_key
 from defectlab.reports import rational_str
 from defectlab.topology import IntervalValue
 
@@ -124,6 +123,50 @@ def test_unwritable_output_path_is_2(capsys, tmp_path, flag, argv, where):
     assert error["message"].startswith(f"{flag}: cannot write {path!r}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "4"],
+    ["sweep", "--family", "e1-plus-ek", "--sigmas", "all;none", "--n-grid", "2,4"],
+], ids=["defect", "sweep"])
+def test_unwritable_csv_writes_no_report(capsys, tmp_path, argv):
+    """The CSV file is written before the report, so a --csv path that
+    cannot be written exits 2 with stdout empty; --csv - prints the
+    report, then the CSV."""
+    code, out, _ = run(capsys, *argv, "--csv", str(tmp_path / "missing" / "t.csv"))
+    assert (code, out) == (2, "")
+    path = tmp_path / "t.csv"
+    code, report, _ = run(capsys, *argv, "--csv", str(path))
+    assert code == 0
+    assert run(capsys, *argv, "--csv", "-") == (0, report + path.read_text(), "")
+
+
+_LONG = "9" * 100_000 + "x"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "e1-plus-ek", "--n", _LONG],
+    ["construct", "--family", f"young(w={_LONG})", "--n", "2"],
+    ["construct", "--family", _LONG, "--n", "2"],
+    ["construct", "--family", f"random(d=2,n=1,{_LONG})", "--n", "2"],
+    ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8", "--n-list", _LONG],
+    ["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8", "--threshold", _LONG],
+    ["defect", "--family", "e1-plus-ek", "--sigma", "x" + _LONG, "--n", "8"],
+    ["defect", "--family", "e1-plus-ek", "--sigma", "all " + _LONG[:-1], "--n", "8"],
+    ["sweep", "--family", "e1-plus-ek", "--sigmas", "all", "--n-grid", _LONG],
+], ids=["n", "family-argument", "family-kind", "family-key", "n-list", "threshold",
+        "sigma-character", "sigma-token", "n-grid"])
+def test_long_token_is_quoted_by_its_prefix_and_length(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err) < 1000
+    assert " characters)" in json.loads(err)["error"]["message"]
+
+
+def test_short_token_is_quoted_in_full(capsys):
+    code, _, err = run(capsys, "construct", "--family", "e1-plus-ek", "--n", "x")
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == "--n takes an integer, not 'x'"
+
+
 class TestDefect:
     def test_verdicts(self, capsys):
         code, out, _ = run(capsys, "defect", "--family", "defect-pair(m=3)",
@@ -191,19 +234,26 @@ class TestSweep:
             got = {r["n"]: r["defect_truncated"] for r in rows if r["sigma"] == sigma}
             assert got[5] == got[2] == at_count
 
-    def test_sigmas_are_ranked_as_one_batch(self, capsys, monkeypatch):
-        # equal sigmas share one key: one echelon step per index up to n = 40
-        import defectlab.ranks as ranks
+    def test_family_is_checked_once(self, capsys, monkeypatch):
+        # one biorthogonality check of x_1..x_40 and their duals, whatever the sigmas
+        import defectlab.families as families
 
-        steps = count_calls(monkeypatch, "echelon_step", ranks)
+        real, checked = families.biorthogonal, []
+
+        def recording(xs, duals, digit_budget=None):
+            checked.append((len(xs), len(duals), digit_budget))
+            return real(xs, duals, digit_budget)
+
+        monkeypatch.setattr(families, "biorthogonal", recording)
         code, out, _ = run(capsys, "sweep", "--family", "e1-plus-ek", "--sigmas",
-                           "all;all;all", "--n-grid", "10,40")
+                           "all;none;all", "--n-grid", "10,40")
         assert code == 0
-        assert len(steps) == 40
-        fam, sigma = parse_family("e1-plus-ek"), parse_set("all")
+        assert checked == [(40, 40, None)]
+        fam = parse_family("e1-plus-ek")
         rows = json.loads(out)["results"]["grid"]
         assert [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows] == [
-            ["all", n, defect_truncated(fam, sigma, n)] for _ in range(3) for n in (10, 40)]
+            [text, n, defect_truncated(fam, parse_set(text), n)]
+            for text in ("all", "none", "all") for n in (10, 40)]
 
 
 class TestMetric:
@@ -258,47 +308,43 @@ class TestOracle:
         assert payload["results"]["swap"]["violations"] == 0
         assert payload["results"]["hereditary"]["violations"] == 0
 
-    def test_swap_suite_ranks_the_flipped_selections(self, monkeypatch):
-        """Each instance ranks the keys of its base selection, the single
-        swap moves of it and four chains of swap moves, drawn in this order."""
+    def test_swap_suite_checks_each_instance_once(self, monkeypatch):
+        """Each instance checks its drawn family once, then draws its base
+        selection and four chains of flips, in this order: count single
+        flips and four chains are its checks."""
         import random
 
         import defectlab.oracle as oracle
-        import defectlab.ranks as ranks
 
-        batches = []
-        real = ranks.defect_truncated_many
+        checked = []
+        real = oracle.check_biorthogonal
 
-        def recording(family, keys, n, digit_budget=None):
-            batches.append((family.seed, list(keys), n))
-            return real(family, keys, n, digit_budget)
+        def recording(family, last, digit_budget=None):
+            checked.append((family.seed, family.dual_style, last))
+            return real(family, last, digit_budget)
 
-        monkeypatch.setattr(ranks, "defect_truncated_many", recording)
-        assert oracle._run_swap_suite(40, 5)["violations"] == 0
+        monkeypatch.setattr(oracle, "check_biorthogonal", recording)
+        assert oracle._run_swap_suite(40, 5) == {
+            "instances": 40, "checks": sum(count + 4 for *_, count in checked),
+            "violations": 0}
         rng, expected = random.Random(5), []
         for _ in range(40):
             dim = rng.randint(2, 8)
             count = rng.randint(1, dim)
-            rng.choice(["span", "perturbed"])
-            seed = rng.randrange(1 << 30)
-            sigma = EventuallyPeriodicSet.finite(
-                [k for k in range(1, count + 1) if rng.random() < 0.5])
-            sigmas = [sigma] + [swap_move(sigma, k0, "out" if sigma.contains(k0) else "in")
-                                for k0 in range(1, count + 1)]
+            dual = rng.choice(["span", "perturbed"])
+            expected.append((rng.randrange(1 << 30), dual, count))
+            for _k in range(count):
+                rng.random()
             for _chain in range(4):
-                cur = sigma
                 for _step in range(rng.randint(1, 3)):
-                    k0 = rng.randint(1, count)
-                    cur = swap_move(cur, k0, "out" if cur.contains(k0) else "in")
-                sigmas.append(cur)
-            expected.append((seed, [selection_key(s, count) for s in sigmas], count))
-        assert batches == expected
+                    rng.randint(1, count)
+        assert checked == expected
 
-    @pytest.mark.parametrize("suite, needed", [("swap", 12), ("hereditary", 4)])
+    @pytest.mark.parametrize("suite, needed", [("swap", 8), ("hereditary", 3)])
     def test_digit_budget_reaches_the_suites(self, capsys, suite, needed):
-        """Both suites rank under --digit-budget: one digit below what the
-        ranks need exits 3, and at it the report is the one without a
-        budget (the config records no budget)."""
+        """Both suites check their families under --digit-budget: one digit
+        below what the duals' entries need exits 3, and at it the report is
+        the one without a budget (the config records no budget)."""
         argv = ["oracle", "--suite", suite, "--instances", "5", "--seed", "0"]
         code, out, err = run(capsys, *argv, "--digit-budget", str(needed - 1))
         assert (code, out) == (3, "")
@@ -350,6 +396,14 @@ _ABOVE_BOUNDS = [
     (["oracle", "--instances", str(MAX_INSTANCES + 1)],
      f"--instances {MAX_INSTANCES + 1} exceeds the bound {MAX_INSTANCES}"),
 ]
+
+
+# the runs that check a family's biorthogonality before their report
+_CHECKED_RUNS = pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "defect-pair(m=2)", "--sigmas", "none;all", "--n-grid", "3,5"],
+    ["oracle", "--suite", "swap", "--instances", "3"],
+    ["oracle", "--suite", "hereditary", "--instances", "3"],
+], ids=["sweep", "oracle-swap", "oracle-hereditary"])
 
 
 class TestExitCodes:
@@ -438,7 +492,7 @@ class TestExitCodes:
         assert json.loads(out)["results"]["dims"]
 
     def test_sweep_budget_is_3(self, capsys):
-        # the echelon pass needs 4 digits here: a reduced row, not an input, sets it
+        # the check reads x_80 = e_1 + 80 e_2 + 6400 e_3 + e_83, and 6400 needs 4 digits
         argv = ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
                 "--n-grid", "10,20,40,80", "--digit-budget"]
         code, out, err = run(capsys, *argv, "3")
@@ -745,17 +799,21 @@ class TestExitCodes:
         assert code == 0
         assert out and err == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--family", "defect-pair(m=2)", "--sigmas", "none;all",
-         "--n-grid", "3,5"],
-        ["oracle", "--suite", "swap", "--instances", "3"],
-        ["oracle", "--suite", "hereditary", "--instances", "3"],
-    ], ids=["sweep", "oracle-swap", "oracle-hereditary"])
-    def test_mixed_rank_deficit_is_4(self, capsys, dropped_generator, argv):
+    @_CHECKED_RUNS
+    def test_mixed_rank_deficit_is_4(self, capsys, zero_dual, argv):
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "invariant"
+
+    @_CHECKED_RUNS
+    def test_dual_moved_off_biorthogonality_is_4(self, capsys, moved_dual, argv):
+        # every mixed family keeps its full rank: the check is the stricter
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "invariant"
+        assert error["message"].endswith("and their duals are not biorthogonal")
 
 
 # exact values of about 9,600 digits, above CPython's default limit of
@@ -948,13 +1006,12 @@ def test_cli_import_loads_no_pool_or_dataclasses():
         ("defect --family defect-pair(m=2) --sigma all --n 8", ["indexsets", "mixed"]),
         ("defect --family infinite-set(0,1,inf) --sigma all --n 8",
          ["indexsets", "infiniteset", "mixed"]),
-        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5",
-         ["indexsets", "mixed", "ranks"]),
+        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5", ["indexsets", "mixed"]),
         ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["indexsets", "topology"]),
         ("chain --family e1-plus-ek --sigma none --depth 2 --n 4", ["indexsets", "topology"]),
         ("converge --family e1-plus-ek --sigma none --m-max 2 --n 4",
          ["indexsets", "topology"]),
-        ("oracle --instances 2", ["oracle", "ranks"]),
+        ("oracle --instances 2", ["oracle"]),
     ]:
         result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy],
                                 capture_output=True, text=True, check=True)

@@ -382,9 +382,9 @@ def test_random_build_matches_sympy(style):
 
 def test_perturbed_draw_makes_one_elimination(monkeypatch):
     """A perturbed draw with count < dim reads the complement off its one
-    Gram solve: one `bareiss_pass` and no echelon step."""
+    Gram solve: one `bareiss_pass` and no echelon pass."""
     solves = count_calls(monkeypatch, "bareiss_pass", oracle)
-    steps = count_calls(monkeypatch, "echelon_step", exact)
+    steps = count_calls(monkeypatch, "echelon", exact)
     fam = RandomFiniteFamily(9, 4, seed=123, dual_style="perturbed")
     assert (len(solves), steps) == (1, [])
     assert fam._duals != RandomFiniteFamily(9, 4, seed=123)._duals

@@ -13,7 +13,9 @@ DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_te
 # the analysis entry points of the subcommands, by module
 _ANALYSES = {
     "mixed": ["classify_defect"],
-    "ranks": ["defect_truncated_many"],
+    # the biorthogonality check, by the name each of its callers imports
+    "cli": ["biorthogonal"],
+    "families": ["biorthogonal"],
     "topology": ["projector_metrics", "intersection_chain", "convergence_probe"],
     "oracle": ["_run_swap_suite", "_run_hereditary_suite"],
 }

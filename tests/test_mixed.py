@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab.exact import SparseVector
+from defectlab.exact import BudgetExceeded, InvariantViolation, SparseVector, biorthogonal
 from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
     SystemFamily,
     YoungFamily,
+    check_biorthogonal,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
@@ -25,21 +26,18 @@ from defectlab.mixed import (
     witness_check,
 )
 from defectlab.oracle import RandomFiniteFamily, TooLarge, hereditary_scan
-from defectlab.ranks import defect_truncated_many, selection_key
 from conftest import (
     WrongSide,
     count_calls,
     defect_truncated,
+    oracle_biorthogonal,
     oracle_dist_sq,
     oracle_nullspace_dim,
-    oracle_rank,
     random_eventually_periodic,
     random_sparse_vector,
     swap_move,
 )
-from defectlab.exact import BudgetExceeded, InvariantViolation, echelon
 from defectlab.mixed import _probe_passes
-from defectlab.ranks import _mixed_ranks
 
 Q = Fraction
 
@@ -87,49 +85,18 @@ class TestMixedRankInvariant:
                 assert defect_truncated(fam, sigma, 5) == (
                     fam.ambient(5) - len(mixed_vectors(fam, sigma, 5)))
 
-    def test_dropped_generator_is_invariant_violation(self, dropped_generator):
-        fam, sigma = DefectPairFamily(2), parse_set("res(2;1)")
-        with pytest.raises(InvariantViolation):
-            defect_truncated(fam, sigma, 6)
-        with pytest.raises(InvariantViolation):
-            hereditary_scan(RandomFiniteFamily(3, 3, seed=1))
-
-
-@st.composite
-def random_batches(draw):
-    """A random family, a truncation and an unsorted list of finite and
-    periodic selections with repeats, with or without a digit budget."""
-    dim = draw(st.integers(1, 6))
-    fam = RandomFiniteFamily(dim, draw(st.integers(0, dim)), seed=draw(st.integers(0, 999)),
-                             dual_style=draw(st.sampled_from(["span", "perturbed"])))
-    rng = draw(st.randoms(use_true_random=False))
-    pool = [random_eventually_periodic(rng) for _ in range(draw(st.integers(1, 4)))]
-    pool += [EventuallyPeriodicSet.finite(draw(st.lists(st.integers(1, 7), max_size=4)))]
-    sigmas = draw(st.lists(st.sampled_from(pool), max_size=12))
-    budget = draw(st.one_of(st.none(), st.integers(1, 4)))
-    return fam, sigmas, draw(st.integers(0, dim + 1)), budget
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_batches())
-def test_batch_defects_match_sequential_echelon_and_sympy(case):
-    """Each batch defect is the ambient dimension minus the rank that a
-    fresh echelon pass and sympy give its selection; with a digit budget
-    the batch trips exactly when one of those passes trips."""
-    fam, sigmas, n, budget = case
-    gens = [mixed_vectors(fam, sigma, n) for sigma in sigmas]
-    keys = [selection_key(sigma, fam.truncation(n)) for sigma in sigmas]
-    ambient = fam.ambient(n)
-    try:
-        ranks = [len(echelon(g, budget)) for g in gens]
-    except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            defect_truncated_many(fam, keys, n, budget)
-        return
-    assert ranks == [oracle_rank(g, ambient) for g in gens]
-    assert defect_truncated_many(fam, keys, n, budget) == [ambient - r for r in ranks]
-    assert [defect_truncated(fam, sigma, n, budget) for sigma in sigmas] == [
-        ambient - r for r in ranks]
+    def test_rank_deficient_selection_is_invariant_violation(self):
+        # x_1 = x_2, so the selection of both has rank 1 and no dual can be
+        # biorthogonal to the pair
+        e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
+        fam = ListFamily([e1, e1], [e1, e2], 2)
+        assert defect_truncated(fam, parse_set("all"), 2) == 1
+        with pytest.raises(InvariantViolation, match="not biorthogonal"):
+            check_biorthogonal(fam, 2)
+        fam = RandomFiniteFamily(3, 3, seed=1)
+        fam._vectors[1] = fam._vectors[0]
+        with pytest.raises(InvariantViolation, match="not biorthogonal"):
+            hereditary_scan(fam)
 
 
 class ListFamily(SystemFamily):
@@ -148,61 +115,49 @@ class ListFamily(SystemFamily):
         return self.dim
 
 
-def _keyed_vectors(fam, last, key):
-    return [fam.vector(k) if key >> (last - k) & 1 else fam.dual(k)
-            for k in range(1, last + 1)]
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(0, 5), st.integers(1, 5),
-       st.data())
-def test_shared_prefix_ranks_match_fresh_passes(rng, last, dim, data):
-    """Over vectors with planted zeros and repeats, and keys unsorted and
-    repeated, each rank is the rank of a fresh echelon pass and of sympy;
-    with a digit budget the pass trips exactly when a fresh pass trips."""
-    pool = [random_sparse_vector(rng, dim) for _ in range(3)] + [SparseVector.from_ints({})]
+@given(st.randoms(use_true_random=False), st.integers(0, 5), st.integers(1, 5))
+def test_biorthogonal_matches_sympy_on_list_families(rng, last, dim):
+    """Over vectors drawn from unit vectors, random vectors and zero, so
+    that both answers occur, the check is sympy's V D^T == I."""
+    pool = [SparseVector.unit(i) for i in range(1, dim + 1)]
+    pool += [random_sparse_vector(rng, dim), SparseVector.from_ints({})]
     fam = ListFamily([rng.choice(pool) for _ in range(last)],
                      [rng.choice(pool) for _ in range(last)], dim)
-    keys = data.draw(st.lists(st.integers(0, (1 << last) - 1), max_size=10))
-    budget = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    assert biorthogonal(fam.xs, fam.duals) == oracle_biorthogonal(fam.xs, fam.duals, dim)
     try:
-        expected = [len(echelon(_keyed_vectors(fam, last, key), budget)) for key in keys]
-    except BudgetExceeded:
+        check_biorthogonal(fam, last)
+    except InvariantViolation:
+        assert not biorthogonal(fam.xs, fam.duals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 999),
+       st.sampled_from(["span", "perturbed"]), st.data())
+def test_biorthogonal_matches_sympy_on_random_draws(dim, count, seed, dual, data):
+    """Every random draw is biorthogonal; a dual moved by c e_i stays so,
+    by the check and by sympy, exactly when e_i is orthogonal to every x_j."""
+    fam = RandomFiniteFamily(dim, min(count, dim), seed=seed, dual_style=dual)
+    xs, duals = fam._vectors, list(fam._duals)
+    assert biorthogonal(xs, duals) and oracle_biorthogonal(xs, duals, dim)
+    if duals:
+        k = data.draw(st.integers(0, len(duals) - 1))
+        shift = {data.draw(st.integers(1, dim)): data.draw(st.integers(-2, 2))}
+        if 0 not in shift.values():
+            duals[k] += SparseVector.from_ints(shift)
+        assert biorthogonal(xs, duals) == oracle_biorthogonal(xs, duals, dim)
+
+
+def test_budget_is_checked_on_every_entry_read():
+    # 1000 needs 10 bits: it fits a budget of 3 digits, not one of 2.  In
+    # the first pair no dual uses x_2's coordinate 3; in the second it is
+    # x_2*'s denominator.
+    e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
+    for x2, d2 in [(SparseVector.from_ints({2: 1, 3: 1000}), e2),
+                   (SparseVector.from_ints({2: 1000}), SparseVector.from_ints({2: 1}, 1000))]:
+        assert biorthogonal([e1, x2], [e1, d2], 3)
         with pytest.raises(BudgetExceeded):
-            list(_mixed_ranks(fam, last, keys, budget))
-        return
-    assert list(_mixed_ranks(fam, last, keys, budget)) == expected
-    assert expected == [oracle_rank(_keyed_vectors(fam, last, key), dim) for key in keys]
-
-
-def test_budget_is_checked_only_on_selected_candidates():
-    # x_1* = 10^9 e_1 exceeds a budget of 3 digits, but the key 0b11
-    # selects x_1 and x_2 only
-    e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
-    fam = ListFamily([e1, e2], [SparseVector.from_ints({1: 10 ** 9}), e2], 2)
-    assert list(_mixed_ranks(fam, 2, [0b11], 3)) == [2]
-    with pytest.raises(BudgetExceeded):
-        list(_mixed_ranks(fam, 2, [0b11, 0b01], 3))
-
-
-def test_first_deficit_in_input_order_raises():
-    # x_1 = x_2 = 0: sigma = {1, 2} has rank 0, sigma = {2} has rank 1 and
-    # is ranked first, as its key 0b01 is the smaller
-    e1, e2 = SparseVector.unit(1), SparseVector.unit(2)
-    fam = ListFamily([SparseVector.from_ints({})] * 2, [e1, e2], 2)
-    keys = [selection_key(EventuallyPeriodicSet.finite(m), 2) for m in ([1, 2], [2])]
-    assert keys == [0b11, 0b01]
-    with pytest.raises(InvariantViolation, match="of 2 vectors has rank 0"):
-        defect_truncated_many(fam, keys, 2)
-    with pytest.raises(InvariantViolation, match="of 2 vectors has rank 1"):
-        defect_truncated_many(fam, keys[::-1], 2)
-    assert defect_truncated_many(fam, [0b00] * 2, 2) == [0, 0]
-
-
-@pytest.mark.parametrize("key", [-1, 0b100])
-def test_key_outside_truncation_is_rejected(key):
-    with pytest.raises(ValueError, match=r"lies in 0..2\^2 - 1"):
-        defect_truncated_many(E1PlusEkFamily(), [0b01, key], 2)
+            biorthogonal([e1, x2], [e1, d2], 2)
 
 
 class TestWitnessCheck:
@@ -398,42 +353,14 @@ class TestHereditaryScan:
             for mask in range(1 << count))
         assert hereditary_scan(fam) == worst
 
-    @pytest.mark.parametrize("n", range(6))
-    def test_one_step_per_nonempty_prefix(self, monkeypatch, n):
-        import defectlab.ranks as ranks
-
-        steps = count_calls(monkeypatch, "echelon_step", ranks)
-        hereditary_scan(RandomFiniteFamily(n + 1, n, seed=n))
-        assert len(steps) == 2 ** (n + 1) - 2
-
-    @pytest.mark.parametrize("n, reductions",
-                             [(1, 0), (2, 4), (3, 14), (4, 42), (5, 100), (6, 224)])
-    def test_each_candidate_is_reduced_once_per_shared_prefix(self, monkeypatch, n,
-                                                              reductions):
+    def test_checks_the_family_once_and_ranks_nothing(self, monkeypatch):
         import defectlab.exact as exact
+        import defectlab.families as families
 
-        calls = count_calls(monkeypatch, "_reduce", exact)
-        hereditary_scan(RandomFiniteFamily(n, n, seed=n))
-        assert len(calls) == reductions
-
-    def test_entries_past_the_next_shared_prefix_are_dropped(self, monkeypatch):
-        # none, fin(1) and all share at most one leading index, so between
-        # steps each chain holds at most two entries: the rows held grow
-        # linearly in last = 40 (about last^2 / 2 if every entry were kept)
-        import defectlab.ranks as ranks
-
-        real, chains, held = ranks.echelon_step, {}, []
-
-        def step(chain, pivots, digit_budget=None):
-            chains[id(chain)] = chain
-            held.append(sum(map(len, chains.values())))
-            return real(chain, pivots, digit_budget)
-
-        monkeypatch.setattr(ranks, "echelon_step", step)
-        keys = [selection_key(parse_set(text), 40) for text in ("none", "fin(1)", "all")]
-        assert defect_truncated_many(E1PlusEkFamily(), keys, 40) == [1, 1, 1]
-        assert len(held) == 3 * 40 - 1
-        assert max(held) <= 2 * (2 * 40)
+        checks = count_calls(monkeypatch, "biorthogonal", families)
+        passes = count_calls(monkeypatch, "echelon", exact)
+        assert hereditary_scan(RandomFiniteFamily(6, 6, seed=6)) == 0
+        assert (len(checks), passes) == (1, [])
 
     def test_too_large(self):
         fam = RandomFiniteFamily(25, 21, seed=0)
