@@ -3,13 +3,13 @@
 The package imports none of its modules, so that a CLI process compiles
 only those its subcommand runs; import each name from its module:
 
-- `exact`: sparse rational vectors and the two exact kernels;
+- `exact`: sparse rational vectors, the two exact kernels and the
+  biorthogonality check;
 - `indexsets`: eventually periodic index sets, rho and the sigma grammar;
 - `families`: the family descriptor parser and the head families;
 - `infiniteset`: the `infinite-set(...)` family;
 - `oracle`: the seeded `random(...)` family, the hereditary scan and the
   `oracle` subcommand;
-- `ranks`: the rank engine that ranks many mixed selections at once;
 - `mixed`: mixed systems, defect certification, `defect` and `sweep`;
 - `topology`: projector metrics, chains, convergence probes, `metric`,
   `chain` and `converge`;

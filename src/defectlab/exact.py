@@ -324,7 +324,8 @@ def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int]
 
 def biorthogonal(xs: Sequence[SparseVector], duals: Sequence[SparseVector],
                  digit_budget: Optional[int] = None) -> bool:
-    """Is <xs[j], duals[k]> = delta_jk for every j and k?
+    """Is <xs[j], duals[k]> = delta_jk for every j and k, for xs and
+    duals of equal length?
 
     Two vectors that share no coordinate are orthogonal, so an index from
     each coordinate to the duals that use it gives the only pairs that
@@ -332,8 +333,6 @@ def biorthogonal(xs: Sequence[SparseVector], duals: Sequence[SparseVector],
     A head family then costs O(n * head), not O(n^2).  With a digit
     budget, every coordinate and denominator read is checked.
     """
-    if len(xs) != len(duals):
-        raise ValueError("xs and duals must have equal length")
     users = {}
     for k, d in enumerate(duals):
         if digit_budget is not None:

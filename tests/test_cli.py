@@ -161,12 +161,6 @@ def test_long_token_is_quoted_by_its_prefix_and_length(capsys, argv):
     assert " characters)" in json.loads(err)["error"]["message"]
 
 
-def test_short_token_is_quoted_in_full(capsys):
-    code, _, err = run(capsys, "construct", "--family", "e1-plus-ek", "--n", "x")
-    assert code == 2
-    assert json.loads(err)["error"]["message"] == "--n takes an integer, not 'x'"
-
-
 class TestDefect:
     def test_verdicts(self, capsys):
         code, out, _ = run(capsys, "defect", "--family", "defect-pair(m=3)",
