@@ -100,7 +100,7 @@ class TestMixedRankInvariant:
 
 
 class ListFamily(SystemFamily):
-    """Given x_k and x_k*, not biorthogonal, so the mixed ranks vary."""
+    """Given x_k and x_k*, biorthogonal or not."""
 
     def __init__(self, xs, duals, dim):
         self.xs, self.duals, self.dim = xs, duals, dim
@@ -125,10 +125,6 @@ def test_biorthogonal_matches_sympy_on_list_families(rng, last, dim):
     fam = ListFamily([rng.choice(pool) for _ in range(last)],
                      [rng.choice(pool) for _ in range(last)], dim)
     assert biorthogonal(fam.xs, fam.duals) == oracle_biorthogonal(fam.xs, fam.duals, dim)
-    try:
-        check_biorthogonal(fam, last)
-    except InvariantViolation:
-        assert not biorthogonal(fam.xs, fam.duals)
 
 
 @settings(max_examples=100, deadline=None)
