@@ -3,8 +3,8 @@
 The package imports none of its modules, so that a CLI process compiles
 only those its subcommand runs; import each name from its module:
 
-- `exact`: sparse rational vectors, the two exact kernels and the
-  biorthogonality check;
+- `exact`: sparse rational vectors, the one exact elimination kernel
+  and the biorthogonality check;
 - `indexsets`: eventually periodic index sets, rho and the sigma grammar;
 - `families`: the family descriptor parser and the head families;
 - `infiniteset`: the `infinite-set(...)` family;

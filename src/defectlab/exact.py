@@ -7,9 +7,9 @@ only where a value leaves the kernels (distances, inner products and
 `SparseVector.entries`).  Distances, projections and Gram solves come
 from one Bareiss elimination of a bordered integer Gram matrix,
 `bareiss_pass`, which `bordered_elimination` feeds from vectors and
-probes; ranks come from one sparse echelon pass on the vectors' integer
-coordinates, `echelon`; `biorthogonal` checks <x_j, x_k*> = delta_jk on
-the pairs that share a coordinate.  No floating point ever enters.
+probes, and whose kept generators give ranks; `biorthogonal` checks
+<x_j, x_k*> = delta_jk on the pairs that share a coordinate.  No
+floating point ever enters.
 """
 from __future__ import annotations
 
@@ -61,7 +61,8 @@ class SparseVector:
     kernels compute on these integers; `entries`, the (index, Fraction)
     pairs, is made on demand.  A vector is immutable: nothing may change
     den or coords after construction.  Vectors are made by `from_pairs`,
-    `from_ints` and `unit`, which all end in `from_ints`.
+    `from_ints` and `unit`, which all end in `_stored`; only `from_ints`
+    divides out a common factor, as `from_pairs` never makes one.
     """
 
     __slots__ = ("den", "coords")
@@ -86,7 +87,11 @@ class SparseVector:
     def from_pairs(pairs) -> "SparseVector":
         """The sum of the (index, value) pairs, for indices >= 1 and
         rational values: merged, zeros dropped, over the lcm of the
-        reduced denominators."""
+        reduced denominators.
+
+        That lcm leaves no common factor: for each prime, the value whose
+        reduced denominator holds its highest power has a coordinate that
+        the prime does not divide."""
         acc = {}
         for idx, val in pairs:
             idx = int(idx)
@@ -95,7 +100,7 @@ class SparseVector:
             acc[idx] = acc.get(idx, 0) + _as_fraction(val)
         values = {i: acc[i] for i in sorted(acc) if acc[i]}
         den = math.lcm(*(x.denominator for x in values.values()))
-        return SparseVector.from_ints(
+        return SparseVector._stored(
             {i: x.numerator * (den // x.denominator) for i, x in values.items()}, den)
 
     @staticmethod
@@ -107,13 +112,18 @@ class SparseVector:
         if g != 1:
             coords = {i: x // g for i, x in coords.items()}
             den //= g
-        v = object.__new__(SparseVector)
-        v.den, v.coords = den, coords
-        return v
+        return SparseVector._stored(coords, den)
 
     @staticmethod
     def unit(index: int) -> "SparseVector":
-        return SparseVector.from_ints({index: 1})
+        return SparseVector._stored({index: 1}, 1)
+
+    @staticmethod
+    def _stored(coords: dict, den: int) -> "SparseVector":
+        """The vector with exactly these fields, already in stored form."""
+        v = object.__new__(SparseVector)
+        v.den, v.coords = den, coords
+        return v
 
     def dot(self, other: "SparseVector") -> Fraction:
         return Fraction(_idot(self.coords, other.coords), self.den * other.den)
@@ -277,49 +287,6 @@ def bareiss_pass(
             solved.append(r)
         coefficients = [(prev * s, y[::-1]) for y, s in zip(ys, scales)]
     return Elimination(tuple(kept), table, coefficients)
-
-
-def _reduce(row: dict, prow: dict, p: int) -> dict:
-    """a*row - b*prow with coordinate p cancelled, divided by its content."""
-    a, b = prow[p], row[p]
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    out = {i: a * x for i, x in row.items()}
-    for i, y in prow.items():
-        x = out.get(i, 0) - b * y
-        if x:
-            out[i] = x
-        else:
-            out.pop(i, None)
-    g = math.gcd(*out.values())
-    return {i: x // g for i, x in out.items()} if g > 1 else out
-
-
-def echelon(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> tuple:
-    """Fraction-free sparse row echelon pass: the indices of the vectors
-    independent of those before them, the greedy maximal independent
-    subset.  Each row is reduced against the pivot rows before it and,
-    if nonzero, becomes a pivot row under its least coordinate.  A digit
-    budget is checked on every input row and every reduced row."""
-    pivots, kept = [], []
-    for r, v in enumerate(vectors):
-        row = v.coords
-        if digit_budget is not None:
-            _check_budget(row.values(), digit_budget)
-        for p, prow in pivots:
-            if p in row:
-                row = _reduce(row, prow, p)
-                if digit_budget is not None:
-                    _check_budget(row.values(), digit_budget)
-        if row:
-            pivots.append((min(row), row))
-            kept.append(r)
-    return tuple(kept)
-
-
-def rank_of_vectors(vectors: Sequence[SparseVector], digit_budget: Optional[int] = None) -> int:
-    """dim span(vectors): the number of vectors the echelon pass keeps."""
-    return len(echelon(vectors, digit_budget))
 
 
 def biorthogonal(xs: Sequence[SparseVector], duals: Sequence[SparseVector],

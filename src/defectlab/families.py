@@ -105,6 +105,10 @@ class SystemFamily:
 
     def witness_space(self, sigma: EventuallyPeriodicSet, n: int,
                       window: Optional[int] = None) -> List[SparseVector]:
+        """Witnesses of the defect of the mixed family at n: each is 1 at
+        its least coordinate and 0 at every other witness's least
+        coordinate, which `classify_defect` checks, so they are
+        independent."""
         raise UnsupportedFamily(f"{self.kind} supports no witness generator")
 
     def witnesses_unbounded(self, sigma: EventuallyPeriodicSet) -> bool:

@@ -122,7 +122,9 @@ class InfiniteDefectSetFamily(SystemFamily):
             return [SparseVector.unit(self.f_coord(j)) for j in range(1, kj + 1)]
         # Defect-infinity regime: one witness f_j + x' per f-direction, with
         # the exact correction c_n = -2^n / n^{j-1} over the finitely many
-        # n in sigma whose expansion contains f_j.
+        # n in sigma whose expansion contains f_j.  x' lies on the
+        # e-coordinates 2m, m >= j, past f_j's 2j - 1, so f_j is each
+        # witness's least coordinate and no other witness meets it.
         if window is None:
             window = self.default_probe_window()
         members = sigma.truncate(n)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
 from .cli import EXIT_OK, _emit
-from .exact import InvariantViolation, SparseVector, rank_of_vectors
+from .exact import InvariantViolation, SparseVector, biorthogonal
 from .families import SystemFamily, check_biorthogonal
 from .indexsets import EventuallyPeriodicSet
 from .reports import decay_csv, defect_report_json, table_csv
@@ -84,6 +84,20 @@ def distance_profile(
     return rows
 
 
+def _certified_dim(witnesses: Sequence[SparseVector], digit_budget: Optional[int]) -> int:
+    """dim span(witnesses), which is len(witnesses) once the witnesses are
+    biorthogonal to the unit vectors at their least coordinates: each is 1
+    there and 0 at every other witness's least coordinate.  A system
+    biorthogonal to another is independent.  Otherwise, or for a zero
+    witness, raises InvariantViolation."""
+    leads = [next(iter(w.coords), None) for w in witnesses]
+    if None in leads or not biorthogonal(witnesses, [SparseVector.unit(i) for i in leads],
+                                         digit_budget):
+        raise InvariantViolation("the witnesses are not biorthogonal to the unit "
+                                 "vectors at their least coordinates")
+    return len(witnesses)
+
+
 class DefectReport(NamedTuple):
     """Certified defect verdict with its evidence."""
 
@@ -131,9 +145,11 @@ def classify_defect(
     The verdict never contradicts the witness rank as a lower bound: it is
     the witness rank when every probe distance decays below the threshold,
     infinity when the witness generator keeps producing independent
-    witnesses as the window grows, and inconclusive otherwise.  A probe
-    distance that grows with n is impossible over nested spans, so it
-    raises InvariantViolation instead of being reported.
+    witnesses as the window grows, and inconclusive otherwise.  The rank
+    is the number of witnesses, certified by `_certified_dim`.  A probe
+    distance that grows with n is impossible over nested spans, and
+    witnesses that fail their certificate are a generator bug, so both
+    raise InvariantViolation instead of being reported.
     """
     n_list = sorted(n_list)
     n_max = n_list[-1]
@@ -143,13 +159,13 @@ def classify_defect(
         raise ValueError("probe_window must be positive")
 
     witnesses = family.witness_space(sigma, n_max, window=probe_window)
-    witness_dim = rank_of_vectors(witnesses, digit_budget=digit_budget)
+    witness_dim = _certified_dim(witnesses, digit_budget)
     ok, exceptional = witness_check(family, sigma, n_max, witnesses)
 
     if family.witnesses_unbounded(sigma):
         wide = family.witness_space(sigma, n_max, window=2 * probe_window)
-        wide_dim = rank_of_vectors(wide, digit_budget=digit_budget)
-        if ok and wide_dim > witness_dim and wide_dim == len(wide):
+        wide_dim = _certified_dim(wide, digit_budget)
+        if ok and wide_dim > witness_dim:
             verdict = math.inf
         else:
             verdict = INCONCLUSIVE
@@ -159,7 +175,7 @@ def classify_defect(
         probes = [
             SparseVector.unit(i) for i in range(1, min(probe_window, ambient) + 1)
         ]
-        taken = [min(w.coords, default=0) for w in witnesses]
+        taken = [min(w.coords) for w in witnesses]
         if witnesses != [SparseVector.unit(i) for i in taken]:
             raise InvariantViolation("a witness of the decay table is not a unit vector")
         decay_rows = distance_profile(family, sigma, probes, n_list, taken, digit_budget)

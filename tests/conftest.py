@@ -306,9 +306,7 @@ def rho_partial(a, b, terms):
 def oracle_intersection_chain(family, sigma, depth, n):
     """The iterated intersection itself: a basis of truncated H_{sigma_1},
     intersected with each later truncated H_{sigma_m} through
-    `intersect`, then compared with truncated H_sigma by two ranks."""
-    from defectlab.exact import rank_of_vectors
-
+    `intersect`, then compared with truncated H_sigma by two sympy ranks."""
     last = family.truncation(n)
 
     def gens(s):
@@ -321,8 +319,8 @@ def oracle_intersection_chain(family, sigma, depth, n):
         current = intersect(current, gens(union_sigma_m(sigma, m)), ambient)
         dims.append(len(current))
     h_sigma = gens(sigma)
-    h_rank = rank_of_vectors(h_sigma)
-    equal = len(current) == h_rank and rank_of_vectors(h_sigma + current) == h_rank
+    h_rank = oracle_rank(h_sigma, ambient)
+    equal = len(current) == h_rank and oracle_rank(h_sigma + current, ambient) == h_rank
     return dims, equal
 
 

@@ -16,11 +16,12 @@ from conftest import (
     defect_truncated,
     dist_sq,
     interval_contains,
+    oracle_rank,
     rho_partial,
     swap_move,
     union_sigma_m,
 )
-from defectlab.exact import SparseVector, rank_of_vectors
+from defectlab.exact import SparseVector
 from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
@@ -180,7 +181,7 @@ def test_criterion_05_finite_defect_set():
         assert rep.exceptional_indices == frozenset()
         witnesses = family.witness_space(sigma, 60)
         assert witnesses == [SparseVector.unit(i) for i in range(1, expected + 1)]
-        assert rank_of_vectors(witnesses) == expected
+        assert oracle_rank(witnesses, family.ambient(60)) == expected
         realized.add(rep.verdict)
     assert realized == {0, 1, 3}
 
@@ -203,8 +204,8 @@ def test_criterion_06_infinite_defect_set():
         assert ok and exceptional == frozenset()
 
         # witness rank grows with the window: evidence of verdict infinity
-        narrow = rank_of_vectors(family.witness_space(sigma, 30, window=5))
-        wide = rank_of_vectors(family.witness_space(sigma, 30, window=10))
+        narrow = oracle_rank(family.witness_space(sigma, 30, window=5), family.ambient(30))
+        wide = oracle_rank(family.witness_space(sigma, 30, window=10), family.ambient(30))
         assert narrow == 5 and wide == 10
         rep = classify_defect(family, sigma, [10, 20, 30])
         assert rep.verdict == math.inf

@@ -21,7 +21,6 @@ from defectlab.families import (
     MAX_FINITE_SET_ELEMENT,
     MAX_PAIR_M,
     MAX_YOUNG_WIDTH,
-    E1PlusEkFamily,
     parse_family,
 )
 from defectlab.indexsets import parse_set
@@ -627,20 +626,6 @@ class TestExitCodes:
             "kind": "input",
             "message": "--sigma and --tau: the common period 19946 exceeds the bound 10000"}
 
-    def test_unsupported_scan_is_4(self, capsys, monkeypatch):
-        # the suites build only random families, so a scan of another is a bug
-        import defectlab.oracle as oracle
-
-        real = oracle.hereditary_scan
-        monkeypatch.setattr(oracle, "hereditary_scan",
-                            lambda family, digit_budget: real(E1PlusEkFamily()))
-        code, out, err = run(capsys, "oracle", "--suite", "hereditary", "--instances", "1")
-        assert code == 4
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "kind": "invariant",
-            "message": "UnsupportedScan: hereditary_scan requires a RandomFinite family"}
-
     def test_increasing_decay_is_4(self, capsys, rising_decay):
         # a head family's complement route and infinite-set's Gram side
         for family in ("e1-plus-ek", "infinite-set(0,1,inf)"):
@@ -664,6 +649,29 @@ class TestExitCodes:
         assert json.loads(err)["error"] == {
             "kind": "invariant", "message": "a witness of the decay table is not a unit vector"}
 
+    @pytest.mark.parametrize("cls, family, sigma, witnesses", [
+        ("families.HeadFamily", "defect-pair(m=2)", "none", [{1: 1}, {1: 1}]),
+        ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
+         [{1: 1, 2: 1}, {2: 1}]),
+        ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
+         [{1: 1}, {}]),
+    ], ids=["head-dependent", "infinite-set-overlapping", "infinite-set-zero"])
+    def test_uncertified_witnesses_are_4(self, capsys, monkeypatch, cls, family, sigma,
+                                         witnesses):
+        # a witness list is certified biorthogonal to the unit vectors at
+        # its least coordinates: [e1, e1] is dependent, [e1 + e2, e2] is
+        # not 0 at e2, and the zero vector has no least coordinate
+        monkeypatch.setattr(f"defectlab.{cls}.witness_space",
+                            lambda self, sigma, n, window=None: [
+                                SparseVector.from_ints(w) for w in witnesses])
+        code, out, err = run(capsys, "defect", "--family", family, "--sigma", sigma,
+                             "--n", "8")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "kind": "invariant", "message": "the witnesses are not biorthogonal to the "
+                                            "unit vectors at their least coordinates"}
+
     def test_unnested_convergence_is_4(self, capsys, unnested_convergence):
         # a head family's complement route and the Gram side of the
         # infinite-set and random families
@@ -676,7 +684,9 @@ class TestExitCodes:
                 "kind": "invariant",
                 "message": "dist^2 of x_1 is not monotone over the nested spans"}, family
 
-    def test_witness_rank_budget_counts_echelon_rows(self, capsys):
+    def test_witness_certificate_budget_counts_witness_entries(self, capsys):
+        # the witness-only path's one budget check is the certificate,
+        # which reads each witness's coordinates and denominator
         argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
                 "fin(5,20,30)", "--n", "40", "--digit-budget"]
         code, out, err = run(capsys, *argv, "10")

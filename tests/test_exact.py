@@ -1,4 +1,5 @@
 """Exact linear algebra: worked values, sympy oracles, algebraic laws."""
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -28,9 +29,7 @@ from defectlab.exact import (
     BudgetExceeded,
     SparseVector,
     bordered_elimination,
-    echelon,
     project_many,
-    rank_of_vectors,
 )
 from defectlab.families import parse_family
 
@@ -78,20 +77,25 @@ class TestSparseVector:
         assert pickle.loads(pickle.dumps(v)) == v
 
 
+def rank(vectors):
+    """dim span(vectors): the number of generators the elimination keeps."""
+    return len(bordered_elimination(vectors).kept)
+
+
 class TestRank:
     def test_rank_matches_sympy_on_random_matrices(self):
         rng = random.Random(11)
         for _ in range(40):
             ambient = rng.randint(1, 7)
             vectors = [random_sparse_vector(rng, ambient) for _ in range(rng.randint(1, 7))]
-            assert rank_of_vectors(vectors) == oracle_rank(vectors, ambient)
+            assert rank(vectors) == oracle_rank(vectors, ambient)
 
     def test_empty_rank(self):
-        assert rank_of_vectors([]) == 0
+        assert rank([]) == 0
 
     def test_duplicated_rows(self):
         v = vec(1, 2, 3)
-        assert rank_of_vectors([v, v, vec(5, 10, 15)]) == 1
+        assert rank([v, v, vec(5, 10, 15)]) == 1
 
 
 class TestProjection:
@@ -194,7 +198,7 @@ class TestComplementAndIntersection:
             assert len(basis) == oracle_nullspace_dim(gens, ambient)
             for w in basis:
                 assert all(w.dot(g) == 0 for g in gens)
-            assert rank_of_vectors(basis) == len(basis)
+            assert oracle_rank(basis, ambient) == len(basis)
 
     def test_intersect_worked_example(self):
         # span{e1+e2, e2+e3} ∩ span{e1+e3, e2} is the line through (1,2,1)
@@ -241,20 +245,7 @@ class TestBudget:
 )
 def test_rank_property_matches_sympy(rows):
     vectors = [SparseVector.from_pairs(list(enumerate(r, start=1))) for r in rows]
-    assert rank_of_vectors(vectors) == oracle_rank(vectors, 3)
-
-
-class TestEchelon:
-    def test_budget_trips_inside_a_reduction(self):
-        # Every input coordinate fits in 1 digit (3 bits); reducing the
-        # second row gives 5(7,5,2) - 7(5,7,1) = (0,-24,3) = 3(0,-8,1),
-        # and -8 needs 4 bits.
-        rows = [vec(5, 7, 1), vec(7, 5, 2)]
-        for row in rows:
-            echelon([row], digit_budget=1)
-        with pytest.raises(BudgetExceeded):
-            echelon(rows, digit_budget=1)
-        assert echelon(rows, digit_budget=2) == (0, 1)
+    assert rank(vectors) == oracle_rank(vectors, 3)
 
 
 class TestBorderedElimination:
@@ -345,10 +336,9 @@ _SPANS = st.one_of(planted_spans().map(lambda span: span[:2]), family_spans())
 
 @settings(max_examples=80, deadline=None)
 @given(_SPANS)
-def test_echelon_keeps_the_greedy_independent_subset(span):
+def test_elimination_keeps_the_greedy_independent_subset(span):
     ambient, vectors = span
-    kept = echelon(vectors)
-    assert kept == bordered_elimination(vectors).kept == oracle_greedy_kept(vectors, ambient)
+    assert bordered_elimination(vectors).kept == oracle_greedy_kept(vectors, ambient)
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,6 +417,20 @@ def test_stored_form_matches_a_fraction_model(a, b, den):
                     {i: Fraction(x, den) for i, x in v.coords.items()})
     assert v.dot(w) == _model_dot(ma, mb) and v.norm_sq() == _model_dot(ma, ma)
     assert (v == w) == (ma == mb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(), st.integers(-6, 6).filter(bool))
+def test_from_pairs_equals_from_ints_over_a_common_denominator(pairs, scale):
+    """from_pairs leaves out the gcd that from_ints divides by: over the
+    unreduced denominator scale * (product of the pairs' denominators),
+    negative when scale is, from_ints reduces to the same fields."""
+    den = scale * math.prod(x.denominator for _, x in pairs)
+    coords = {i: int(x * den) for i, x in _model(pairs).items()}
+    v = SparseVector.from_pairs(pairs)
+    w = SparseVector.from_ints(coords, den)
+    assert_stored_form(v)
+    assert (v.den, v.coords) == (w.den, w.coords)
 
 
 @settings(max_examples=40, deadline=None)
