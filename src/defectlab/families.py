@@ -6,8 +6,10 @@ limiting defect and an explicit witness basis.  Every family answers the
 span questions of `defect`, `metric` and `converge` through one method
 pair, `span_dist_sq` and `span_projections`: the base class eliminates
 the x_k and x_k* themselves (the Gram route), and a `HeadFamily`
-overrides both with the closed-form orthogonal complement of its spans
-(the complement route).  The `infinite-set` family lives in
+answers both from the closed-form orthogonal complement of its spans
+(the complement route), whose head-sized Gram matrix it keeps as running
+sums over a chain of nested spans, from the head parts of the x_k
+alone.  The `infinite-set` family lives in
 `infiniteset` and the seeded `random` family in `oracle`;
 `parse_family` imports either only when a descriptor names it.
 """
@@ -18,8 +20,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .exact import (InvariantViolation, SparseVector, biorthogonal, bordered_elimination,
-                    project_many)
+from .exact import (InvariantViolation, SparseVector, _combine, bareiss_pass, biorthogonal,
+                    bordered_elimination, project_many)
 
 if TYPE_CHECKING:  # annotations only: a process that parses no sigma compiles no indexsets
     from .indexsets import EventuallyPeriodicSet
@@ -108,7 +110,8 @@ class SystemFamily:
         """Witnesses of the defect of the mixed family at n: each is 1 at
         its least coordinate and 0 at every other witness's least
         coordinate, which `classify_defect` checks, so they are
-        independent."""
+        independent.  Where `witnesses_unbounded`, the list for a window
+        is the first window witnesses of the list for any wider one."""
         raise UnsupportedFamily(f"{self.kind} supports no witness generator")
 
     def witnesses_unbounded(self, sigma: EventuallyPeriodicSet) -> bool:
@@ -168,7 +171,8 @@ class HeadFamily(SystemFamily):
     head = 0
 
     def head_pairs(self, k: int) -> list:
-        """The (coordinate, value) pairs of x_k on the head coordinates."""
+        """The (coordinate, Fraction) pairs of x_k on the head coordinates,
+        each coordinate once and each value nonzero."""
         raise NotImplementedError
 
     def vector(self, k):
@@ -194,61 +198,79 @@ class HeadFamily(SystemFamily):
             return frozenset(sigma.truncate(n))
         return frozenset()
 
-    def complement(self, primal, duals, taken, probes) -> tuple:
-        """(W, rests) for S = span{x_k : k in primal} + span{x_k* : k in
-        duals} + span{e_i : i in taken}, primal and duals disjoint and
-        taken a set of head coordinates.
-
-        A vector (u, v) is orthogonal to x_k = h_k + e_{head+k} exactly
-        when v_k = -<u, h_k>, to x_k* = e_{head+k} when v_k = 0, and to
-        e_i when u_i = 0 (h_k is x_k's head part).  So S's complement is
-        the span W of the w_i = e_i - sum_{k in primal} h_k[i] e_{head+k},
-        i a head coordinate outside taken, with Gram matrix I + sum h_k h_k^T,
-        plus, orthogonal to W, the e_{head+k} with k in neither primal nor
-        duals; rests holds each probe's part on the latter.
-        """
+    def _moments(self, blocks, probes, taken, solve=False, digit_budget=None):
+        """(elim, dens, rest) after each (primal, duals) block of new indices,
+        for the span S of the blocks so far and the e_i, i in taken, a set
+        of head coordinates.  (u, v) is orthogonal to x_k = h_k + e_{head+k}
+        when v_k = -<u, h_k>, to x_k* = e_{head+k} when v_k = 0 and to e_i
+        when u_i = 0, so S's complement is the span W of the w_i = e_i -
+        sum_{k in primal} h_k[i] e_{head+k}, i outside taken, plus,
+        orthogonal to W, the e_{head+k} with k in no block; rest is each
+        probe's integer ||part||^2 on these.  elim is the `bareiss_pass` of
+        the rows [G | B] that `bordered_elimination` builds from the w_i:
+        d_i w_i is integral for d_i (dens) the lcm of the denominators of
+        the h_k[i], and G_ij = d_i d_j (delta_ij + sum_k h_k[i] h_k[j]).
+        G, B and rest are running sums; when d_i grows, G's row and column
+        i and B's row i are scaled to match."""
         head = self.head
-        columns = {i: [(i, Q(1))] for i in range(1, head + 1) if i not in taken}
-        for k in primal:
-            for i, x in self.head_pairs(k):
-                if i in columns:
-                    columns[i].append((head + k, -x))
-        inside = {head + k for k in (*primal, *duals)}
-        rests = [SparseVector.from_ints(
-            {i: x for i, x in p.coords.items() if i > head and i not in inside}, p.den)
-            for p in probes]
-        return [SparseVector.from_pairs(pairs) for pairs in columns.values()], rests
+        slot = {i: r for r, i in enumerate(i for i in range(1, head + 1) if i not in taken)}
+        dens = [1] * len(slot)
+        gram = [[int(r == s) for s in slot.values()] for r in slot.values()]
+        border = [[p.coords.get(i, 0) for p in probes] for i in slot]
+        rest = [sum(x * x for i, x in p.coords.items() if i > head) for p in probes]
+        norms = [sum(x * x for x in p.coords.values()) for p in probes]
+        hits = {}  # each coordinate's (probe, value) pairs
+        for c, p in enumerate(probes):
+            for i, x in p.coords.items():
+                hits.setdefault(i, []).append((c, x))
+        for primal, duals in blocks:
+            for k in (*primal, *duals):
+                for c, x in hits.get(head + k, ()):
+                    rest[c] -= x * x
+            for k in primal:
+                pairs = [(slot[i], h) for i, h in self.head_pairs(k) if i in slot]
+                for r, h in pairs:
+                    f = h.denominator // math.gcd(dens[r], h.denominator)
+                    if f > 1:
+                        dens[r] *= f
+                        for row in gram:
+                            row[r] *= f
+                        gram[r], border[r] = [g * f for g in gram[r]], [b * f for b in border[r]]
+                part = [(r, h.numerator * (dens[r] // h.denominator)) for r, h in pairs]
+                for r, a in part:
+                    for s, b in part:
+                        gram[r][s] += a * b
+                    for c, x in hits.get(head + k, ()):
+                        border[r][c] -= a * x
+            yield bareiss_pass([g + b for g, b in zip(gram, border)], [p.den for p in probes],
+                               norms, solve=solve, digit_budget=digit_budget), dens, rest
 
     def span_dist_sq(self, blocks, probes, taken=(), digit_budget=None) -> list:
-        """`SystemFamily.span_dist_sq` from the complement of each span:
-        ||p||^2 - dist^2(p, W) + ||rest||^2, from one `bordered_elimination`
-        of the at most head w_i per span.  A block that adds nothing
-        repeats the row before it; a taken coordinate past the head
-        takes the Gram route."""
+        """`SystemFamily.span_dist_sq` from the complement of each span
+        (`_moments`): ||p||^2 - dist^2(p, W) + ||rest||^2.  A taken
+        coordinate past the head takes the Gram route."""
         if any(i > self.head for i in taken):
             return super().span_dist_sq(blocks, probes, taken, digit_budget)
-        taken = set(taken)
         norms = [p.norm_sq() for p in probes]
-        primal, duals, table = [], [], []
-        for more_primal, more_duals in blocks:
-            if table and not (more_primal or more_duals):
-                table.append(table[-1])
-                continue
-            primal += more_primal
-            duals += more_duals
-            basis, rests = self.complement(primal, duals, taken, probes)
-            [to_w] = bordered_elimination(basis, probes, digit_budget=digit_budget).dist_sq
-            table.append([ns - d + r.norm_sq() for ns, d, r in zip(norms, to_w, rests)])
-        return table
+        return [[ns - d + Q(r, p.den ** 2)
+                 for ns, d, r, p in zip(norms, elim.dist_sq[0], rest, probes)]
+                for elim, _, rest in self._moments(blocks, probes, {*taken}, False, digit_budget)]
 
     def span_projections(self, primal, targets, digit_budget=None) -> list:
-        """`SystemFamily.span_projections` from the complement: the
-        complement of H = span{x_k : k in primal} is the span W of the w_i
-        plus, orthogonal to W, unit vectors on which t's part is rest, so
-        P_H t = t - P_W t - rest."""
-        basis, rests = self.complement(primal, (), (), targets)
-        to_w = project_many(targets, basis, digit_budget)
-        return [t - p - r for t, p, r in zip(targets, to_w, rests)]
+        """`SystemFamily.span_projections` from the complement (`_moments`)
+        of H = span{x_k : k in primal}: P_H t = t - rest - P_W t, rest
+        being t off the head and the head+k, k in primal, and P_W t =
+        sum_i y_i g_i / den from the solve, g_i = d_i w_i.  The g_i are
+        made once per span."""
+        [(elim, dens, _)] = self._moments([(primal, ())], targets, (), True, digit_budget)
+        head, gens = self.head, [{i: d} for i, d in enumerate(dens, start=1)]
+        for k in primal:
+            for i, h in self.head_pairs(k):
+                gens[i - 1][head + k] = -h.numerator * (dens[i - 1] // h.denominator)
+        inside = {*range(1, head + 1), *(head + k for k in primal)}
+        return [_combine(den, [(den // t.den, {i: x for i, x in t.coords.items() if i in inside}),
+                               *((-v, gens[r]) for r, v in zip(elim.kept, y))])
+                for t, (den, y) in zip(targets, elim.coefficients)]
 
 
 class YoungFamily(HeadFamily):

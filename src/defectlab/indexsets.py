@@ -154,20 +154,12 @@ class EventuallyPeriodicSet(NamedTuple):
         return self._combine(other, lambda a, b: a != b)
 
     def describe(self) -> str:
-        parts = []
         if not self.residues:
-            parts.append("fin(%s)" % ",".join(str(k) for k in sorted(self.added)))
-            return parts[0] if self.added else "none"
-        if self.period == 1:
-            base = "all"
-        else:
-            base = "res(%d;%s)" % (self.period, ",".join(str(r) for r in sorted(self.residues)))
-        out = base
-        for k in sorted(self.added):
-            out += "+%d" % k
-        for k in sorted(self.removed):
-            out += "-%d" % k
-        return out
+            return "fin(%s)" % ",".join(map(str, sorted(self.added))) if self.added else "none"
+        base = "all" if self.period == 1 else "res(%d;%s)" % (
+            self.period, ",".join(map(str, sorted(self.residues))))
+        return (base + "".join("+%d" % k for k in sorted(self.added))
+                + "".join("-%d" % k for k in sorted(self.removed)))
 
 
 def rho(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Fraction:

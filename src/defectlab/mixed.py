@@ -43,12 +43,8 @@ def witness_check(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
     normalization predicted exactly those indices (a finite, n-independent
     set).
     """
-    exceptional = set()
-    for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1):
-        for w in witnesses:
-            if vec.dot(w) != 0:
-                exceptional.add(k)
-                break
+    exceptional = {k for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1)
+                   if any(vec.dot(w) for w in witnesses)}
     predicted = family.predicted_exceptional(sigma, n)
     return exceptional <= predicted, frozenset(exceptional)
 
@@ -77,11 +73,8 @@ def distance_profile(
         blocks.append(([k for k in new if k in sigma], [k for k in new if k not in sigma]))
         done = max(done, family.truncation(n))
     table = family.span_dist_sq(blocks, probes, taken, digit_budget)
-    rows = []
-    for idx in range(len(probes)):
-        label = f"probe[{idx + 1}]"
-        rows.extend((label, n, dists[idx]) for n, dists in zip(n_list, table))
-    return rows
+    return [(f"probe[{c + 1}]", n, dists[c])
+            for c in range(len(probes)) for n, dists in zip(n_list, table)]
 
 
 def _certified_dim(witnesses: Sequence[SparseVector], digit_budget: Optional[int]) -> int:
@@ -114,11 +107,7 @@ class DefectReport(NamedTuple):
     probe_window: int = 0
 
     def verdict_str(self) -> str:
-        if self.verdict == INCONCLUSIVE:
-            return INCONCLUSIVE
-        if self.verdict == math.inf:
-            return "inf"
-        return str(self.verdict)
+        return "inf" if self.verdict == math.inf else str(self.verdict)
 
 
 def _probe_passes(values: List[Fraction], threshold: Fraction, min_points: int) -> bool:
@@ -158,23 +147,22 @@ def classify_defect(
     if probe_window < 1:
         raise ValueError("probe_window must be positive")
 
-    witnesses = family.witness_space(sigma, n_max, window=probe_window)
-    witness_dim = _certified_dim(witnesses, digit_budget)
+    unbounded = family.witnesses_unbounded(sigma)
+    # an unbounded generator is read at twice the window; its first
+    # probe_window witnesses are the window's, and a subsystem of a
+    # biorthogonal system is biorthogonal
+    wide = family.witness_space(sigma, n_max, window=(1 + unbounded) * probe_window)
+    wide_dim = _certified_dim(wide, digit_budget)
+    witnesses = wide[:probe_window] if unbounded else wide
+    witness_dim = len(witnesses)
     ok, exceptional = witness_check(family, sigma, n_max, witnesses)
 
-    if family.witnesses_unbounded(sigma):
-        wide = family.witness_space(sigma, n_max, window=2 * probe_window)
-        wide_dim = _certified_dim(wide, digit_budget)
-        if ok and wide_dim > witness_dim:
-            verdict = math.inf
-        else:
-            verdict = INCONCLUSIVE
+    if unbounded:
+        verdict = math.inf if ok and wide_dim > witness_dim else INCONCLUSIVE
         decay_rows = []
     else:
-        ambient = family.ambient(n_max)
-        probes = [
-            SparseVector.unit(i) for i in range(1, min(probe_window, ambient) + 1)
-        ]
+        last = min(probe_window, family.ambient(n_max))
+        probes = [SparseVector.unit(i) for i in range(1, last + 1)]
         taken = [min(w.coords) for w in witnesses]
         if witnesses != [SparseVector.unit(i) for i in taken]:
             raise InvariantViolation("a witness of the decay table is not a unit vector")
@@ -185,10 +173,8 @@ def classify_defect(
         for label, vals in per_probe.items():
             if any(b > a for a, b in zip(vals, vals[1:])):
                 raise InvariantViolation(f"dist^2 of {label} increased over nested spans")
-        all_pass = ok and all(
-            _probe_passes(vals, decay_threshold, min_points)
-            for vals in per_probe.values()
-        )
+        all_pass = ok and all(_probe_passes(vals, decay_threshold, min_points)
+                              for vals in per_probe.values())
         verdict = witness_dim if all_pass else INCONCLUSIVE
 
     return DefectReport(

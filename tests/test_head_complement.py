@@ -19,7 +19,7 @@ from conftest import (
     union_sigma_m,
 )
 from defectlab.cli import main
-from defectlab.exact import SparseVector, bordered_elimination, project_many
+from defectlab.exact import SparseVector, _idot, bordered_elimination, project_many
 from defectlab.families import (
     DefectPairFamily,
     E1PlusEkFamily,
@@ -125,16 +125,17 @@ def test_span_dist_sq_routes_match_each_other_and_sympy(case):
         assert row == [oracle_dist_sq(p, gens, ambient) for p in probes]
 
 
-@pytest.mark.parametrize("family, sigma, eliminations", [
-    ("defect-pair(m=2)", "none", 2), ("infinite-set(0,1,inf)", "all", 1)])
-def test_repeated_cut_repeats_its_row(monkeypatch, capsys, family, sigma, eliminations):
-    # a head family eliminates once per distinct n, the Gram route once in
-    # all; probes past ambient(4) keep a distance at n = 4
-    sizes = _record_generators(monkeypatch, families)
+@pytest.mark.parametrize("family, sigma, passes", [
+    ("defect-pair(m=2)", "none", 3), ("infinite-set(0,1,inf)", "all", 1)])
+def test_repeated_cut_repeats_its_row(monkeypatch, capsys, family, sigma, passes):
+    # a head family makes one pass per block, the repeated cut's included,
+    # of its head rows less the taken ones (here both are taken); the Gram
+    # route one pass in all.  Probes past ambient(4) keep a distance at n = 4
+    sizes = _record_rows(monkeypatch)
     assert main(["defect", "--family", family, "--sigma", sigma, "--n-list", "4,4,8",
                  "--n", "8", "--probe-window", "8"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["decay_table"]
-    assert len(sizes) == eliminations
+    assert len(sizes) == passes
     assert [row["n"] for row in rows[:3]] == [4, 4, 8]
     assert rows[0::3] == rows[1::3]
     assert any(row["dist_sq"]["value"] != "0" for row in rows[0::3])
@@ -205,30 +206,62 @@ def test_complement_convergence_matches_gram_side_and_sympy(case):
     assert probe == oracle_convergence(*case)
 
 
-@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.descriptor())
-def test_head_complement_is_orthogonal_to_the_mixed_system(family):
+@pytest.mark.parametrize("family", _FAMILIES + [YoungFamily(3)], ids=lambda f: f.descriptor())
+def test_head_complement_is_orthogonal_to_the_mixed_system(monkeypatch, family):
+    # the rows that _moments hands bareiss_pass after each block are the
+    # Gram matrix and border of the integer complement basis d_i w_i,
+    # w_i = e_i - sum_{k in primal} h_k[i] e_{head+k}, which is orthogonal
+    # to the span; young's d_i grow with the blocks
     sigma, n = parse_set("res(3;1)|fin(2)"), 9
-    primal = sigma.truncate(n)
-    duals = [k for k in range(1, n + 1) if k not in sigma]
+    blocks = [([k for k in ks if k in sigma], [k for k in ks if k not in sigma])
+              for ks in ([1, 2, 3], [4], [], [5, 6, 7, 8, 9])]
     ambient = family.ambient(n)
     # every unit vector on the coordinates and two past them, and one vector on all
     probes = [SparseVector.unit(i) for i in range(1, ambient + 3)]
-    probes.append(SparseVector.from_pairs((i, Q(i)) for i in range(1, ambient + 3)))
-    # the mixed system at n, and the span of the x_k, k in sigma, alone
-    for span_duals in (duals, ()):
-        for taken in (set(), {1}):
-            basis, rests = family.complement(primal, span_duals, taken, probes)
-            assert len(basis) == family.head - len(taken)
-            span = ([SparseVector.unit(i) for i in taken] + family.vectors(primal)
-                    + [family.dual(k) for k in span_duals])
+    probes.append(SparseVector.from_pairs((i, Q(i, 1 + i % 3)) for i in range(1, ambient + 3)))
+    passes, real = [], exact.bareiss_pass
+
+    def recording(rows, *args, **kwargs):
+        passes.append([list(row) for row in rows])
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(families, "bareiss_pass", recording)
+    for taken in (set(), {1}):
+        passes.clear()
+        moments = [(list(d), list(r)) for _, d, r in family._moments(blocks, probes, taken)]
+        span = [SparseVector.unit(i) for i in taken]
+        primal, named = [], set()
+        for (more_primal, duals), rows, (d, rest) in zip(blocks, passes, moments):
+            primal += more_primal
+            named.update(more_primal, duals)
+            span += family.vectors(more_primal) + [family.dual(k) for k in duals]
+            # rest: each probe's integer ||part||^2 on the e_{head+k}, k in no block
+            assert rest == [sum(x * x for i, x in p.coords.items()
+                                if i > family.head and i - family.head not in named)
+                            for p in probes]
+            basis = [SparseVector.from_pairs([(i, Q(1))] + [
+                (family.head + k, -x) for k in primal for j, x in family.head_pairs(k) if j == i])
+                for i in range(1, family.head + 1) if i not in taken]
             assert all(w.dot(v) == 0 for w in basis for v in span)
-            assert all(max(w.coords) <= ambient for w in basis)
-            assert all(r.dot(v) == 0 for r in rests for v in span + basis)
-            # each rest is its probe's part on the unit vectors that S leaves out
-            left_out = {i for i in range(1, ambient + 3)
-                        if all(SparseVector.unit(i).dot(v) == 0 for v in span + basis)}
-            assert rests == [SparseVector.from_pairs((i, x) for i, x in p.entries if i in left_out)
-                             for p in probes]
+            assert d == [w.den for w in basis]
+            assert rows == [[_idot(w.coords, v.coords) for v in basis]
+                            + [_idot(w.coords, p.coords) for p in probes] for w in basis]
+        if family.kind == "young" and family.head > 1:
+            assert moments[0][0] != moments[-1][0]
+
+
+def _record_rows(monkeypatch):
+    """Replaces bareiss_pass, in exact and in families, by a wrapper that
+    records the number of rows of each pass."""
+    sizes, real = [], exact.bareiss_pass
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return real(rows, *args, **kwargs)
+
+    for module in (exact, families):
+        monkeypatch.setattr(module, "bareiss_pass", recording)
+    return sizes
 
 
 def _record_generators(monkeypatch, *modules):
@@ -251,10 +284,10 @@ def _record_generators(monkeypatch, *modules):
 ])
 def test_head_family_distances_eliminate_at_most_head_generators(monkeypatch, capsys,
                                                                  family, sigma):
-    sizes = _record_generators(monkeypatch, families)
+    sizes = _record_rows(monkeypatch)
     assert main(["defect", "--family", family, "--sigma", sigma, "--n", "30"]) == 0
     capsys.readouterr()
-    assert len(sizes) == 6  # one elimination per cut of the default n_list
+    assert len(sizes) == 6  # one pass per block, a block per cut of the default n_list
     assert max(sizes) <= parse_family(family).head
 
 
@@ -268,11 +301,11 @@ def test_infinite_set_distances_eliminate_the_mixed_family(monkeypatch, capsys):
 
 
 def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, capsys):
-    sizes = _record_generators(monkeypatch, exact, families)
+    sizes = _record_rows(monkeypatch)
     assert main(["metric", "--family", "defect-pair(m=2)", "--sigma", "res(2;1)",
                  "--tau", "all", "--n", "30", "--terms", "6"]) == 0
     capsys.readouterr()
-    assert sizes == [2, 2]
+    assert sizes == [2, 2]  # one pass per span
 
 
 @pytest.mark.parametrize("family, sigma", [
@@ -282,17 +315,33 @@ def test_head_family_projections_eliminate_at_most_head_generators(monkeypatch, 
 @pytest.mark.parametrize("m_max", [6, 20])
 def test_head_family_convergence_eliminates_at_most_head_generators(monkeypatch, capsys,
                                                                     family, sigma, m_max):
-    sizes = _record_generators(monkeypatch, exact, families)
+    sizes = _record_rows(monkeypatch)
     assert main(["converge", "--family", family, "--sigma", sigma, "--m-max", str(m_max),
                  "--n", "12"]) == 0
     capsys.readouterr()
-    # one per distinct truncated span among sigma, sigma_1..sigma_{m_max};
-    # a sigma_m that adds nothing to the next reuses its row
-    sigma = parse_set(sigma)
-    spans = {tuple(s.truncate(12)) for s in [sigma] + [union_sigma_m(sigma, m)
-                                                       for m in range(1, m_max + 1)]}
-    assert len(sizes) == len(spans)
+    # one pass per block: sigma, then sigma_m for m = m_max..1
+    assert len(sizes) == m_max + 1
     assert max(sizes) <= parse_family(family).head
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.descriptor())
+def test_head_family_spans_build_no_vector(monkeypatch, family):
+    # distances and projections read the head parts h_k alone: no x_k,
+    # no w_i and no Gram-route elimination
+    blocks = [([1, 3], [2]), ([], [4]), ([5, 6, 7], [])]
+    probes = [SparseVector.unit(i) for i in range(1, family.ambient(7) + 3)]
+    targets = family.vectors(range(1, 6))
+    table = SystemFamily.span_dist_sq(family, blocks, probes, [1])
+    projections = SystemFamily.span_projections(family, [1, 2, 4, 5, 7], targets)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the head route built a vector or took the Gram route")
+
+    monkeypatch.setattr(SparseVector, "from_pairs", refuse)
+    for name in ("bordered_elimination", "project_many"):
+        monkeypatch.setattr(families, name, refuse)
+    assert family.span_dist_sq(blocks, probes, [1]) == table
+    assert family.span_projections([1, 2, 4, 5, 7], targets) == projections
 
 
 @pytest.mark.parametrize("family", ["infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)"])

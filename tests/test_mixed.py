@@ -282,6 +282,19 @@ class TestClassifyDefect:
         assert rep.verdict == math.inf
         assert rep.verdict_str() == "inf"
 
+    def test_unbounded_witnesses_are_built_once(self, monkeypatch):
+        # the wide list is built and certified once; its first probe_window
+        # witnesses are the narrow list
+        fam, sigma = InfiniteDefectSetFamily((0, 2)), parse_set("fin(1,2,3,4,5)")
+        narrow = fam.witness_space(sigma, 12, window=3)
+        windows, real = [], fam.witness_space
+        monkeypatch.setattr(fam, "witness_space",
+                            lambda s, n, window=None: windows.append(window) or real(s, n, window))
+        rep = classify_defect(fam, sigma, [4, 8, 12], probe_window=3)
+        assert windows == [6]
+        assert real(sigma, 12, window=6)[:3] == narrow
+        assert (rep.witness_dim, rep.verdict, rep.witness_ok) == (3, math.inf, True)
+
 
 class TestSwapMove:
     def test_worked_examples(self):

@@ -162,8 +162,8 @@ class TestMetrics:
         assert (p_sig - p_tau).dot(xp) == (xp - p_tau).norm_sq()
 
     def test_one_elimination_per_span(self, monkeypatch, capsys):
-        # d_s and d_w share the projections of each span
-        elims = count_calls(monkeypatch, "bordered_elimination", exact, families)
+        # d_s and d_w share the projections of each span, one pass each
+        elims = count_calls(monkeypatch, "bareiss_pass", exact, families)
         code = main(["metric", "--family", "e1-plus-ek", "--sigma", "res(2;1)",
                      "--tau", "all", "--n", "16", "--terms", "10"])
         capsys.readouterr()
