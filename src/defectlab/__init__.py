@@ -6,7 +6,10 @@ only those its subcommand runs; import each name from its module:
 - `exact`: sparse rational vectors, the one exact elimination kernel
   and the biorthogonality check;
 - `indexsets`: eventually periodic index sets, rho and the sigma grammar;
-- `families`: the family descriptor parser and the head families;
+- `families`: the family contract, the biorthogonality check of a
+  family and the family descriptor parser;
+- `heads`: the head families `e1-plus-ek`, `young`, `defect-pair` and
+  `finite-set`;
 - `infiniteset`: the `infinite-set(...)` family;
 - `oracle`: the seeded `random(...)` family, the hereditary scan and the
   `oracle` subcommand;

@@ -41,8 +41,10 @@ def witness_check(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
     Returns (ok, exceptional) where exceptional collects the indices whose
     mixed vector fails orthogonality to some witness; ok means the family's
     normalization predicted exactly those indices (a finite, n-independent
-    set).
+    set).  With no witness, no mixed vector is built.
     """
+    if not witnesses:
+        return True, frozenset()
     exceptional = {k for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1)
                    if any(vec.dot(w) for w in witnesses)}
     predicted = family.predicted_exceptional(sigma, n)

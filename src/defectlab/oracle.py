@@ -24,6 +24,23 @@ MAX_RANDOM_DIM = 100
 MAX_RANDOM_COUNT = 50
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int = 1) -> list:
+    """count values of rng.randint(lo, hi), drawn as randint draws them,
+    without its per-call checks: each is lo plus the first getrandbits(k)
+    below the width hi - lo + 1, k being the width's bit length.  So the
+    values, their order and the generator's state after them are
+    randint's."""
+    width = hi - lo + 1
+    k, bits = width.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 class RandomFiniteFamily(SystemFamily):
     """Seeded random independent system in a finite ambient space.
 
@@ -40,7 +57,9 @@ class RandomFiniteFamily(SystemFamily):
     projector onto the span, P = sum_j x_j x_j*^T, so a perturbed dual
     is x_k* + (I - P) r_k for an integer vector r_k drawn in -2..2:
     y_k + den r_k - sum_j (y_j . r_k) v_j over the same denominator.
-    (I - P) r_k is orthogonal to every x_i, and zero when count = dim.
+    (I - P) r_k is orthogonal to every x_i, and zero when count = dim:
+    then P = I, the perturbed duals are the span duals, and no r_k is
+    drawn, as nothing draws from the generator after them.
     """
 
     kind = "random"
@@ -65,15 +84,17 @@ class RandomFiniteFamily(SystemFamily):
 
     def _generate(self):
         rng = random.Random(self.seed)
-        coords = range(1, self.dim + 1)
-        ones = [1] * self.dim
+        dim, count = self.dim, self.count
+        coords = range(1, dim + 1)
+        ones = [1] * dim
         for _ in range(self.MAX_RETRIES):
-            rows = [[rng.randint(-3, 3) for _i in coords] for _k in range(self.count)]
+            draws = _randints(rng, -3, 3, count * dim)
+            rows = [draws[k * dim:(k + 1) * dim] for k in range(count)]
             # [G | V]: row k of G = V V^T from the diagonal on, then row k of V
             bordered = [[0] * k + [sum(map(mul, row, other)) for other in rows[k:]] + row
                         for k, row in enumerate(rows)]
             elim = bareiss_pass(bordered, ones, cuts=(), solve=True)
-            if len(elim.kept) == self.count:
+            if len(elim.kept) == count:
                 break
         else:
             raise RuntimeError("failed to draw an independent system")
@@ -81,11 +102,12 @@ class RandomFiniteFamily(SystemFamily):
         # coordinate c of the k-th dual is y_kc over one denominator
         den = elim.coefficients[0][0] if coords else 1
         duals = list(zip(*(y for _, y in elim.coefficients)))
-        if self.dual_style == "perturbed":
+        if self.dual_style == "perturbed" and count < dim:
             columns = list(zip(*rows))
+            draws = _randints(rng, -2, 2, count * dim)
             spans, duals = duals, []
-            for y in spans:
-                r = [rng.randint(-2, 2) for _c in coords]
+            for k, y in enumerate(spans):
+                r = draws[k * dim:(k + 1) * dim]
                 # P r = sum_j (y_j . r) v_j / den
                 dots = [sum(map(mul, yj, r)) for yj in spans]
                 duals.append([yc + den * rc - sum(map(mul, dots, col))
@@ -134,8 +156,8 @@ def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
     rng = random.Random(seed)
     checks = 0
     for i in range(instances):
-        dim = rng.randint(2, 8)
-        count = rng.randint(1, dim)
+        dim, = _randints(rng, 2, 8)
+        count, = _randints(rng, 1, dim)
         dual = rng.choice(["span", "perturbed"])
         family = RandomFiniteFamily(dim=dim, count=count,
                                     seed=rng.randrange(1 << 30), dual_style=dual)
@@ -145,8 +167,8 @@ def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
         for _k in range(count):
             rng.random()
         for _chain in range(4):
-            for _step in range(rng.randint(1, 3)):
-                rng.randint(1, count)
+            steps, = _randints(rng, 1, 3)
+            _randints(rng, 1, count, steps)
         checks += count + 4
     return {"instances": instances, "checks": checks, "violations": 0}
 
@@ -157,7 +179,7 @@ def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     spans the whole space, so no violation is left to count."""
     rng = random.Random(seed)
     for i in range(instances):
-        dim = rng.randint(1, 6)
+        dim, = _randints(rng, 1, 6)
         family = RandomFiniteFamily(dim=dim, count=dim,
                                     seed=rng.randrange(1 << 30), dual_style="span")
         hereditary_scan(family, digit_budget)

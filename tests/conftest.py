@@ -467,10 +467,11 @@ def _reverse_tables(monkeypatch):
     """Makes the distance tables of nested spans come out in reverse on
     both routes of `span_dist_sq`: the cuts of the Gram route's one
     elimination (`families.bordered_elimination`) and the per-span rows of
-    `HeadFamily.span_dist_sq`."""
+    `heads.HeadFamily.span_dist_sq`."""
     import defectlab.families as families
+    import defectlab.heads as heads
 
-    real, real_rows = families.bordered_elimination, families.HeadFamily.span_dist_sq
+    real, real_rows = families.bordered_elimination, heads.HeadFamily.span_dist_sq
 
     def reversed_cuts(*args, **kwargs):
         elim = real(*args, **kwargs)
@@ -480,7 +481,7 @@ def _reverse_tables(monkeypatch):
         return real_rows(*args, **kwargs)[::-1]
 
     monkeypatch.setattr(families, "bordered_elimination", reversed_cuts)
-    monkeypatch.setattr(families.HeadFamily, "span_dist_sq", reversed_rows)
+    monkeypatch.setattr(heads.HeadFamily, "span_dist_sq", reversed_rows)
 
 
 @pytest.fixture
@@ -502,7 +503,7 @@ def unnested_convergence(monkeypatch):
 def _replace_first_dual(monkeypatch, make):
     """Replaces x_1* of every head family and every random family by
     make(x_1*)."""
-    from defectlab.families import HeadFamily
+    from defectlab.heads import HeadFamily
     from defectlab.oracle import RandomFiniteFamily
 
     for cls in (HeadFamily, RandomFiniteFamily):

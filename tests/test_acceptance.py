@@ -22,12 +22,7 @@ from conftest import (
     union_sigma_m,
 )
 from defectlab.exact import SparseVector
-from defectlab.families import (
-    DefectPairFamily,
-    E1PlusEkFamily,
-    FiniteDefectSetFamily,
-    YoungFamily,
-)
+from defectlab.heads import DefectPairFamily, E1PlusEkFamily, FiniteDefectSetFamily, YoungFamily
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import INCONCLUSIVE, classify_defect, witness_check

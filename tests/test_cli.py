@@ -354,6 +354,25 @@ class TestOracle:
             "59fb9721f1221038312571207a264fdb552b0aec2cbf5ef4881aac9b0ecb2e4b")
 
 
+@pytest.mark.parametrize("argv, code, added", [
+    (["oracle", "--suite", "swap", "--instances", "2"], 0, 1),
+    (["construct", "--family", "e1-plus-ek", "--n", "2"], 0, 1),
+    (["--help"], 0, 7),
+    (["--version"], 0, 7),
+    ([], 2, 7),
+    (["bogus"], 2, 7),
+])
+def test_parser_adds_only_the_invoked_subcommand(capsys, monkeypatch, argv, code, added):
+    # a run builds its own subparser alone; help and the errors that list
+    # the subcommands build all seven
+    import argparse
+
+    calls = count_calls(monkeypatch, "add_parser", argparse._SubParsersAction)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == added
+
+
 # one above each size bound, with the flag or family key and the bound
 # that its message names
 _ABOVE_BOUNDS = [
@@ -637,7 +656,7 @@ class TestExitCodes:
 
     def test_non_unit_witness_is_4(self, capsys, monkeypatch):
         # the decay table spans its witnesses as unit vectors e_i
-        from defectlab.families import HeadFamily
+        from defectlab.heads import HeadFamily
 
         monkeypatch.setattr(HeadFamily, "witness_space",
                             lambda self, sigma, n, window=None: [SparseVector.from_pairs(
@@ -650,7 +669,7 @@ class TestExitCodes:
             "kind": "invariant", "message": "a witness of the decay table is not a unit vector"}
 
     @pytest.mark.parametrize("cls, family, sigma, witnesses", [
-        ("families.HeadFamily", "defect-pair(m=2)", "none", [{1: 1}, {1: 1}]),
+        ("heads.HeadFamily", "defect-pair(m=2)", "none", [{1: 1}, {1: 1}]),
         ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
          [{1: 1, 2: 1}, {2: 1}]),
         ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
@@ -1005,17 +1024,23 @@ def test_cli_import_loads_no_pool_or_dataclasses():
             "defectlab.reports"]
     for argv, modules in [
         ("", []),
-        ("construct --family young(w=2) --n 3", []),
+        ("construct --family young(w=2) --n 3", ["heads"]),
         ("construct --family random(d=4,n=2,seed=1) --n 2", ["oracle"]),
-        ("defect --family defect-pair(m=2) --sigma all --n 8", ["indexsets", "mixed"]),
+        ("defect --family defect-pair(m=2) --sigma all --n 8",
+         ["heads", "indexsets", "mixed"]),
+        ("defect --family finite-set(0,1,3) --sigma res(3;2) --n 12",
+         ["heads", "indexsets", "mixed"]),
         ("defect --family infinite-set(0,1,inf) --sigma all --n 8",
          ["indexsets", "infiniteset", "mixed"]),
-        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5", ["indexsets", "mixed"]),
-        ("metric --family e1-plus-ek --sigma all --tau none --n 4", ["indexsets", "topology"]),
-        ("chain --family e1-plus-ek --sigma none --depth 2 --n 4", ["indexsets", "topology"]),
+        ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5",
+         ["heads", "indexsets", "mixed"]),
+        ("metric --family e1-plus-ek --sigma all --tau none --n 4",
+         ["heads", "indexsets", "topology"]),
+        ("chain --family e1-plus-ek --sigma none --depth 2 --n 4",
+         ["heads", "indexsets", "topology"]),
         ("converge --family e1-plus-ek --sigma none --m-max 2 --n 4",
-         ["indexsets", "topology"]),
-        ("oracle --instances 2", ["oracle"]),
+         ["heads", "indexsets", "topology"]),
+        ("oracle --suite all --instances 2", ["oracle"]),
     ]:
         result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy],
                                 capture_output=True, text=True, check=True)

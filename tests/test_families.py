@@ -1,6 +1,7 @@
 """Family generators: exact construction values, biorthogonality, predictions."""
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,15 +21,12 @@ from conftest import (
 from defectlab import oracle
 from defectlab.exact import SparseVector
 from defectlab.families import (
-    DefectPairFamily,
-    E1PlusEkFamily,
     FamilySyntaxError,
-    FiniteDefectSetFamily,
     MalformedDefectSet,
     UnsupportedFamily,
-    YoungFamily,
     parse_family,
 )
+from defectlab.heads import DefectPairFamily, E1PlusEkFamily, FiniteDefectSetFamily, YoungFamily
 from defectlab.indexsets import MAX_PERIOD, EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.oracle import RandomFiniteFamily
@@ -393,13 +391,15 @@ def test_perturbed_draw_makes_one_elimination(monkeypatch):
 def test_perturbed_duals_add_a_complement_vector():
     """For every perturbed draw with dim > count, x_k* minus the span dual
     is orthogonal to every x_j, <x_i, x_k*> = delta_ik exactly, and the
-    duals equal the Fraction build."""
+    duals equal the Fraction build.  With dim = count the span is the
+    whole space, so (I - P) r = 0 and the duals are the span duals."""
     moved = 0
     for dim, count, seed in _RANDOM_DRAWS:
-        if dim <= count:
-            continue
         fam = RandomFiniteFamily(dim, count, seed=seed, dual_style="perturbed")
         span = RandomFiniteFamily(dim, count, seed=seed)
+        if dim == count:
+            assert fam._duals == span._duals, (dim, seed)
+            continue
         xs = fam.vectors(range(1, count + 1))
         for k in range(1, count + 1):
             shift = fam.dual(k) - span.dual(k)
@@ -408,6 +408,21 @@ def test_perturbed_duals_add_a_complement_vector():
             moved += bool(shift.coords)
         assert fam._duals == replay_random_family(dim, count, seed, "perturbed")[1]
     assert moved
+
+
+# the ranges of the oracle's draws: entries, shifts, suite sizes and flips
+_DRAW_RANGES = [(-3, 3), (-2, 2), (2, 8), (1, 3), (1, 6)] + [(1, c) for c in range(1, 9)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64), st.sampled_from(_DRAW_RANGES), st.integers(0, 80))
+def test_randints_draws_as_randint(seed, bounds, count):
+    """The sampler gives randint's values in randint's order and leaves the
+    generator where randint leaves it."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert oracle._randints(ours, *bounds, count) == [theirs.randint(*bounds)
+                                                      for _ in range(count)]
+    assert ours.getrandbits(32) == theirs.getrandbits(32)
 
 
 class TestDescriptorGrammar:

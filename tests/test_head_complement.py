@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import defectlab.exact as exact
 import defectlab.families as families
+import defectlab.heads as heads
 import defectlab.topology as topology
 from conftest import (
     oracle_convergence,
@@ -20,14 +21,8 @@ from conftest import (
 )
 from defectlab.cli import main
 from defectlab.exact import SparseVector, _idot, bordered_elimination, project_many
-from defectlab.families import (
-    DefectPairFamily,
-    E1PlusEkFamily,
-    FiniteDefectSetFamily,
-    SystemFamily,
-    YoungFamily,
-    parse_family,
-)
+from defectlab.families import SystemFamily, parse_family
+from defectlab.heads import DefectPairFamily, E1PlusEkFamily, FiniteDefectSetFamily, YoungFamily
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
 from defectlab.mixed import distance_profile, mixed_vectors
@@ -225,7 +220,7 @@ def test_head_complement_is_orthogonal_to_the_mixed_system(monkeypatch, family):
         passes.append([list(row) for row in rows])
         return real(rows, *args, **kwargs)
 
-    monkeypatch.setattr(families, "bareiss_pass", recording)
+    monkeypatch.setattr(heads, "bareiss_pass", recording)
     for taken in (set(), {1}):
         passes.clear()
         moments = [(list(d), list(r)) for _, d, r in family._moments(blocks, probes, taken)]
@@ -251,7 +246,7 @@ def test_head_complement_is_orthogonal_to_the_mixed_system(monkeypatch, family):
 
 
 def _record_rows(monkeypatch):
-    """Replaces bareiss_pass, in exact and in families, by a wrapper that
+    """Replaces bareiss_pass, in exact and in heads, by a wrapper that
     records the number of rows of each pass."""
     sizes, real = [], exact.bareiss_pass
 
@@ -259,7 +254,7 @@ def _record_rows(monkeypatch):
         sizes.append(len(rows))
         return real(rows, *args, **kwargs)
 
-    for module in (exact, families):
+    for module in (exact, heads):
         monkeypatch.setattr(module, "bareiss_pass", recording)
     return sizes
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectlab.exact import BudgetExceeded, InvariantViolation, SparseVector, biorthogonal
-from defectlab.families import (
+from defectlab.families import SystemFamily, check_biorthogonal
+from defectlab.heads import (
     DefectPairFamily,
     E1PlusEkFamily,
     FiniteDefectSetFamily,
-    SystemFamily,
+    HeadFamily,
     YoungFamily,
-    check_biorthogonal,
 )
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set
 from defectlab.infiniteset import InfiniteDefectSetFamily
@@ -294,6 +294,20 @@ class TestClassifyDefect:
         assert windows == [6]
         assert real(sigma, 12, window=6)[:3] == narrow
         assert (rep.witness_dim, rep.verdict, rep.witness_ok) == (3, math.inf, True)
+
+    def test_no_witness_builds_no_vector(self, monkeypatch):
+        # sigma infinite has no witness, so the audit builds no mixed
+        # vector, and a head family's distances read only the head parts
+        fam, sigma, n_list = YoungFamily(2), parse_set("all"), [10, 20, 30, 40]
+        expected = classify_defect(fam, sigma, n_list)
+
+        def refuse(self, k):
+            raise AssertionError(f"x_{k} was built")
+
+        monkeypatch.setattr(HeadFamily, "vector", refuse)
+        rep = classify_defect(fam, sigma, n_list)
+        assert rep == expected
+        assert (rep.witness_dim, rep.verdict, rep.exceptional_indices) == (0, 0, frozenset())
 
 
 class TestSwapMove:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectlab.families import DefectPairFamily, E1PlusEkFamily, parse_family
+from defectlab.families import parse_family
+from defectlab.heads import DefectPairFamily, E1PlusEkFamily
 from defectlab.indexsets import EventuallyPeriodicSet, parse_set, rho
 from defectlab.oracle import RandomFiniteFamily
 from defectlab.topology import (
@@ -32,6 +33,7 @@ from conftest import (
 )
 import defectlab.exact as exact
 import defectlab.families as families
+import defectlab.heads as heads
 import defectlab.topology as topology
 
 Q = Fraction
@@ -163,7 +165,7 @@ class TestMetrics:
 
     def test_one_elimination_per_span(self, monkeypatch, capsys):
         # d_s and d_w share the projections of each span, one pass each
-        elims = count_calls(monkeypatch, "bareiss_pass", exact, families)
+        elims = count_calls(monkeypatch, "bareiss_pass", exact, heads)
         code = main(["metric", "--family", "e1-plus-ek", "--sigma", "res(2;1)",
                      "--tau", "all", "--n", "16", "--terms", "10"])
         capsys.readouterr()
