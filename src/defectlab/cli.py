@@ -7,8 +7,7 @@ report writer and `construct`; every other subcommand is `cmd_<name>` of
 the module that runs its analysis (`defect` and `sweep` in `mixed`;
 `metric`, `chain` and `converge` in `topology`; `oracle` in `oracle`),
 imported only when that subcommand runs, so a process compiles only
-what its report needs; the parser, too, builds only the subparser of the
-subcommand that runs.  `check_inputs` checks every input before any
+what its report needs.  `check_inputs` checks every input before any
 computation; a handler only computes and writes.  Exit codes: 0 ok, 2
 input error (parser, gate or output write), 3 digit-budget exhaustion,
 4 invariant violation, a ValueError raised after the gate included.
@@ -202,66 +201,61 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-# name: (the module whose cmd_<name> runs the subcommand, which `_run`
-# imports only when that subcommand runs; its help; its required flags;
-# its other flags with their settings)
-_MIXED, _TOPOLOGY = __package__ + ".mixed", __package__ + ".topology"
-_COMMANDS = {
-    "construct": (__name__, "dump family vectors and check biorthogonality",
-                  ("--family", "--n"), {}),
-    "defect": (_MIXED, "two-sided defect certification", ("--family", "--sigma", "--n"), {
-        "--n-list": {"default": None, "help": "comma-separated truncations"},
-        "--threshold": {"default": "1/100", "help": "decay threshold (rational)"},
-        "--min-points": {"default": "4"},
-        "--probe-window": {"default": None},
-        "--csv": {"default": None, "help": "decay-table CSV path"},
-    }),
-    "sweep": (_MIXED, "truncated defect over a sigma x n grid", ("--family",), {
-        "--sigmas": {"required": True, "help": "semicolon-separated expressions"},
-        "--n-grid": {"required": True},
-        "--csv": {"default": None},
-    }),
-    "metric": (_TOPOLOGY, "certified d_s / d_w enclosures",
-               ("--family", "--sigma", "--tau", "--n"), {
-        "--terms": {"default": "10", "help": "series cut K"},
-        "--precision": {"default": "64"},
-    }),
-    "chain": (_TOPOLOGY, "iterated intersection of H_{sigma_m}",
-              ("--family", "--sigma", "--depth", "--n"), {}),
-    "converge": (_TOPOLOGY, "projector convergence / semicontinuity probes",
-                 ("--family", "--sigma", "--m-max", "--n"), {
-        "--terms": {"default": "10"},
-        "--precision": {"default": "64"},
-        "--semicontinuity": {"action": "store_true"},
-    }),
-    "oracle": (__package__ + ".oracle", "swap-invariance and hereditary scan suites", (), {
-        "--suite": {"choices": ["swap", "hereditary", "all"], "default": "all"},
-        "--instances": {"default": "500"},
-        "--seed": {"default": "0"},
-    }),
-}
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of argv[0]'s alone when it names
-    one.  No text depends on the other subparsers: a subparser's prog is
-    "defectlab <name>" and `_Parser.error` prints no usage, so every help,
-    usage and error text reads as with all seven."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="defectlab",
         description="Exact-arithmetic experiments on mixed vector systems.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        module, help, required, options = _COMMANDS[name]
+
+    def command(name, module, help, *required):
+        # `module` names the module whose cmd_<name> runs the subcommand;
+        # `_run` imports it only when that subcommand runs
         p = sub.add_parser(name, help=help)
         p.set_defaults(module=module)
         for flag in required:
             p.add_argument(flag, required=True)
-        for flag, settings in options.items():
-            p.add_argument(flag, **settings)
+        return p
+
+    command("construct", __name__, "dump family vectors and check biorthogonality",
+            "--family", "--n")
+
+    p = command("defect", __package__ + ".mixed", "two-sided defect certification",
+                "--family", "--sigma", "--n")
+    p.add_argument("--n-list", default=None, help="comma-separated truncations")
+    p.add_argument("--threshold", default="1/100", help="decay threshold (rational)")
+    p.add_argument("--min-points", default="4")
+    p.add_argument("--probe-window", default=None)
+    p.add_argument("--csv", default=None, help="decay-table CSV path")
+
+    p = command("sweep", __package__ + ".mixed", "truncated defect over a sigma x n grid",
+                "--family")
+    p.add_argument("--sigmas", required=True, help="semicolon-separated expressions")
+    p.add_argument("--n-grid", required=True)
+    p.add_argument("--csv", default=None)
+
+    p = command("metric", __package__ + ".topology", "certified d_s / d_w enclosures",
+                "--family", "--sigma", "--tau", "--n")
+    p.add_argument("--terms", default="10", help="series cut K")
+    p.add_argument("--precision", default="64")
+
+    command("chain", __package__ + ".topology", "iterated intersection of H_{sigma_m}",
+            "--family", "--sigma", "--depth", "--n")
+
+    p = command("converge", __package__ + ".topology",
+                "projector convergence / semicontinuity probes",
+                "--family", "--sigma", "--m-max", "--n")
+    p.add_argument("--terms", default="10")
+    p.add_argument("--precision", default="64")
+    p.add_argument("--semicontinuity", action="store_true")
+
+    p = command("oracle", __package__ + ".oracle", "swap-invariance and hereditary scan suites")
+    p.add_argument("--suite", choices=["swap", "hereditary", "all"], default="all")
+    p.add_argument("--instances", default="500")
+    p.add_argument("--seed", default="0")
+
+    for p in sub.choices.values():
         p.add_argument("--out", default=None, help="JSON report path (default stdout)")
         p.add_argument("--digit-budget", default=None,
                        help="abort if any rational exceeds this many digits")
@@ -269,9 +263,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def _run(argv) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
         parsed = check_inputs(args)
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -24,7 +24,7 @@ MAX_RANDOM_DIM = 100
 MAX_RANDOM_COUNT = 50
 
 
-def _randints(rng: random.Random, lo: int, hi: int, count: int = 1) -> list:
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list:
     """count values of rng.randint(lo, hi), drawn as randint draws them,
     without its per-call checks: each is lo plus the first getrandbits(k)
     below the width hi - lo + 1, k being the width's bit length.  So the
@@ -156,8 +156,8 @@ def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
     rng = random.Random(seed)
     checks = 0
     for i in range(instances):
-        dim, = _randints(rng, 2, 8)
-        count, = _randints(rng, 1, dim)
+        dim = rng.randint(2, 8)
+        count = rng.randint(1, dim)
         dual = rng.choice(["span", "perturbed"])
         family = RandomFiniteFamily(dim=dim, count=count,
                                     seed=rng.randrange(1 << 30), dual_style=dual)
@@ -167,8 +167,7 @@ def _run_swap_suite(instances: int, seed: int, digit_budget=None) -> dict:
         for _k in range(count):
             rng.random()
         for _chain in range(4):
-            steps, = _randints(rng, 1, 3)
-            _randints(rng, 1, count, steps)
+            _randints(rng, 1, count, rng.randint(1, 3))
         checks += count + 4
     return {"instances": instances, "checks": checks, "violations": 0}
 
@@ -179,7 +178,7 @@ def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     spans the whole space, so no violation is left to count."""
     rng = random.Random(seed)
     for i in range(instances):
-        dim, = _randints(rng, 1, 6)
+        dim = rng.randint(1, 6)
         family = RandomFiniteFamily(dim=dim, count=dim,
                                     seed=rng.randrange(1 << 30), dual_style="span")
         hereditary_scan(family, digit_budget)

@@ -354,25 +354,6 @@ class TestOracle:
             "59fb9721f1221038312571207a264fdb552b0aec2cbf5ef4881aac9b0ecb2e4b")
 
 
-@pytest.mark.parametrize("argv, code, added", [
-    (["oracle", "--suite", "swap", "--instances", "2"], 0, 1),
-    (["construct", "--family", "e1-plus-ek", "--n", "2"], 0, 1),
-    (["--help"], 0, 7),
-    (["--version"], 0, 7),
-    ([], 2, 7),
-    (["bogus"], 2, 7),
-])
-def test_parser_adds_only_the_invoked_subcommand(capsys, monkeypatch, argv, code, added):
-    # a run builds its own subparser alone; help and the errors that list
-    # the subcommands build all seven
-    import argparse
-
-    calls = count_calls(monkeypatch, "add_parser", argparse._SubParsersAction)
-    assert main(argv) == code
-    capsys.readouterr()
-    assert len(calls) == added
-
-
 # one above each size bound, with the flag or family key and the bound
 # that its message names
 _ABOVE_BOUNDS = [

@@ -410,8 +410,8 @@ def test_perturbed_duals_add_a_complement_vector():
     assert moved
 
 
-# the ranges of the oracle's draws: entries, shifts, suite sizes and flips
-_DRAW_RANGES = [(-3, 3), (-2, 2), (2, 8), (1, 3), (1, 6)] + [(1, c) for c in range(1, 9)]
+# the ranges of the oracle's batched draws: entries, shifts and flips
+_DRAW_RANGES = [(-3, 3), (-2, 2)] + [(1, c) for c in range(1, 9)]
 
 
 @settings(max_examples=200, deadline=None)
