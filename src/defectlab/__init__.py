@@ -16,8 +16,9 @@ only those its subcommand runs; import each name from its module:
 - `mixed`: mixed systems, defect certification, `defect` and `sweep`;
 - `topology`: projector metrics, chains, convergence probes, `metric`,
   `chain` and `converge`;
-- `reports`: JSON and CSV serialization;
-- `cli`: the parser, the shared input checks and `construct`.
+- `reports`: JSON and CSV serialization and the report writer `emit`;
+- `cli`: the parser, the shared input checks, the exit codes and
+  `construct`; no module imports it.
 """
 
 __version__ = "0.1.0"

@@ -3,14 +3,16 @@
 Subcommands: construct, defect, sweep, metric, chain, converge, oracle.
 Reports embed the full config and are byte-identical across runs with
 equal configuration.  This module holds the parser, the input gate, the
-report writer and `construct`; every other subcommand is `cmd_<name>` of
+exit codes and `construct`; every other subcommand is `cmd_<name>` of
 the module that runs its analysis (`defect` and `sweep` in `mixed`;
 `metric`, `chain` and `converge` in `topology`; `oracle` in `oracle`),
 imported only when that subcommand runs, so a process compiles only
 what its report needs.  `check_inputs` checks every input before any
-computation; a handler only computes and writes.  Exit codes: 0 ok, 2
-input error (parser, gate or output write), 3 digit-budget exhaustion,
-4 invariant violation, a ValueError raised after the gate included.
+computation; a handler only computes and writes its report through
+`reports.emit`, and returns nothing.  No module imports this one.  Exit
+codes: 0 ok, 2 input error (parser, gate or output write), 3
+digit-budget exhaustion, 4 invariant violation, a ValueError raised
+after the gate included.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ from fractions import Fraction
 from importlib import import_module
 
 from . import __version__
-from .exact import BudgetExceeded, InputError, InvariantViolation, biorthogonal
+from .exact import BudgetExceeded, InvariantViolation, biorthogonal
 from .families import LongArgument, SystemFamily, echo, parse_family, parse_integer
-from .reports import dump_json, rational_str, report_envelope
+from .reports import InputError, dump_json, emit, rational_str
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -143,31 +145,7 @@ def check_inputs(args) -> argparse.Namespace:
     return parsed
 
 
-def _write(path, text: str, flag: str = "--out") -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"{flag}: cannot write {path!r}: {exc.strerror}") from None
-
-
-def _emit(args, command: str, config: dict, results: dict, csv=None) -> None:
-    """Writes the report to --out and csv, a table's text, to --csv.  A
-    --csv file is written before the report, so that one that cannot be
-    written exits 2 with no report; --csv - follows the report."""
-    report = dump_json(report_envelope(command, config, results, __version__))
-    if csv is not None and args.csv != "-":
-        _write(args.csv, csv, "--csv")
-        csv = None
-    _write(getattr(args, "out", None), report)
-    if csv is not None:
-        _write("-", csv)
-
-
-def cmd_construct(args, parsed) -> int:
+def cmd_construct(args, parsed) -> None:
     family = parsed.family
     n = family.truncation(args.n)
     xs = family.vectors(range(1, n + 1))
@@ -187,10 +165,9 @@ def cmd_construct(args, parsed) -> int:
         "biorthogonal": ok,
         "vectors": vectors,
     }
-    _emit(args, "construct", {"family": args.family, "n": args.n}, results)
+    emit(args, "construct", {"family": args.family, "n": args.n}, results)
     if not ok:
         raise InvariantViolation("biorthogonality failed for a built-in family")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,7 +245,8 @@ def _run(argv) -> int:
         parsed = check_inputs(args)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return getattr(import_module(args.module), "cmd_" + args.command)(args, parsed)
+    getattr(import_module(args.module), "cmd_" + args.command)(args, parsed)
+    return EXIT_OK
 
 
 def _fail(kind: str, message: str, code: int) -> int:

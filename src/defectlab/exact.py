@@ -9,7 +9,8 @@ from one Bareiss elimination of a bordered integer Gram matrix,
 `bareiss_pass`, which `bordered_elimination` feeds from vectors and
 probes, and whose kept generators give ranks; `biorthogonal` checks
 <x_j, x_k*> = delta_jk on the pairs that share a coordinate.  No
-floating point ever enters.
+floating point ever enters.  The module's two exceptions are those of
+the mathematics: a digit budget exceeded and an invariant violated.
 """
 from __future__ import annotations
 
@@ -25,11 +26,6 @@ class BudgetExceeded(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A certified property that must always hold failed: this is a bug."""
-
-
-class InputError(Exception):
-    """An input that the CLI's parser, input gate or output write refuses;
-    defined here, so that under `python -m` both copies of cli share it."""
 
 
 def _as_fraction(x) -> Fraction:

@@ -15,11 +15,10 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from .cli import EXIT_OK, _emit
 from .exact import InvariantViolation, SparseVector, biorthogonal
 from .families import SystemFamily, check_biorthogonal
 from .indexsets import EventuallyPeriodicSet
-from .reports import decay_csv, defect_report_json, table_csv
+from .reports import decay_csv, defect_report_json, emit, table_csv
 
 Q = Fraction
 
@@ -150,10 +149,11 @@ def classify_defect(
         raise ValueError("probe_window must be positive")
 
     unbounded = family.witnesses_unbounded(sigma)
-    # an unbounded generator is read at twice the window; its first
-    # probe_window witnesses are the window's, and a subsystem of a
-    # biorthogonal system is biorthogonal
-    wide = family.witness_space(sigma, n_max, window=(1 + unbounded) * probe_window)
+    # an unbounded generator is read one witness past the window: its
+    # first probe_window witnesses are the window's, a subsystem of a
+    # biorthogonal system is biorthogonal, and one certified witness more
+    # is all that the inf verdict needs
+    wide = family.witness_space(sigma, n_max, window=probe_window + unbounded)
     wide_dim = _certified_dim(wide, digit_budget)
     witnesses = wide[:probe_window] if unbounded else wide
     witness_dim = len(witnesses)
@@ -194,7 +194,7 @@ def classify_defect(
     )
 
 
-def cmd_defect(args, parsed) -> int:
+def cmd_defect(args, parsed) -> None:
     step = max(args.n // 6, 1)
     n_list = getattr(parsed, "n_list", None) or sorted({*range(step, args.n + 1, step), args.n})
     report = classify_defect(parsed.family, parsed.sigma, n_list, parsed.threshold,
@@ -209,12 +209,11 @@ def cmd_defect(args, parsed) -> int:
         "probe_window": report.probe_window,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "defect", config, defect_report_json(report),
-          decay_csv(report) if args.csv else None)
-    return EXIT_OK
+    emit(args, "defect", config, defect_report_json(report),
+         decay_csv(report) if args.csv else None)
 
 
-def cmd_sweep(args, parsed) -> int:
+def cmd_sweep(args, parsed) -> None:
     family, n_grid = parsed.family, parsed.n_grid
     # one biorthogonality check at the largest n; every mixed family then
     # has full rank at each prefix, so each cell is ambient(n) - truncation(n)
@@ -231,8 +230,7 @@ def cmd_sweep(args, parsed) -> int:
         "n_grid": n_grid,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "sweep", config, {"grid": rows}, table_csv(
+    emit(args, "sweep", config, {"grid": rows}, table_csv(
         ["sigma", "n", "defect_truncated"],
         [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
     ) if args.csv else None)
-    return EXIT_OK

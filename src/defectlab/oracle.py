@@ -14,9 +14,9 @@ import random
 from operator import mul
 from typing import Optional
 
-from .cli import EXIT_OK, _emit
 from .exact import SparseVector, bareiss_pass
 from .families import SystemFamily, check_biorthogonal
+from .reports import emit
 
 # A random family is drawn and solved densely, so its size is bounded:
 # d, the ambient dimension, and n, the number of vectors.
@@ -185,7 +185,7 @@ def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     return {"instances": instances, "violations": 0}
 
 
-def cmd_oracle(args, parsed) -> int:
+def cmd_oracle(args, parsed) -> None:
     results = {}
     if args.suite in ("swap", "all"):
         results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)
@@ -194,5 +194,4 @@ def cmd_oracle(args, parsed) -> int:
             min(args.instances, HEREDITARY_SUITE_LIMIT), args.seed, args.digit_budget
         )
     config = {"suite": args.suite, "instances": args.instances, "seed": args.seed}
-    _emit(args, "oracle", config, results)
-    return EXIT_OK
+    emit(args, "oracle", config, results)

@@ -1,19 +1,27 @@
-"""Serialization helpers: exact rationals as strings, JSON envelopes, CSV.
+"""Serialization and the report writer: exact rationals as strings, JSON
+reports, CSV tables.
 
 Rationals always serialize as "p/q" strings, never floats; CSV tables
-carry an extra decimal column that is clearly marked approximate.
+carry an extra decimal column that is clearly marked approximate.  Each
+subcommand's handler writes its report through `emit`; an output file
+that cannot be written raises InputError, which the CLI exits 2 on.
 """
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+from . import __version__
 
 if TYPE_CHECKING:  # annotations only: a report's process imports what it runs
     from .mixed import DefectReport
     from .topology import IntervalValue
 
-TOOL_NAME = "defectlab"
+
+class InputError(Exception):
+    """An input that the CLI's parser, input gate or output write refuses."""
 
 
 def rational_str(x: Fraction) -> str:
@@ -31,16 +39,6 @@ def interval_value(iv: IntervalValue) -> dict:
         "lo": rational_str(iv.lo),
         "hi": rational_str(iv.hi),
         "width": rational_str(iv.width()),
-    }
-
-
-def report_envelope(command: str, config: dict, results: dict, version: str) -> dict:
-    return {
-        "tool": TOOL_NAME,
-        "version": version,
-        "command": command,
-        "config": config,
-        "results": results,
     }
 
 
@@ -84,3 +82,28 @@ def table_csv(header: list, rows: list) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _write(path, text: str, flag: str = "--out") -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{flag}: cannot write {path!r}: {exc.strerror}") from None
+
+
+def emit(args, command: str, config: dict, results: dict, csv=None) -> None:
+    """Writes the report to --out and csv, a table's text, to --csv.  A
+    --csv file is written before the report, so that one that cannot be
+    written exits 2 with no report; --csv - follows the report."""
+    report = dump_json({"tool": "defectlab", "version": __version__, "command": command,
+                        "config": config, "results": results})
+    if csv is not None and args.csv != "-":
+        _write(args.csv, csv, "--csv")
+        csv = None
+    _write(getattr(args, "out", None), report)
+    if csv is not None:
+        _write("-", csv)

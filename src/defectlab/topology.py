@@ -18,11 +18,10 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .cli import EXIT_OK, _emit
 from .exact import InvariantViolation
 from .families import SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho
-from .reports import exact_value, interval_value
+from .reports import emit, exact_value, interval_value
 
 Q = Fraction
 
@@ -244,7 +243,7 @@ def semicontinuity_violation(rows, limit: IntervalValue) -> bool:
     return all(row["ds_to_zero"].hi < limit.lo for row in rows[-3:])
 
 
-def cmd_metric(args, parsed) -> int:
+def cmd_metric(args, parsed) -> None:
     ds, dw = projector_metrics(parsed.family, parsed.sigma, parsed.tau, args.n, args.terms,
                                args.precision, digit_budget=args.digit_budget)
     results = {
@@ -261,13 +260,12 @@ def cmd_metric(args, parsed) -> int:
         "precision": args.precision,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "metric", config, results)
+    emit(args, "metric", config, results)
     if dw.lo > ds.hi:
         raise InvariantViolation("certified d_w enclosure exceeds d_s upper bound")
-    return EXIT_OK
 
 
-def cmd_chain(args, parsed) -> int:
+def cmd_chain(args, parsed) -> None:
     dims, equal = intersection_chain(parsed.family, parsed.sigma, args.depth, args.n)
     config = {
         "family": args.family,
@@ -276,13 +274,12 @@ def cmd_chain(args, parsed) -> int:
         "n": args.n,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "chain", config, {"dims": dims, "equal_to_h_sigma": equal})
+    emit(args, "chain", config, {"dims": dims, "equal_to_h_sigma": equal})
     if any(b > a for a, b in zip(dims, dims[1:])):
         raise InvariantViolation("intersection-chain dimensions increased")
-    return EXIT_OK
 
 
-def cmd_converge(args, parsed) -> int:
+def cmd_converge(args, parsed) -> None:
     rows, limit = convergence_probe(parsed.family, parsed.sigma, args.m_max, args.n, args.terms,
                                     args.precision, digit_budget=args.digit_budget)
     out_rows = [
@@ -313,7 +310,6 @@ def cmd_converge(args, parsed) -> int:
         "semicontinuity": args.semicontinuity,
         "digit_budget": args.digit_budget,
     }
-    _emit(args, "converge", config, results)
+    emit(args, "converge", config, results)
     if violation:
         raise InvariantViolation("certified lower-semicontinuity violation")
-    return EXIT_OK

@@ -46,7 +46,7 @@ _BUDGET_PINS = [
     # (name, argv, digits that exit 3, digits that pass)
     ("defect-young", ["defect", *_family_sigma("young(w=2)", "all", 40)], 70, 71),
     ("defect-witness-rank",
-     ["defect", *_family_sigma("infinite-set(0,1,inf)", "fin(5,20,30)", 40)], 10, 11),
+     ["defect", *_family_sigma("infinite-set(0,1,inf)", "fin(5,20,30)", 40)], 8, 9),
     ("sweep", ["sweep", "--family", "defect-pair(m=3)", "--sigmas", "none;all;fin(2,5)",
                "--n-grid", "10,20,40,80"], 3, 4),
     ("oracle-swap", ["oracle", "--suite", "swap", "--instances", "5", "--seed", "0"],

@@ -689,11 +689,11 @@ class TestExitCodes:
         # which reads each witness's coordinates and denominator
         argv = ["defect", "--family", "infinite-set(0,1,inf)", "--sigma",
                 "fin(5,20,30)", "--n", "40", "--digit-budget"]
-        code, out, err = run(capsys, *argv, "10")
+        code, out, err = run(capsys, *argv, "8")
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "budget"
-        code, out, _ = run(capsys, *argv, "11")
+        code, out, _ = run(capsys, *argv, "9")
         assert code == 0
         assert json.loads(out)["results"]["verdict"] == "inf"
 
@@ -1027,3 +1027,38 @@ def test_cli_import_loads_no_pool_or_dataclasses():
                                 capture_output=True, text=True, check=True)
         expected = sorted(core + ["defectlab." + m for m in modules])
         assert result.stderr.split() == ["0"] + expected, argv
+
+
+def test_handler_modules_import_no_parser():
+    """The module graph points one way, from cli to the handler modules
+    to reports and exact, so the handler modules used as a library load
+    neither argparse nor cli."""
+    src = str(Path(defectlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import defectlab.mixed, defectlab.topology, defectlab.oracle; "
+            "sys.stderr.write(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, src, "argparse", "defectlab.cli",
+                             "defectlab.reports"], capture_output=True, text=True, check=True)
+    assert result.stderr == "defectlab.reports"
+
+
+@pytest.mark.parametrize("argv", [
+    "defect --family e1-plus-ek --sigma all --n 4",
+    "metric --family e1-plus-ek --sigma all --tau none --n 4",
+    "oracle --suite all --instances 2",
+])
+def test_python_m_compiles_cli_once(argv):
+    """Under `python -m defectlab.cli`, cli runs as __main__ and no
+    handler module (`mixed`, `topology`, `oracle`) imports it back, so
+    -X importtime lists cli's own imports and no import of defectlab.cli
+    (`importlib.import_module`, which loads the handler, is not listed)."""
+    src = str(Path(defectlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "defectlab.cli", *argv.split()],
+        env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["command"] == argv.split()[0]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "defectlab.reports" in imported
+    assert "defectlab.cli" not in imported

@@ -291,9 +291,25 @@ class TestClassifyDefect:
         monkeypatch.setattr(fam, "witness_space",
                             lambda s, n, window=None: windows.append(window) or real(s, n, window))
         rep = classify_defect(fam, sigma, [4, 8, 12], probe_window=3)
-        assert windows == [6]
-        assert real(sigma, 12, window=6)[:3] == narrow
+        assert windows == [4]
+        assert real(sigma, 12, window=4)[:3] == narrow
         assert (rep.witness_dim, rep.verdict, rep.witness_ok) == (3, math.inf, True)
+
+    @pytest.mark.parametrize("probe_window", [1, 2, 5])
+    def test_unbounded_generator_is_read_one_witness_past_the_window(
+            self, monkeypatch, probe_window):
+        # witness_space returns min(window, n) witnesses, so one witness
+        # past the window is there exactly when n > probe_window
+        fam, sigma = InfiniteDefectSetFamily((0, 1)), parse_set("fin(2,3)")
+        windows, real = [], fam.witness_space
+        monkeypatch.setattr(fam, "witness_space",
+                            lambda s, n, window=None: windows.append(window) or real(s, n, window))
+        for n in range(1, 8):
+            del windows[:]
+            rep = classify_defect(fam, sigma, [n], probe_window=probe_window)
+            assert windows == [probe_window + 1]
+            assert rep.witness_dim == min(probe_window, n)
+            assert rep.verdict == (math.inf if n > probe_window else INCONCLUSIVE), n
 
     def test_no_witness_builds_no_vector(self, monkeypatch):
         # sigma infinite has no witness, so the audit builds no mixed
