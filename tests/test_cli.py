@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1055,7 +1056,7 @@ def test_python_m_compiles_cli_once(argv):
     src = str(Path(defectlab.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "defectlab.cli", *argv.split()],
-        env={"PYTHONPATH": src}, capture_output=True, text=True)
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["command"] == argv.split()[0]
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
