@@ -135,7 +135,7 @@ def classify_defect(
     The verdict never contradicts the witness rank as a lower bound: it is
     the witness rank when every probe distance decays below the threshold,
     infinity when the witness generator keeps producing independent
-    witnesses as the window grows, and inconclusive otherwise.  The rank
+    witnesses past the probe window, and inconclusive otherwise.  The rank
     is the number of witnesses, certified by `_certified_dim`.  A probe
     distance that grows with n is impossible over nested spans, and
     witnesses that fail their certificate are a generator bug, so both

@@ -1,4 +1,5 @@
 """CLI behavior: subcommands, exit codes, deterministic reports."""
+import ast
 import contextlib
 import hashlib
 import io
@@ -28,7 +29,6 @@ from defectlab.indexsets import parse_set
 from defectlab.infiniteset import MAX_INFINITE_SET_ELEMENT
 from defectlab.oracle import MAX_RANDOM_COUNT, MAX_RANDOM_DIM
 from defectlab.reports import rational_str
-from defectlab.topology import IntervalValue
 
 Q = Fraction
 
@@ -457,16 +457,6 @@ class TestExitCodes:
             assert run(capsys, *argv)[0] == 0, argv
             assert (len(families), len(sigmas)) == (1, expected), argv
 
-    def test_invariant_error_is_4(self, capsys, monkeypatch):
-        import defectlab.topology as topology
-
-        monkeypatch.setattr(topology, "projector_metrics", lambda *a, **k: (
-            IntervalValue(Q(0), Q(0)), IntervalValue(Q(1), Q(1))))
-        code, _, err = run(capsys, "metric", "--family", "e1-plus-ek",
-                           "--sigma", "all", "--tau", "none", "--n", "4")
-        assert code == 4
-        assert json.loads(err)["error"]["kind"] == "invariant"
-
     def test_chain_depth_zero_is_2(self, capsys):
         code, out, err = run(capsys, "chain", "--family", "e1-plus-ek",
                              "--sigma", "none", "--depth", "0", "--n", "8")
@@ -627,64 +617,6 @@ class TestExitCodes:
             "kind": "input",
             "message": "--sigma and --tau: the common period 19946 exceeds the bound 10000"}
 
-    def test_increasing_decay_is_4(self, capsys, rising_decay):
-        # a head family's complement route and infinite-set's Gram side
-        for family in ("e1-plus-ek", "infinite-set(0,1,inf)"):
-            code, out, err = run(capsys, "defect", "--family", family,
-                                 "--sigma", "all", "--n", "20")
-            assert code == 4, family
-            assert out == ""
-            assert json.loads(err)["error"]["kind"] == "invariant"
-
-    def test_non_unit_witness_is_4(self, capsys, monkeypatch):
-        # the decay table spans its witnesses as unit vectors e_i
-        from defectlab.heads import HeadFamily
-
-        monkeypatch.setattr(HeadFamily, "witness_space",
-                            lambda self, sigma, n, window=None: [SparseVector.from_pairs(
-                                [(1, 1), (2, 1)])])
-        code, out, err = run(capsys, "defect", "--family", "defect-pair(m=2)",
-                             "--sigma", "none", "--n", "8")
-        assert code == 4
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "kind": "invariant", "message": "a witness of the decay table is not a unit vector"}
-
-    @pytest.mark.parametrize("cls, family, sigma, witnesses", [
-        ("heads.HeadFamily", "defect-pair(m=2)", "none", [{1: 1}, {1: 1}]),
-        ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
-         [{1: 1, 2: 1}, {2: 1}]),
-        ("infiniteset.InfiniteDefectSetFamily", "infinite-set(0,1,inf)", "fin(1,2)",
-         [{1: 1}, {}]),
-    ], ids=["head-dependent", "infinite-set-overlapping", "infinite-set-zero"])
-    def test_uncertified_witnesses_are_4(self, capsys, monkeypatch, cls, family, sigma,
-                                         witnesses):
-        # a witness list is certified biorthogonal to the unit vectors at
-        # its least coordinates: [e1, e1] is dependent, [e1 + e2, e2] is
-        # not 0 at e2, and the zero vector has no least coordinate
-        monkeypatch.setattr(f"defectlab.{cls}.witness_space",
-                            lambda self, sigma, n, window=None: [
-                                SparseVector.from_ints(w) for w in witnesses])
-        code, out, err = run(capsys, "defect", "--family", family, "--sigma", sigma,
-                             "--n", "8")
-        assert code == 4
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "kind": "invariant", "message": "the witnesses are not biorthogonal to the "
-                                            "unit vectors at their least coordinates"}
-
-    def test_unnested_convergence_is_4(self, capsys, unnested_convergence):
-        # a head family's complement route and the Gram side of the
-        # infinite-set and random families
-        for family in ("e1-plus-ek", "infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)"):
-            code, out, err = run(capsys, "converge", "--family", family, "--sigma", "none",
-                                 "--m-max", "6", "--n", "12", "--semicontinuity")
-            assert code == 4, family
-            assert out == ""
-            assert json.loads(err)["error"] == {
-                "kind": "invariant",
-                "message": "dist^2 of x_1 is not monotone over the nested spans"}, family
-
     def test_witness_certificate_budget_counts_witness_entries(self, capsys):
         # the witness-only path's one budget check is the certificate,
         # which reads each witness's coordinates and denominator
@@ -819,6 +751,129 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert error["kind"] == "invariant"
         assert error["message"].endswith("and their duals are not biorthogonal")
+
+
+def _witnesses(cls, *witnesses):
+    """A corruption: the witness generator of defectlab.<cls> returns
+    these witnesses, each a {coordinate: value} dict."""
+    def corrupt(monkeypatch):
+        monkeypatch.setattr(f"defectlab.{cls}.witness_space",
+                            lambda self, sigma, n, window=None: [
+                                SparseVector.from_ints(w) for w in witnesses])
+    return corrupt
+
+
+# Every `raise InvariantViolation` in src, keyed by (module, enclosing
+# function, leading literal of its message), with the runs that reach it
+# from the command line: (id, corruption, argv, error message).  A
+# corruption is a conftest fixture's name or a function of monkeypatch.
+# The check_biorthogonal runs of _CHECKED_RUNS above reach that site too.
+_INVARIANT_SITES = {
+    ("cli", "cmd_construct", "biorthogonality failed for a built-in family"): [
+        ("construct-moved-dual", "moved_dual",
+         ["construct", "--family", "defect-pair(m=2)", "--n", "3"],
+         "biorthogonality failed for a built-in family"),
+        ("construct-zero-dual", "zero_dual",
+         ["construct", "--family", "defect-pair(m=2)", "--n", "3"],
+         "biorthogonality failed for a built-in family"),
+    ],
+    ("families", "check_biorthogonal", "x_1..x_"): [
+        ("sweep-random-moved-dual", "moved_dual",
+         ["sweep", "--family", "random(d=6,n=5,seed=3)", "--sigmas", "none;all",
+          "--n-grid", "3,5"],
+         "x_1..x_5 and their duals are not biorthogonal"),
+    ],
+    # a witness list is certified biorthogonal to the unit vectors at its
+    # least coordinates: [e1, e1] is dependent, [e1 + e2, e2] is not 0 at
+    # e2, and the zero vector has no least coordinate
+    ("mixed", "_certified_dim", "the witnesses are not biorthogonal to the unit vectors "
+                                "at their least coordinates"): [
+        (case_id, _witnesses(cls, *witnesses),
+         ["defect", "--family", family, "--sigma", sigma, "--n", "8"],
+         "the witnesses are not biorthogonal to the unit vectors at their least coordinates")
+        for case_id, cls, family, sigma, witnesses in [
+            ("head-dependent", "heads.HeadFamily", "defect-pair(m=2)", "none",
+             [{1: 1}, {1: 1}]),
+            ("infinite-set-overlapping", "infiniteset.InfiniteDefectSetFamily",
+             "infinite-set(0,1,inf)", "fin(1,2)", [{1: 1, 2: 1}, {2: 1}]),
+            ("infinite-set-zero", "infiniteset.InfiniteDefectSetFamily",
+             "infinite-set(0,1,inf)", "fin(1,2)", [{1: 1}, {}]),
+        ]
+    ],
+    # the decay table spans its witnesses as unit vectors e_i
+    ("mixed", "classify_defect", "a witness of the decay table is not a unit vector"): [
+        ("non-unit-witness", _witnesses("heads.HeadFamily", {1: 1, 2: 1}),
+         ["defect", "--family", "defect-pair(m=2)", "--sigma", "none", "--n", "8"],
+         "a witness of the decay table is not a unit vector"),
+    ],
+    # a head family's complement route and infinite-set's Gram route
+    ("mixed", "classify_defect", "dist^2 of "): [
+        (f"rising-decay-{family}", "rising_decay",
+         ["defect", "--family", family, "--sigma", "all", "--n", "20"],
+         "dist^2 of probe[1] increased over nested spans")
+        for family in ("e1-plus-ek", "infinite-set(0,1,inf)")
+    ],
+    # a head family's complement route and the Gram route of the
+    # infinite-set and random families
+    ("topology", "convergence_probe", "dist^2 of x_"): [
+        (f"unnested-convergence-{family}", "unnested_convergence",
+         ["converge", "--family", family, "--sigma", "none", "--m-max", "6", "--n", "12",
+          "--semicontinuity"],
+         "dist^2 of x_1 is not monotone over the nested spans")
+        for family in ("e1-plus-ek", "infinite-set(0,1,inf)", "random(d=6,n=5,seed=3)")
+    ],
+}
+
+
+def _raise_sites() -> list:
+    """(module, enclosing function, leading literal of the message) of
+    every `raise InvariantViolation` in the package's modules."""
+    sites = []
+
+    def visit(module, node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            name = call.func if call else node.exc
+            if getattr(name, "id", getattr(name, "attr", None)) == "InvariantViolation":
+                message = call.args[0] if call and call.args else None
+                if isinstance(message, ast.JoinedStr):
+                    message = message.values[0]
+                literal = message.value if isinstance(message, ast.Constant) else ""
+                sites.append((module, function, literal))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, function)
+
+    for path in sorted(Path(defectlab.__file__).parent.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    return sites
+
+
+class TestInvariantSites:
+    def test_every_site_has_a_run(self):
+        assert sorted(_raise_sites()) == sorted(_INVARIANT_SITES)
+
+    @pytest.mark.parametrize("site, corruption, argv, message", [
+        pytest.param(site, corruption, argv, message, id=case_id)
+        for site, cases in _INVARIANT_SITES.items()
+        for case_id, corruption, argv, message in cases
+    ])
+    def test_site_exits_4(self, capsys, monkeypatch, request, site, corruption, argv,
+                          message):
+        if isinstance(corruption, str):
+            request.getfixturevalue(corruption)
+        else:
+            corruption(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert message.startswith(site[2])
+        assert json.loads(err) == {"error": {"kind": "invariant", "message": message}}
+        if argv[0] == "construct":
+            # the one handler that writes its report before it raises
+            assert json.loads(out)["results"]["biorthogonal"] is False
+        else:
+            assert out == ""
 
 
 # exact values of about 9,600 digits, above CPython's default limit of
