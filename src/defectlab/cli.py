@@ -2,25 +2,30 @@
 
 Subcommands: construct, defect, sweep, metric, chain, converge, oracle.
 Reports embed the full config and are byte-identical across runs with
-equal configuration.  This module holds the parser, the input gate, the
-exit codes and `construct`; every other subcommand is `cmd_<name>` of
-the module that runs its analysis (`defect` and `sweep` in `mixed`;
-`metric`, `chain` and `converge` in `topology`; `oracle` in `oracle`),
-imported only when that subcommand runs, so a process compiles only
-what its report needs.  `check_inputs` checks every input before any
-computation; a handler only computes and writes its report through
-`reports.emit`, and returns nothing.  No module imports this one.  Exit
-codes: 0 ok, 2 input error (parser, gate or output write), 3
-digit-budget exhaustion, 4 invariant violation, a ValueError raised
-after the gate included.
+equal configuration.  This module holds the table of subcommands and
+flags, the two command-line readers, the input gate, the exit codes and
+`construct`.  Both readers work from the one table: `read_argv` reads a
+well-formed argv, `<subcommand> (--flag value | --switch)*`, straight
+into a namespace, and `build_parser` builds argparse, imported only
+then, for every other argv, help, version and usage errors among them;
+so a well-formed run loads no argparse, gettext or locale.  Every
+subcommand but `construct` is `cmd_<name>` of the module that runs its
+analysis (`defect` and `sweep` in `mixed`; `metric`, `chain` and
+`converge` in `topology`; `oracle` in `oracle`), imported only when that
+subcommand runs, so a process compiles only what its report needs.
+`check_inputs` checks every input before any computation; a handler
+only computes and writes its report through `reports.emit`, and returns
+nothing.  No module imports this one.  Exit codes: 0 ok, 2 input error
+(parser, gate or output write), 3 digit-budget exhaustion, 4 invariant
+violation, a ValueError raised after the gate included.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from fractions import Fraction
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import __version__
 from .exact import BudgetExceeded, InvariantViolation, biorthogonal
@@ -41,21 +46,75 @@ MAX_M_MAX = 1_000  # converge --m-max
 MAX_PRECISION = 100_000  # metric and converge --precision, in bits
 MAX_INSTANCES = 10_000  # oracle --instances
 
-# dest: (flag, least value, bound) of every integer flag, all read by the
-# input gate; a bounded one of more than families.ECHO_DIGITS digits is
-# refused by its digit count before it is read.
-_INTEGER_FLAGS = {
-    "digit_budget": ("--digit-budget", 1, None),
-    "n": ("--n", 1, MAX_N),
-    "depth": ("--depth", None, MAX_N),  # ranged against --n
-    "terms": ("--terms", 1, MAX_TERMS),
-    "m_max": ("--m-max", 1, MAX_M_MAX),
-    "precision": ("--precision", 0, MAX_PRECISION),
-    "instances": ("--instances", 0, MAX_INSTANCES),
-    "seed": ("--seed", None, None),
-    "min_points": ("--min-points", 1, None),
-    "probe_window": ("--probe-window", 1, None),
+_REQUIRED = object()  # the default of a flag that every run must give
+
+# Every flag, declared once for all subcommands: option -> (default,
+# bounds, choices).  The default is _REQUIRED, False for a switch that
+# takes no value, or the text the flag reads when it is absent.  bounds,
+# (least value, bound) with None for no limit, marks an integer flag; the
+# input gate reads the integer flags in this order, and a bounded one of
+# more than families.ECHO_DIGITS digits is refused by its digit count
+# before it is read.
+_FLAGS = {
+    "--digit-budget": (None, (1, None), None),
+    "--n": (_REQUIRED, (1, MAX_N), None),
+    "--depth": (_REQUIRED, (None, MAX_N), None),  # ranged against --n
+    "--terms": ("10", (1, MAX_TERMS), None),
+    "--m-max": (_REQUIRED, (1, MAX_M_MAX), None),
+    "--precision": ("64", (0, MAX_PRECISION), None),
+    "--instances": ("500", (0, MAX_INSTANCES), None),
+    "--seed": ("0", (None, None), None),
+    "--min-points": ("4", (1, None), None),
+    "--probe-window": (None, (1, None), None),
+    "--family": (_REQUIRED, None, None),
+    "--sigma": (_REQUIRED, None, None),
+    "--tau": (_REQUIRED, None, None),
+    "--sigmas": (_REQUIRED, None, None),
+    "--n-grid": (_REQUIRED, None, None),
+    "--n-list": (None, None, None),
+    "--threshold": ("1/100", None, None),
+    "--semicontinuity": (False, None, None),
+    "--suite": ("all", None, ("swap", "hereditary", "all")),
+    "--csv": (None, None, None),
+    "--out": (None, None, None),
 }
+
+# The flags every subcommand takes, option -> help
+_OUTPUT = {
+    "--out": "JSON report path (default stdout)",
+    "--digit-budget": "abort if any rational exceeds this many digits",
+}
+
+# Every subcommand: name -> (the module whose cmd_<name> runs it, imported
+# only when it runs; help; option -> help of each flag, in --help's order)
+_COMMANDS = {
+    "construct": (__name__, "dump family vectors and check biorthogonality",
+                  {"--family": None, "--n": None, **_OUTPUT}),
+    "defect": (__package__ + ".mixed", "two-sided defect certification",
+               {"--family": None, "--sigma": None, "--n": None,
+                "--n-list": "comma-separated truncations",
+                "--threshold": "decay threshold (rational)",
+                "--min-points": None, "--probe-window": None,
+                "--csv": "decay-table CSV path", **_OUTPUT}),
+    "sweep": (__package__ + ".mixed", "truncated defect over a sigma x n grid",
+              {"--family": None, "--sigmas": "semicolon-separated expressions",
+               "--n-grid": None, "--csv": None, **_OUTPUT}),
+    "metric": (__package__ + ".topology", "certified d_s / d_w enclosures",
+               {"--family": None, "--sigma": None, "--tau": None, "--n": None,
+                "--terms": "series cut K", "--precision": None, **_OUTPUT}),
+    "chain": (__package__ + ".topology", "iterated intersection of H_{sigma_m}",
+              {"--family": None, "--sigma": None, "--depth": None, "--n": None, **_OUTPUT}),
+    "converge": (__package__ + ".topology", "projector convergence / semicontinuity probes",
+                 {"--family": None, "--sigma": None, "--m-max": None, "--n": None,
+                  "--terms": None, "--precision": None, "--semicontinuity": None,
+                  **_OUTPUT}),
+    "oracle": (__package__ + ".oracle", "swap-invariance and hereditary scan suites",
+               {"--suite": None, "--instances": None, "--seed": None, **_OUTPUT}),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
 def _check_range(flag: str, value: int, least: int, bound) -> None:
@@ -97,17 +156,19 @@ def _parsed(flag: str, parse, text: str):
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def check_inputs(args) -> argparse.Namespace:
+def check_inputs(args) -> SimpleNamespace:
     """The input gate: every check of args, each message led by its flag.
     Writes each integer flag's value, and the texts of the `sweep`
     expressions, back to args; returns the parsed lists, threshold,
     family and sigmas."""
-    for dest, (flag, least, bound) in _INTEGER_FLAGS.items():
-        if getattr(args, dest, None) is not None:
+    for flag, (_default, bounds, _choices) in _FLAGS.items():
+        dest = _dest(flag)
+        if bounds is not None and getattr(args, dest, None) is not None:
+            least, bound = bounds
             setattr(args, dest, parse_integer(flag, getattr(args, dest), bound))
             if least is not None:
                 _check_range(flag, getattr(args, dest), least, bound)
-    parsed = argparse.Namespace()
+    parsed = SimpleNamespace()
     if getattr(args, "n_list", None):
         parsed.n_list = _int_list("--n-list", args.n_list)
         if max(parsed.n_list) != args.n:
@@ -170,78 +231,79 @@ def cmd_construct(args, parsed) -> None:
         raise InvariantViolation("biorthogonality failed for a built-in family")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as an input error instead of exiting with
-    usage text; the subcommand parsers are built with this class too."""
+def read_argv(argv):
+    """The namespace of `build_parser().parse_args(argv)`, read without
+    argparse from a well-formed argv: a subcommand, then options that are
+    each an exact flag of it, given at most once, each value "-" or not
+    led by "-", every required flag present and --suite among its
+    choices.  Any other argv (help, version, no subcommand, an
+    abbreviation, --flag=value, a negative number, a repeated flag, any
+    usage error) returns None, and argparse reads it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    module, _help, flags = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in given:
+            return None
+        default, _bounds, choices = _FLAGS[flag]
+        if default is False:
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    values = {"command": argv[0], "module": module}
+    for flag in flags:
+        default = _FLAGS[flag][0]
+        if flag not in given and default is _REQUIRED:
+            return None
+        values[_dest(flag)] = given.get(flag, default)
+    return SimpleNamespace(**values)
 
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
 
+def build_parser():
+    """The argparse parser of _COMMANDS, which reads every argv that
+    `read_argv` does not and writes the help, version and usage errors."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as an input error instead of exiting with
+        usage text; the subcommand parsers are built with this class too."""
+
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="defectlab",
         description="Exact-arithmetic experiments on mixed vector systems.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, module, help, *required):
-        # `module` names the module whose cmd_<name> runs the subcommand;
-        # `_run` imports it only when that subcommand runs
+    for name, (module, help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(module=module)
-        for flag in required:
-            p.add_argument(flag, required=True)
-        return p
-
-    command("construct", __name__, "dump family vectors and check biorthogonality",
-            "--family", "--n")
-
-    p = command("defect", __package__ + ".mixed", "two-sided defect certification",
-                "--family", "--sigma", "--n")
-    p.add_argument("--n-list", default=None, help="comma-separated truncations")
-    p.add_argument("--threshold", default="1/100", help="decay threshold (rational)")
-    p.add_argument("--min-points", default="4")
-    p.add_argument("--probe-window", default=None)
-    p.add_argument("--csv", default=None, help="decay-table CSV path")
-
-    p = command("sweep", __package__ + ".mixed", "truncated defect over a sigma x n grid",
-                "--family")
-    p.add_argument("--sigmas", required=True, help="semicolon-separated expressions")
-    p.add_argument("--n-grid", required=True)
-    p.add_argument("--csv", default=None)
-
-    p = command("metric", __package__ + ".topology", "certified d_s / d_w enclosures",
-                "--family", "--sigma", "--tau", "--n")
-    p.add_argument("--terms", default="10", help="series cut K")
-    p.add_argument("--precision", default="64")
-
-    command("chain", __package__ + ".topology", "iterated intersection of H_{sigma_m}",
-            "--family", "--sigma", "--depth", "--n")
-
-    p = command("converge", __package__ + ".topology",
-                "projector convergence / semicontinuity probes",
-                "--family", "--sigma", "--m-max", "--n")
-    p.add_argument("--terms", default="10")
-    p.add_argument("--precision", default="64")
-    p.add_argument("--semicontinuity", action="store_true")
-
-    p = command("oracle", __package__ + ".oracle", "swap-invariance and hereditary scan suites")
-    p.add_argument("--suite", choices=["swap", "hereditary", "all"], default="all")
-    p.add_argument("--instances", default="500")
-    p.add_argument("--seed", default="0")
-
-    for p in sub.choices.values():
-        p.add_argument("--out", default=None, help="JSON report path (default stdout)")
-        p.add_argument("--digit-budget", default=None,
-                       help="abort if any rational exceeds this many digits")
+        for flag, flag_help in flags.items():
+            default, _bounds, choices = _FLAGS[flag]
+            if default is _REQUIRED:
+                p.add_argument(flag, required=True, help=flag_help)
+            elif default is False:
+                p.add_argument(flag, action="store_true", help=flag_help)
+            else:
+                p.add_argument(flag, default=default, choices=choices, help=flag_help)
     return parser
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         parsed = check_inputs(args)
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -4,11 +4,13 @@ reports, CSV tables.
 Rationals always serialize as "p/q" strings, never floats; CSV tables
 carry an extra decimal column that is clearly marked approximate.  Each
 subcommand's handler writes its report through `emit`; an output file
-that cannot be written raises InputError, which the CLI exits 2 on.
+that cannot be written, or a standard output that is closed or fails,
+raises InputError, which the CLI exits 2 on.
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -86,13 +88,31 @@ def table_csv(header: list, rows: list) -> str:
 
 def _write(path, text: str, flag: str = "--out") -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_stdout(text, flag)
         return
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"{flag}: cannot write {path!r}: {exc.strerror}") from None
+
+
+def _write_stdout(text: str, flag: str) -> None:
+    """Writes and flushes text to standard output.  sys.stdout is None in
+    a process started with file descriptor 1 closed; that, or a write
+    that fails, raises InputError."""
+    stdout = sys.stdout
+    if stdout is None:
+        raise InputError(f"{flag}: cannot write the standard output: it is closed")
+    try:
+        stdout.write(text)
+        stdout.flush()
+    except OSError as exc:
+        # the stream still holds the text, and the interpreter's flush at
+        # exit would fail on it again: its descriptor now takes the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), stdout.fileno())
+        raise InputError(f"{flag}: cannot write the standard output: {exc.strerror}") from None
 
 
 def emit(args, command: str, config: dict, results: dict, csv=None) -> None:
@@ -106,4 +126,4 @@ def emit(args, command: str, config: dict, results: dict, csv=None) -> None:
         csv = None
     _write(getattr(args, "out", None), report)
     if csv is not None:
-        _write("-", csv)
+        _write("-", csv, "--csv")

@@ -332,6 +332,10 @@ _add("budget converge", "converge", "--family", "e1-plus-ek", "--sigma", "none",
 _add("version", "--version")
 _add("help", "--help")
 _add("sweep help", "sweep", "--help")
+# not converge: Python 3.13's argparse wraps its usage line at another
+# place than 3.10-3.12, so its bytes depend on the Python version
+for _command in ["construct", "defect", "metric", "chain", "oracle"]:
+    _add(f"{_command} help", _command, "--help")
 _add("no command")
 _add("error missing flags", "defect", "--family", "e1-plus-ek")
 _add("error int flag", "construct", "--family", "e1-plus-ek", "--n", "x")

@@ -17,7 +17,19 @@ from hypothesis import strategies as st
 
 import defectlab
 from conftest import count_calls, defect_truncated, oracle_random_family
-from defectlab.cli import MAX_INSTANCES, MAX_M_MAX, MAX_N, MAX_PRECISION, MAX_TERMS, main
+from defectlab.cli import (
+    _COMMANDS,
+    _FLAGS,
+    _REQUIRED,
+    MAX_INSTANCES,
+    MAX_M_MAX,
+    MAX_N,
+    MAX_PRECISION,
+    MAX_TERMS,
+    build_parser,
+    main,
+    read_argv,
+)
 from defectlab.exact import SparseVector
 from defectlab.families import (
     MAX_FINITE_SET_ELEMENT,
@@ -137,6 +149,28 @@ def test_unwritable_csv_writes_no_report(capsys, tmp_path, argv):
     code, report, _ = run(capsys, *argv, "--csv", str(path))
     assert code == 0
     assert run(capsys, *argv, "--csv", "-") == (0, report + path.read_text(), "")
+
+
+@pytest.mark.parametrize("redirect, reason", [
+    (">&-", "it is closed"),
+    pytest.param("> /dev/full", "No space left on device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+], ids=["closed", "full"])
+@pytest.mark.parametrize("argv", [
+    "construct --family e1-plus-ek --n 3",
+    "defect --family e1-plus-ek --sigma all --n 8 --csv -",
+], ids=["construct", "defect-csv"])
+def test_unwritable_stdout_is_2(redirect, reason, argv):
+    """A process whose descriptor 1 is closed (sys.stdout is then None) or
+    fails on write exits 2 with the input error document and no
+    traceback, also after the interpreter's final flush."""
+    src = str(Path(defectlab.__file__).resolve().parents[1])
+    result = subprocess.run(["sh", "-c", f'"$0" -m defectlab.cli {argv} {redirect}',
+                             sys.executable], env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr) == {"error": {
+        "kind": "input", "message": f"--out: cannot write the standard output: {reason}"}}
 
 
 _LONG = "9" * 100_000 + "x"
@@ -1043,20 +1077,116 @@ def test_exit_code_contract(argv):
         assert report["results"]["decay_table"]
 
 
+# values that the direct reader takes: "-" and any text not led by "-"
+_PLAIN_VALUE = st.sampled_from(["3", "e1-plus-ek", "res(2;1)", "none;all", "1/2", "-", "",
+                                "x y"])
+_PERTURBATIONS = ["help", "prefix", "equals", "repeat", "dash value", "missing", "unknown",
+                  "no command"]
+
+
+@st.composite
+def table_argv(draw):
+    """(argv, canonical): an argv built from the table of a subcommand.
+    It is canonical, `<subcommand> (--flag value | --switch)*` with every
+    required flag and any subset of the others in any order, unless one or
+    more perturbations are drawn: a help or version token, a flag cut to a
+    prefix, --flag=value, a repeated flag, a value led by "-" (or a --suite
+    outside its choices), a missing required flag, an unknown token or a
+    flag of another subcommand, or no subcommand."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[command][2]
+    required = [flag for flag in flags if _FLAGS[flag][0] is _REQUIRED]
+    others = draw(st.lists(st.sampled_from([f for f in flags if f not in required]),
+                           unique=True))
+    groups = []
+    for flag in draw(st.permutations(required + others)):
+        default, _bounds, choices = _FLAGS[flag]
+        if default is False:
+            groups.append([flag])
+        else:
+            groups.append([flag, draw(st.sampled_from(choices) if choices else _PLAIN_VALUE)])
+    perturbations = draw(st.lists(st.sampled_from(_PERTURBATIONS), max_size=2))
+    for perturbation in perturbations:
+        where = draw(st.integers(0, len(groups)))
+        valued = [g for g in groups if len(g) == 2]
+        if perturbation == "help":
+            groups.insert(where, [draw(st.sampled_from(["-h", "--help", "--version"]))])
+        elif perturbation == "unknown":
+            foreign = [[flag, "3"] for flag in _FLAGS if flag not in flags]
+            groups.insert(where, draw(st.sampled_from(
+                [["--bogus"], ["bogus"], ["--bogus=1"]] + foreign)))
+        elif perturbation == "repeat" and groups:
+            groups.insert(where, list(draw(st.sampled_from(groups))))
+        elif perturbation == "missing" and required:
+            missing = draw(st.sampled_from(required))
+            groups = [g for g in groups if g[0] != missing]
+        elif perturbation == "prefix" and any(len(g[0]) > 3 for g in groups):
+            group = draw(st.sampled_from([g for g in groups if len(g[0]) > 3]))
+            group[0] = group[0][:draw(st.integers(3, len(group[0]) - 1))]
+        elif perturbation == "equals" and valued:
+            group = draw(st.sampled_from(valued))
+            group[:] = ["=".join(group)]
+        elif perturbation == "dash value" and valued:
+            group = draw(st.sampled_from(valued))
+            bad = ["-5", "-1,0", "--", "-x"] + (["every"] if group[0] == "--suite" else [])
+            group[1] = draw(st.sampled_from(bad))
+    argv = [token for group in groups for token in group]
+    return (argv if "no command" in perturbations else [command] + argv), not perturbations
+
+
+_PARSER = build_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_argv())
+@example((["defect", "--family", "e1-plus-ek", "--sigma", "all", "--n", "8", "--csv", "-",
+           "--out", "-"], True))
+@example((["oracle", "--suite", "swap", "--seed", "-5"], False))
+@example((["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2", "--n", "4",
+           "--semicontinuity"], True))
+def test_direct_reader_agrees_with_argparse(case):
+    """Whenever the direct reader takes an argv, its namespace is the
+    one argparse returns; it takes every canonical argv."""
+    argv, canonical = case
+    args = read_argv(argv)
+    assert args is not None or not canonical, argv
+    if args is not None:
+        assert vars(args) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--version"], ["defect", "--help"], ["bogus"],
+    ["construct", "--fam", "e1-plus-ek", "--n", "3"],
+    ["construct", "--family=e1-plus-ek", "--n", "3"],
+    ["oracle", "--seed", "-5"],
+    ["oracle", "--seed", "1", "--seed", "2"],
+    ["oracle", "--suite", "every"],
+    ["construct", "--family", "e1-plus-ek"],
+    ["construct", "--family", "e1-plus-ek", "--n"],
+    ["construct", "--family", "e1-plus-ek", "--n", "3", "--bogus"],
+    ["converge", "--family", "e1-plus-ek", "--sigma", "none", "--m-max", "2", "--n", "4",
+     "--semicontinuity", "yes"],
+])
+def test_direct_reader_leaves_the_rest_to_argparse(argv):
+    assert read_argv(argv) is None
+
+
 def test_cli_import_loads_no_pool_or_dataclasses():
     """A report's process imports exactly the package modules it runs, and
     no module of the package imports a process pool or `dataclasses`:
     each invocation below loads the core modules and the listed ones, no
-    other.  -S keeps site packages, and whatever they import, out of the
-    check."""
+    other.  A well-formed argv is read without argparse (and its gettext
+    and locale); a usage error builds the parser.  -S keeps site packages,
+    and whatever they import, out of the check."""
     src = str(Path(defectlab.__file__).resolve().parents[1])
-    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
+    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect", "argparse",
+             "gettext", "locale"]
     code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
-            "argv = sys.argv[2].split(); sys.stdout = io.StringIO(); "
+            "argv = sys.argv[2].split(); sys.stdout = sys.stderr = io.StringIO(); "
             "code = defectlab.cli.main(argv) if argv else 0; "
             "loaded = [m for m in sys.modules if m.startswith('defectlab')] + "
             "[m for m in sys.argv[3:] if m in sys.modules]; "
-            "sys.stderr.write(' '.join([str(code)] + sorted(loaded)))")
+            "sys.__stderr__.write(' '.join([str(code)] + sorted(loaded)))")
     core = ["defectlab", "defectlab.cli", "defectlab.exact", "defectlab.families",
             "defectlab.reports"]
     for argv, modules in [
@@ -1083,6 +1213,10 @@ def test_cli_import_loads_no_pool_or_dataclasses():
                                 capture_output=True, text=True, check=True)
         expected = sorted(core + ["defectlab." + m for m in modules])
         assert result.stderr.split() == ["0"] + expected, argv
+    result = subprocess.run([sys.executable, "-S", "-c", code, src,
+                             "defect --family e1-plus-ek", *heavy],
+                            capture_output=True, text=True, check=True)
+    assert result.stderr.split() == ["2", "argparse"] + core + ["gettext", "locale"]
 
 
 def test_handler_modules_import_no_parser():
