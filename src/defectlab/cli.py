@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .exact import BudgetExceeded, InvariantViolation, biorthogonal
 from .families import LongArgument, SystemFamily, echo, parse_family, parse_integer
-from .reports import InputError, dump_json, emit, rational_str
+from .reports import InputError, dump_json, emit, rational_str, write_stderr
+
+if TYPE_CHECKING:  # annotations only: a process that makes no Fraction imports no fractions
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -140,6 +143,8 @@ def _int_list(flag: str, text: str) -> list:
 
 
 def _rational(flag: str, text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -312,7 +317,9 @@ def _run(argv) -> int:
 
 
 def _fail(kind: str, message: str, code: int) -> int:
-    sys.stderr.write(dump_json({"error": {"kind": kind, "message": message}}))
+    """Writes the error document to standard error and returns code,
+    also when standard error is closed or fails."""
+    write_stderr(dump_json({"error": {"kind": kind, "message": message}}))
     return code
 
 

@@ -2,12 +2,14 @@
 
 Everything in this module is exact.  A vector is stored as integer
 coordinates over one positive denominator, and all elimination is
-fraction-free on those integers; `fractions.Fraction` values are made
-only where a value leaves the kernels (distances, inner products and
-`SparseVector.entries`).  Distances, projections and Gram solves come
-from one Bareiss elimination of a bordered integer Gram matrix,
-`bareiss_pass`, which `bordered_elimination` feeds from vectors and
-probes, and whose kept generators give ranks; `biorthogonal` checks
+fraction-free on those integers.  `fractions.Fraction` values are made,
+and `fractions` is imported, only where a value leaves the kernels
+(distances, inner products and `SparseVector.entries`) or enters them
+(`SparseVector.from_pairs`), so a process whose values stay integers,
+`oracle`'s among them, never loads it.  Distances, projections and Gram
+solves come from one Bareiss elimination of a bordered integer Gram
+matrix, `bareiss_pass`, which `bordered_elimination` feeds from vectors
+and probes, and whose kept generators give ranks; `biorthogonal` checks
 <x_j, x_k*> = delta_jk on the pairs that share a coordinate.  No
 floating point ever enters.  The module's two exceptions are those of
 the mathematics: a digit budget exceeded and an invariant violated.
@@ -15,9 +17,11 @@ the mathematics: a digit budget exceeded and an invariant violated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:  # annotations only: a process that makes no Fraction imports no fractions
+    from fractions import Fraction
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,19 +32,14 @@ class InvariantViolation(RuntimeError):
     """A certified property that must always hold failed: this is a bug."""
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-# Rough bits-per-decimal-digit bound; used only for the abort guard, so an
-# over-approximation is fine.
-_BITS_PER_DIGIT = Fraction(10, 3)
-
-
 def _check_budget(values: Iterable, digit_budget: Optional[int]) -> None:
+    """Raises BudgetExceeded if a numerator or denominator of the values,
+    ints or Fractions, has more bits than digit_budget * 10/3, rounded
+    down: a rough bits-per-digit bound, used only for the abort guard, so
+    an over-approximation is fine."""
     if digit_budget is None:
         return
-    limit = int(digit_budget * _BITS_PER_DIGIT)
+    limit = digit_budget * 10 // 3
     for v in values:
         if v.numerator.bit_length() > limit or v.denominator.bit_length() > limit:
             raise BudgetExceeded(
@@ -65,6 +64,8 @@ class SparseVector:
 
     @property
     def entries(self) -> tuple:
+        from fractions import Fraction
+
         den = self.den
         return tuple((i, Fraction(x, den)) for i, x in self.coords.items())
 
@@ -88,12 +89,14 @@ class SparseVector:
         That lcm leaves no common factor: for each prime, the value whose
         reduced denominator holds its highest power has a coordinate that
         the prime does not divide."""
+        from fractions import Fraction
+
         acc = {}
         for idx, val in pairs:
             idx = int(idx)
             if idx < 1:
                 raise ValueError(f"index {idx} is not positive")
-            acc[idx] = acc.get(idx, 0) + _as_fraction(val)
+            acc[idx] = acc.get(idx, 0) + (val if isinstance(val, Fraction) else Fraction(val))
         values = {i: acc[i] for i in sorted(acc) if acc[i]}
         den = math.lcm(*(x.denominator for x in values.values()))
         return SparseVector._stored(
@@ -122,9 +125,13 @@ class SparseVector:
         return v
 
     def dot(self, other: "SparseVector") -> Fraction:
+        from fractions import Fraction
+
         return Fraction(_idot(self.coords, other.coords), self.den * other.den)
 
     def norm_sq(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(x * x for x in self.coords.values()), self.den * self.den)
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
@@ -242,6 +249,8 @@ def bareiss_pass(
     prev = 1
     kept = []
     table = []
+    if cuts:  # the distances are the only Fractions the pass makes
+        from fractions import Fraction
     cut_at = iter(cuts + [None])
     next_cut = next(cut_at)
     for r in range(m + 1):

@@ -1,23 +1,27 @@
 """Serialization and the report writer: exact rationals as strings, JSON
 reports, CSV tables.
 
-Rationals always serialize as "p/q" strings, never floats; CSV tables
-carry an extra decimal column that is clearly marked approximate.  Each
-subcommand's handler writes its report through `emit`; an output file
-that cannot be written, or a standard output that is closed or fails,
-raises InputError, which the CLI exits 2 on.
+Rationals, each an int or a `fractions.Fraction`, always serialize as
+"p/q" strings, never floats, read from their numerator and denominator,
+so this module imports no `fractions`; CSV tables carry an extra decimal
+column that is clearly marked approximate.  Each subcommand's handler
+writes its report through `emit`; an output file that cannot be
+written, or a standard output that is closed or fails, raises
+InputError, which the CLI exits 2 on.  `write_stderr` drops an error
+document that a closed or failing standard error cannot take.
 """
 from __future__ import annotations
 
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
 
 if TYPE_CHECKING:  # annotations only: a report's process imports what it runs
+    from fractions import Fraction
+
     from .mixed import DefectReport
     from .topology import IntervalValue
 
@@ -26,8 +30,7 @@ class InputError(Exception):
     """An input that the CLI's parser, input gate or output write refuses."""
 
 
-def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rational_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -108,11 +111,30 @@ def _write_stdout(text: str, flag: str) -> None:
         stdout.write(text)
         stdout.flush()
     except OSError as exc:
-        # the stream still holds the text, and the interpreter's flush at
-        # exit would fail on it again: its descriptor now takes the null device
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), stdout.fileno())
+        _to_null(stdout)
         raise InputError(f"{flag}: cannot write the standard output: {exc.strerror}") from None
+
+
+def write_stderr(text: str) -> None:
+    """Writes and flushes text to standard error, if it can: nothing is
+    written when sys.stderr is None (descriptor 2 closed), and a write
+    that fails is dropped, so the caller's exit code stands."""
+    stderr = sys.stderr
+    if stderr is None:
+        return
+    try:
+        stderr.write(text)
+        stderr.flush()
+    except OSError:
+        _to_null(stderr)
+
+
+def _to_null(stream) -> None:
+    """Points the stream's descriptor at the null device after a failed
+    write: a buffered stream, such as standard output, still holds the
+    text, and the interpreter's flush at exit would fail on it again."""
+    with open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
 
 
 def emit(args, command: str, config: dict, results: dict, csv=None) -> None:

@@ -173,6 +173,26 @@ def test_unwritable_stdout_is_2(redirect, reason, argv):
         "kind": "input", "message": f"--out: cannot write the standard output: {reason}"}}
 
 
+@pytest.mark.parametrize("redirect", [
+    "2>&-",
+    pytest.param("2> /dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+], ids=["closed", "full"])
+@pytest.mark.parametrize("argv, code", [
+    ("construct --family bogus --n 2", 2),
+    ("oracle --suite swap --instances 5 --digit-budget 1", 3),
+], ids=["input", "budget"])
+def test_unwritable_stderr_keeps_the_exit_code(redirect, argv, code):
+    """A process whose descriptor 2 is closed (sys.stderr is then None) or
+    fails on write drops the error document and keeps its exit code, also
+    after the interpreter's final flush."""
+    src = str(Path(defectlab.__file__).resolve().parents[1])
+    result = subprocess.run(["sh", "-c", f'"$0" -m defectlab.cli {argv} {redirect}',
+                             sys.executable], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (code, "")
+
+
 _LONG = "9" * 100_000 + "x"
 
 
@@ -1176,11 +1196,15 @@ def test_cli_import_loads_no_pool_or_dataclasses():
     no module of the package imports a process pool or `dataclasses`:
     each invocation below loads the core modules and the listed ones, no
     other.  A well-formed argv is read without argparse (and its gettext
-    and locale); a usage error builds the parser.  -S keeps site packages,
-    and whatever they import, out of the check."""
+    and locale); a usage error builds the parser.  Only a process that
+    makes a Fraction loads `fractions` (and its `decimal` and `numbers`):
+    `oracle` computes on integers alone, and every other subcommand below
+    makes one.  -S keeps site packages, and whatever they import, out of
+    the check."""
     src = str(Path(defectlab.__file__).resolve().parents[1])
+    numeric = ["decimal", "fractions", "numbers"]
     heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect", "argparse",
-             "gettext", "locale"]
+             "gettext", "locale", *numeric]
     code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import defectlab.cli; "
             "argv = sys.argv[2].split(); sys.stdout = sys.stderr = io.StringIO(); "
             "code = defectlab.cli.main(argv) if argv else 0; "
@@ -1189,29 +1213,31 @@ def test_cli_import_loads_no_pool_or_dataclasses():
             "sys.__stderr__.write(' '.join([str(code)] + sorted(loaded)))")
     core = ["defectlab", "defectlab.cli", "defectlab.exact", "defectlab.families",
             "defectlab.reports"]
-    for argv, modules in [
-        ("", []),
-        ("construct --family young(w=2) --n 3", ["heads"]),
-        ("construct --family random(d=4,n=2,seed=1) --n 2", ["oracle"]),
+    for argv, modules, fractions in [
+        ("", [], False),
+        ("construct --family young(w=2) --n 3", ["heads"], True),
+        ("construct --family random(d=4,n=2,seed=1) --n 2", ["oracle"], True),
         ("defect --family defect-pair(m=2) --sigma all --n 8",
-         ["heads", "indexsets", "mixed"]),
+         ["heads", "indexsets", "mixed"], True),
         ("defect --family finite-set(0,1,3) --sigma res(3;2) --n 12",
-         ["heads", "indexsets", "mixed"]),
+         ["heads", "indexsets", "mixed"], True),
         ("defect --family infinite-set(0,1,inf) --sigma all --n 8",
-         ["indexsets", "infiniteset", "mixed"]),
+         ["indexsets", "infiniteset", "mixed"], True),
         ("sweep --family e1-plus-ek --sigmas all;none --n-grid 3,5",
-         ["heads", "indexsets", "mixed"]),
+         ["heads", "indexsets", "mixed"], True),
         ("metric --family e1-plus-ek --sigma all --tau none --n 4",
-         ["heads", "indexsets", "topology"]),
+         ["heads", "indexsets", "topology"], True),
         ("chain --family e1-plus-ek --sigma none --depth 2 --n 4",
-         ["heads", "indexsets", "topology"]),
+         ["heads", "indexsets", "topology"], True),
         ("converge --family e1-plus-ek --sigma none --m-max 2 --n 4",
-         ["heads", "indexsets", "topology"]),
-        ("oracle --suite all --instances 2", ["oracle"]),
+         ["heads", "indexsets", "topology"], True),
+        ("oracle --suite all --instances 2", ["oracle"], False),
+        ("oracle --suite all --instances 2 --digit-budget 8", ["oracle"], False),
     ]:
         result = subprocess.run([sys.executable, "-S", "-c", code, src, argv, *heavy],
                                 capture_output=True, text=True, check=True)
-        expected = sorted(core + ["defectlab." + m for m in modules])
+        expected = sorted(core + ["defectlab." + m for m in modules]
+                          + (numeric if fractions else []))
         assert result.stderr.split() == ["0"] + expected, argv
     result = subprocess.run([sys.executable, "-S", "-c", code, src,
                              "defect --family e1-plus-ek", *heavy],

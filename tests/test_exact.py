@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,10 +29,12 @@ from conftest import (
 from defectlab.exact import (
     BudgetExceeded,
     SparseVector,
+    _check_budget,
     bordered_elimination,
     project_many,
 )
 from defectlab.families import parse_family
+from defectlab.reports import rational_str
 
 Q = Fraction
 
@@ -232,6 +235,34 @@ class TestBudget:
 
     def test_budget_allows_small_entries(self):
         bordered_elimination([vec(1, 2, 3)], digit_budget=10)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=10 ** 12))
+    @example(1)
+    @example(2)
+    @example(3)
+    def test_limit_is_ten_thirds_of_the_budget(self, digits):
+        """A budget of d digits admits int(d * 10/3) bits, as when the limit
+        was that Fraction: checked on values that stand in for a numerator
+        of any bit length, which no int of 10**12 digits could."""
+        def of_bits(bits):
+            return SimpleNamespace(numerator=SimpleNamespace(bit_length=lambda: bits),
+                                   denominator=1)
+
+        limit = int(digits * Fraction(10, 3))
+        _check_budget([of_bits(limit)], digits)
+        with pytest.raises(BudgetExceeded):
+            _check_budget([of_bits(limit + 1)], digits)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (-7, "-7"), (12, "12"), (Q(-6, 2), "-3"), (Q(4, 1), "4"), (Q(-10, 4), "-5/2"),
+    (Q(3, 7), "3/7"),
+])
+def test_rational_str(value, text):
+    """An int and a Fraction of equal value serialize alike: "p" for
+    denominator 1, "p/q" in lowest terms otherwise."""
+    assert rational_str(value) == text
 
 
 @settings(max_examples=60, deadline=None)
