@@ -18,7 +18,8 @@ only those its subcommand runs; import each name from its module:
   `chain` and `converge`;
 - `reports`: JSON and CSV serialization and the report writer `emit`;
 - `cli`: the parser, the shared input checks, the exit codes and
-  `construct`; no module imports it.
+  `construct`; each subcommand's handler returns its report, and
+  `cli._run` writes it through `emit`; no module imports `cli`.
 """
 
 __version__ = "0.1.0"

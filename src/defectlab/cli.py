@@ -14,10 +14,11 @@ analysis (`defect` and `sweep` in `mixed`; `metric`, `chain` and
 `converge` in `topology`; `oracle` in `oracle`), imported only when that
 subcommand runs, so a process compiles only what its report needs.
 `check_inputs` checks every input before any computation; a handler
-only computes and writes its report through `reports.emit`, and returns
-nothing.  No module imports this one.  Exit codes: 0 ok, 2 input error
-(parser, gate or output write), 3 digit-budget exhaustion, 4 invariant
-violation, a ValueError raised after the gate included.
+only computes and returns its report, which `_run` writes through
+`reports.emit`, so a run that exits 3 or 4 writes no report.  No module
+imports this one.  Exit codes: 0 ok, 2 input error (parser, gate or
+output write), 3 digit-budget exhaustion, 4 invariant violation, a
+ValueError raised after the gate included.
 """
 from __future__ import annotations
 
@@ -28,8 +29,9 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .exact import BudgetExceeded, InvariantViolation, biorthogonal
-from .families import LongArgument, SystemFamily, echo, parse_family, parse_integer
+from .exact import BudgetExceeded, InvariantViolation
+from .families import (LongArgument, SystemFamily, check_biorthogonal, echo, parse_family,
+                       parse_integer)
 from .reports import InputError, dump_json, emit, rational_str, write_stderr
 
 if TYPE_CHECKING:  # annotations only: a process that makes no Fraction imports no fractions
@@ -211,12 +213,11 @@ def check_inputs(args) -> SimpleNamespace:
     return parsed
 
 
-def cmd_construct(args, parsed) -> None:
+def cmd_construct(args, parsed) -> tuple:
     family = parsed.family
     n = family.truncation(args.n)
-    xs = family.vectors(range(1, n + 1))
-    duals = [family.dual(k) for k in range(1, n + 1)]
-    ok = biorthogonal(xs, duals)
+    # no digit budget: --digit-budget leaves a construct report as it is
+    xs, duals = check_biorthogonal(family, n)
     vectors = [
         {
             "k": k,
@@ -228,12 +229,10 @@ def cmd_construct(args, parsed) -> None:
     results = {
         "ambient": family.ambient(n),
         "index_offset": family.index_offset,
-        "biorthogonal": ok,
+        "biorthogonal": True,
         "vectors": vectors,
     }
-    emit(args, "construct", {"family": args.family, "n": args.n}, results)
-    if not ok:
-        raise InvariantViolation("biorthogonality failed for a built-in family")
+    return {"family": args.family, "n": args.n}, results
 
 
 def read_argv(argv):
@@ -312,7 +311,8 @@ def _run(argv) -> int:
         parsed = check_inputs(args)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    getattr(import_module(args.module), "cmd_" + args.command)(args, parsed)
+    handler = getattr(import_module(args.module), "cmd_" + args.command)
+    emit(args, args.command, *handler(args, parsed))
     return EXIT_OK
 
 

@@ -143,15 +143,17 @@ class SystemFamily:
         return project_many(targets, self.vectors(primal), digit_budget)
 
 
-def check_biorthogonal(family: SystemFamily, last: int, digit_budget=None) -> None:
-    """Raises InvariantViolation unless <x_j, x_k*> = delta_jk for j, k
-    in 1..last.  Then every mixed family {x_k : k in sigma} and
-    {x_k* : k not in sigma} of x_1..x_last has a block-diagonal Gram
-    matrix with full-rank blocks: it has rank last."""
+def check_biorthogonal(family: SystemFamily, last: int, digit_budget=None) -> tuple:
+    """Returns (x_1..x_last, their duals), and raises InvariantViolation
+    unless <x_j, x_k*> = delta_jk for j, k in 1..last.  Then every mixed
+    family {x_k : k in sigma} and {x_k* : k not in sigma} of x_1..x_last
+    has a block-diagonal Gram matrix with full-rank blocks: it has rank
+    last."""
     indices = range(1, last + 1)
-    if not biorthogonal(family.vectors(indices), [family.dual(k) for k in indices],
-                        digit_budget):
+    xs, duals = family.vectors(indices), [family.dual(k) for k in indices]
+    if not biorthogonal(xs, duals, digit_budget):
         raise InvariantViolation(f"x_1..x_{last} and their duals are not biorthogonal")
+    return xs, duals
 
 
 def _check_defect_set(finite_part, bound: int) -> list:

@@ -84,9 +84,7 @@ class InfiniteDefectSetFamily(SystemFamily):
         return self.finite_part[-1]
 
     def _class_infinite(self, sigma: EventuallyPeriodicSet, j: int) -> bool:
-        """Does sigma meet {n : effective class(n) = j} infinitely often?"""
-        if j == self.s:
-            return not sigma.is_finite()
+        """Does sigma meet {n : superscript(n) = j} infinitely often?"""
         p = sigma.period
         # from this m on, n = m(m+1)/2 + j + 1 lies past every exception,
         # and m(m+1)/2 mod p has period 2p in m, so 2p steps decide
@@ -98,13 +96,12 @@ class InfiniteDefectSetFamily(SystemFamily):
         return False
 
     def _leading_class(self, sigma: EventuallyPeriodicSet) -> Optional[int]:
-        """Smallest effective class meeting sigma infinitely; None if all finite."""
+        """Smallest effective class meeting sigma infinitely; None if sigma
+        is finite.  Class s holds all but s indices of each triangular
+        block, so it meets every infinite sigma."""
         if sigma.is_finite():
             return None
-        for j in range(self.s + 1):
-            if self._class_infinite(sigma, j):
-                return j
-        return None
+        return next((j for j in range(self.s) if self._class_infinite(sigma, j)), self.s)
 
     def predicted_defect(self, sigma):
         j1 = self._leading_class(sigma)

@@ -6,8 +6,9 @@ at a finite truncation.  Certification combines an exact witness basis
 (completeness evidence); a verdict is only issued when both sides agree.
 The probe distances come from the family's `span_dist_sq`, which picks
 its own route.  `defect` and `sweep` run here on the inputs that
-`cli.check_inputs` parsed.  `sweep` checks the family's biorthogonality
-once, at its largest truncation: every mixed family then has full rank.
+`cli.check_inputs` parsed, and return their report for `cli._run` to
+write.  `sweep` checks the family's biorthogonality once, at its largest
+truncation: every mixed family then has full rank.
 """
 from __future__ import annotations
 
@@ -15,12 +16,10 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from .exact import InvariantViolation, SparseVector, biorthogonal
+from .exact import InvariantViolation, SparseVector, _idot, biorthogonal
 from .families import SystemFamily, check_biorthogonal
 from .indexsets import EventuallyPeriodicSet
-from .reports import decay_csv, defect_report_json, emit, table_csv
-
-Q = Fraction
+from .reports import decay_csv, defect_report_json, table_csv
 
 INCONCLUSIVE = "inconclusive"
 
@@ -34,20 +33,22 @@ def mixed_vectors(family: SystemFamily, sigma: EventuallyPeriodicSet,
 
 
 def witness_check(family: SystemFamily, sigma: EventuallyPeriodicSet, n: int,
-                  witnesses: Sequence[SparseVector]):
+                  witnesses: Sequence[SparseVector]) -> frozenset:
     """Exact orthogonality audit of a witness list against the mixed family.
 
-    Returns (ok, exceptional) where exceptional collects the indices whose
-    mixed vector fails orthogonality to some witness; ok means the family's
-    normalization predicted exactly those indices (a finite, n-independent
-    set).  With no witness, no mixed vector is built.
+    Returns the exceptional indices, whose mixed vector is not orthogonal
+    to some witness, tested on integer coordinates.  They must lie in the
+    family's predicted set (finite and n-independent); else raises
+    InvariantViolation.  With no witness, no mixed vector is built.
     """
     if not witnesses:
-        return True, frozenset()
-    exceptional = {k for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1)
-                   if any(vec.dot(w) for w in witnesses)}
-    predicted = family.predicted_exceptional(sigma, n)
-    return exceptional <= predicted, frozenset(exceptional)
+        return frozenset()
+    exceptional = frozenset(k for k, vec in enumerate(mixed_vectors(family, sigma, n), start=1)
+                            if any(_idot(vec.coords, w.coords) for w in witnesses))
+    if not exceptional <= family.predicted_exceptional(sigma, n):
+        raise InvariantViolation("a witness is not orthogonal to the mixed vector "
+                                 "at an unpredicted index")
+    return exceptional
 
 
 def distance_profile(
@@ -98,14 +99,13 @@ class DefectReport(NamedTuple):
     family: str
     sigma: str
     witness_dim: int
-    witness_ok: bool
     exceptional_indices: frozenset
     decay_table: list  # (probe label, n, exact dist^2)
     verdict: object  # int, math.inf, or INCONCLUSIVE
-    decay_threshold: Fraction = Q(1, 100)
-    min_points: int = 4
-    n_list: tuple = ()
-    probe_window: int = 0
+    decay_threshold: Fraction
+    min_points: int
+    n_list: tuple
+    probe_window: int
 
     def verdict_str(self) -> str:
         return "inf" if self.verdict == math.inf else str(self.verdict)
@@ -125,7 +125,7 @@ def classify_defect(
     family: SystemFamily,
     sigma: EventuallyPeriodicSet,
     n_list: Sequence[int],
-    decay_threshold: Fraction = Q(1, 100),
+    decay_threshold: Fraction = Fraction(1, 100),
     min_points: int = 4,
     probe_window: Optional[int] = None,
     digit_budget: Optional[int] = None,
@@ -138,8 +138,8 @@ def classify_defect(
     witnesses past the probe window, and inconclusive otherwise.  The rank
     is the number of witnesses, certified by `_certified_dim`.  A probe
     distance that grows with n is impossible over nested spans, and
-    witnesses that fail their certificate are a generator bug, so both
-    raise InvariantViolation instead of being reported.
+    witnesses that fail their certificate or audit are a generator bug,
+    so each raises InvariantViolation instead of being reported.
     """
     n_list = sorted(n_list)
     n_max = n_list[-1]
@@ -157,10 +157,10 @@ def classify_defect(
     wide_dim = _certified_dim(wide, digit_budget)
     witnesses = wide[:probe_window] if unbounded else wide
     witness_dim = len(witnesses)
-    ok, exceptional = witness_check(family, sigma, n_max, witnesses)
+    exceptional = witness_check(family, sigma, n_max, witnesses)
 
     if unbounded:
-        verdict = math.inf if ok and wide_dim > witness_dim else INCONCLUSIVE
+        verdict = math.inf if wide_dim > witness_dim else INCONCLUSIVE
         decay_rows = []
     else:
         last = min(probe_window, family.ambient(n_max))
@@ -175,15 +175,14 @@ def classify_defect(
         for label, vals in per_probe.items():
             if any(b > a for a, b in zip(vals, vals[1:])):
                 raise InvariantViolation(f"dist^2 of {label} increased over nested spans")
-        all_pass = ok and all(_probe_passes(vals, decay_threshold, min_points)
-                              for vals in per_probe.values())
+        all_pass = all(_probe_passes(vals, decay_threshold, min_points)
+                       for vals in per_probe.values())
         verdict = witness_dim if all_pass else INCONCLUSIVE
 
     return DefectReport(
         family=family.descriptor(),
         sigma=sigma.describe(),
         witness_dim=witness_dim,
-        witness_ok=ok,
         exceptional_indices=exceptional,
         decay_table=decay_rows,
         verdict=verdict,
@@ -194,7 +193,7 @@ def classify_defect(
     )
 
 
-def cmd_defect(args, parsed) -> None:
+def cmd_defect(args, parsed) -> tuple:
     step = max(args.n // 6, 1)
     n_list = getattr(parsed, "n_list", None) or sorted({*range(step, args.n + 1, step), args.n})
     report = classify_defect(parsed.family, parsed.sigma, n_list, parsed.threshold,
@@ -209,11 +208,10 @@ def cmd_defect(args, parsed) -> None:
         "probe_window": report.probe_window,
         "digit_budget": args.digit_budget,
     }
-    emit(args, "defect", config, defect_report_json(report),
-         decay_csv(report) if args.csv else None)
+    return config, defect_report_json(report), decay_csv(report) if args.csv else None
 
 
-def cmd_sweep(args, parsed) -> None:
+def cmd_sweep(args, parsed) -> tuple:
     family, n_grid = parsed.family, parsed.n_grid
     # one biorthogonality check at the largest n; every mixed family then
     # has full rank at each prefix, so each cell is ambient(n) - truncation(n)
@@ -230,7 +228,7 @@ def cmd_sweep(args, parsed) -> None:
         "n_grid": n_grid,
         "digit_budget": args.digit_budget,
     }
-    emit(args, "sweep", config, {"grid": rows}, table_csv(
+    return config, {"grid": rows}, table_csv(
         ["sigma", "n", "defect_truncated"],
         [[r["sigma"], r["n"], r["defect_truncated"]] for r in rows],
-    ) if args.csv else None)
+    ) if args.csv else None

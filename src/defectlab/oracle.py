@@ -1,6 +1,7 @@
 """The oracle suites: seeded random finite systems, their hereditary
 scan, and the swap-invariance and hereditary suites of the `oracle`
-subcommand, run on the inputs that `cli.check_inputs` read.
+subcommand, run on the inputs that `cli.check_inputs` read; `cmd_oracle`
+returns its report's config and results, and `cli._run` writes them.
 
 `families.parse_family` imports this module for a `random(...)`
 descriptor.  The suites and the scan check each drawn family's
@@ -16,7 +17,6 @@ from typing import Optional
 
 from .exact import SparseVector, bareiss_pass
 from .families import SystemFamily, check_biorthogonal
-from .reports import emit
 
 # A random family is drawn and solved densely, so its size is bounded:
 # d, the ambient dimension, and n, the number of vectors.
@@ -185,7 +185,7 @@ def _run_hereditary_suite(instances: int, seed: int, digit_budget=None) -> dict:
     return {"instances": instances, "violations": 0}
 
 
-def cmd_oracle(args, parsed) -> None:
+def cmd_oracle(args, parsed) -> tuple:
     results = {}
     if args.suite in ("swap", "all"):
         results["swap"] = _run_swap_suite(args.instances, args.seed, args.digit_budget)
@@ -194,4 +194,4 @@ def cmd_oracle(args, parsed) -> None:
             min(args.instances, HEREDITARY_SUITE_LIMIT), args.seed, args.digit_budget
         )
     config = {"suite": args.suite, "instances": args.instances, "seed": args.seed}
-    emit(args, "oracle", config, results)
+    return config, results

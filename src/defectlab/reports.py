@@ -4,11 +4,12 @@ reports, CSV tables.
 Rationals, each an int or a `fractions.Fraction`, always serialize as
 "p/q" strings, never floats, read from their numerator and denominator,
 so this module imports no `fractions`; CSV tables carry an extra decimal
-column that is clearly marked approximate.  Each subcommand's handler
-writes its report through `emit`; an output file that cannot be
-written, or a standard output that is closed or fails, raises
-InputError, which the CLI exits 2 on.  `write_stderr` drops an error
-document that a closed or failing standard error cannot take.
+column that is clearly marked approximate.  `cli._run` writes each
+report through `emit` once its handler has returned it, so a run that
+exits 3 or 4 writes no report; an output file that cannot be written,
+or a standard output that is closed or fails, raises InputError, which
+the CLI exits 2 on.  `write_stderr` drops an error document that a
+closed or failing standard error cannot take.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def defect_report_json(report: DefectReport) -> dict:
         "family": report.family,
         "sigma": report.sigma,
         "witness_dim": report.witness_dim,
-        "witness_ok": report.witness_ok,
+        "witness_ok": True,  # a failed witness audit exits 4
         "exceptional_indices": sorted(report.exceptional_indices),
         "verdict": report.verdict_str(),
         "decay_threshold": rational_str(report.decay_threshold),

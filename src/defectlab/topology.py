@@ -4,10 +4,10 @@ Ranks, squared distances, and the set metric rho stay exact rationals;
 the only irrational quantities are norms, which are quarantined inside
 IntervalValue enclosures produced by directed integer square roots.
 The `metric`, `chain` and `converge` subcommands run here, on the
-inputs that `cli.check_inputs` parsed; `metric` and `converge` read
-their spans through the family's `span_projections` and `span_dist_sq`,
-which pick their own route.  `chain` and `converge` read every
-truncated sigma_m = sigma ∪ [m+1, ∞) off sigma through
+inputs that `cli.check_inputs` parsed, and return their report; `metric`
+and `converge` read their spans through the family's `span_projections`
+and `span_dist_sq`, which pick their own route.  `chain` and `converge`
+read every truncated sigma_m = sigma ∪ [m+1, ∞) off sigma through
 `_sigma_m_blocks`: `chain` counts the blocks, and `converge` names each
 sigma_m from sigma, so neither builds a sigma_m set.
 """
@@ -21,7 +21,7 @@ from typing import Optional
 from .exact import InvariantViolation
 from .families import SystemFamily
 from .indexsets import EventuallyPeriodicSet, rho
-from .reports import emit, exact_value, interval_value
+from .reports import exact_value, interval_value
 
 Q = Fraction
 
@@ -239,7 +239,7 @@ def convergence_probe(
     return rows, ds_to_zero(at_sigma)
 
 
-def cmd_metric(args, parsed) -> None:
+def cmd_metric(args, parsed) -> tuple:
     ds, dw = projector_metrics(parsed.family, parsed.sigma, parsed.tau, args.n, args.terms,
                                args.precision, digit_budget=args.digit_budget)
     results = {
@@ -256,10 +256,10 @@ def cmd_metric(args, parsed) -> None:
         "precision": args.precision,
         "digit_budget": args.digit_budget,
     }
-    emit(args, "metric", config, results)
+    return config, results
 
 
-def cmd_chain(args, parsed) -> None:
+def cmd_chain(args, parsed) -> tuple:
     dims, equal = intersection_chain(parsed.family, parsed.sigma, args.depth, args.n)
     config = {
         "family": args.family,
@@ -268,10 +268,10 @@ def cmd_chain(args, parsed) -> None:
         "n": args.n,
         "digit_budget": args.digit_budget,
     }
-    emit(args, "chain", config, {"dims": dims, "equal_to_h_sigma": equal})
+    return config, {"dims": dims, "equal_to_h_sigma": equal}
 
 
-def cmd_converge(args, parsed) -> None:
+def cmd_converge(args, parsed) -> tuple:
     rows, limit = convergence_probe(parsed.family, parsed.sigma, args.m_max, args.n, args.terms,
                                     args.precision, digit_budget=args.digit_budget)
     out_rows = [
@@ -298,4 +298,4 @@ def cmd_converge(args, parsed) -> None:
         "semicontinuity": args.semicontinuity,
         "digit_budget": args.digit_budget,
     }
-    emit(args, "converge", config, results)
+    return config, results

@@ -128,6 +128,13 @@ for _name, _argv in [
     ("infinite-set all", _family_sigma("infinite-set(0,1,inf)", "all", 16)),
     ("infinite-set none", _family_sigma("infinite-set(0,2,inf)", "none", 12)),
     ("infinite-set finite sigma", _family_sigma("infinite-set(0,1,inf)", "fin(2,3)", 12)),
+    # bounded defects: res(3;0) misses class 0 (n = m(m+1)/2 + 1 is never
+    # 0 mod 3) and meets class 1, so the defect is 1 and x_1, x_2 (class 0)
+    # meet the witness f_1; res(7;6) misses classes 0 and 1 and meets only
+    # the last class of (0,2,5), so the defect is 5
+    ("infinite-set bounded exceptional",
+     _family_sigma("infinite-set(0,1,inf)", "res(3;0)|fin(1,2)", 30)),
+    ("infinite-set last class", _family_sigma("infinite-set(0,2,5,inf)", "res(7;6)", 30)),
     ("probe-window", _family_sigma("defect-pair(m=2)", "none", 16, "--probe-window", "3")),
     ("min-points", _family_sigma("e1-plus-ek", "all", 16, "--min-points", "2")),
     ("threshold decimal", _family_sigma("e1-plus-ek", "all", 16, "--threshold", "0.05")),

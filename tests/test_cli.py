@@ -823,15 +823,13 @@ def _witnesses(cls, *witnesses):
 # corruption is a conftest fixture's name or a function of monkeypatch.
 # The check_biorthogonal runs of _CHECKED_RUNS above reach that site too.
 _INVARIANT_SITES = {
-    ("cli", "cmd_construct", "biorthogonality failed for a built-in family"): [
+    ("families", "check_biorthogonal", "x_1..x_"): [
         ("construct-moved-dual", "moved_dual",
          ["construct", "--family", "defect-pair(m=2)", "--n", "3"],
-         "biorthogonality failed for a built-in family"),
+         "x_1..x_3 and their duals are not biorthogonal"),
         ("construct-zero-dual", "zero_dual",
          ["construct", "--family", "defect-pair(m=2)", "--n", "3"],
-         "biorthogonality failed for a built-in family"),
-    ],
-    ("families", "check_biorthogonal", "x_1..x_"): [
+         "x_1..x_3 and their duals are not biorthogonal"),
         ("sweep-random-moved-dual", "moved_dual",
          ["sweep", "--family", "random(d=6,n=5,seed=3)", "--sigmas", "none;all",
           "--n-grid", "3,5"],
@@ -853,6 +851,22 @@ _INVARIANT_SITES = {
             ("infinite-set-zero", "infiniteset.InfiniteDefectSetFamily",
              "infinite-set(0,1,inf)", "fin(1,2)", [{1: 1}, {}]),
         ]
+    ],
+    # each witness is orthogonal to every mixed vector outside the predicted
+    # exceptional set: defect-pair(m=2)'s witnesses e_1, e_2 meet its
+    # x_3 = e_1 + 3 e_2 + e_5, which an empty prediction leaves out, and a
+    # witness e_1 meets x_1 and x_2 of infinite-set(0,1,inf), which predicts
+    # no exceptional index for a finite sigma
+    ("mixed", "witness_check", "a witness is not orthogonal to the mixed vector "
+                               "at an unpredicted index"): [
+        ("head-unpredicted", lambda monkeypatch: monkeypatch.setattr(
+            "defectlab.heads.HeadFamily.predicted_exceptional",
+            lambda self, sigma, n: frozenset()),
+         ["defect", "--family", "defect-pair(m=2)", "--sigma", "fin(3)", "--n", "8"],
+         "a witness is not orthogonal to the mixed vector at an unpredicted index"),
+        ("infinite-set-unpredicted", _witnesses("infiniteset.InfiniteDefectSetFamily", {1: 1}),
+         ["defect", "--family", "infinite-set(0,1,inf)", "--sigma", "fin(1,2)", "--n", "8"],
+         "a witness is not orthogonal to the mixed vector at an unpredicted index"),
     ],
     # the decay table spans its witnesses as unit vectors e_i
     ("mixed", "classify_defect", "a witness of the decay table is not a unit vector"): [
@@ -879,34 +893,55 @@ _INVARIANT_SITES = {
 }
 
 
+def _package_nodes():
+    """(module, enclosing function, node) of every AST node of the
+    package's modules."""
+    def visit(module, node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        yield module, function, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(module, child, function)
+
+    for path in sorted(Path(defectlab.__file__).parent.glob("*.py")):
+        yield from visit(path.stem, ast.parse(path.read_text()), None)
+
+
+def _called_name(node) -> str:
+    """The name or attribute that a call or a raised name goes through."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def _raise_sites() -> list:
     """(module, enclosing function, leading literal of the message) of
     every `raise InvariantViolation` in the package's modules."""
     sites = []
-
-    def visit(module, node, function):
-        if isinstance(node, ast.FunctionDef):
-            function = node.name
+    for module, function, node in _package_nodes():
         if isinstance(node, ast.Raise) and node.exc is not None:
             call = node.exc if isinstance(node.exc, ast.Call) else None
-            name = call.func if call else node.exc
-            if getattr(name, "id", getattr(name, "attr", None)) == "InvariantViolation":
+            if _called_name(call.func if call else node.exc) == "InvariantViolation":
                 message = call.args[0] if call and call.args else None
                 if isinstance(message, ast.JoinedStr):
                     message = message.values[0]
                 literal = message.value if isinstance(message, ast.Constant) else ""
                 sites.append((module, function, literal))
-        for child in ast.iter_child_nodes(node):
-            visit(module, child, function)
-
-    for path in sorted(Path(defectlab.__file__).parent.glob("*.py")):
-        visit(path.stem, ast.parse(path.read_text()), None)
     return sites
+
+
+def _emit_calls() -> list:
+    """(module, enclosing function) of every call of `emit` in the
+    package's modules."""
+    return [(module, function) for module, function, node in _package_nodes()
+            if isinstance(node, ast.Call) and _called_name(node.func) == "emit"]
 
 
 class TestInvariantSites:
     def test_every_site_has_a_run(self):
         assert sorted(_raise_sites()) == sorted(_INVARIANT_SITES)
+
+    def test_one_call_writes_every_report(self):
+        # handlers return their report, so a raise in one leaves no report
+        assert _emit_calls() == [("cli", "_run")]
 
     @pytest.mark.parametrize("site, corruption, argv, message", [
         pytest.param(site, corruption, argv, message, id=case_id)
@@ -923,11 +958,7 @@ class TestInvariantSites:
         assert code == 4
         assert message.startswith(site[2])
         assert json.loads(err) == {"error": {"kind": "invariant", "message": message}}
-        if argv[0] == "construct":
-            # the one handler that writes its report before it raises
-            assert json.loads(out)["results"]["biorthogonal"] is False
-        else:
-            assert out == ""
+        assert out == ""
 
 
 # exact values of about 9,600 digits, above CPython's default limit of

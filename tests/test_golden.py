@@ -13,8 +13,8 @@ DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_te
 # the analysis entry points of the subcommands, by module
 _ANALYSES = {
     "mixed": ["classify_defect"],
-    # the biorthogonality check, by the name each of its callers imports
-    "cli": ["biorthogonal"],
+    # the biorthogonality check, which construct, sweep and oracle run
+    # through families.check_biorthogonal
     "families": ["biorthogonal"],
     "topology": ["projector_metrics", "intersection_chain", "convergence_probe"],
     "oracle": ["_run_swap_suite", "_run_hereditary_suite"],

@@ -160,21 +160,18 @@ class TestWitnessCheck:
     def test_defect_pair_clean(self):
         fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
-        ok, exceptional = witness_check(fam, parse_set("none"), 8, witnesses)
-        assert ok and exceptional == frozenset()
+        assert witness_check(fam, parse_set("none"), 8, witnesses) == frozenset()
 
     def test_defect_pair_exceptional(self):
         fam = DefectPairFamily(2)
         witnesses = [SparseVector.unit(1), SparseVector.unit(2)]
-        ok, exceptional = witness_check(fam, parse_set("fin(3)"), 8, witnesses)
-        assert exceptional == frozenset({3})
-        assert ok  # the finite sigma itself is the predicted exceptional set
+        # the finite sigma itself is the predicted exceptional set
+        assert witness_check(fam, parse_set("fin(3)"), 8, witnesses) == frozenset({3})
 
     def test_finite_set_residue_class(self):
         fam = FiniteDefectSetFamily((0, 1, 3))
-        ok, exceptional = witness_check(
-            fam, parse_set("res(3;2)"), 30, [SparseVector.unit(1)])
-        assert ok and exceptional == frozenset()
+        assert witness_check(fam, parse_set("res(3;2)"), 30,
+                             [SparseVector.unit(1)]) == frozenset()
 
 
 class TestDistanceProfile:
@@ -260,7 +257,7 @@ class TestClassifyDefect:
         rep = classify_defect(E1PlusEkFamily(), parse_set("none"), [5, 10, 20, 30])
         assert rep.verdict == 1
         assert rep.witness_dim == 1
-        assert rep.witness_ok
+        assert rep.exceptional_indices == frozenset()
 
     def test_e1_plus_ek_sigma_all(self):
         rep = classify_defect(E1PlusEkFamily(), parse_set("all"), [2, 9, 49, 99],
@@ -293,7 +290,8 @@ class TestClassifyDefect:
         rep = classify_defect(fam, sigma, [4, 8, 12], probe_window=3)
         assert windows == [4]
         assert real(sigma, 12, window=4)[:3] == narrow
-        assert (rep.witness_dim, rep.verdict, rep.witness_ok) == (3, math.inf, True)
+        assert (rep.witness_dim, rep.verdict, rep.exceptional_indices) == (
+            3, math.inf, frozenset())
 
     @pytest.mark.parametrize("probe_window", [1, 2, 5])
     def test_unbounded_generator_is_read_one_witness_past_the_window(
